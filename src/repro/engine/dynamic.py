@@ -37,7 +37,7 @@ from that final pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -264,8 +264,6 @@ def _solve_chain_stateful(
     """
     lo, hi = 0, trendline.n_bins
     layout = plan_layout(trendline, chain, lo, hi)
-    if layout is None:
-        return ChainSolution(score=INFEASIBLE), None
     if len(layout) != 1 or layout[0].kind != "fuzzy":
         return solve_chain(trendline, chain, context=context), None
     piece = layout[0]
@@ -274,14 +272,7 @@ def _solve_chain_stateful(
         trendline, units, piece.start, piece.end, context, state
     )
     placements: List[Optional[Tuple[int, int]]] = [None] * chain.k
-    feasible = True
-    if result is None:
-        feasible = False
-        for i in piece.indices:
-            placements[i] = (piece.start, piece.start)
-    else:
-        for i, bounds in zip(piece.indices, result):
-            placements[i] = bounds
+    feasible = _place_run(placements, piece.indices, piece.start, result)
     return _finalize(trendline, chain, placements, context, feasible), new_state
 
 
@@ -298,8 +289,6 @@ def solve_chain(
     lo = 0 if lo is None else lo
     hi = trendline.n_bins if hi is None else hi
     layout = plan_layout(trendline, chain, lo, hi)
-    if layout is None:
-        return ChainSolution(score=INFEASIBLE)
 
     placements: List[Optional[Tuple[int, int]]] = [None] * chain.k
     feasible = True
@@ -314,15 +303,71 @@ def solve_chain(
             piece.end,
             context,
         )
-        if result is None:
-            feasible = False
-            for i in piece.indices:
-                placements[i] = (piece.start, piece.start)
-            continue
-        for i, bounds in zip(piece.indices, result):
-            placements[i] = bounds
+        feasible &= _place_run(placements, piece.indices, piece.start, result)
 
     return _finalize(trendline, chain, placements, context, feasible)
+
+
+def solve_query_batched(
+    trendlines: Sequence[Trendline],
+    query: CompiledQuery,
+    batch_solver,
+) -> List[QueryResult]:
+    """:func:`solve_query` for many trendlines under a batched run solver.
+
+    ``batch_solver(trendlines, units, bounds, contexts)`` solves one
+    fuzzy run of ``units`` for every trendline it is handed — each over
+    its own ``bounds[c] = (lo, hi)`` — and returns their placements in
+    order.  Per chain, every candidate's run over the same units shares
+    one call (pins may put it at different bins per candidate); pinned
+    units, the per-trendline solve context shared across chains, the
+    final scoring pass and the first-best-chain rule are
+    :func:`solve_query`'s, so each result equals the per-trendline solve
+    under the one-candidate case of the same solver.
+    """
+    contexts: List[dict] = [{} for _ in trendlines]
+    best: List[Optional[QueryResult]] = [None] * len(trendlines)
+    for index, chain in enumerate(query.chains):
+        placements: List[List[Optional[Tuple[int, int]]]] = [
+            [None] * chain.k for _ in trendlines
+        ]
+        feasible = [True] * len(trendlines)
+        runs: dict = {}  # unit indices -> [(candidate number, (start, end))]
+        for c, trendline in enumerate(trendlines):
+            for piece in plan_layout(trendline, chain, 0, trendline.n_bins):
+                if piece.kind == "pinned":
+                    placements[c][piece.indices[0]] = (piece.start, piece.end)
+                else:
+                    runs.setdefault(tuple(piece.indices), []).append(
+                        (c, (piece.start, piece.end))
+                    )
+        for indices, members in runs.items():
+            results = batch_solver(
+                [trendlines[c] for c, _bounds in members],
+                [chain.units[i] for i in indices],
+                [bounds for _c, bounds in members],
+                [contexts[c] for c, _bounds in members],
+            )
+            for (c, (start, _end)), result in zip(members, results):
+                feasible[c] &= _place_run(placements[c], indices, start, result)
+        for c, trendline in enumerate(trendlines):
+            solution = _finalize(trendline, chain, placements[c], contexts[c], feasible[c])
+            current = best[c]
+            if current is None or solution.score > current.score:
+                best[c] = QueryResult(score=solution.score, chain_index=index, solution=solution)
+    return best  # type: ignore[return-value]  # every slot is filled: a query has >= 1 chain
+
+
+def _place_run(placements, indices, start: int, result) -> bool:
+    """Record a fuzzy run's placements; an unsolvable run collapses its
+    units onto ``start`` and reports the chain infeasible."""
+    if result is None:
+        for i in indices:
+            placements[i] = (start, start)
+        return False
+    for i, bounds in zip(indices, result):
+        placements[i] = bounds
+    return True
 
 
 def solve_chain_exact_cover(
@@ -353,7 +398,7 @@ class LayoutPiece:
 
 def plan_layout(
     trendline: Trendline, chain: Chain, lo: int, hi: int
-) -> Optional[List[LayoutPiece]]:
+) -> List[LayoutPiece]:
     """Split a chain around its x-pinned units.
 
     Fuzzy runs must exactly cover the space between the surrounding fixed
@@ -372,19 +417,17 @@ def plan_layout(
     cursor = lo
     run: List[int] = []
 
-    def flush_run(run_end: int) -> bool:
+    def flush_run(run_end: int) -> None:
         nonlocal cursor
         if run:
             pieces.append(LayoutPiece("fuzzy", list(run), cursor, run_end))
             run.clear()
         cursor = run_end
-        return True
 
     for i in range(k):
         fully_pinned = starts[i] is not None and ends[i] is not None
         if fully_pinned:
-            if not flush_run(starts[i]):
-                return None
+            flush_run(starts[i])
             pieces.append(LayoutPiece("pinned", [i], starts[i], ends[i]))
             cursor = ends[i]
         elif starts[i] is not None:  # start-only pin: fixes the left boundary

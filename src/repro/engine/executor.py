@@ -65,7 +65,7 @@ from repro.errors import ExecutionError, SearchCancelled, warn_deprecated
 from repro.results import ResultSet, SearchFuture
 
 #: Supported segmentation algorithms (dispatch lives in
-#: :data:`repro.engine.parallel.RUN_SOLVERS`, the single table shared by
+#: :func:`repro.engine.parallel.solve_many`, the single funnel shared by
 #: the sequential, sharded and score_one paths).
 ALGORITHMS = ("dp", "segment-tree", "greedy", "exhaustive")
 

@@ -36,12 +36,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.chains import CompiledQuery
-from repro.engine.dynamic import QueryResult, solve_query
+from repro.engine.dynamic import QueryResult, solve_query, solve_query_batched
 from repro.engine.exhaustive import exhaustive_solve_query
 from repro.engine.greedy import greedy_run_solver
 from repro.engine.pruning import PruningReport, prune_and_rank
 from repro.engine.pushdown import eager_upper_bound, plan_pushdown
-from repro.engine.segment_tree import segment_tree_run_solver
+from repro.engine.segment_tree import BATCH_BLOCK, segment_tree_batch_solver
 from repro.engine.trendline import Trendline
 from repro.errors import ExecutionError
 
@@ -78,15 +78,41 @@ class ShardResult:
     pruning: Optional[PruningReport] = None
 
 
-#: Run solvers by algorithm name — the single dispatch table; the
-#: executor's sequential and score_one paths route through solve_one too.
-#: ``"dp"`` resolves through :func:`repro.engine.dynamic.fuzzy_run_solver`
-#: so the kernel choice (matrix/loop) applies.
-RUN_SOLVERS = {
-    "dp": None,  # dynamic's own DP (kernel-selected in solve_one)
-    "segment-tree": segment_tree_run_solver,
-    "greedy": greedy_run_solver,
-}
+def solve_many(
+    trendlines: Sequence[Trendline],
+    query: CompiledQuery,
+    algorithm: str,
+    kernel: Optional[str] = None,
+) -> List[QueryResult]:
+    """Score a collection of candidates with the named algorithm.
+
+    The single Score funnel: every collection-level call site (shards,
+    tail re-scores, index seeds) hands its candidates over together.
+    ``"segment-tree"`` solves them :data:`BATCH_BLOCK` at a time with one
+    level-wise array combine per block, whatever their lengths
+    (:class:`~repro.engine.segment_tree.BatchedSegmentTree`); the other
+    algorithms have no cross-candidate kernel and simply loop.
+
+    ``kernel`` picks the DP transition kernel (``"matrix"``/``"loop"``,
+    None = the module default); it only affects ``algorithm="dp"`` — the
+    two kernels are byte-identical, so this is a benchmarking/oracle
+    knob, not a semantic one.
+    """
+    if algorithm == "segment-tree":
+        return solve_query_batched(trendlines, query, segment_tree_batch_solver)
+    if algorithm == "exhaustive":
+        return [exhaustive_solve_query(trendline, query) for trendline in trendlines]
+    if algorithm == "dp":
+        # kernel= (rather than run_solver=) records the choice in the
+        # solve context, so nested sub-queries and AND exact-covers run
+        # the same kernel as the top-level chains.
+        return [solve_query(trendline, query, kernel=kernel) for trendline in trendlines]
+    if algorithm == "greedy":
+        return [
+            solve_query(trendline, query, run_solver=greedy_run_solver)
+            for trendline in trendlines
+        ]
+    raise ExecutionError("unknown algorithm {!r}".format(algorithm))
 
 
 def solve_one(
@@ -95,21 +121,8 @@ def solve_one(
     algorithm: str,
     kernel: Optional[str] = None,
 ) -> QueryResult:
-    """Score one candidate with the named algorithm.
-
-    ``kernel`` picks the DP transition kernel (``"matrix"``/``"loop"``,
-    None = the module default); it only affects ``algorithm="dp"`` — the
-    two kernels are byte-identical, so this is a benchmarking/oracle
-    knob, not a semantic one.
-    """
-    if algorithm == "exhaustive":
-        return exhaustive_solve_query(trendline, query)
-    if algorithm == "dp":
-        # kernel= (rather than run_solver=) records the choice in the
-        # solve context, so nested sub-queries and AND exact-covers run
-        # the same kernel as the top-level chains.
-        return solve_query(trendline, query, kernel=kernel)
-    return solve_query(trendline, query, run_solver=RUN_SOLVERS[algorithm])
+    """Score one candidate: the one-element case of :func:`solve_many`."""
+    return solve_many([trendline], query, algorithm, kernel=kernel)[0]
 
 
 def score_shard(
@@ -129,33 +142,46 @@ def score_shard(
     top-k is always in its shard's local top-k, and ties at the boundary
     resolve identically no matter how candidates were sharded.
 
-    Eager discarding (push-down (b)) tests the candidate's optimistic
-    bound against the *shard-local* top-k floor — still exact (a shard
-    hands over a strict superset of its global-top-k members), though
-    the ``eager_discarded`` counter can differ across worker counts
-    since each shard's floor tightens independently.
+    Candidates are scored in blocks through :func:`solve_many`.  Eager
+    discarding (push-down (b)) tests each candidate's optimistic bound
+    against the *shard-local* top-k floor as it stands before the
+    candidate's block: the first block is cut where it fills the heap (no
+    floor exists before that), every later one holds :data:`BATCH_BLOCK`
+    candidates.  Still exact — a discarded candidate provably cannot
+    enter the top k, and a shard hands over a strict superset of its
+    global-top-k members — though the ``eager_discarded`` counter depends
+    on the block size and can differ across worker counts, since each
+    shard's floor tightens independently.
     """
     shard = ShardResult()
     if has_eager_checks is None:
         has_eager_checks = enable_pushdown and plan_pushdown(query).has_eager_checks
     check_eager = enable_pushdown and has_eager_checks
     heap: List[tuple] = []  # min-heap on (score, -position): worst kept item on top
-    for offset, trendline in enumerate(trendlines):
-        position = base_position + offset
-        if (
-            check_eager
-            and len(heap) == k
-            and eager_upper_bound(trendline, query) <= heap[0][0]
-        ):
-            shard.eager_discarded += 1
-            continue
-        result = solve_one(trendline, query, algorithm, kernel=kernel)
-        shard.scored += 1
-        item = (result.score, -position, trendline, result)
-        if len(heap) < k:
-            heapq.heappush(heap, item)
-        elif item[:2] > heap[0][:2]:
-            heapq.heapreplace(heap, item)
+    start = 0
+    while start < len(trendlines):
+        size = BATCH_BLOCK
+        if check_eager and len(heap) < k:
+            size = min(size, k - len(heap))
+        block = list(enumerate(trendlines[start : start + size], start=base_position + start))
+        start += size
+        if check_eager and len(heap) == k:
+            floor = heap[0][0]
+            kept = [
+                item for item in block if eager_upper_bound(item[1], query) > floor
+            ]
+            shard.eager_discarded += len(block) - len(kept)
+            block = kept
+        results = solve_many(
+            [trendline for _position, trendline in block], query, algorithm, kernel=kernel
+        )
+        shard.scored += len(block)
+        for (position, trendline), result in zip(block, results):
+            item = (result.score, -position, trendline, result)
+            if len(heap) < k:
+                heapq.heappush(heap, item)
+            elif item[:2] > heap[0][:2]:
+                heapq.heapreplace(heap, item)
     shard.items = [
         (score, -neg_position, trendline, result)
         for score, neg_position, trendline, result in heap

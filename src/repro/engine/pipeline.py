@@ -502,17 +502,17 @@ def score_tail_groups(
     A None result marks a group extraction dropped (too few points,
     degenerate series, push-down skip).
     """
-    from repro.engine.parallel import solve_one
+    from repro.engine.parallel import solve_many
     from repro.engine.shm import resolve_query, resolve_table
 
     table = table_ref if isinstance(table_ref, Table) else resolve_table(table_ref)
     compiled = resolve_query(query)
     filtered, groups = _grouping(table, params)
     aggregate = _AGGREGATES[params.aggregate]
-    out = []
+    out: List[list] = []  # [index, key, result, trendline]
     for index in indices:
         if index >= len(groups):
-            out.append((index, None, None, None))
+            out.append([index, None, None, None])
             continue
         key, rows = groups[index]
         stream = _extract_stream(filtered, params, key, rows, plan, aggregate)
@@ -524,14 +524,20 @@ def score_tail_groups(
         if trendline is None:
             with _TAIL_STATES_LOCK:
                 _tail_state_pop_locked((id(compiled), key))
-            out.append((index, key, None, None))
-            continue
-        if algorithm == "dp":
-            result = _solve_tail_dp(trendline, compiled, key, kernel)
-        else:
-            result = solve_one(trendline, compiled, algorithm, kernel=kernel)
-        out.append((index, key, result, trendline))
-    return out
+        out.append([index, key, None, trendline])
+    rescored = [entry for entry in out if entry[3] is not None]
+    if algorithm == "dp":
+        results = [
+            _solve_tail_dp(trendline, compiled, key, kernel)
+            for _index, key, _result, trendline in rescored
+        ]
+    else:
+        results = solve_many(
+            [entry[3] for entry in rescored], compiled, algorithm, kernel=kernel
+        )
+    for entry, result in zip(rescored, results):
+        entry[2] = result
+    return [tuple(entry) for entry in out]
 
 
 class IncrementalMerge:
@@ -817,7 +823,7 @@ class IndexPrune(Operator):
         self.index_source: Optional[str] = None
 
     def run(self, ctx, candidates: Candidates) -> Candidates:
-        from repro.engine.parallel import solve_one
+        from repro.engine.parallel import solve_many
 
         engine = ctx.engine
         source = candidates.trendlines
@@ -835,13 +841,13 @@ class IndexPrune(Operator):
         bounds = self._dispatched_bounds(ctx, index, total)
         ctx.stats.index_bounds = "dispatched" if bounds is not None else "inline"
 
-        def solve(trendline):
-            return solve_one(
-                trendline, self.compiled, engine.algorithm, kernel=engine.kernel
+        def solve_seeds(seeds):
+            return solve_many(
+                seeds, self.compiled, engine.algorithm, kernel=engine.kernel
             )
 
         survivors, pruned = prune_candidates(
-            trendlines, index, self.compiled, self.k, solve, bounds=bounds
+            trendlines, index, self.compiled, self.k, bounds=bounds, solve_many=solve_seeds
         )
         ctx.stats.index_pruned = pruned
         if not pruned:

@@ -21,12 +21,14 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.engine.chains import CompiledQuery
 from repro.engine.dynamic import ChainSolution, QueryResult, _finalize, solve_query
 from repro.engine.segment_tree import IncrementalSegmentTree
 from repro.engine.shape_index import survives_floor
 from repro.engine.trendline import Trendline, build_trendline
-from repro.engine.units import INFEASIBLE, MIN_SEGMENT_BINS
+from repro.engine.units import INFEASIBLE, MIN_SEGMENT_BINS, SlopeUnit
 
 
 @dataclass
@@ -61,10 +63,6 @@ def tree_upper_bound(trendline: Trendline, chain, tree: IncrementalSegmentTree) 
     level-granularity windows, this stays valid for placements finer
     than the current level.
     """
-    import numpy as np
-
-    from repro.engine.units import SlopeUnit
-
     k = len(chain.units)
     slopes_per_unit: List[List[float]] = [[] for _ in range(k)]
     prefix = trendline.prefix

@@ -721,14 +721,17 @@ def prune_candidates(
     index: ShapeIndex,
     query: CompiledQuery,
     k: int,
-    solve,
+    solve=None,
     bounds: Optional[np.ndarray] = None,
+    solve_many=None,
 ) -> Tuple[List[int], int]:
     """Select the candidate positions that can still reach the top k.
 
     Seeds — the ``max(k, MIN_SEED_CANDIDATES)`` candidates with the
     highest index bounds (position-ascending on ties) — are scored
-    exactly with ``solve``; the k-th best seed score becomes the floor,
+    exactly, all together by ``solve_many(seed trendlines)`` (the
+    engine's batched Score funnel) or else one by one by
+    ``solve(trendline)``; the k-th best seed score becomes the floor,
     and every other candidate is kept iff :func:`survives_floor` says
     its bound can reach it.  Returns ``(surviving positions ascending,
     pruned count)``.  ``bounds`` lets the caller supply worker-computed
@@ -747,9 +750,12 @@ def prune_candidates(
         bounds = np.asarray(bounds, dtype=float)
     order = sorted(range(total), key=lambda i: (-bounds[i], i))
     seeds = order[:seed_count]
-    seed_scores = sorted(
-        (float(solve(trendlines[i]).score) for i in seeds), reverse=True
-    )
+    seed_trendlines = [trendlines[i] for i in seeds]
+    if solve_many is not None:
+        results = solve_many(seed_trendlines)
+    else:
+        results = [solve(trendline) for trendline in seed_trendlines]
+    seed_scores = sorted((float(result.score) for result in results), reverse=True)
     floor = seed_scores[k - 1]
     keep = survives_floor(bounds, floor)
     keep[seeds] = True

@@ -11,6 +11,7 @@ PATTERN/MODIFIER words.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Entity labels used across the NL pipeline (CRF label space minus O).
@@ -142,6 +143,12 @@ def normalized_edit_distance(a: str, b: str) -> float:
 def _best_in(word: str, synonyms: Iterable[str]) -> Tuple[Optional[str], float]:
     best_synonym, best_distance = None, float("inf")
     for synonym in synonyms:
+        # Levenshtein distance is at least the length difference, so a
+        # synonym whose length alone puts it at or past the current best
+        # cannot win the strict comparison below — skip the O(|a|·|b|) table.
+        average = (len(word) + len(synonym)) / 2.0
+        if average and abs(len(word) - len(synonym)) / average >= best_distance:
+            continue
         distance = normalized_edit_distance(word, synonym)
         if distance < best_distance:
             best_synonym, best_distance = synonym, distance
@@ -163,10 +170,35 @@ def parse_number_word(word: str) -> Optional[float]:
 #: a synonym hit (paper: raw edit distance <= 2 on typical word lengths).
 MATCH_THRESHOLD = 0.26
 
+#: Entries per token-lookup memo below.  The synonym tables are module
+#: constants, so every lookup is a pure function of the lower-cased
+#: token; a query vocabulary is a few hundred words, so the bound only
+#: guards against adversarial token streams.
+LOOKUP_CACHE_SIZE = 4096
+
 
 def predict_entity(word: str) -> Optional[str]:
     """Entity label suggested by the synonym lists (a CRF feature)."""
-    lower = word.lower()
+    return _predict_entity(word.lower())
+
+
+def resolve_pattern_value(word: str) -> Tuple[Optional[str], float]:
+    """Best PATTERN value for a word (possibly a compound like peak)."""
+    return _resolve_value("pattern", word.lower())
+
+
+def resolve_modifier_value(word: str) -> Tuple[Optional[str], float]:
+    """Best MODIFIER value (sharp/gradual) for a word."""
+    return _resolve_value("modifier", word.lower())
+
+
+def resolve_quant_value(word: str) -> Tuple[Optional[str], float]:
+    """Best QUANT marker for a word (times/at-least/at-most/...)."""
+    return _resolve_value("quant", word.lower())
+
+
+@lru_cache(maxsize=LOOKUP_CACHE_SIZE)
+def _predict_entity(lower: str) -> Optional[str]:
     if parse_number_word(lower) is not None:
         return "NUM"
     if lower in NOISE_WORDS:
@@ -197,33 +229,18 @@ def predict_entity(word: str) -> Optional[str]:
     return None
 
 
-def resolve_pattern_value(word: str) -> Tuple[Optional[str], float]:
-    """Best PATTERN value for a word (possibly a compound like peak)."""
-    lower = word.lower()
+_VALUE_SYNONYMS = {
+    "pattern": PATTERN_SYNONYMS,
+    "modifier": MODIFIER_SYNONYMS,
+    "quant": QUANT_SYNONYMS,
+}
+
+
+@lru_cache(maxsize=LOOKUP_CACHE_SIZE)
+def _resolve_value(table: str, lower: str) -> Tuple[Optional[str], float]:
+    """Closest value of one synonym table, with its normalized distance."""
     best_value, best_distance = None, float("inf")
-    for value, synonyms in PATTERN_SYNONYMS.items():
-        _, distance = _best_in(lower, synonyms)
-        if distance < best_distance:
-            best_value, best_distance = value, distance
-    return best_value, best_distance
-
-
-def resolve_modifier_value(word: str) -> Tuple[Optional[str], float]:
-    """Best MODIFIER value (sharp/gradual) for a word."""
-    lower = word.lower()
-    best_value, best_distance = None, float("inf")
-    for value, synonyms in MODIFIER_SYNONYMS.items():
-        _, distance = _best_in(lower, synonyms)
-        if distance < best_distance:
-            best_value, best_distance = value, distance
-    return best_value, best_distance
-
-
-def resolve_quant_value(word: str) -> Tuple[Optional[str], float]:
-    """Best QUANT marker for a word (times/at-least/at-most/...)."""
-    lower = word.lower()
-    best_value, best_distance = None, float("inf")
-    for value, synonyms in QUANT_SYNONYMS.items():
+    for value, synonyms in _VALUE_SYNONYMS[table].items():
         _, distance = _best_in(lower, synonyms)
         if distance < best_distance:
             best_value, best_distance = value, distance

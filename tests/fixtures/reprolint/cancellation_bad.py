@@ -1,7 +1,7 @@
 # Fixture: violates every REP03x cancellation-seam rule.  Parsed, never run.
 from concurrent.futures import ThreadPoolExecutor
 
-from somewhere import score_shard  # noqa — fixtures are never imported
+from somewhere import score_shard, solve_one  # noqa — fixtures are never imported
 
 
 class BrokenScore:
@@ -17,3 +17,10 @@ class BrokenScore:
 def dispatch_rows(pool, tasks):  # REP032: bypasses the _run_tasks funnel
     executor = ThreadPoolExecutor(max_workers=2)  # REP033: raw pool
     return [executor.submit(task) for task in tasks]
+
+
+def score_block(trendlines, query):  # REP034: one kernel launch per candidate
+    results = []
+    for trendline in trendlines:
+        results.append(solve_one(trendline, query, "segment-tree"))
+    return results + [solve_one(t, query, "segment-tree") for t in trendlines]

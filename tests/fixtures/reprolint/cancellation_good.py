@@ -1,7 +1,7 @@
 # Fixture: the conforming twin of cancellation_bad.py.
 from concurrent.futures import ThreadPoolExecutor
 
-from somewhere import _run_tasks, dispatch_score  # noqa — never imported
+from somewhere import _run_tasks, dispatch_score, solve_many, solve_one  # noqa — never imported
 
 
 class SteadyScore:
@@ -34,3 +34,11 @@ class WorkerPool:
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=2)
         return self._executor
+
+
+def score_block(trendlines, query):
+    return solve_many(trendlines, query, "segment-tree")  # the batched funnel
+
+
+def score_single(trendline, query):
+    return solve_one(trendline, query, "segment-tree")  # one candidate: fine

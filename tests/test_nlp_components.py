@@ -94,6 +94,58 @@ class TestLexicon:
         assert lexicon.parse_number_word("rising") is None
 
 
+def _lexicon_words():
+    """Every synonym, stop word and number word, plus misspellings."""
+    words = set(lexicon.NOISE_WORDS) | set(lexicon._NUMBER_WORDS)
+    for table in (lexicon.PATTERN_SYNONYMS, lexicon.MODIFIER_SYNONYMS, lexicon.QUANT_SYNONYMS):
+        for synonyms in table.values():
+            words.update(synonyms)
+    for synonyms in (
+        lexicon.OP_SEQ_SYNONYMS, lexicon.OP_OR_SYNONYMS, lexicon.OP_AND_SYNONYMS,
+        lexicon.OP_NOT_SYNONYMS, lexicon.LOC_SYNONYMS, lexicon.WIDTH_SYNONYMS,
+    ):
+        words.update(synonyms)
+    misspelt = {word[:-1] for word in words if len(word) > 3}
+    misspelt |= {word[0] + word[2:] for word in words if len(word) > 4}
+    misspelt |= {word + "x" for word in words}
+    misspelt |= {"Rising", "FALLING", "incresing", "decreesing", "platau", "xyzzy", "", "42", "4.5"}
+    return sorted(words | misspelt)
+
+
+class TestLookupMemo:
+    """The token lookups are memoized pure functions of the lowered token."""
+
+    LOOKUPS = (
+        (lexicon.predict_entity, lexicon._predict_entity),
+        (lexicon.resolve_pattern_value, lexicon._resolve_value),
+        (lexicon.resolve_modifier_value, lexicon._resolve_value),
+        (lexicon.resolve_quant_value, lexicon._resolve_value),
+    )
+
+    def test_warm_answers_equal_cold_answers(self):
+        words = _lexicon_words()
+        for lookup, memo in self.LOOKUPS:
+            memo.cache_clear()
+            cold = [lookup(word) for word in words]
+            assert memo.cache_info().misses > 0
+            hits = memo.cache_info().hits
+            warm = [lookup(word) for word in words]
+            assert memo.cache_info().hits >= hits + len(words)
+            assert warm == cold
+
+    def test_memo_is_bounded(self):
+        for _lookup, memo in self.LOOKUPS:
+            assert memo.cache_info().maxsize == lexicon.LOOKUP_CACHE_SIZE
+
+    def test_length_early_out_never_changes_the_best_synonym(self):
+        synonyms = [s for group in lexicon.PATTERN_SYNONYMS.values() for s in group]
+        for word in _lexicon_words():
+            scored = [(lexicon.normalized_edit_distance(word, s), s) for s in synonyms]
+            distance = min(d for d, _ in scored)
+            first = next(s for d, s in scored if d == distance)
+            assert lexicon._best_in(word, synonyms) == (first, distance)
+
+
 class TestSemantics:
     def test_identity_similarity(self):
         assert semantics.path_similarity("rise", "rise") == 1.0

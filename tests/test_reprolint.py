@@ -35,6 +35,7 @@ CASES = [
     ("REP031", "cancellation", 1),
     ("REP032", "cancellation", 1),
     ("REP033", "cancellation", 1),
+    ("REP034", "cancellation", 2),
     ("REP041", "deprecation", 2),
     ("REP051", "kernel", 1),
     ("REP052", "kernel", 1),

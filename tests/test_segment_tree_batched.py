@@ -1,0 +1,306 @@
+"""Parity of the candidate-batched SegmentTree kernel with the dict tree.
+
+:class:`~repro.engine.segment_tree.BatchedSegmentTree` (what the engine
+runs) must build, bit for bit, the tables of
+:class:`~repro.engine.segment_tree.IncrementalSegmentTree` (the
+per-trendline reference): the same keys in the same insertion order, the
+same weighted sums and the same placements at every node of every
+level — and therefore the same answers through ``solve_many``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.algebra import builder as q
+from repro.engine import parallel, segment_tree
+from repro.engine.chains import compile_query
+from repro.engine.dynamic import solve_query
+from repro.engine.parallel import score_shard, solve_many, solve_one
+from repro.engine.segment_tree import BatchedSegmentTree, IncrementalSegmentTree
+from repro.engine.trendline import cast_trendline
+from repro.engine.units import MIN_SEGMENT_BINS
+
+from tests.conftest import make_trendline
+
+
+def dict_tree_run_solver(trendline, units, lo, hi, context):
+    """The per-trendline run solver over the dict tree (the oracle)."""
+    m = len(units)
+    if m == 0:
+        return []
+    if hi - lo < MIN_SEGMENT_BINS * m:
+        return None
+    if m == 1:
+        return [(lo, hi)]
+    entry = IncrementalSegmentTree(trendline, units, lo, hi, context).run()
+    return None if entry is None else list(entry[1])
+
+
+def batched_tables(tree, candidate):
+    """One candidate's node tables in the dict tree's form:
+    per node ``{(i, j): (weighted sum, placements)}`` in insertion order."""
+    keys = [(i, j) for i in range(tree.k) for j in range(i, tree.k)]
+    first = int(tree.counts[:candidate].sum())
+    tables = []
+    for lane in range(first, first + int(tree.counts[candidate])):
+        lo, hi = int(tree.lows[lane]), int(tree.highs[lane])
+        present = [row for row in range(len(keys)) if tree.values[0, row, lane] > -np.inf]
+        present.sort(key=lambda row: tree.marks[-1, row, lane])
+        table = {}
+        for row in present:
+            i, j = keys[row]
+            inner = [int(b) for b in tree.marks[2 + i : 2 + j, row, lane]]
+            bounds = [lo] + inner + [hi]
+            table[(i, j)] = (
+                float(tree.values[0, row, lane]),
+                tuple(zip(bounds[:-1], bounds[1:])),
+            )
+        tables.append(table)
+    return tables
+
+
+def assert_same_trees(trendlines, units, bounds=None):
+    """Step both trees level by level; every table must match exactly."""
+    if bounds is None:
+        bounds = [(0, t.n_bins) for t in trendlines]
+    batched = BatchedSegmentTree(trendlines, units, bounds, [{} for _ in trendlines])
+    oracles = [
+        IncrementalSegmentTree(t, units, lo, hi, {}) for t, (lo, hi) in zip(trendlines, bounds)
+    ]
+    level = 0
+    while True:
+        for c, oracle in enumerate(oracles):
+            want = [
+                {key: (entry[0], entry[1]) for key, entry in table.items()}
+                for table in oracle.tables
+            ]
+            got = batched_tables(batched, c)
+            assert len(got) == len(want)
+            for node, (g, w) in enumerate(zip(got, want)):
+                assert list(g) == list(w), ("key order", level, c, node)
+                assert g == w, ("entries", level, c, node)
+        if batched.done:
+            assert all(oracle.done for oracle in oracles)
+            return
+        batched.step()
+        for oracle in oracles:
+            oracle.step()
+        level += 1
+
+
+def assert_same_answers(trendlines, query):
+    """``solve_many`` equals the per-trendline solve over the dict tree."""
+    got = solve_many(trendlines, query, "segment-tree")
+    for trendline, result in zip(trendlines, got):
+        want = solve_query(trendline, query, run_solver=dict_tree_run_solver)
+        assert result.score == want.score
+        assert result.chain_index == want.chain_index
+        assert [(p.start, p.end, p.score) for p in result.solution.placements] == [
+            (p.start, p.end, p.score) for p in want.solution.placements
+        ]
+
+
+def walks(count, length, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        make_trendline(rng.normal(0, 1, length).cumsum(), key="w{}".format(i))
+        for i in range(count)
+    ]
+
+
+def alternating(k):
+    return [q.up() if i % 2 == 0 else q.down() for i in range(k)]
+
+
+def units_of(node):
+    return list(compile_query(node).chains[0].units)
+
+
+class TestTableParity:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("length", [24, 47, 128])
+    def test_slope_chains(self, k, length):
+        assert_same_trees(walks(5, length, seed=k), units_of(q.concat(*alternating(k))))
+
+    @pytest.mark.parametrize("length", [13, 15, 35, 67, 131])
+    def test_odd_leaf_counts_carry_a_node(self, length):
+        units = units_of(q.concat(q.up(), q.down(), q.up()))
+        tree = BatchedSegmentTree(walks(1, length), units, [(0, length)], [{}])
+        counts = []
+        while not tree.done:
+            counts.append(int(tree.counts[0]))
+            tree.step()
+        assert any(count % 2 == 1 for count in counts)
+        assert_same_trees(walks(4, length, seed=length), units)
+
+    def test_every_slope_kind(self):
+        node = q.concat(
+            q.flat(), q.slope(30.0), q.up(sharp=True), q.opposite(q.up()), q.any_pattern()
+        )
+        assert_same_trees(walks(6, 90, seed=5), units_of(node))
+
+    def test_constant_and_saturated_series_tie_to_first_offer(self):
+        # Constant series score every range alike; near-vertical steps pin
+        # tan⁻¹ at its clamp — both make exact ties the rule, so the
+        # winner is decided by the dict tree's first-offer order alone.
+        lines = [
+            make_trendline(np.full(64, 3.0), key="const"),
+            make_trendline(np.arange(64) * 1e9, key="steep"),
+            make_trendline(np.repeat([0.0, 1e12, 0.0, 1e12], 16), key="steps"),
+            make_trendline(np.tile([0.0, 1.0], 32), key="zigzag"),
+        ]
+        for k in (2, 3, 4, 5):
+            assert_same_trees(lines, units_of(q.concat(*alternating(k))))
+        wild = q.concat(q.any_pattern(), q.up(), q.any_pattern(), q.any_pattern())
+        assert_same_trees(lines + walks(3, 64), units_of(wild))
+
+    def test_fallback_units(self):
+        # Line, sketch, quantifier, nested and y-constrained units are
+        # scored per candidate through score_pairs, beside batched slopes.
+        lines = walks(4, 60, seed=11)
+        level = float(np.median(lines[0].bin_y))
+        for node in (
+            q.concat(q.up(), q.segment(pattern=None, y_start=level, y_end=level + 1.0)),
+            q.concat(q.sketch([(0, 0), (1, 2), (2, 0)]), q.down()),
+            q.concat(q.repeated(q.up(), low=2), q.down(), q.up()),
+            q.concat(q.nested(q.concat(q.up(), q.down())), q.flat()),
+            q.concat(q.up(y_start=level), q.down(), q.up(y_end=level)),
+        ):
+            assert_same_trees(lines, units_of(node))
+
+    def test_trees_of_different_shapes_share_the_arrays(self):
+        # Different lengths and bounds: different leaves, depths, width
+        # floors and root levels, one lane axis.
+        lengths = (6, 13, 128, 40, 7, 73, 40, 15)
+        lines = [walks(1, n, seed=n + i)[0] for i, n in enumerate(lengths)]
+        bounds = [(0, n) for n in lengths]
+        bounds[2], bounds[5] = (17, 101), (3, 70)
+        for k in (2, 3, 4):
+            fits = [i for i, (lo, hi) in enumerate(bounds) if hi - lo >= MIN_SEGMENT_BINS * k]
+            assert_same_trees(
+                [lines[i] for i in fits],
+                units_of(q.concat(*alternating(k))),
+                bounds=[bounds[i] for i in fits],
+            )
+        mixed = q.concat(q.repeated(q.up(), low=2), q.down(), q.sketch([(0, 0), (1, 2)]))
+        assert_same_trees(lines[1:], units_of(mixed), bounds=bounds[1:])
+
+    def test_sub_range_and_float32(self):
+        units = units_of(q.concat(q.up(), q.down(), q.up()))
+        assert_same_trees(walks(3, 80, seed=2), units, bounds=[(7, 61)] * 3)
+        singles = [cast_trendline(t, np.float32) for t in walks(3, 80, seed=3)]
+        assert_same_trees(singles, units)
+
+    @given(
+        k=st.integers(2, 5),
+        length=st.integers(4, 70),
+        series=st.lists(
+            st.lists(st.integers(-3, 3), min_size=70, max_size=70), min_size=1, max_size=4
+        ),
+    )
+    def test_random_small_integer_series(self, k, length, series):
+        # Small integer steps: plenty of exact score ties and plateaus.
+        length = max(length, MIN_SEGMENT_BINS * k)
+        lines = [
+            make_trendline(np.cumsum(values[:length], dtype=float), key=i)
+            for i, values in enumerate(series)
+        ]
+        assert_same_trees(lines, units_of(q.concat(*alternating(k))))
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_answers_match_the_dict_tree(self, k):
+        assert_same_answers(walks(9, 75, seed=k), compile_query(q.concat(*alternating(k))))
+
+    def test_mixed_lengths_in_one_shard(self):
+        lines = walks(3, 40) + walks(4, 73, seed=1) + walks(2, 40, seed=2) + walks(1, 5)
+        assert_same_answers(lines, compile_query(q.concat(q.up(), q.down(), q.up())))
+
+    def test_too_short_runs_are_infeasible(self):
+        query = compile_query(q.concat(q.up(), q.down(), q.up()))
+        lines = [make_trendline(np.arange(n, dtype=float), key=n) for n in (4, 5, 6, 7)]
+        assert_same_answers(lines, query)
+        assert [r.score for r in solve_many(lines[:2], query, "segment-tree")] == [-1.0, -1.0]
+
+    def test_pinned_units_split_the_chain_into_runs(self):
+        lines = walks(6, 64, seed=4)
+        for node in (
+            q.concat(q.up(x_start=10), q.down(), q.up()),
+            q.concat(q.up(), q.down(x_end=40), q.up(), q.down()),
+            q.concat(q.up(), q.down(x_start=20, x_end=30), q.up(), q.flat()),
+        ):
+            assert_same_answers(lines, compile_query(node))
+
+    def test_or_alternatives_and_position(self):
+        lines = walks(5, 64, seed=6)
+        either = q.up() >> (q.down() | (q.down() >> q.up()))
+        assert_same_answers(lines, compile_query(either))
+        steeper = q.concat(q.up(), q.down(), q.position(index=0, comparison=">"))
+        assert_same_answers(lines, compile_query(steeper))
+
+    def test_batch_size_and_order_do_not_matter(self):
+        query = compile_query(q.concat(q.up(), q.down(), q.up()))
+        lines = walks(40, 64, seed=8)  # more than one kernel block
+        assert len(lines) > segment_tree.BATCH_BLOCK
+        together = solve_many(lines, query, "segment-tree")
+        alone = [solve_one(t, query, "segment-tree") for t in lines]
+        order = np.random.default_rng(0).permutation(len(lines))
+        shuffled = solve_many([lines[i] for i in order], query, "segment-tree")
+        for i, result in enumerate(together):
+            assert result == alone[i]
+        for slot, i in enumerate(order):
+            assert shuffled[slot] == together[i]
+
+    def test_lane_budget_closes_blocks_early(self, monkeypatch):
+        query = compile_query(q.concat(q.up(), q.down(), q.up()))
+        lines = walks(5, 200, seed=9) + walks(3, 31, seed=10)
+        want = solve_many(lines, query, "segment-tree")
+        monkeypatch.setattr(segment_tree, "BATCH_LANES", 45)  # < one long line's leaves
+        assert solve_many(lines, query, "segment-tree") == want
+
+    def test_other_algorithms_loop(self):
+        query = compile_query(q.concat(q.up(), q.down()))
+        lines = walks(3, 30)
+        for algorithm in ("dp", "greedy", "exhaustive"):
+            assert solve_many(lines, query, algorithm) == [
+                solve_one(t, query, algorithm) for t in lines
+            ]
+
+
+class TestShardBlocks:
+    PINNED = compile_query(q.concat(q.up(x_start=0, x_end=20), q.down(), q.up()))
+
+    def _collection(self):
+        rng = np.random.default_rng(1)
+        peak = np.concatenate([np.linspace(0, 9, 21), np.linspace(9, 0, 20), np.linspace(0, 5, 19)])
+        lines = []
+        for i in range(90):
+            base = peak if i % 9 == 0 else np.linspace(9, 0, 60)
+            lines.append(make_trendline(base + rng.normal(0, 0.2, 60), key="c{}".format(i)))
+        return lines
+
+    @staticmethod
+    def _ranked(shard):
+        return sorted(
+            ((score, position, t.key) for score, position, t, _ in shard.items),
+            key=lambda item: (-item[0], item[1]),
+        )
+
+    def test_pushdown_only_skips_work(self):
+        lines = self._collection()
+        on = score_shard(lines, 5, self.PINNED, 4, enable_pushdown=True)
+        off = score_shard(lines, 5, self.PINNED, 4, enable_pushdown=False)
+        assert self._ranked(on) == self._ranked(off)
+        assert on.eager_discarded > 0 and off.eager_discarded == 0
+        assert on.scored + on.eager_discarded == len(lines) == off.scored
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1000])
+    def test_results_do_not_depend_on_block_boundaries(self, monkeypatch, block):
+        lines = self._collection()
+        want = self._ranked(score_shard(lines, 0, self.PINNED, 6))
+        monkeypatch.setattr(parallel, "BATCH_BLOCK", block)
+        shard = score_shard(lines, 0, self.PINNED, 6)
+        assert self._ranked(shard) == want
+        assert shard.scored + shard.eager_discarded == len(lines)

@@ -15,6 +15,7 @@ from tools.reprolint.rules.cancellation import (
     ScoreSeamRule,
     DispatchFunnelRule,
     ExecutorConfinementRule,
+    BatchScoreFunnelRule,
 )
 from tools.reprolint.rules.deprecation import ShimCallRule
 from tools.reprolint.rules.kernel import MatrixParityRule, SlopeBasedDeclarationRule
@@ -33,6 +34,7 @@ ALL_RULES = [
     ScoreSeamRule(),
     DispatchFunnelRule(),
     ExecutorConfinementRule(),
+    BatchScoreFunnelRule(),
     ShimCallRule(),
     MatrixParityRule(),
     SlopeBasedDeclarationRule(),

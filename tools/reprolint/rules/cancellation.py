@@ -1,4 +1,4 @@
-"""REP03x: the cancellation seam — every Score dispatch is cancellable.
+"""REP03x: the Score seams — cancellable dispatch, batched solving.
 
 ``PreparedSearch.submit`` promises cooperative cancellation with
 byte-identical reruns (tests/test_async_submit.py).  That only holds
@@ -8,6 +8,11 @@ single-shard sequential path, checkpoints ``ctx.control`` itself), and
 because raw ``concurrent.futures`` pools never appear outside
 ``WorkerPool`` — a bare executor has no sweep-cancel, no shard progress,
 and no deterministic-rerun discipline.
+
+REP034 guards the other Score funnel: candidates are solved together by
+``solve_many`` (one level-wise array combine per block of trendlines),
+so a per-candidate ``solve_one`` loop in engine code silently falls back
+to one kernel launch per trendline.
 """
 
 from __future__ import annotations
@@ -140,3 +145,52 @@ class ExecutorConfinementRule(Rule):
                 node,
                 "{} constructed outside WorkerPool".format(call_name(node)),
             )
+
+
+_LOOPS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+class BatchScoreFunnelRule(Rule):
+    """REP034: engine code scores collections through ``solve_many``.
+
+    Flags a ``solve_one(...)`` call that sits inside a loop or a
+    comprehension of its enclosing function — the shape of a shard,
+    tail or seed loop before it was batched.  ``solve_one`` itself stays
+    available for the genuinely single-candidate paths.
+    """
+
+    id = "REP034"
+    name = "batch-score-funnel"
+    rationale = (
+        "solve_many solves a block of candidates with one array kernel; a "
+        "solve_one loop pays the per-level dispatch once per trendline "
+        "instead"
+    )
+    scope = ("src/repro/engine/",)
+
+    def check(self, ctx: FileContext):
+        for node in ctx.walk(ast.Call):
+            if call_name(node) != "solve_one":
+                continue
+            current = ctx.parent(node)
+            while current is not None and not isinstance(
+                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                if isinstance(current, _LOOPS):
+                    yield make_finding(
+                        self,
+                        ctx,
+                        node,
+                        "solve_one called per candidate inside a loop; hand the "
+                        "collection to solve_many",
+                    )
+                    break
+                current = ctx.parent(current)
