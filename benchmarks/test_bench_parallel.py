@@ -77,9 +77,13 @@ _RANKING = []
 
 
 def _ranking_collection():
-    """The 50words suite at four times the default scale's collection:
-    with the batched Score kernel the default one is a 40 ms pass, which
-    would time the pools' fixed round trips rather than their scaling."""
+    """The 50words suite at four times the default scale's collection.
+
+    Under the batched Score kernel the default 226 series are a 37 ms
+    sequential pass — less than three of the process pools' ~15 ms task
+    round trips, so a single-shot ``process-shm <= 1.25 x thread`` check
+    on it times those round trips rather than how the backends scale.
+    """
     if not _RANKING:
         spec = SUITES["50words"]
         _RANKING.extend(
@@ -316,16 +320,21 @@ def test_dp_atan_sharing_large_n(benchmark):
 _GEN_MATCH_SEQUENTIAL_SLACK = 1.25
 _GEN_BEAT_PARENT_SLACK = 1.25
 
+#: Cold executes per configuration (a fresh engine each); the fastest is
+#: compared, so one descheduled run cannot decide a 1.25x claim.
+_GEN_ROUNDS = 3
+
 
 def test_generation_stage(benchmark):
     """Parent-side vs worker-side EXTRACT/GROUP on a many-series table.
 
     The SlopeSeeker regime: thousands of short candidate series, where
     generation rivals scoring.  Measures (a) the isolated parent-side
-    generation pass, then one cold ``execute`` per engine configuration —
+    generation pass, then cold ``execute`` calls per engine configuration —
     sequential, parallel scoring with parent-side generation, and the
-    fused worker-side path — with pools pre-warmed on a *different*
-    table so worker-resident caches cannot serve the measured one.
+    fused worker-side path — each on a fresh engine with its pool
+    pre-warmed on a *different* table, so worker-resident caches cannot
+    serve the measured one; the best of :data:`_GEN_ROUNDS` is kept.
     Byte-identical results are asserted unconditionally; the speed
     claims (worker-side at least matches parent-side single-core and
     beats parent-side generation + parallel scoring) only where the
@@ -333,10 +342,11 @@ def test_generation_stage(benchmark):
     benchmarks.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    # Sized so generation + scoring outweigh the process path's fixed
-    # costs: with the batched Score kernel a sequential pass over the
-    # old 100 series finished before a pool could hand out a shard.
-    viz = max(400, int(6400 * SCALE))
+    # Sized so a sequential pass (~0.25 ms per series) is several times
+    # the process path's fixed ~55 ms per fresh table (attach, first-touch
+    # generation, round trips): below ~300 series the whole pass finishes
+    # before a pool has handed out a shard.
+    viz = max(60, int(3600 * SCALE))
     length = max(100, int(160 * SCALE))
     table = suite_table("50words", max_visualizations=viz, max_length=length)
     warm_table = suite_table("weather", max_visualizations=8, max_length=60)
@@ -358,12 +368,14 @@ def test_generation_stage(benchmark):
                              "shm": True, "generation": "worker"}),
     ]
     for name, kwargs in configs:
-        with ShapeSearchEngine(**kwargs) as engine:
-            engine.run(warm_table, PARAMS, query, k=10)  # warm the pool
-            started = time.perf_counter()
-            matches = engine.run(table, PARAMS, query, k=10)
-            timings[name] = time.perf_counter() - started
-            signatures[name] = _signature(matches)
+        for _round in range(_GEN_ROUNDS):
+            with ShapeSearchEngine(**kwargs) as engine:
+                engine.run(warm_table, PARAMS, query, k=10)  # warm the pool
+                started = time.perf_counter()
+                matches = engine.run(table, PARAMS, query, k=10)
+                elapsed = time.perf_counter() - started
+                timings[name] = min(timings.get(name, elapsed), elapsed)
+                signatures[name] = _signature(matches)
 
     assert signatures["parent-parallel"] == signatures["sequential"]
     assert signatures["worker-parallel"] == signatures["sequential"]
@@ -394,22 +406,17 @@ def test_generation_stage(benchmark):
             / max(timings["worker-parallel"], 1e-9),
         },
     )
-    # With real cores, worker-side generation must beat parent-side
-    # generation feeding parallel scoring (its whole point is removing
-    # the serial stage) ...
+    # With real cores, worker-side generation must at least match the
+    # single-core parent path and beat parent-side generation feeding
+    # parallel scoring (its whole point is removing the serial stage).
     if (os.cpu_count() or 1) >= 2 and SCALE >= 0.25:
         assert (
             timings["worker-parallel"]
-            <= timings["parent-parallel"] * _GEN_BEAT_PARENT_SLACK
+            <= timings["sequential"] * _GEN_MATCH_SEQUENTIAL_SLACK
         )
-    # ... and, given enough of them, at least match the single-core
-    # path.  Two workers no longer can: a batched sequential pass is
-    # ~0.15 ms per series, so halving it does not repay the process
-    # path's fixed ~0.1 s (fingerprint, publish, pool round trips).
-    if (os.cpu_count() or 1) >= 4 and SCALE >= 0.25:
         assert (
             timings["worker-parallel"]
-            <= timings["sequential"] * _GEN_MATCH_SEQUENTIAL_SLACK
+            <= timings["parent-parallel"] * _GEN_BEAT_PARENT_SLACK
         )
 
 

@@ -264,6 +264,8 @@ def _solve_chain_stateful(
     """
     lo, hi = 0, trendline.n_bins
     layout = plan_layout(trendline, chain, lo, hi)
+    if layout is None:
+        return ChainSolution(score=INFEASIBLE), None
     if len(layout) != 1 or layout[0].kind != "fuzzy":
         return solve_chain(trendline, chain, context=context), None
     piece = layout[0]
@@ -289,6 +291,8 @@ def solve_chain(
     lo = 0 if lo is None else lo
     hi = trendline.n_bins if hi is None else hi
     layout = plan_layout(trendline, chain, lo, hi)
+    if layout is None:
+        return ChainSolution(score=INFEASIBLE)
 
     placements: List[Optional[Tuple[int, int]]] = [None] * chain.k
     feasible = True
@@ -332,9 +336,14 @@ def solve_query_batched(
             [None] * chain.k for _ in trendlines
         ]
         feasible = [True] * len(trendlines)
+        unplanned = set()  # candidates with no layout: infeasible outright
         runs: dict = {}  # unit indices -> [(candidate number, (start, end))]
         for c, trendline in enumerate(trendlines):
-            for piece in plan_layout(trendline, chain, 0, trendline.n_bins):
+            layout = plan_layout(trendline, chain, 0, trendline.n_bins)
+            if layout is None:
+                unplanned.add(c)
+                continue
+            for piece in layout:
                 if piece.kind == "pinned":
                     placements[c][piece.indices[0]] = (piece.start, piece.end)
                 else:
@@ -351,7 +360,12 @@ def solve_query_batched(
             for (c, (start, _end)), result in zip(members, results):
                 feasible[c] &= _place_run(placements[c], indices, start, result)
         for c, trendline in enumerate(trendlines):
-            solution = _finalize(trendline, chain, placements[c], contexts[c], feasible[c])
+            if c in unplanned:
+                solution = ChainSolution(score=INFEASIBLE)
+            else:
+                solution = _finalize(
+                    trendline, chain, placements[c], contexts[c], feasible[c]
+                )
             current = best[c]
             if current is None or solution.score > current.score:
                 best[c] = QueryResult(score=solution.score, chain_index=index, solution=solution)
@@ -398,7 +412,7 @@ class LayoutPiece:
 
 def plan_layout(
     trendline: Trendline, chain: Chain, lo: int, hi: int
-) -> List[LayoutPiece]:
+) -> Optional[List[LayoutPiece]]:
     """Split a chain around its x-pinned units.
 
     Fuzzy runs must exactly cover the space between the surrounding fixed
@@ -417,17 +431,19 @@ def plan_layout(
     cursor = lo
     run: List[int] = []
 
-    def flush_run(run_end: int) -> None:
+    def flush_run(run_end: int) -> bool:
         nonlocal cursor
         if run:
             pieces.append(LayoutPiece("fuzzy", list(run), cursor, run_end))
             run.clear()
         cursor = run_end
+        return True
 
     for i in range(k):
         fully_pinned = starts[i] is not None and ends[i] is not None
         if fully_pinned:
-            flush_run(starts[i])
+            if not flush_run(starts[i]):
+                return None
             pieces.append(LayoutPiece("pinned", [i], starts[i], ends[i]))
             cursor = ends[i]
         elif starts[i] is not None:  # start-only pin: fixes the left boundary

@@ -81,16 +81,22 @@ Entry = Tuple[float, Tuple[Tuple[int, int], ...], Tuple[float, ...]]
 #: A node table: subchain (i, j) -> best Entry.
 Table = Dict[Tuple[int, int], Entry]
 
-#: Candidates per :class:`BatchedSegmentTree`.  Per-candidate cost is
-#: flat from here up (the kernel is numpy-dispatch-bound below ~16
-#: candidates: 96 → 61 µs each from 16 to 32 at n = 128, k = 3, no gain
-#: beyond), while a level's working set stays a few MB and a shard's
-#: push-down floor is refreshed every block.
+#: Candidates per :class:`BatchedSegmentTree`.  The kernel is
+#: numpy-dispatch-bound on small blocks and flat from here up: a whole
+#: ``score_shard`` pass over the 50words suite (226 series × 120 bins,
+#: k = 3) takes 86 / 61 / 45 / 44 / 45 ms at 8 / 16 / 32 / 64 / 128
+#: candidates per block, while the block's working set doubles each step
+#: (1.5 MB at 32) and a shard's push-down floor is refreshed once per
+#: block.
 BATCH_BLOCK = 32
 
-#: Leaf nodes (lanes) per :class:`BatchedSegmentTree`: long trendlines
-#: fill the arrays on their own, so a block closes early rather than let
-#: the working set grow with candidates × length.
+#: Leaf nodes (lanes) per :class:`BatchedSegmentTree`.  The width floor
+#: is capped (:data:`repro.engine.units.MIN_SEGMENT_CAP`), so leaves grow
+#: with the series length — 32 candidates exceed this from ~640 bins —
+#: and a block closes early rather than let its arrays outgrow the cache:
+#: 64 series of 3 600 bins solve in 178 ms at a 12 MB peak with the cap
+#: and 208 ms at 76 MB without (14 400 bins: 0.69 s / 10 MB vs 1.0 s /
+#: 305 MB).
 BATCH_LANES = 4096
 
 _NEG_INF = -np.inf

@@ -729,17 +729,26 @@ def prune_candidates(
 
     Seeds — the ``max(k, MIN_SEED_CANDIDATES)`` candidates with the
     highest index bounds (position-ascending on ties) — are scored
-    exactly, all together by ``solve_many(seed trendlines)`` (the
-    engine's batched Score funnel) or else one by one by
-    ``solve(trendline)``; the k-th best seed score becomes the floor,
-    and every other candidate is kept iff :func:`survives_floor` says
-    its bound can reach it.  Returns ``(surviving positions ascending,
-    pruned count)``.  ``bounds`` lets the caller supply worker-computed
-    bounds (bitwise the same floats — same function, same published
-    buckets); seeds always survive, so their exact scores are recomputed
-    downstream by the ordinary Score stage and byte-identity needs no
-    score plumbing through this pass.
+    exactly, all together, by ``solve_many(seed trendlines)`` (the
+    engine's batched Score funnel); the k-th best seed score becomes the
+    floor, and every other candidate is kept iff :func:`survives_floor`
+    says its bound can reach it.  Returns ``(surviving positions
+    ascending, pruned count)``.  ``solve`` is the older per-trendline
+    form of the callback (``bench/layers.py`` still passes it
+    positionally); it is wrapped into a ``solve_many`` that loops.
+    ``bounds`` lets the caller supply worker-computed bounds (bitwise the
+    same floats — same function, same published buckets); seeds always
+    survive, so their exact scores are recomputed downstream by the
+    ordinary Score stage and byte-identity needs no score plumbing
+    through this pass.
     """
+    if solve_many is None:
+        if solve is None:
+            raise TypeError("prune_candidates() needs a solve_many callback")
+
+        def solve_many(seeds):
+            return [solve(trendline) for trendline in seeds]
+
     total = len(trendlines)
     seed_count = max(int(k), MIN_SEED_CANDIDATES)
     if total <= seed_count or k < 1:
@@ -750,11 +759,7 @@ def prune_candidates(
         bounds = np.asarray(bounds, dtype=float)
     order = sorted(range(total), key=lambda i: (-bounds[i], i))
     seeds = order[:seed_count]
-    seed_trendlines = [trendlines[i] for i in seeds]
-    if solve_many is not None:
-        results = solve_many(seed_trendlines)
-    else:
-        results = [solve(trendline) for trendline in seed_trendlines]
+    results = solve_many([trendlines[i] for i in seeds])
     seed_scores = sorted((float(result.score) for result in results), reverse=True)
     floor = seed_scores[k - 1]
     keep = survives_floor(bounds, floor)

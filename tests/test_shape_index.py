@@ -18,11 +18,12 @@ from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.engine import pipeline
 from repro.engine.executor import ShapeSearchEngine
-from repro.engine.parallel import solve_one
+from repro.engine.parallel import solve_many, solve_one
 from repro.engine.shape_index import (
     MIN_SEED_CANDIDATES,
     ShapeIndex,
     index_supports,
+    prune_candidates,
     survives_floor,
 )
 from repro.errors import ExecutionError
@@ -346,6 +347,31 @@ class TestShapeIndexUnit:
         for position, trendline in enumerate(trendlines):
             exact = solve_one(trendline, compiled, "dp").score
             assert bounds[position] >= exact, trendline.key
+
+    def test_prune_candidates_seed_callbacks(self):
+        # One seed path: the seed list goes to ``solve_many``; the older
+        # per-trendline ``solve`` is wrapped into it, and one of the two
+        # is required.
+        trendlines = _smooth_collection(count=40)
+        index = ShapeIndex.build(trendlines)
+        compiled = ShapeSearchEngine().compile(UP_DOWN)
+        seen = []
+
+        def seeds_together(seeds):
+            seen.append(len(seeds))
+            return solve_many(seeds, compiled, "segment-tree")
+
+        batched = prune_candidates(
+            trendlines, index, compiled, 3, solve_many=seeds_together
+        )
+        looped = prune_candidates(
+            trendlines, index, compiled, 3,
+            lambda trendline: solve_one(trendline, compiled, "segment-tree"),
+        )
+        assert seen == [MIN_SEED_CANDIDATES]
+        assert batched == looped and batched[1] > 0
+        with pytest.raises(TypeError):
+            prune_candidates(trendlines, index, compiled, 3)
 
     def test_survives_floor_is_the_single_seam(self):
         bounds = np.array([0.2, 0.5, 0.8])
