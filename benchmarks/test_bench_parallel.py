@@ -440,7 +440,8 @@ def test_shape_index(benchmark):
     is covered by the identity tests, not claimed here.)
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    from repro.engine.shape_index import ShapeIndex
+    from repro.engine.parallel import solve_many
+    from repro.engine.shape_index import ShapeIndex, prune_candidates
 
     count = max(320, int(1280 * SCALE))
     length = max(160, int(640 * SCALE))
@@ -484,6 +485,25 @@ def test_shape_index(benchmark):
         indexed_engine.rank(trendlines, query, k=10)
         indexed_s = min(indexed_s, time.perf_counter() - started)
 
+    # Where the indexed time goes: the bound pass and the exact seed
+    # solve, timed on their own (the rest is Score over the survivors).
+    bounds_s = seed_s = float("inf")
+
+    def timed_seeds(seeds):
+        nonlocal seed_s
+        started = time.perf_counter()
+        results = solve_many(seeds, query, indexed_engine.algorithm)
+        seed_s = min(seed_s, time.perf_counter() - started)
+        return results
+
+    for _ in range(3):
+        started = time.perf_counter()
+        bounds = index.upper_bounds(query)
+        bounds_s = min(bounds_s, time.perf_counter() - started)
+        prune_candidates(
+            trendlines, index, query, 10, bounds=bounds, solve_many=timed_seeds
+        )
+
     speedup = full_s / max(indexed_s, 1e-9)
     print_table(
         "Shape index: {} smooth series x {} points, [p=up][p=down], k=10".format(
@@ -506,6 +526,8 @@ def test_shape_index(benchmark):
             "pruned_fraction": pruned_fraction,
             "full_rank_s": full_s,
             "indexed_rank_s": indexed_s,
+            "bounds_s": bounds_s,
+            "seed_s": seed_s,
             "speedup": speedup,
         },
     )

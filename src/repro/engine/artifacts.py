@@ -55,7 +55,8 @@ from repro.errors import ExecutionError
 
 #: On-disk format version: bump on any layout/manifest change so stale
 #: artifacts from older code miss cleanly instead of mis-parsing.
-ARTIFACT_FORMAT = 1
+#: 2: the packed block is level-major (one dense tile per group level).
+ARTIFACT_FORMAT = 2
 
 _BLOCK_FILE = "block.f64"
 _LAYOUT_FILE = "layout.pkl"
@@ -113,7 +114,7 @@ def save_index(root, key, index: ShapeIndex, fingerprint: str) -> Path:
     manifest = {
         "format": ARTIFACT_FORMAT,
         "fingerprint": fingerprint,
-        "count": len(layout),
+        "count": len(witnesses),
         "values_len": int(block.size),
         "block_sha1": hashlib.sha1(payload).hexdigest(),
         "layout_sha1": hashlib.sha1(layout_bytes).hexdigest(),
@@ -186,7 +187,7 @@ def load_index(root, key, fingerprint: str) -> Optional[ShapeIndex]:
         layout, witnesses = pickle.loads(layout_bytes)
     except Exception:
         return None
-    if not isinstance(layout, list) or len(layout) != count:
+    if not isinstance(layout, tuple) or len(layout) != 2 or layout[0] != count:
         return None
     if not isinstance(witnesses, list) or len(witnesses) != count:
         return None
@@ -220,9 +221,9 @@ ARTIFACT_BUDGET_ENV = "REPRO_ARTIFACT_BUDGET"
 def artifact_budget() -> Optional[int]:
     """The ``REPRO_ARTIFACT_BUDGET`` byte budget, or None when unset.
 
-    Malformed values raise :class:`~repro.errors.ExecutionError` loudly
-    (the same policy as ``REPRO_INDEX_DISPATCH_MIN``) — a typo'd budget
-    silently pruning nothing, or everything, is worse than failing.
+    Malformed values raise :class:`~repro.errors.ExecutionError` loudly —
+    a typo'd budget silently pruning nothing, or everything, is worse
+    than failing.
     """
     configured = os.environ.get(ARTIFACT_BUDGET_ENV, "")
     if not configured:

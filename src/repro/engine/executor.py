@@ -195,7 +195,6 @@ class ShapeSearchEngine:
         index: bool = False,
         precision: str = "float64",
         store: Optional[str] = None,
-        index_dispatch_min: Optional[int] = None,
     ):
         if algorithm not in ALGORITHMS:
             raise ExecutionError(
@@ -276,26 +275,6 @@ class ShapeSearchEngine:
         if store is None:
             store = os.environ.get("REPRO_ARTIFACT_DIR") or None
         self.store: Optional[str] = str(store) if store else None
-        #: Candidate count at which the IndexPrune bound pass ships to
-        #: pool workers instead of running inline (pipeline.
-        #: INDEX_DISPATCH_MIN default, ``REPRO_INDEX_DISPATCH_MIN`` env
-        #: override, explicit argument wins) — resolved once here so
-        #: every stage of a session sees one gate.
-        if index_dispatch_min is None:
-            from repro.engine.pipeline import INDEX_DISPATCH_MIN
-
-            configured = os.environ.get("REPRO_INDEX_DISPATCH_MIN", "")
-            try:
-                index_dispatch_min = (
-                    int(configured) if configured else INDEX_DISPATCH_MIN
-                )
-            except ValueError:
-                raise ExecutionError(
-                    "REPRO_INDEX_DISPATCH_MIN must be an integer, got {!r}".format(
-                        configured
-                    )
-                )
-        self.index_dispatch_min = max(0, int(index_dispatch_min))
         self.cache: Optional[EngineCache] = coerce_cache(cache)
         self.last_stats = ExecutionStats()
         #: Rank-path shape indexes: id(collection) -> (id witness,

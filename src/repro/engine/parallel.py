@@ -18,9 +18,10 @@ memory, custom UDPs visible, modest speedup since the inner numpy
 kernels release the GIL only briefly); the ``"process"`` backend gives
 real multi-core scaling for large collections.  With the shared-memory
 transport (:mod:`repro.engine.shm`, the engine's default for the process
-backend) shards travel as ``(handle, start, end)`` index ranges resolved
-against a worker-resident collection, so per-task serialization is a few
-hundred bytes; without it each task pickles its chunk of Trendlines (on
+backend) shards travel as ``(handle, positions)`` resolved against a
+worker-resident collection and come back without trendlines, so per-task
+serialization is a few hundred bytes each way; without it each task
+pickles its chunk of Trendlines (on
 platforms with ``fork`` start, custom UDPs registered before the first
 search are inherited by the workers either way).
 """
@@ -48,10 +49,6 @@ from repro.errors import ExecutionError
 #: Supported worker-pool backends.
 BACKENDS = ("thread", "process")
 
-#: Shards per worker when no explicit chunk size is given — a few chunks
-#: per worker lets the pool balance uneven shard costs.
-_CHUNKS_PER_WORKER = 4
-
 
 def default_workers() -> int:
     """Worker count used when ``workers=None``: one per available core."""
@@ -63,12 +60,16 @@ class ShardResult:
     """One shard's local top-k plus its slice of the execution counters.
 
     ``items`` hold ``(score, global position, trendline, result)`` so the
-    merge can re-establish the global candidate order; the counters are
-    summed into the caller's :class:`ExecutionStats` — per-shard stats
-    are never shared, which is what makes concurrent execution safe.
+    merge can re-establish the global candidate order (a shard scored by
+    position in a worker travels back with ``None`` trendlines — the
+    parent re-attaches its own); the counters are summed into the
+    caller's :class:`ExecutionStats` — per-shard stats are never shared,
+    which is what makes concurrent execution safe.
     """
 
-    items: List[Tuple[float, int, Trendline, QueryResult]] = field(default_factory=list)
+    items: List[Tuple[float, int, Optional[Trendline], QueryResult]] = field(
+        default_factory=list
+    )
     scored: int = 0
     eager_discarded: int = 0
     #: Trendlines generated worker-side for this shard (the fused
@@ -134,13 +135,16 @@ def score_shard(
     enable_pushdown: bool = True,
     has_eager_checks: Optional[bool] = None,
     kernel: Optional[str] = None,
+    positions: Optional[Sequence[int]] = None,
 ) -> ShardResult:
     """Score one shard and keep its local top-k.
 
-    The local heap uses the same total order as the merge —
-    *(score desc, global position asc)* — so a candidate in the global
-    top-k is always in its shard's local top-k, and ties at the boundary
-    resolve identically no matter how candidates were sharded.
+    ``positions`` names each trendline's global position (ascending);
+    by default the shard is the contiguous run starting at
+    ``base_position``.  The local heap uses the same total order as the
+    merge — *(score desc, global position asc)* — so a candidate in the
+    global top-k is always in its shard's local top-k, and ties at the
+    boundary resolve identically no matter how candidates were sharded.
 
     Candidates are scored in blocks through :func:`solve_many`.  Eager
     discarding (push-down (b)) tests each candidate's optimistic bound
@@ -154,6 +158,8 @@ def score_shard(
     shard's floor tightens independently.
     """
     shard = ShardResult()
+    if positions is None:
+        positions = range(base_position, base_position + len(trendlines))
     if has_eager_checks is None:
         has_eager_checks = enable_pushdown and plan_pushdown(query).has_eager_checks
     check_eager = enable_pushdown and has_eager_checks
@@ -163,7 +169,7 @@ def score_shard(
         size = BATCH_BLOCK
         if check_eager and len(heap) < k:
             size = min(size, k - len(heap))
-        block = list(enumerate(trendlines[start : start + size], start=base_position + start))
+        block = list(zip(positions[start : start + size], trendlines[start : start + size]))
         start += size
         if check_eager and len(heap) == k:
             floor = heap[0][0]
@@ -224,8 +230,7 @@ def prune_shard(
 
 def score_shard_range(
     handle,
-    start: int,
-    end: int,
+    positions: Sequence[int],
     query,
     k: int,
     algorithm: str = "segment-tree",
@@ -233,30 +238,38 @@ def score_shard_range(
     has_eager_checks: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> ShardResult:
-    """Score bins ``[start, end)`` of a shared-memory-resident collection.
+    """Score ``positions`` of a shared-memory-resident collection.
 
     ``handle`` is a :class:`~repro.engine.shm.CollectionHandle` and
     ``query`` a compiled query or a
     :class:`~repro.engine.shm.QueryHandle`; both resolve against the
     worker-resident store (attached on first use), so the task itself is
-    only a manifest and two integers.  Scoring and the total order are
-    exactly :func:`score_shard` over the same global positions, which is
-    what keeps results byte-identical across transports.
+    only a manifest and the positions — a ``range`` for a full scan, the
+    shard's slice of the survivor positions after IndexPrune.  Scoring
+    and the total order are exactly :func:`score_shard` over the same
+    global positions, which is what keeps results byte-identical across
+    transports.  The shard travels back as ``(score, position, None,
+    result)`` items: the parent already holds every trendline and
+    re-attaches its own (:func:`dispatch_score_ranges`).
     """
     from repro.engine.shm import resolve_collection, resolve_query
 
     trendlines = resolve_collection(handle)
-    compiled = resolve_query(query)
-    return score_shard(
-        trendlines[start:end],
-        start,
-        compiled,
+    shard = score_shard(
+        [trendlines[position] for position in positions],
+        0,
+        resolve_query(query),
         k,
         algorithm=algorithm,
         enable_pushdown=enable_pushdown,
         has_eager_checks=has_eager_checks,
         kernel=kernel,
+        positions=positions,
     )
+    shard.items = [
+        (score, position, None, result) for score, position, _, result in shard.items
+    ]
+    return shard
 
 
 def prune_shard_range(
@@ -289,23 +302,32 @@ def merge_shard_results(
 
 
 def make_range_chunks(
-    count: int, workers: int, chunk_size: Optional[int] = None
+    count: int, workers: int, chunk_size: Optional[int] = None, floor: int = 1
 ) -> List[Tuple[int, int]]:
     """Split ``count`` candidates into ``(start, end)`` index ranges.
 
-    This is the sizing rule for *every* sharding path — the object-passing
-    chunks below reuse it — so range-based (shared-memory) and
-    object-based shards cover identical positions for any configuration.
+    This is the sizing rule for *every* sharding path — score, bound,
+    generate, tail, prune; object- and range-based alike — so all of
+    them cover identical positions for any configuration.  One shard per
+    worker, as even as possible, but never a shard below ``floor`` (the
+    stage's kernel block: a smaller shard would pay a pool round trip
+    for a partly filled kernel launch) unless it is the only one — and a
+    stage with one shard runs in the caller (:func:`_run_tasks`).  An
+    explicit ``chunk_size`` overrides the rule.
     """
     if count == 0:
         return []
-    if chunk_size is None:
-        chunk_size = max(1, -(-count // (workers * _CHUNKS_PER_WORKER)))
-    if chunk_size < 1:
-        raise ExecutionError("chunk_size must be >= 1, got {}".format(chunk_size))
-    return [
-        (start, min(start + chunk_size, count)) for start in range(0, count, chunk_size)
-    ]
+    if chunk_size is not None:
+        if chunk_size < 1:
+            raise ExecutionError("chunk_size must be >= 1, got {}".format(chunk_size))
+        return [
+            (start, min(start + chunk_size, count))
+            for start in range(0, count, chunk_size)
+        ]
+    shards = max(1, min(workers, count // max(1, floor)))
+    size, larger = divmod(count, shards)
+    ends = [size * (shard + 1) + min(shard + 1, larger) for shard in range(shards)]
+    return list(zip([0] + ends[:-1], ends))
 
 
 def make_chunks(
@@ -397,7 +419,7 @@ class WorkerPool:
         results: List = []
         if not rows:
             return results  # nothing to do; never spin up the pool
-        if self.workers == 1:
+        if self.workers == 1 or len(rows) == 1:
             for index, args in enumerate(rows):
                 if control.cancelled:
                     control.drop(len(rows) - index)
@@ -451,10 +473,15 @@ def _run_tasks(pool: WorkerPool, fn, rows: List[tuple], control=None) -> List:
 
     Every ``dispatch_*`` path routes through here, so the cancellable
     submit transport (``control`` set) and the plain blocking transport
-    cover identical rows in identical order for any configuration.
+    cover identical rows in identical order for any configuration.  A
+    single row runs in the caller on either transport: there is nothing
+    to overlap it with, so a pool round trip could only add latency
+    (handles resolve to the publisher's own objects there).
     """
     if control is not None:
         return pool.run_cancellable(fn, rows, control)
+    if len(rows) == 1:
+        return [fn(*rows[0])]
     if not rows:
         return []
     return pool.map(fn, *zip(*rows))
@@ -471,6 +498,7 @@ def dispatch_score_shards(
     has_eager_checks: Optional[bool] = None,
     kernel: Optional[str] = None,
     control=None,
+    positions: Optional[Sequence[int]] = None,
 ) -> List[ShardResult]:
     """Shard and score an object-passing collection (no merge).
 
@@ -478,14 +506,19 @@ def dispatch_score_shards(
     operator owns merging and stats); :func:`parallel_rank_items` wraps
     this for callers that want the merged items directly.  ``control``
     (an :class:`~repro.engine.control.ExecutionControl`) makes the
-    dispatch cancellable and progress-observable.
+    dispatch cancellable and progress-observable.  ``positions``
+    (ascending) restricts scoring to those candidates — the survivors
+    IndexPrune has not already solved — under their global positions.
     """
-    chunks = make_chunks(list(trendlines), pool.workers, chunk_size)
+    if positions is None:
+        positions = range(len(trendlines))
+    ranges = make_range_chunks(len(positions), pool.workers, chunk_size, BATCH_BLOCK)
     if has_eager_checks is None:
         has_eager_checks = enable_pushdown and plan_pushdown(query).has_eager_checks
     rows = [
-        (chunk, base, query, k, algorithm, enable_pushdown, has_eager_checks, kernel)
-        for base, chunk in chunks
+        ([trendlines[position] for position in positions[start:end]], 0, query, k,
+         algorithm, enable_pushdown, has_eager_checks, kernel, positions[start:end])
+        for start, end in ranges
     ]
     return _run_tasks(pool, score_shard, rows, control)
 
@@ -537,20 +570,36 @@ def dispatch_score_ranges(
     has_eager_checks: Optional[bool] = None,
     kernel: Optional[str] = None,
     control=None,
+    positions: Optional[Sequence[int]] = None,
 ) -> List[ShardResult]:
-    """Shared-memory twin of :func:`dispatch_score_shards` (no merge)."""
-    from repro.engine.shm import resolve_query
+    """Shared-memory twin of :func:`dispatch_score_shards` (no merge).
 
-    ranges = make_range_chunks(len(handle), pool.workers, chunk_size)
+    Shards are slices of ``positions`` into the once-published
+    collection; the workers' ``None`` trendlines are replaced by the
+    publisher's own objects here, so no trendline crosses the process
+    boundary in either direction.
+    """
+    from repro.engine.shm import resolve_collection, resolve_query
+
+    if positions is None:
+        positions = range(len(handle))
+    ranges = make_range_chunks(len(positions), pool.workers, chunk_size, BATCH_BLOCK)
     if has_eager_checks is None:
         compiled = resolve_query(query)
         has_eager_checks = enable_pushdown and plan_pushdown(compiled).has_eager_checks
     rows = [
-        (handle, start, end, query, k, algorithm, enable_pushdown,
+        (handle, positions[start:end], query, k, algorithm, enable_pushdown,
          has_eager_checks, kernel)
         for start, end in ranges
     ]
-    return _run_tasks(pool, score_shard_range, rows, control)
+    shards = _run_tasks(pool, score_shard_range, rows, control)
+    trendlines = resolve_collection(handle)
+    for shard in shards:
+        shard.items = [
+            (score, position, trendlines[position], result)
+            for score, position, _, result in shard.items
+        ]
+    return shards
 
 
 def dispatch_generate_score(
@@ -580,7 +629,7 @@ def dispatch_generate_score(
     """
     from repro.engine.pipeline import generate_score_shard
 
-    ranges = make_range_chunks(group_count, pool.workers, chunk_size)
+    ranges = make_range_chunks(group_count, pool.workers, chunk_size, BATCH_BLOCK)
     rows = [
         (table_ref, params, normalize_y, plan, query, start, end, k,
          algorithm, enable_pushdown, has_eager_checks, kernel)
@@ -618,7 +667,7 @@ def dispatch_tail_scores(
     from repro.engine.pipeline import score_tail_groups
 
     indices = list(indices)
-    chunks = make_range_chunks(len(indices), pool.workers, chunk_size)
+    chunks = make_range_chunks(len(indices), pool.workers, chunk_size, BATCH_BLOCK)
     rows = [
         (table_ref, params, normalize_y, plan, query,
          indices[start:end], algorithm, kernel)
@@ -650,22 +699,21 @@ def index_bounds_range(handle, query_ref, start: int, end: int):
 def dispatch_index_bounds(
     handle,
     query_ref,
-    total: int,
+    ranges: Sequence[Tuple[int, int]],
     pool: WorkerPool,
-    chunk_size: Optional[int] = None,
     control=None,
 ):
     """Shard the IndexPrune bound pass over a published shape index.
 
-    Returns the full ``total``-length float64 bound vector in candidate
-    order.  Workers run the same block-batched kernel over the same
-    attached bucket bytes as the in-process path, so the returned
-    floats are bitwise identical to ``index.upper_bounds(query)`` — the
-    pruning decision cannot depend on the transport.
+    ``ranges`` tile the candidate positions in order; returns their
+    float64 bound vectors concatenated.  Workers run the same
+    block-batched kernel over the same attached bucket bytes as the
+    in-process path, so the returned floats are bitwise identical to
+    ``index.upper_bounds(query)`` — the pruning decision cannot depend
+    on the transport.
     """
     import numpy as np
 
-    ranges = make_range_chunks(total, pool.workers, chunk_size)
     rows = [(handle, query_ref, start, end) for start, end in ranges]
     shards = _run_tasks(pool, index_bounds_range, rows, control)
     if not shards:
@@ -673,45 +721,6 @@ def dispatch_index_bounds(
     return np.concatenate(
         [np.asarray(shard, dtype=np.float64) for shard in shards]
     )
-
-
-def parallel_rank_ranges(
-    handle,
-    query,
-    k: int,
-    pool: WorkerPool,
-    algorithm: str = "segment-tree",
-    enable_pushdown: bool = True,
-    chunk_size: Optional[int] = None,
-    stats=None,
-    has_eager_checks: Optional[bool] = None,
-    kernel: Optional[str] = None,
-) -> List[Tuple[float, int, Trendline, QueryResult]]:
-    """Shared-memory twin of :func:`parallel_rank_items`.
-
-    ``handle``/``query`` are the session's published handles; each task
-    carries only ``(handle, start, end, query handle, knobs)`` and the
-    workers resolve both against their resident store.  Chunk sizing,
-    scoring and the merge are shared with the object-passing path, so the
-    two transports return byte-identical top-k for any worker count.
-    """
-    shards = dispatch_score_ranges(
-        handle,
-        query,
-        k,
-        pool,
-        algorithm=algorithm,
-        enable_pushdown=enable_pushdown,
-        chunk_size=chunk_size,
-        has_eager_checks=has_eager_checks,
-        kernel=kernel,
-    )
-    if stats is not None:
-        stats.shards = len(shards)
-        for shard in shards:
-            stats.scored += shard.scored
-            stats.eager_discarded += shard.eager_discarded
-    return merge_shard_results(shards, k)
 
 
 def dispatch_prune_ranges(
@@ -732,25 +741,6 @@ def dispatch_prune_ranges(
         for start, end in ranges
     ]
     return _run_tasks(pool, prune_shard_range, rows, control)
-
-
-def parallel_prune_ranges(
-    handle,
-    query,
-    k: int,
-    pool: WorkerPool,
-    sample_size: int = 20,
-    sample_points: int = 64,
-    chunk_size: Optional[int] = None,
-    stats=None,
-    kernel: Optional[str] = None,
-) -> List[Tuple[float, int, Trendline, QueryResult]]:
-    """Shared-memory twin of :func:`parallel_prune_items`."""
-    shards = dispatch_prune_ranges(
-        handle, query, k, pool, sample_size=sample_size,
-        sample_points=sample_points, chunk_size=chunk_size, kernel=kernel,
-    )
-    return _merge_pruned(shards, k, len(shards), stats)
 
 
 def dispatch_prune_shards(
@@ -811,7 +801,7 @@ def merge_pruned_items(
     """Global top-k under the pruning drivers' (score desc, key asc) order.
 
     The single copy of the pruning-path merge rule — the MergeTopK
-    operator and the ``parallel_prune_*`` wrappers both route through
+    operator and :func:`parallel_prune_items` both route through
     here, so the tie-break cannot drift between them.
     """
     merged = [item for shard in shards for item in shard.items]

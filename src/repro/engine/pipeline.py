@@ -42,7 +42,7 @@ from repro.data.table import Table, attached_state, canonical_group_key
 from repro.data.visual_params import VisualParams
 from repro.engine.cache import plan_fingerprint
 from repro.engine.pushdown import PushdownPlan, has_required_data, plan_pushdown
-from repro.engine.shape_index import MIN_SEED_CANDIDATES, index_supports, prune_candidates
+from repro.engine.shape_index import MIN_SEED_CANDIDATES, index_supports, prune_with_seeds
 from repro.engine.trendline import Trendline, build_trendline, cast_trendline
 from repro.errors import DataError
 
@@ -623,10 +623,19 @@ class DeferredGeneration:
 
 @dataclass
 class Candidates:
-    """Extract/Group output: materialized trendlines or a deferred plan."""
+    """Extract/Group output: materialized trendlines or a deferred plan.
+
+    IndexPrune narrows a materialized collection *by position*, leaving
+    ``trendlines`` the resident (cached, shm-published) object:
+    ``positions`` are the survivors (ascending; None = all) and
+    ``solved`` maps the seed positions to the exact results IndexPrune
+    already holds, so Score solves every other survivor exactly once.
+    """
 
     trendlines: Optional[Sequence[Trendline]] = None
     deferred: Optional[DeferredGeneration] = None
+    positions: Optional[List[int]] = None
+    solved: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -778,12 +787,10 @@ class PrecisionCast(Operator):
         )
 
 
-#: Below this candidate count the index bound pass is not worth shipping
-#: to workers even on the process backend — with the block-batched
-#: kernel it is a handful of array ops over the whole collection.  The
-#: default of the engine's ``index_dispatch_min`` option; override per
-#: engine or via the ``REPRO_INDEX_DISPATCH_MIN`` environment variable
-#: (resolved once at engine construction).
+#: The bound pass's shard floor (``make_range_chunks``): with the
+#: block-batched kernel a shard of fewer candidates is a handful of
+#: array ops, cheaper than its pool round trip — so the pass ships to
+#: workers only when at least two workers get this many candidates each.
 INDEX_DISPATCH_MIN = 256
 
 
@@ -795,17 +802,20 @@ class IndexPrune(Operator):
     candidate, the highest-bounded ``max(k, MIN_SEED_CANDIDATES)`` seeds
     are scored exactly to establish the top-k floor, and every candidate
     whose bound falls strictly below the floor is dropped before the DP
-    ever touches it (:func:`~repro.engine.shape_index.prune_candidates`,
+    ever touches it (:func:`~repro.engine.shape_index.prune_with_seeds`,
     decisions routed through the
-    :func:`~repro.engine.shape_index.survives_floor` seam).  Exactness:
-    a discarded candidate's true score is strictly below at least k
-    others', and survivors keep their relative positions, so the *(score
+    :func:`~repro.engine.shape_index.survives_floor` seam).  The output
+    names the survivors by position and carries the seeds' exact results
+    forward, so Score solves only the survivors this stage has not.
+    Exactness: a discarded candidate's true score is strictly below at
+    least k others', and survivors keep their positions, so the *(score
     desc, position asc)* merge selects exactly the full scan's top k.
 
-    On the shm process backend with enough candidates, the bound pass
-    itself is sharded: workers attach the published index zero-copy and
-    evaluate the same function on the same buckets — identical floats,
-    so the prune decisions cannot depend on the transport.
+    On the shm process backend, once every worker's shard would hold
+    :data:`INDEX_DISPATCH_MIN` candidates, the bound pass itself is
+    sharded: workers attach the published index zero-copy and evaluate
+    the same function on the same buckets — identical floats, so the
+    prune decisions cannot depend on the transport.
     """
 
     name = "IndexPrune"
@@ -826,14 +836,13 @@ class IndexPrune(Operator):
         from repro.engine.parallel import solve_many
 
         engine = ctx.engine
-        source = candidates.trendlines
-        trendlines = source if isinstance(source, list) else list(source)
+        trendlines = candidates.trendlines
         total = len(trendlines)
         ctx.stats.index_candidates = total
         if total <= max(self.k, MIN_SEED_CANDIDATES) or self.k < 1:
             return candidates
         index, index_source, index_reason = engine._shape_index_for(
-            source, table=self.table, index_key=self.index_key
+            trendlines, table=self.table, index_key=self.index_key
         )
         self.index_source = index_source
         ctx.stats.index_source = index_source
@@ -846,39 +855,32 @@ class IndexPrune(Operator):
                 seeds, self.compiled, engine.algorithm, kernel=engine.kernel
             )
 
-        survivors, pruned = prune_candidates(
-            trendlines, index, self.compiled, self.k, bounds=bounds, solve_many=solve_seeds
+        survivors, pruned, solved = prune_with_seeds(
+            trendlines, index, self.compiled, self.k, solve_seeds, bounds=bounds
         )
         ctx.stats.index_pruned = pruned
-        if not pruned:
-            return candidates
-        return Candidates(trendlines=[trendlines[i] for i in survivors])
+        return Candidates(
+            trendlines=trendlines,
+            positions=survivors if pruned else None,
+            solved=solved,
+        )
 
     def _dispatched_bounds(self, ctx, index, total: int):
         """Worker-evaluated bounds on the shm path, or None for in-process."""
-        engine = ctx.engine
-        if (
-            self.workers <= 1
-            or engine.backend != "process"
-            or not engine.shm
-            or total < getattr(engine, "index_dispatch_min", INDEX_DISPATCH_MIN)
-        ):
-            return None
-        from repro.engine.parallel import dispatch_index_bounds
+        from repro.engine.parallel import dispatch_index_bounds, make_range_chunks
 
+        engine = ctx.engine
+        ranges = make_range_chunks(total, self.workers, floor=INDEX_DISPATCH_MIN)
+        if len(ranges) < 2 or engine.backend != "process" or not engine.shm:
+            return None
         session = engine._shm_session()
         acquired = session.acquire_index(index, self.compiled)
         if acquired is None:
             return None
         handle, query_ref = acquired
         try:
-            pool = engine._resolve_pool(self.workers)
             return dispatch_index_bounds(
-                handle,
-                query_ref,
-                total,
-                pool,
-                chunk_size=engine.chunk_size,
+                handle, query_ref, ranges, engine._resolve_pool(self.workers)
             )
         finally:
             session.unpin(handle, query_ref)
@@ -906,115 +908,112 @@ class _ScoreBase(Operator):
         return "workers={}{}".format(self.workers, " pruning" if self.pruning else "")
 
 
-class SequentialScore(_ScoreBase):
-    """One shard covering the whole collection — the workers=1 path."""
-
-    mode = "sequential"
-
-    def run(self, ctx, candidates: Candidates) -> ScoredShards:
-        from repro.engine.parallel import prune_shard, score_shard
-
-        engine = ctx.engine
-        trendlines = list(candidates.trendlines)
-        ctx.stats.candidates = len(trendlines)
-        control = ctx.control
-        if control is not None:
-            # The whole collection is one shard here; a cancel observed
-            # before scoring starts drops it (MergeTopK then raises).
-            control.begin(1)
-            if control.cancelled:
-                control.drop(1)
-                return ScoredShards([], pruned=self.pruning, sequential=True)
-        if self.pruning:
-            shard = prune_shard(
-                trendlines,
-                self.compiled,
-                self.k,
-                engine.sample_size,
-                engine.sample_points,
-                kernel=engine.kernel,
-            )
-        else:
-            shard = score_shard(
-                trendlines,
-                0,
-                self.compiled,
-                self.k,
-                algorithm=engine.algorithm,
-                enable_pushdown=engine.enable_pushdown,
-                has_eager_checks=self.has_eager_checks,
-                kernel=engine.kernel,
-            )
-        if control is not None:
-            control.shard_completed()
-        return ScoredShards([shard], pruned=self.pruning, sequential=True)
-
-
 class ParallelScore(_ScoreBase):
     """Object-passing sharded scoring (thread pools, process+pickle)."""
 
     mode = "parallel"
 
     def run(self, ctx, candidates: Candidates) -> ScoredShards:
+        from repro.engine.parallel import ShardResult
+
+        trendlines, solved = candidates.trendlines, candidates.solved
+        positions = candidates.positions
+        if positions is None:
+            positions = range(len(trendlines))
+        ctx.stats.candidates = len(positions)
+        shards = []
+        if solved:
+            # The seeds IndexPrune solved are not solved again: they join
+            # the merge as one shard of their own, already scored, so every
+            # survivor is solved exactly once and stats.scored counts each.
+            shards.append(ShardResult(
+                items=[
+                    (result.score, position, trendlines[position], result)
+                    for position, result in solved.items()
+                ],
+                scored=len(solved),
+            ))
+            positions = [p for p in positions if p not in solved]
+        shards += self.dispatch_shards(ctx, trendlines, positions)
+        return ScoredShards(
+            shards, pruned=self.pruning, sequential=self.mode == "sequential"
+        )
+
+    def dispatch_shards(self, ctx, trendlines, positions) -> list:
         from repro.engine.parallel import dispatch_prune_shards, dispatch_score_shards
 
         engine = ctx.engine
-        trendlines = list(candidates.trendlines)
-        ctx.stats.candidates = len(trendlines)
         pool = engine._resolve_pool(self.workers)
+        # One worker means one shard, whatever chunk size the pools use.
+        chunk_size = engine.chunk_size if self.workers > 1 else None
         if self.pruning:
-            shards = dispatch_prune_shards(
+            return dispatch_prune_shards(
                 trendlines,
                 self.compiled,
                 self.k,
                 pool,
                 sample_size=engine.sample_size,
                 sample_points=engine.sample_points,
-                chunk_size=engine.chunk_size,
+                chunk_size=chunk_size,
                 kernel=engine.kernel,
                 control=ctx.control,
             )
-        else:
-            shards = dispatch_score_shards(
-                trendlines,
-                self.compiled,
-                self.k,
-                pool,
-                algorithm=engine.algorithm,
-                enable_pushdown=engine.enable_pushdown,
-                chunk_size=engine.chunk_size,
-                has_eager_checks=self.has_eager_checks,
-                kernel=engine.kernel,
-                control=ctx.control,
-            )
-        return ScoredShards(list(shards), pruned=self.pruning)
+        return dispatch_score_shards(
+            trendlines,
+            self.compiled,
+            self.k,
+            pool,
+            algorithm=engine.algorithm,
+            enable_pushdown=engine.enable_pushdown,
+            chunk_size=chunk_size,
+            has_eager_checks=self.has_eager_checks,
+            kernel=engine.kernel,
+            control=ctx.control,
+            positions=positions,
+        )
 
 
-class SharedMemoryScore(_ScoreBase):
-    """Range-sharded scoring over the shm-published collection.
+class SequentialScore(ParallelScore):
+    """One shard covering the whole collection, scored in the caller —
+    the workers=1 path (a one-worker pool never leaves the process)."""
 
-    The collection and compiled query are published once per session
-    (acquired-and-pinned atomically, so concurrent evictions cannot
-    unlink a segment mid-dispatch); shards travel as ``(handle, start,
-    end)`` index ranges resolved against the worker-resident store.
+    mode = "sequential"
+
+
+class SharedMemoryScore(ParallelScore):
+    """Position-sharded scoring over the shm-published collection.
+
+    The *full* collection and the compiled query are published once per
+    session (acquired-and-pinned atomically, so concurrent evictions
+    cannot unlink a segment mid-dispatch) and stay resident in the
+    workers; shards travel as ``(handle, positions)`` — slices of the
+    positions left to solve — and come back without trendlines.  A stage
+    that would get fewer than two shards runs in the caller and touches
+    neither the segment nor the pool.
     """
 
     mode = "shared-memory"
 
-    def run(self, ctx, candidates: Candidates) -> ScoredShards:
-        from repro.engine.parallel import dispatch_prune_ranges, dispatch_score_ranges
+    def dispatch_shards(self, ctx, trendlines, positions) -> list:
+        from repro.engine.parallel import (
+            BATCH_BLOCK,
+            dispatch_prune_ranges,
+            dispatch_score_ranges,
+            make_range_chunks,
+        )
 
         engine = ctx.engine
-        trendlines = candidates.trendlines
-        ctx.stats.candidates = len(trendlines)
-        if not len(trendlines):
-            return ScoredShards([], pruned=self.pruning)
+        block = 1 if self.pruning else BATCH_BLOCK
+        if len(make_range_chunks(
+            len(positions), self.workers, engine.chunk_size, block
+        )) < 2:
+            return super().dispatch_shards(ctx, trendlines, positions)
         pool = engine._resolve_pool(self.workers)
         session = engine._shm_session()
         handle, query_ref = session.acquire(trendlines, self.compiled)
         try:
             if self.pruning:
-                shards = dispatch_prune_ranges(
+                return dispatch_prune_ranges(
                     handle,
                     query_ref,
                     self.k,
@@ -1025,22 +1024,21 @@ class SharedMemoryScore(_ScoreBase):
                     kernel=engine.kernel,
                     control=ctx.control,
                 )
-            else:
-                shards = dispatch_score_ranges(
-                    handle,
-                    query_ref,
-                    self.k,
-                    pool,
-                    algorithm=engine.algorithm,
-                    enable_pushdown=engine.enable_pushdown,
-                    chunk_size=engine.chunk_size,
-                    has_eager_checks=self.has_eager_checks,
-                    kernel=engine.kernel,
-                    control=ctx.control,
-                )
+            return dispatch_score_ranges(
+                handle,
+                query_ref,
+                self.k,
+                pool,
+                algorithm=engine.algorithm,
+                enable_pushdown=engine.enable_pushdown,
+                chunk_size=engine.chunk_size,
+                has_eager_checks=self.has_eager_checks,
+                kernel=engine.kernel,
+                control=ctx.control,
+                positions=positions,
+            )
         finally:
             session.unpin(handle, query_ref)
-        return ScoredShards(list(shards), pruned=self.pruning)
 
 
 class GenerateAndScore(_ScoreBase):

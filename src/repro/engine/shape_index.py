@@ -267,12 +267,12 @@ class ShapeIndex:
     from disk).
     """
 
-    __slots__ = ("entries", "_by_key", "_packed", "_tile_memo")
+    __slots__ = ("entries", "_by_key", "_packed", "_groups")
 
     def __init__(self, entries: List[Optional[TrendlineEntry]]):
         self.entries = entries
-        self._packed: Optional[Tuple[np.ndarray, list]] = None
-        self._tile_memo: Dict[Tuple[int, int], list] = {}
+        self._packed: Optional[Tuple[np.ndarray, tuple]] = None
+        self._groups: Optional[list] = None
         self._by_key: Dict[object, TrendlineEntry] = {}
         for entry in entries:
             if entry is not None and entry.witness is not None:
@@ -350,16 +350,14 @@ class ShapeIndex:
         """Per-candidate upper bounds (block-batched twin of :meth:`upper_bound`).
 
         One coarse max-plus DP per pyramid level across *all* candidates
-        at once: same-shaped levels are stacked into ``(candidates, W,
-        W)`` tiles over the packed block (zero-copy strided views when
-        the block is contiguous — the shm and memmap forms always are)
-        and the recurrence runs on ``(candidates, W)`` state tiles, so
-        there is no per-candidate Python dispatch.  Bitwise-equal to the
-        retained scalar oracle: every max/min/clamp mirrors
-        :meth:`upper_bound` operation for operation, including the
-        per-candidate coarse-level early-exit freeze when ``floor`` is
-        bounded.  Unindexed entries bound at ``+inf`` (never pruned);
-        an empty index returns a well-formed empty float64 vector.
+        at once: the packed block is level-major, so each level of each
+        ``n_bins`` group is one dense ``(candidates, W, W)`` tile and the
+        recurrence runs on ``(candidates, W)`` state tiles with no
+        per-candidate Python dispatch.  Bitwise-equal to the retained
+        scalar oracle :meth:`upper_bound`, including the per-candidate
+        coarse-level early-exit freeze when ``floor`` is bounded.
+        Unindexed entries bound at ``+inf`` (never pruned); an empty
+        index returns a well-formed empty float64 vector.
         """
         return self.upper_bounds_range(query, 0, len(self.entries), floor)
 
@@ -372,51 +370,29 @@ class ShapeIndex:
         ``dispatch_index_bounds`` workers call this over their range of
         the attached index; the DP is per-candidate independent, so
         sharding never changes a float and the concatenated shards equal
-        the in-process :meth:`upper_bounds` bit for bit.
+        the in-process :meth:`upper_bounds` bit for bit.  A range cuts a
+        contiguous run of rows out of every group's tiles (group
+        positions ascend), so shards are zero-copy slices too.
         """
-        count = max(0, end - start)
-        out = np.full(count, _POS_INF, dtype=np.float64)
-        for n_bins, positions, levels in self._tiles(start, end):
-            out[positions] = _batched_level_bounds(n_bins, levels, query, floor)
+        out = np.full(max(0, end - start), _POS_INF, dtype=np.float64)
+        for n_bins, positions, levels in self._level_tiles():
+            lo, hi = np.searchsorted(positions, (start, end))
+            if lo < hi:
+                tiles = [(w, amin[lo:hi], amax[lo:hi]) for w, amin, amax in levels]
+                out[positions[lo:hi] - start] = _batched_level_bounds(
+                    n_bins, tiles, query, floor
+                )
         return out
 
-    def _tiles(self, start: int, end: int) -> list:
-        """Stacked per-level tiles of ``[start, end)``, grouped by ``n_bins``.
-
-        The pyramid's level shapes are a pure function of ``n_bins``, so
-        grouping by it makes every group's levels stackable.  Tiles are
-        views (or one-time gathers) over the packed block and carry no
-        query state, so they are memoized per range — repeated queries
-        and the deterministic worker shard ranges reuse them.
-        """
-        key = (start, end)
-        tiles = self._tile_memo.get(key)
-        if tiles is None:
-            values, layout = self.packed()
-            groups: Dict[int, List[int]] = {}
-            for local in range(max(0, end - start)):
-                item = layout[start + local]
-                if item is not None:
-                    groups.setdefault(item[0], []).append(local)
-            tiles = []
-            for n_bins, locals_ in groups.items():
-                shapes = layout[start + locals_[0]][1]
-                levels = []
-                for depth, (w, W, _offset) in enumerate(shapes):
-                    offsets = np.fromiter(
-                        (layout[start + local][1][depth][2] for local in locals_),
-                        dtype=np.int64, count=len(locals_),
-                    )
-                    amin, amax = _gather_level(values, offsets, W)
-                    levels.append((w, amin, amax))
-                tiles.append((n_bins, np.asarray(locals_, dtype=np.intp), levels))
-            if len(self._tile_memo) >= _MAX_TILE_MEMO:
-                self._tile_memo.clear()
-            self._tile_memo[key] = tiles
-        return tiles
+    def _level_tiles(self) -> list:
+        """:func:`_tiled_groups` of the packed block, built once per index."""
+        if self._groups is None:
+            values, (_count, groups) = self.packed()
+            self._groups = _tiled_groups(values, groups)
+        return self._groups
 
     # -- flat packing (the shared-memory and on-disk export form) ------------
-    def packed(self) -> Tuple[np.ndarray, list]:
+    def packed(self) -> Tuple[np.ndarray, tuple]:
         """The packed ``(values, layout)`` form, computed once and memoized.
 
         Shared by the batched bound kernel, shm publication and the
@@ -428,37 +404,42 @@ class ShapeIndex:
             self._packed = self.pack()
         return self._packed
 
-    def pack(self) -> Tuple[np.ndarray, list]:
+    def pack(self) -> Tuple[np.ndarray, tuple]:
         """Flatten into ``(values, layout)`` for shared-memory publication.
 
-        ``values`` is one contiguous float64 block — per indexed entry,
-        per level, the bucket-min then bucket-max matrices raveled —
-        and ``layout`` the per-entry shape metadata (``None`` for
-        unindexed entries, else ``(n_bins, [(w, W, offset), ...])``).
-        :meth:`from_packed` reconstructs entries as zero-copy views.
+        ``values`` is one contiguous float64 block laid out **level-major**:
+        indexed entries are grouped by ``n_bins`` (which fixes every
+        level's shape), and per group, per level, the block holds the
+        ``(C, W, W)`` bucket-min tile of all ``C`` members, then their
+        bucket-max tile — so the batched kernel reads each level as one
+        dense array.  ``layout`` is ``(entry count, [(n_bins, member
+        positions ascending, [(w, W, offset), ...]), ...])``; unindexed
+        entries belong to no group.  :meth:`from_packed` reconstructs
+        entries as zero-copy views.
         """
-        parts: List[np.ndarray] = []
-        layout: list = []
-        offset = 0
-        for entry in self.entries:
-            if entry is None:
-                layout.append(None)
-                continue
+        members: Dict[int, List[int]] = {}
+        for position, entry in enumerate(self.entries):
+            if entry is not None:
+                members.setdefault(entry.n_bins, []).append(position)
+        groups: list = []
+        total = 0
+        for n_bins, positions in members.items():
             shapes = []
-            for w, amin, amax in entry.levels:
-                shapes.append((w, amin.shape[0], offset))
-                parts.append(np.ascontiguousarray(amin, dtype=np.float64).ravel())
-                parts.append(np.ascontiguousarray(amax, dtype=np.float64).ravel())
-                offset += 2 * amin.size
-            layout.append((entry.n_bins, shapes))
-        values = (
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
-        )
-        return values, layout
+            for w, amin, _amax in self.entries[positions[0]].levels:
+                shapes.append((w, amin.shape[0], total))
+                total += 2 * len(positions) * amin.size
+            groups.append((n_bins, positions, shapes))
+        values = np.empty(total, dtype=np.float64)
+        for _n_bins, positions, tiles in _tiled_groups(values, groups):
+            for depth, (_w, amin, amax) in enumerate(tiles):
+                levels = [self.entries[p].levels[depth] for p in positions]
+                np.stack([level[1] for level in levels], out=amin)
+                np.stack([level[2] for level in levels], out=amax)
+        return values, (len(self.entries), groups)
 
     @classmethod
     def from_packed(
-        cls, values: np.ndarray, layout: list,
+        cls, values: np.ndarray, layout: tuple,
         witnesses: Optional[Sequence[Optional[tuple]]] = None,
     ) -> "ShapeIndex":
         """Rebuild from :meth:`pack` output without copying bucket data.
@@ -469,28 +450,59 @@ class ShapeIndex:
         ``witnesses`` back in so a memory-mapped index keeps the
         :meth:`extended` reuse contract across process restarts.
         """
-        entries: List[Optional[TrendlineEntry]] = []
-        for position, item in enumerate(layout):
-            if item is None:
-                entries.append(None)
-                continue
-            n_bins, shapes = item
-            levels = []
-            for w, W, offset in shapes:
-                size = W * W
-                amin = values[offset:offset + size].reshape(W, W)
-                amax = values[offset + size:offset + 2 * size].reshape(W, W)
-                levels.append((w, amin, amax))
-            witness = witnesses[position] if witnesses is not None else None
-            entries.append(TrendlineEntry(n_bins, levels, witness))
+        count, groups = layout
+        tiled = _tiled_groups(values, groups)
+        entries: List[Optional[TrendlineEntry]] = [None] * count
+        for n_bins, positions, tiles in tiled:
+            for row, position in enumerate(positions):
+                levels = [(w, amin[row], amax[row]) for w, amin, amax in tiles]
+                witness = witnesses[position] if witnesses is not None else None
+                entries[position] = TrendlineEntry(n_bins, levels, witness)
         index = cls(entries)
         index._packed = (values, layout)
+        index._groups = tiled
         return index
+
+
+def _tiled_groups(values: np.ndarray, groups: list) -> list:
+    """``(n_bins, positions, [(w, amin tile, amax tile)])`` per packed group.
+
+    Tiles are ``(members, W, W)`` views over the level-major block and
+    carry no query state.
+    """
+    tiled = []
+    for n_bins, positions, shapes in groups:
+        count = len(positions)
+        tiles = []
+        for w, W, offset in shapes:
+            size = count * W * W
+            amin = values[offset:offset + size].reshape(count, W, W)
+            amax = values[offset + size:offset + 2 * size].reshape(count, W, W)
+            tiles.append((w, amin, amax))
+        tiled.append((n_bins, np.asarray(positions, dtype=np.intp), tiles))
+    return tiled
 
 
 # ---------------------------------------------------------------------------
 # Per-level chain bound: unit bucket bounds + coarse max-plus DP
 # ---------------------------------------------------------------------------
+
+
+def _unit_key(unit) -> tuple:
+    """Units with equal keys bound every bucket identically."""
+    if isinstance(unit, SlopeUnit):
+        return ("slope", unit.kind, unit.theta, unit.negated)
+    return ("line",)
+
+
+def _constant_upper(unit) -> Optional[float]:
+    """The bucket-independent bound of ``any``/``empty``/line units, else None."""
+    if not isinstance(unit, SlopeUnit):
+        return 1.0  # LineUnit (and any future bounded unit): score ≤ 1
+    if unit.kind not in ("any", "empty"):
+        return None
+    value = 1.0 if unit.kind == "any" else -1.0
+    return -value if unit.negated else value
 
 
 def _unit_upper(unit, amin: np.ndarray, amax: np.ndarray, shared: dict) -> np.ndarray:
@@ -505,13 +517,9 @@ def _unit_upper(unit, amin: np.ndarray, amax: np.ndarray, shared: dict) -> np.nd
     bound.  Empty-bucket sentinels are substituted before the transform
     and re-masked by the caller.
     """
-    if not isinstance(unit, SlopeUnit) or unit.kind in ("any", "empty"):
-        if isinstance(unit, SlopeUnit):
-            value = 1.0 if unit.kind == "any" else -1.0
-            value = -value if unit.negated else value
-        else:
-            value = 1.0  # LineUnit (and any future bounded unit): score ≤ 1
-        return np.full(amin.shape, value)
+    constant = _constant_upper(unit)
+    if constant is not None:
+        return np.full(amin.shape, constant)
     empty = shared["empty"]
     a_lo = shared.get("a_lo")
     if a_lo is None:
@@ -557,14 +565,10 @@ def _chain_level_bound(
     memo = shared.setdefault("units", {})
     state: Optional[np.ndarray] = None
     for cu in chain.units:
-        unit = cu.unit
-        if isinstance(unit, SlopeUnit):
-            key = ("slope", unit.kind, unit.theta, unit.negated)
-        else:
-            key = ("line",)
+        key = _unit_key(cu.unit)
         upper = memo.get(key)
         if upper is None:
-            upper = memo[key] = _unit_upper(unit, amin, amax, shared)
+            upper = memo[key] = _unit_upper(cu.unit, amin, amax, shared)
         weighted = np.where(infeasible, _NEG_INF, cu.weight * upper)
         if state is None:
             state = weighted[0, :].copy()
@@ -579,51 +583,38 @@ def _chain_level_bound(
 # Block-batched bounds: the same DP, one pass per level over all candidates
 # ---------------------------------------------------------------------------
 
-#: Cap on memoized tile sets per index: the full range plus the handful
-#: of deterministic worker shard ranges; cleared wholesale if a caller
-#: somehow produces more (correctness never depends on the memo).
-_MAX_TILE_MEMO = 64
 
+def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
+    """:func:`_unit_upper` over a ``(C, W, W)`` tile, one transform per unit.
 
-def _gather_level(values: np.ndarray, offsets: np.ndarray, W: int):
-    """Stack one pyramid level across candidates: ``(C, W, W)`` min/max tiles.
-
-    When the packed block is contiguous and the candidates' level blocks
-    are evenly strided (always true for a full-collection pack, an
-    attached shm block, or a memory-mapped artifact), the stack is a
-    zero-copy ``as_strided`` view; otherwise one fancy-index gather
-    copies exactly the needed buckets.  Either way the floats are the
-    packed bytes, untouched.
+    Same floats as the scalar oracle on every non-empty bucket, from
+    fewer passes: the empty-bucket ±inf sentinels are not substituted —
+    they flow through the transforms (no 0·inf or inf−inf arises, so no
+    NaN and no FP exception) into buckets the caller masks anyway — and
+    the Table 5 scores are weakly monotone in the atan *under IEEE
+    rounding* (each is a chain of monotone operations), so the endpoint
+    maximum is the score of one known endpoint: the upper one for a
+    rising score, the lower one for a falling score, and for a peaked
+    flat/θ score the endpoint nearest the target — the target itself,
+    scoring exactly 1.0, when the interval straddles it.  A negated
+    flat/θ is a trough, so it keeps both endpoint transforms.  Returns a
+    fresh array the caller may overwrite, or a float for constant units.
     """
-    size = W * W
-    span = 2 * size
-    count = len(offsets)
-    flat = None
-    if count == 1:
-        first = int(offsets[0])
-        flat = values[first:first + span][None, :]
-    else:
-        steps = np.diff(offsets)
-        step = int(steps[0])
-        if (
-            values.ndim == 1
-            and values.strides == (values.itemsize,)
-            and step > 0
-            and bool((steps == step).all())
-            and int(offsets[-1]) + span <= values.shape[0]
-        ):
-            flat = np.lib.stride_tricks.as_strided(
-                values[int(offsets[0]):],
-                shape=(count, span),
-                strides=(step * values.itemsize, values.itemsize),
-                writeable=False,
-            )
-    if flat is None:
-        gather = offsets[:, None] + np.arange(span)[None, :]
-        flat = np.asarray(values)[gather]
-    amin = flat[:, :size].reshape(count, W, W)
-    amax = flat[:, size:].reshape(count, W, W)
-    return amin, amax
+    constant = _constant_upper(unit)
+    if constant is not None:
+        return constant
+    score = scoring.pattern_score_from_atan
+    if unit.kind in ("up", "down"):
+        rising = (unit.kind == "up") != unit.negated
+        upper = score(unit.kind, amax if rising else amin, unit.theta)
+        return np.negative(upper, out=upper) if unit.negated else upper
+    if unit.negated:
+        return np.maximum(
+            -score(unit.kind, amin, unit.theta), -score(unit.kind, amax, unit.theta)
+        )
+    target = 0.0 if unit.kind == "flat" else math.radians(unit.theta)
+    nearest = np.maximum(amin, target)
+    return score(unit.kind, np.minimum(nearest, amax, out=nearest), unit.theta)
 
 
 def _batched_chain_bound(
@@ -637,38 +628,50 @@ def _batched_chain_bound(
     """:func:`_chain_level_bound` across a ``(C, W, W)`` candidate tile.
 
     The recurrence is per-candidate independent, so running it on
-    ``(C, W)`` state tiles is the scalar DP replicated along axis 0 —
-    the same ufuncs reduce the same elements, so every chain bound is
-    the scalar oracle's float bit for bit.  :func:`_unit_upper` is
-    shape-agnostic and shared verbatim (memoized per level in
-    ``shared`` exactly like the scalar path).
+    ``(C, W)`` state tiles is the scalar DP replicated along axis 0, and
+    every chain bound is the scalar oracle's float.  ``shared`` memoizes,
+    for this level, the infeasible mask per ``min_len`` and the masked
+    ``weight · upper`` tile per (unit, weight, ``min_len``) — a repeated
+    unit costs one tile.  The max over start super-bins is accumulated
+    start by start, in the scalar reduction's order, over the end
+    super-bins that start can reach at all: the rest of each row is
+    masked to −inf, which no maximum ever picks.
     """
-    W = amin.shape[1]
-    grid = np.arange(W)
+    count, W = amin.shape[:2]
     min_len = run_min_length(0, n_bins, len(chain.units))
-    infeasible = (
-        shared["empty"]
-        | (grid[:, None] > grid[None, :])
-        | ((grid[None, :] - grid[:, None] + 1) * w < min_len)
-    )
-    memo = shared.setdefault("units", {})
+    infeasible = shared.get(("infeasible", min_len))
+    if infeasible is None:
+        grid = np.arange(W)
+        infeasible = shared["infeasible", min_len] = (
+            shared["empty"]
+            | (grid[:, None] > grid[None, :])
+            | ((grid[None, :] - grid[:, None] + 1) * w < min_len)
+        )
+    # Buckets (a, b) with b < a + reach_from are too narrow for min_len.
+    reach_from = max(0, -(-min_len // w) - 1)
     state: Optional[np.ndarray] = None
     for cu in chain.units:
-        unit = cu.unit
-        if isinstance(unit, SlopeUnit):
-            key = ("slope", unit.kind, unit.theta, unit.negated)
-        else:
-            key = ("line",)
-        upper = memo.get(key)
-        if upper is None:
-            upper = memo[key] = _unit_upper(unit, amin, amax, shared)
-        weighted = np.where(infeasible, _NEG_INF, cu.weight * upper)
+        key = (_unit_key(cu.unit), cu.weight, min_len)
+        weighted = shared.get(key)
+        if weighted is None:
+            upper = _tile_upper(cu.unit, amin, amax)
+            if isinstance(upper, float):
+                weighted = np.where(infeasible, _NEG_INF, cu.weight * upper)
+            else:
+                weighted = np.multiply(upper, cu.weight, out=upper)
+                np.copyto(weighted, _NEG_INF, where=infeasible)
+            shared[key] = weighted
         if state is None:
             state = weighted[:, 0, :].copy()
             continue
         reach = state.copy()
         reach[:, 1:] = np.maximum(state[:, 1:], state[:, :-1])
-        state = np.max(reach[:, :, None] + weighted, axis=1)
+        state = np.full((count, W), _NEG_INF)
+        for a in range(W - reach_from):
+            ends = state[:, a + reach_from:]
+            np.maximum(
+                ends, reach[:, a, None] + weighted[:, a, a + reach_from:], out=ends
+            )
     return state[:, W - 1]
 
 
@@ -725,22 +728,12 @@ def prune_candidates(
     bounds: Optional[np.ndarray] = None,
     solve_many=None,
 ) -> Tuple[List[int], int]:
-    """Select the candidate positions that can still reach the top k.
+    """:func:`prune_with_seeds` without the seed results.
 
-    Seeds — the ``max(k, MIN_SEED_CANDIDATES)`` candidates with the
-    highest index bounds (position-ascending on ties) — are scored
-    exactly, all together, by ``solve_many(seed trendlines)`` (the
-    engine's batched Score funnel); the k-th best seed score becomes the
-    floor, and every other candidate is kept iff :func:`survives_floor`
-    says its bound can reach it.  Returns ``(surviving positions
-    ascending, pruned count)``.  ``solve`` is the older per-trendline
-    form of the callback (``bench/layers.py`` still passes it
-    positionally); it is wrapped into a ``solve_many`` that loops.
-    ``bounds`` lets the caller supply worker-computed bounds (bitwise the
-    same floats — same function, same published buckets); seeds always
-    survive, so their exact scores are recomputed downstream by the
-    ordinary Score stage and byte-identity needs no score plumbing
-    through this pass.
+    Returns ``(surviving positions ascending, pruned count)``.  ``solve``
+    is the older per-trendline form of the seed callback
+    (``bench/layers.py`` still passes it positionally); it is wrapped
+    into a ``solve_many`` that loops.
     """
     if solve_many is None:
         if solve is None:
@@ -749,10 +742,35 @@ def prune_candidates(
         def solve_many(seeds):
             return [solve(trendline) for trendline in seeds]
 
+    return prune_with_seeds(trendlines, index, query, k, solve_many, bounds)[:2]
+
+
+def prune_with_seeds(
+    trendlines: Sequence[Trendline],
+    index: ShapeIndex,
+    query: CompiledQuery,
+    k: int,
+    solve_many,
+    bounds: Optional[np.ndarray] = None,
+) -> Tuple[List[int], int, Dict[int, object]]:
+    """Select the candidate positions that can still reach the top k.
+
+    Seeds — the ``max(k, MIN_SEED_CANDIDATES)`` candidates with the
+    highest index bounds (position-ascending on ties) — are scored
+    exactly, all together, by ``solve_many(seed trendlines)`` (the
+    engine's batched Score funnel); the k-th best seed score becomes the
+    floor, and every other candidate is kept iff :func:`survives_floor`
+    says its bound can reach it.  Returns ``(surviving positions
+    ascending, pruned count, {seed position: its exact result})``: seeds
+    always survive, and their results travel on so the Score stage
+    solves only the other survivors.  ``bounds`` lets the caller supply
+    worker-computed bounds (bitwise the same floats — same function,
+    same published buckets).
+    """
     total = len(trendlines)
     seed_count = max(int(k), MIN_SEED_CANDIDATES)
     if total <= seed_count or k < 1:
-        return list(range(total)), 0
+        return list(range(total)), 0, {}
     if bounds is None:
         bounds = index.upper_bounds(query)
     else:
@@ -765,4 +783,4 @@ def prune_candidates(
     keep = survives_floor(bounds, floor)
     keep[seeds] = True
     survivors = [i for i in range(total) if keep[i]]
-    return survivors, total - len(survivors)
+    return survivors, total - len(survivors), dict(zip(seeds, results))

@@ -12,7 +12,8 @@ collections once and queries them repeatedly:
   arrays — into **one** ``multiprocessing.shared_memory`` segment, once per
   session.  The returned :class:`CollectionHandle` is a few hundred bytes
   of manifest (keys, scalars, array lengths), so a shard task now travels
-  as ``(handle, start, end)`` index ranges instead of pickled objects.
+  as ``(handle, positions)`` instead of pickled objects — a ``range`` for
+  a full scan, a slice of the surviving positions after IndexPrune.
 * :func:`resolve_collection` is the worker-side entry point: on first use
   it attaches the segment and reconstructs a **read-only, worker-resident**
   trendline collection as zero-copy numpy views over the shared buffer,

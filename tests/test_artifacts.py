@@ -15,6 +15,7 @@ Two contracts pinned here:
   results are byte-identical to a storeless run.
 """
 
+import hashlib
 import json
 import os
 import pickle
@@ -35,8 +36,11 @@ from repro.engine.artifacts import (
     prune,
     save_index,
 )
+from repro.algebra.primitives import Location
 from repro.engine.cache import table_fingerprint
+from repro.engine.chains import Chain, ChainUnit, CompiledQuery
 from repro.engine.executor import ShapeSearchEngine
+from repro.engine.units import LineUnit, SlopeUnit
 from repro.errors import ExecutionError
 from repro.engine.shape_index import ShapeIndex, survives_floor
 
@@ -67,6 +71,43 @@ def _random_collection(rng, count=30):
 
 def _compiled(node):
     return ShapeSearchEngine()._compile(node)
+
+
+#: Every unit the index bounds: each slope kind (two θ targets), ``any``,
+#: ``empty`` and a line unit, plain and negated.
+_BOUNDED_UNITS = [
+    SlopeUnit(kind, theta=theta, negated=negated)
+    for kind, theta in [("up", None), ("down", None), ("flat", None),
+                        ("slope", 40.0), ("slope", -20.0), ("any", None),
+                        ("empty", None)]
+    for negated in (False, True)
+] + [LineUnit(Location(y_start=0.0, y_end=1.0), negated=negated)
+     for negated in (False, True)]
+
+
+def _chains(*chains):
+    """A compiled query straight from ``(unit, weight)`` lists."""
+    return CompiledQuery(
+        node=None,
+        chains=[
+            Chain(tuple(ChainUnit(unit, weight) for unit, weight in chain))
+            for chain in chains
+        ],
+    )
+
+
+def _empty_some_buckets(index, rng):
+    """Blank one entry's finest level outright, and random buckets elsewhere."""
+    entries = [entry for entry in index.entries if entry is not None]
+    for entry in entries[:1]:
+        _w, amin, amax = entry.levels[0]
+        amin[...] = np.inf
+        amax[...] = -np.inf
+    for entry in entries[1:6]:
+        for _w, amin, amax in entry.levels:
+            blank = rng.random(amin.shape) < 0.3
+            amin[blank] = np.inf
+            amax[blank] = -np.inf
 
 
 class TestBatchedBoundsParity:
@@ -106,6 +147,32 @@ class TestBatchedBoundsParity:
                 ]
             )
             batched = index.upper_bounds(compiled, floor)
+            assert batched.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("unit", _BOUNDED_UNITS, ids=repr)
+    def test_every_unit_kind_matches_scalar_oracle(self, unit):
+        # The batched kernel takes one endpoint where the oracle takes
+        # the maximum of two, and lets the empty-bucket sentinels flow
+        # where the oracle substitutes zeros: same floats regardless, and
+        # no FP exception on the way.  The collection mixes bin counts
+        # (several n_bins groups, unindexable entries) and carries
+        # buckets emptied by hand, one entry's whole level included.
+        rng = np.random.default_rng(5)
+        index = ShapeIndex.build(_random_collection(rng, count=24))
+        _empty_some_buckets(index, rng)
+        up = SlopeUnit("up")
+        queries = [
+            _chains([(unit, 1.0)]),
+            _chains([(unit, 0.5), (up, 0.5)]),
+            _chains([(unit, 0.25), (up, 0.5), (unit, 0.25)]),
+            _chains([(up, 0.5), (unit, 0.5)], [(unit, 0.2), (up, 0.3), (unit, 0.5)]),
+        ]
+        for compiled in queries:
+            with np.errstate(all="raise"):
+                batched = index.upper_bounds(compiled)
+                scalar = np.array(
+                    [index.upper_bound(i, compiled) for i in range(len(index))]
+                )
             assert batched.tobytes() == scalar.tobytes()
 
     def test_shards_concatenate_to_full_pass(self):
@@ -219,6 +286,43 @@ class TestArtifactFallbacks:
         manifest["format"] = ARTIFACT_FORMAT + 1
         (directory / "manifest.json").write_text(json.dumps(manifest))
         assert load_index(tmp_path, KEY, "fp") is None
+
+    def test_old_format_artifact_is_refused_and_rebuilt(self, tmp_path):
+        # A format-1 store entry (entry-major block, per-entry list
+        # layout) vouched for by a self-consistent manifest: the version
+        # check must refuse it before the layout is ever interpreted, and
+        # the engine must say why it rebuilt and heal the store.
+        table = _smooth_table()
+        key = (PARAMS, True, None, "float64")
+        store = tmp_path / "store"
+        directory = artifact_dir(store, key)
+        directory.mkdir(parents=True)
+        block = np.arange(8, dtype=np.float64).tobytes()
+        layout = pickle.dumps(([(24, [(4, 2, 0)])], [None]))
+        (directory / "block.f64").write_bytes(block)
+        (directory / "layout.pkl").write_bytes(layout)
+        (directory / "manifest.json").write_text(json.dumps({
+            "format": 1,
+            "fingerprint": table_fingerprint(table),
+            "count": 1,
+            "values_len": 8,
+            "block_sha1": hashlib.sha1(block).hexdigest(),
+            "layout_sha1": hashlib.sha1(layout).hexdigest(),
+        }))
+        assert load_index(store, key, table_fingerprint(table)) is None
+        full = ShapeSearchEngine().run(table, PARAMS, UP_DOWN, k=5)
+        rebuilt = ShapeSearchEngine(index=True, store=str(store)).run(
+            table, PARAMS, UP_DOWN, k=5
+        )
+        assert rebuilt.stats.index_source == "built"
+        assert rebuilt.stats.index_reason == "store-miss"
+        assert _signature(rebuilt) == _signature(full)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["format"] == ARTIFACT_FORMAT
+        served = ShapeSearchEngine(index=True, store=str(store)).run(
+            _smooth_table(), PARAMS, UP_DOWN, k=5  # no table-attached index yet
+        )
+        assert served.stats.index_source == "disk"
 
     def test_block_corruption(self, tmp_path):
         directory = self._saved(tmp_path)

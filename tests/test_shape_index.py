@@ -10,15 +10,25 @@ full-scan fallbacks, and the opt-in ``precision="float32"`` mode that
 is explicitly *outside* the identity contract.
 """
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.algebra import builder as q
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
-from repro.engine import pipeline
+from repro.datasets.suites import SUITES, suite_trendlines
+from repro.engine import parallel, pipeline, shm
 from repro.engine.executor import ShapeSearchEngine
-from repro.engine.parallel import solve_many, solve_one
+from repro.engine.parallel import (
+    dispatch_index_bounds,
+    score_shard_range,
+    solve_many,
+    solve_one,
+)
+from repro.parser import parse
 from repro.engine.shape_index import (
     MIN_SEED_CANDIDATES,
     ShapeIndex,
@@ -90,6 +100,20 @@ def _signature(matches):
     ]
 
 
+def _assert_same_buckets(index, rebuilt):
+    assert len(index) == len(rebuilt)
+    for ours, theirs in zip(index.entries, rebuilt.entries):
+        assert (ours is None) == (theirs is None)
+        if ours is None:
+            continue
+        assert ours.n_bins == theirs.n_bins
+        assert len(ours.levels) == len(theirs.levels)
+        for (w_a, lo_a, hi_a), (w_b, lo_b, hi_b) in zip(ours.levels, theirs.levels):
+            assert w_a == w_b
+            assert lo_a.tobytes() == lo_b.tobytes()
+            assert hi_a.tobytes() == hi_b.tobytes()
+
+
 class TestIndexIdentity:
     """Indexed top-k must be byte-identical to the full scan, everywhere."""
 
@@ -125,33 +149,42 @@ class TestIndexIdentity:
             assert _signature(full) == _signature(indexed)
             assert engine.last_stats.index_pruned > 0
 
-    def test_shm_dispatched_bounds_identity(self):
-        # Above INDEX_DISPATCH_MIN candidates the bound pass itself is
-        # sharded over the pool against the published index; the floats
-        # (and therefore the pruning decision and the ranked output)
-        # must match the in-process path bit for bit.
-        trendlines = _smooth_collection(count=280, hit_every=29)
-        assert len(trendlines) >= pipeline.INDEX_DISPATCH_MIN
+    def test_shm_dispatched_bounds_identity(self, monkeypatch):
+        # Once two workers each get INDEX_DISPATCH_MIN candidates the
+        # bound pass itself is sharded over the pool against the
+        # published index; the floats (and therefore the pruning decision
+        # and the ranked output) must match the in-process path bit for
+        # bit.  The constant is the only rule, so the test lowers it.
+        trendlines = _smooth_collection(count=90, hit_every=29)
+        index = ShapeIndex.build(trendlines)
+        compiled = ShapeSearchEngine().compile(UP_DOWN)
         full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
         with ShapeSearchEngine(workers=2, backend="process", index=True) as engine:
+            engine.rank(trendlines, UP_DOWN, k=5)
+            assert engine.last_stats.index_bounds == "inline"
+            monkeypatch.setattr(pipeline, "INDEX_DISPATCH_MIN", 40)
             indexed = engine.rank(trendlines, UP_DOWN, k=5)
             assert _signature(full) == _signature(indexed)
             assert engine.last_stats.index_pruned > 0
             assert engine.last_stats.index_bounds == "dispatched"
+            # The dispatched floats themselves, not just the decisions.
+            session = engine._shm_session()
+            handle, query_ref = session.acquire_index(index, compiled)
+            try:
+                dispatched = dispatch_index_bounds(
+                    handle, query_ref, [(0, 45), (45, 90)], engine._resolve_pool(2)
+                )
+            finally:
+                session.unpin(handle, query_ref)
+            assert dispatched.tobytes() == index.upper_bounds(compiled).tobytes()
 
-    def test_dispatch_gate_option_and_env(self, monkeypatch):
-        # The gate is a named engine option: an explicit argument wins,
-        # the environment override is resolved at construction time.
-        engine = ShapeSearchEngine(index_dispatch_min=17)
-        assert engine.index_dispatch_min == 17
-        monkeypatch.setenv("REPRO_INDEX_DISPATCH_MIN", "99")
-        assert ShapeSearchEngine().index_dispatch_min == 99
-        assert ShapeSearchEngine(index_dispatch_min=5).index_dispatch_min == 5
-        monkeypatch.delenv("REPRO_INDEX_DISPATCH_MIN")
-        assert ShapeSearchEngine().index_dispatch_min == pipeline.INDEX_DISPATCH_MIN
+    def test_dispatch_gate_is_not_an_option(self, monkeypatch):
+        # The per-shard floor is a module constant: no constructor
+        # option, no environment variable.
+        with pytest.raises(TypeError):
+            ShapeSearchEngine(index_dispatch_min=17)
         monkeypatch.setenv("REPRO_INDEX_DISPATCH_MIN", "not-a-number")
-        with pytest.raises(ExecutionError):
-            ShapeSearchEngine()
+        assert not hasattr(ShapeSearchEngine(), "index_dispatch_min")
 
     def test_inline_bounds_path_recorded(self):
         trendlines = _smooth_collection()
@@ -181,6 +214,138 @@ class TestIndexIdentity:
         assert len(state) == 1  # one index key, reused across runs
 
 
+#: The three plans an indexed query can run on.  ``chunk_size`` cuts the
+#: small test collections into several shards, so the pooled plans really
+#: cross their transport instead of taking the one-shard in-caller path.
+PLANS = {
+    "sequential": {},
+    "thread": {"workers": 3, "backend": "thread", "chunk_size": 5},
+    "process-shm": {"workers": 2, "backend": "process", "chunk_size": 5},
+}
+
+
+def _solve_log(monkeypatch, path):
+    """Spy on the Score funnel: log every solved trendline's key to ``path``.
+
+    Installed before the first dispatch, so forked pool workers inherit
+    it; ``O_APPEND`` line writes from several processes do not interleave.
+    """
+    real = parallel.solve_many
+
+    def spy(trendlines, *args, **kwargs):
+        with open(path, "a") as log:
+            log.write("".join("{}\n".format(t.key) for t in trendlines))
+        return real(trendlines, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "solve_many", spy)
+    return real
+
+
+def _parent_plan_answer(real_solve_many, trendlines, compiled, k):
+    """The indexed answer as the parent commit computed it.
+
+    Bounds from the retained scalar oracle, the seeds solved to set the
+    floor and their results dropped, then *every* survivor — seeds
+    included — solved again by Score and merged by *(score desc,
+    position asc)*.  Returns ``(signature, survivor positions)``.
+    """
+    index = ShapeIndex.build(trendlines)
+    bounds = [index.upper_bound(i, compiled) for i in range(len(trendlines))]
+
+    def solve_seeds(seeds):
+        return real_solve_many(seeds, compiled, "segment-tree")
+
+    survivors, _pruned = prune_candidates(
+        trendlines, index, compiled, k, bounds=bounds, solve_many=solve_seeds
+    )
+    results = solve_seeds([trendlines[i] for i in survivors])
+    ranked = sorted(zip(survivors, results), key=lambda item: (-item[1].score, item[0]))
+    top = sorted(ranked[:k], key=lambda item: (-item[1].score, str(trendlines[item[0]].key)))
+    signature = [
+        (
+            trendlines[position].key,
+            result.score,
+            [
+                (p.seg_index, p.start, p.end, p.score, p.slope)
+                for p in result.solution.placements
+            ],
+        )
+        for position, result in top
+    ]
+    return signature, survivors
+
+
+class TestWorkDoneOnce:
+    """An indexed query solves every surviving candidate exactly once."""
+
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_table11_solved_once_with_parent_answers(
+        self, suite, plan, monkeypatch, tmp_path
+    ):
+        trendlines = suite_trendlines(suite, max_visualizations=48, max_length=90)
+        log = tmp_path / "solved.log"
+        real = _solve_log(monkeypatch, log)
+        with ShapeSearchEngine(index=True, **PLANS[plan]) as engine:
+            for text in SUITES[suite].fuzzy_queries:
+                compiled = engine.compile(parse(text))
+                expected, survivors = _parent_plan_answer(real, trendlines, compiled, 5)
+                log.write_text("")
+                result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
+                assert _signature(result) == expected
+                solved = log.read_text().split()
+                assert sorted(solved) == sorted(
+                    str(trendlines[i].key) for i in survivors
+                )
+                assert stats.candidates == stats.scored == len(survivors)
+                assert stats.index_candidates == len(trendlines)
+
+    def test_default_sharding_solves_once_over_the_pool(self, monkeypatch, tmp_path):
+        # No chunk_size: 100 survivors less 16 seeds leave two full
+        # kernel blocks, so the default rule hands each worker one shard.
+        trendlines = _smooth_collection(count=200, hit_every=2)
+        log = tmp_path / "solved.log"
+        real = _solve_log(monkeypatch, log)
+        with ShapeSearchEngine(index=True, workers=2, backend="process") as engine:
+            compiled = engine.compile(UP_DOWN)
+            expected, survivors = _parent_plan_answer(real, trendlines, compiled, 5)
+            log.write_text("")
+            result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
+            assert _signature(result) == expected
+            assert sorted(log.read_text().split()) == sorted(
+                trendlines[i].key for i in survivors
+            )
+            assert stats.shards == 3  # two worker shards + the seeds
+            assert stats.candidates == stats.scored == len(survivors) == 100
+
+    def test_repeat_runs_publish_the_collection_once(self):
+        trendlines = _smooth_collection(count=200, hit_every=2)
+        with ShapeSearchEngine(index=True, workers=2, backend="process") as engine:
+            compiled = engine.compile(UP_DOWN)
+            engine.rank(trendlines, compiled, k=5)
+            session = engine._shm_session()
+            (handle,) = session._collections.values()
+            assert len(handle) == len(trendlines)  # the full collection
+            segments = set(session._segments)
+            resident = set(os.listdir("/dev/shm"))
+            for k in (1, 3, 5, 8, 10, 13, 20, 25, 30, 40):
+                assert len(engine.rank(trendlines, compiled, k=k)) == k
+            assert list(session._collections.values()) == [handle]
+            assert set(session._segments) == segments
+            created = set(os.listdir("/dev/shm")) - resident
+            assert not {name for name in created if name.startswith("psm_")}
+
+    def test_position_scored_shard_pickles_without_trendlines(self):
+        trendlines = _smooth_collection(count=20)
+        compiled = ShapeSearchEngine().compile(UP_DOWN)
+        with shm.ShmSession() as session:
+            handle = session.collection_handle(trendlines)
+            shard = score_shard_range(handle, [1, 4, 9, 15], compiled, 3)
+        assert len(shard.items) == 3
+        assert all(item[2] is None for item in shard.items)
+        assert b"Trendline" not in pickle.dumps(shard)
+
+
 class TestAppendExtension:
     """append_rows keeps the index: extension == fresh build, bitwise."""
 
@@ -193,18 +358,7 @@ class TestAppendExtension:
         extended = index.extended(extended_collection)
         fresh = ShapeIndex.build(extended_collection)
         assert len(extended) == len(fresh) == len(extended_collection)
-        for ours, theirs in zip(extended.entries, fresh.entries):
-            assert (ours is None) == (theirs is None)
-            if ours is None:
-                continue
-            assert ours.n_bins == theirs.n_bins
-            assert len(ours.levels) == len(theirs.levels)
-            for (w_a, amin_a, amax_a), (w_b, amin_b, amax_b) in zip(
-                ours.levels, theirs.levels
-            ):
-                assert w_a == w_b
-                assert np.array_equal(amin_a, amin_b)
-                assert np.array_equal(amax_a, amax_b)
+        _assert_same_buckets(extended, fresh)
         # Unchanged trendlines reuse the *same* entry objects (work skip).
         assert all(
             extended.entries[i] is index.entries[i]
@@ -326,6 +480,47 @@ class TestShapeIndexUnit:
         original = index.upper_bounds(compiled)
         roundtrip = rebuilt.upper_bounds(compiled)
         assert np.array_equal(original, roundtrip)
+
+    def test_pack_is_level_major_and_round_trips(self):
+        # Mixed bin counts (one unindexable): every n_bins group's level
+        # is one dense (members, W, W) tile pair inside the block, and
+        # from_packed / an shm attach hand back the same buckets.
+        rng = np.random.default_rng(4)
+        trendlines = [
+            make_trendline(rng.normal(0, 1, bins).cumsum(), key="m{}".format(i))
+            for i, bins in enumerate([24, 64, 24, 5, 64, 24, 40])
+        ]
+        index = ShapeIndex.build(trendlines)
+        values, (count, groups) = index.pack()
+        assert count == 7
+        assert [positions for _n, positions, _shapes in groups] == [
+            [0, 2, 5], [1, 4], [6]
+        ]
+        cursor = 0
+        for _n_bins, positions, shapes in groups:
+            for depth, (w, W, offset) in enumerate(shapes):
+                assert offset == cursor
+                for side in (1, 2):
+                    tile = values[cursor:cursor + len(positions) * W * W]
+                    tile = tile.reshape(len(positions), W, W)
+                    for row, position in enumerate(positions):
+                        level = index.entries[position].levels[depth]
+                        assert level[0] == w
+                        assert tile[row].tobytes() == level[side].tobytes()
+                    cursor += tile.size
+        assert cursor == len(values)
+        _assert_same_buckets(index, ShapeIndex.from_packed(values, (count, groups)))
+        handle, segment = shm.publish_index(index)
+        try:
+            attached, attachment = shm.attach_index(handle)
+            try:
+                _assert_same_buckets(index, attached)
+            finally:
+                del attached  # its views pin the mapping
+                attachment.close()
+        finally:
+            segment.close()
+            segment.unlink()
 
     @pytest.mark.parametrize(
         "query",

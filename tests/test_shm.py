@@ -112,18 +112,21 @@ class TestWorkerResolution:
             query_ref = session.query_handle(QUERY)
             ranges = make_range_chunks(len(handle), workers=3, chunk_size=4)
             shards = [
-                score_shard_range(handle, start, end, query_ref, 4)
+                score_shard_range(handle, range(start, end), query_ref, 4)
                 for start, end in ranges
             ]
             expected = [
                 score_shard(chunk, base, QUERY, 4)
                 for base, chunk in make_chunks(trendlines, workers=3, chunk_size=4)
             ]
+            # Scored by position, a shard carries no trendline back: the
+            # parent holds them all and re-attaches by position.
+            assert all(item[2] is None for shard in shards for item in shard.items)
             merged = merge_shard_results(shards, 4)
             merged_expected = merge_shard_results(expected, 4)
             assert [
-                (score, position, trendline.key)
-                for score, position, trendline, _ in merged
+                (score, position, trendlines[position].key)
+                for score, position, _, _ in merged
             ] == [
                 (score, position, trendline.key)
                 for score, position, trendline, _ in merged_expected
@@ -147,6 +150,25 @@ class TestRangeChunks:
         assert [start for start, _end in ranges] == [base for base, _ in chunks]
         assert [end - start for start, end in ranges] == [
             len(chunk) for _, chunk in chunks
+        ]
+
+    @pytest.mark.parametrize("floor", [1, 32, 256])
+    def test_default_rule_never_cuts_below_the_floor(self, floor):
+        # One shard per worker, as even as possible, none below the
+        # stage's kernel block unless it is the only shard.
+        for workers in (1, 2, 3, 5):
+            for count in list(range(1, 70)) + [255, 256, 511, 512, 513, 1000]:
+                ranges = make_range_chunks(count, workers, floor=floor)
+                assert ranges[0][0] == 0 and ranges[-1][1] == count
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                sizes = [end - start for start, end in ranges]
+                assert len(sizes) == max(1, min(workers, count // floor))
+                assert max(sizes) - min(sizes) <= 1
+                assert len(sizes) == 1 or min(sizes) >= floor
+
+    def test_explicit_chunk_size_overrides_the_floor(self):
+        assert make_range_chunks(10, workers=3, chunk_size=4, floor=32) == [
+            (0, 4), (4, 8), (8, 10)
         ]
 
     def test_empty_and_invalid(self):
@@ -405,7 +427,8 @@ class TestSessionLifecycle:
 class TestEngineIntegration:
     def test_engine_close_releases_session(self):
         trendlines = _collection(count=8)
-        engine = ShapeSearchEngine(workers=2, backend="process")
+        # chunk_size: eight candidates are one shard, scored in the caller.
+        engine = ShapeSearchEngine(workers=2, backend="process", chunk_size=4)
         engine.rank(trendlines, QUERY, k=3)
         session = engine._shm_box[0]
         assert session is not None and not session.closed
@@ -415,7 +438,7 @@ class TestEngineIntegration:
 
     def test_engine_finalizer_releases_session(self):
         trendlines = _collection(count=8)
-        engine = ShapeSearchEngine(workers=2, backend="process")
+        engine = ShapeSearchEngine(workers=2, backend="process", chunk_size=4)
         engine.rank(trendlines, QUERY, k=3)
         session = engine._shm_box[0]
         engine._finalizer()  # what gc / interpreter exit runs
@@ -442,7 +465,9 @@ class TestEngineIntegration:
             )
         params = VisualParams(z="z", x="x", y="y")
         node = q.concat(q.up(), q.down())
-        with ShapeSearchEngine(workers=2, backend="process", cache=cache) as engine:
+        with ShapeSearchEngine(
+            workers=2, backend="process", cache=cache, chunk_size=2
+        ) as engine:
             engine.run(tables[0], params, node, k=2)
             session = engine._shm_box[0]
             published_before = len(session._collections)
