@@ -668,6 +668,12 @@ class TestServerEndToEnd:
                     )
                     assert stream.next_frame(sid)["type"] == "accepted"
                     stream.cancel(sid)
+                    # Frames are handled in order: once the pong is back
+                    # the server has applied the cancel, so opening the
+                    # gate cannot let the search finish ahead of it.
+                    stream._send_json({"type": "ping"})
+                    while not stream._loose:
+                        stream._recv_some()
                     gate.set()  # unblock shards so the cancel lands
                     terminal = stream.result(sid)
                     assert terminal["type"] == "cancelled"
