@@ -49,6 +49,10 @@ from repro.errors import ExecutionError
 #: Supported worker-pool backends.
 BACKENDS = ("thread", "process")
 
+#: Shards per worker when no explicit chunk size is given — a few chunks
+#: per worker lets the pool balance uneven shard costs.
+_CHUNKS_PER_WORKER = 4
+
 
 def default_workers() -> int:
     """Worker count used when ``workers=None``: one per available core."""
@@ -308,12 +312,14 @@ def make_range_chunks(
 
     This is the sizing rule for *every* sharding path — score, bound,
     generate, tail, prune; object- and range-based alike — so all of
-    them cover identical positions for any configuration.  One shard per
-    worker, as even as possible, but never a shard below ``floor`` (the
-    stage's kernel block: a smaller shard would pay a pool round trip
-    for a partly filled kernel launch) unless it is the only one — and a
-    stage with one shard runs in the caller (:func:`_run_tasks`).  An
-    explicit ``chunk_size`` overrides the rule.
+    them cover identical positions for any configuration.
+    :data:`_CHUNKS_PER_WORKER` shards per pool worker, as even as
+    possible, but never a shard below ``floor`` (the stage's kernel
+    block: a smaller shard would pay a pool round trip for a partly
+    filled kernel launch) unless it is the only one — and a stage with
+    one shard runs in the caller (:func:`_run_tasks`), as does a
+    one-worker pool, which has nothing to balance.  An explicit
+    ``chunk_size`` overrides the rule.
     """
     if count == 0:
         return []
@@ -324,20 +330,28 @@ def make_range_chunks(
             (start, min(start + chunk_size, count))
             for start in range(0, count, chunk_size)
         ]
-    shards = max(1, min(workers, count // max(1, floor)))
-    size, larger = divmod(count, shards)
-    ends = [size * (shard + 1) + min(shard + 1, larger) for shard in range(shards)]
+    # Whole kernel blocks per shard (the remainder rides on the last): a
+    # shard of 36 for a 32-wide kernel would pay a second launch for 4.
+    floor = max(1, floor)
+    blocks = max(1, count // floor)
+    shards = min(workers * _CHUNKS_PER_WORKER if workers > 1 else 1, blocks)
+    size, larger = divmod(blocks, shards)
+    ends = [floor * (size * (shard + 1) + min(shard + 1, larger)) for shard in range(shards)]
+    ends[-1] = count
     return list(zip([0] + ends[:-1], ends))
 
 
-def make_chunks(
-    trendlines: Sequence[Trendline], workers: int, chunk_size: Optional[int] = None
-) -> List[Tuple[int, Sequence[Trendline]]]:
-    """Split candidates into ``(base position, chunk)`` shards."""
-    return [
-        (start, trendlines[start:end])
-        for start, end in make_range_chunks(len(trendlines), workers, chunk_size)
-    ]
+def score_ranges(
+    count: int, workers: int, chunk_size: Optional[int] = None, pruning: bool = False
+) -> List[Tuple[int, int]]:
+    """The Score stage's shards over ``count`` candidates left to solve.
+
+    The one place that knows the stage's floor: whole :data:`BATCH_BLOCK`
+    kernel blocks, except under collective pruning, whose driver has no
+    cross-candidate kernel to fill.  The Score operators size a stage
+    once, here, and hand the ranges to whichever transport runs them.
+    """
+    return make_range_chunks(count, workers, chunk_size, 1 if pruning else BATCH_BLOCK)
 
 
 def _shutdown_executor(executor) -> None:
@@ -492,15 +506,15 @@ def dispatch_score_shards(
     query: CompiledQuery,
     k: int,
     pool: WorkerPool,
+    ranges: Sequence[Tuple[int, int]],
     algorithm: str = "segment-tree",
     enable_pushdown: bool = True,
-    chunk_size: Optional[int] = None,
     has_eager_checks: Optional[bool] = None,
     kernel: Optional[str] = None,
     control=None,
     positions: Optional[Sequence[int]] = None,
 ) -> List[ShardResult]:
-    """Shard and score an object-passing collection (no merge).
+    """Score the shards ``ranges`` of an object-passing collection (no merge).
 
     The Score operators consume the raw shard results (the MergeTopK
     operator owns merging and stats); :func:`parallel_rank_items` wraps
@@ -508,11 +522,11 @@ def dispatch_score_shards(
     (an :class:`~repro.engine.control.ExecutionControl`) makes the
     dispatch cancellable and progress-observable.  ``positions``
     (ascending) restricts scoring to those candidates — the survivors
-    IndexPrune has not already solved — under their global positions.
+    IndexPrune has not already solved — under their global positions;
+    ``ranges`` (:func:`score_ranges`) tile them.
     """
     if positions is None:
         positions = range(len(trendlines))
-    ranges = make_range_chunks(len(positions), pool.workers, chunk_size, BATCH_BLOCK)
     if has_eager_checks is None:
         has_eager_checks = enable_pushdown and plan_pushdown(query).has_eager_checks
     rows = [
@@ -545,9 +559,9 @@ def parallel_rank_items(
         query,
         k,
         pool,
+        score_ranges(len(trendlines), pool.workers, chunk_size),
         algorithm=algorithm,
         enable_pushdown=enable_pushdown,
-        chunk_size=chunk_size,
         has_eager_checks=has_eager_checks,
         kernel=kernel,
     )
@@ -564,9 +578,9 @@ def dispatch_score_ranges(
     query,
     k: int,
     pool: WorkerPool,
+    ranges: Sequence[Tuple[int, int]],
     algorithm: str = "segment-tree",
     enable_pushdown: bool = True,
-    chunk_size: Optional[int] = None,
     has_eager_checks: Optional[bool] = None,
     kernel: Optional[str] = None,
     control=None,
@@ -574,16 +588,15 @@ def dispatch_score_ranges(
 ) -> List[ShardResult]:
     """Shared-memory twin of :func:`dispatch_score_shards` (no merge).
 
-    Shards are slices of ``positions`` into the once-published
-    collection; the workers' ``None`` trendlines are replaced by the
-    publisher's own objects here, so no trendline crosses the process
-    boundary in either direction.
+    Shards are the slices ``ranges`` of ``positions`` into the
+    once-published collection; the workers' ``None`` trendlines are
+    replaced by the publisher's own objects here, so no trendline crosses
+    the process boundary in either direction.
     """
     from repro.engine.shm import resolve_collection, resolve_query
 
     if positions is None:
         positions = range(len(handle))
-    ranges = make_range_chunks(len(positions), pool.workers, chunk_size, BATCH_BLOCK)
     if has_eager_checks is None:
         compiled = resolve_query(query)
         has_eager_checks = enable_pushdown and plan_pushdown(compiled).has_eager_checks
@@ -728,14 +741,13 @@ def dispatch_prune_ranges(
     query,
     k: int,
     pool: WorkerPool,
+    ranges: Sequence[Tuple[int, int]],
     sample_size: int = 20,
     sample_points: int = 64,
-    chunk_size: Optional[int] = None,
     kernel: Optional[str] = None,
     control=None,
 ) -> List[ShardResult]:
     """Range-sharded collective pruning (no merge)."""
-    ranges = make_range_chunks(len(handle), pool.workers, chunk_size)
     rows = [
         (handle, start, end, query, k, sample_size, sample_points, kernel)
         for start, end in ranges
@@ -748,38 +760,18 @@ def dispatch_prune_shards(
     query: CompiledQuery,
     k: int,
     pool: WorkerPool,
+    ranges: Sequence[Tuple[int, int]],
     sample_size: int = 20,
     sample_points: int = 64,
-    chunk_size: Optional[int] = None,
     kernel: Optional[str] = None,
     control=None,
 ) -> List[ShardResult]:
     """Object-passing sharded collective pruning (no merge)."""
-    chunks = make_chunks(list(trendlines), pool.workers, chunk_size)
     rows = [
-        (chunk, query, k, sample_size, sample_points, kernel)
-        for _base, chunk in chunks
+        (trendlines[start:end], query, k, sample_size, sample_points, kernel)
+        for start, end in ranges
     ]
     return _run_tasks(pool, prune_shard, rows, control)
-
-
-def parallel_prune_items(
-    trendlines: Sequence[Trendline],
-    query: CompiledQuery,
-    k: int,
-    pool: WorkerPool,
-    sample_size: int = 20,
-    sample_points: int = 64,
-    chunk_size: Optional[int] = None,
-    stats=None,
-    kernel: Optional[str] = None,
-) -> List[Tuple[float, int, Trendline, QueryResult]]:
-    """Shard the collective-pruning driver and merge the exact top-k."""
-    shards = dispatch_prune_shards(
-        trendlines, query, k, pool, sample_size=sample_size,
-        sample_points=sample_points, chunk_size=chunk_size, kernel=kernel,
-    )
-    return _merge_pruned(shards, k, len(shards), stats)
 
 
 def aggregate_pruning_reports(shards: Sequence[ShardResult]) -> PruningReport:
@@ -800,25 +792,12 @@ def merge_pruned_items(
 ) -> List[Tuple[float, int, Trendline, QueryResult]]:
     """Global top-k under the pruning drivers' (score desc, key asc) order.
 
-    The single copy of the pruning-path merge rule — the MergeTopK
-    operator and :func:`parallel_prune_items` both route through
-    here, so the tie-break cannot drift between them.
+    The single copy of the pruning-path merge rule (the MergeTopK
+    operator's pruned branch).
     """
     merged = [item for shard in shards for item in shard.items]
     merged.sort(key=lambda item: (-item[0], str(item[2].key)))
     return merged[:k]
-
-
-def _merge_pruned(
-    shards: Sequence[ShardResult], k: int, shard_count: int, stats
-) -> List[Tuple[float, int, Trendline, QueryResult]]:
-    """Aggregate pruning reports and merge under the pruning-path order."""
-    report = aggregate_pruning_reports(shards)
-    if stats is not None:
-        stats.shards = shard_count
-        stats.pruning = report
-        stats.scored = report.completed
-    return merge_pruned_items(shards, k)
 
 
 from repro.engine.executor import ShapeSearchEngine  # noqa: E402  (after helpers)

@@ -630,12 +630,16 @@ class Candidates:
     ``positions`` are the survivors (ascending; None = all) and
     ``solved`` maps the seed positions to the exact results IndexPrune
     already holds, so Score solves every other survivor exactly once.
+    ``resident`` is False for a list built for this run alone (cacheless
+    generation, a precision cast): publishing it whole would be paid on
+    every query, so the shm Score ships its survivors as objects instead.
     """
 
     trendlines: Optional[Sequence[Trendline]] = None
     deferred: Optional[DeferredGeneration] = None
     positions: Optional[List[int]] = None
     solved: dict = field(default_factory=dict)
+    resident: bool = True
 
 
 @dataclass
@@ -760,7 +764,10 @@ class ExtractGroup(Operator):
             if self.memo is not None:
                 self.memo[memo_key] = trendlines
         ctx.stats.extracted = len(trendlines)
-        return Candidates(trendlines=trendlines)
+        return Candidates(
+            trendlines=trendlines,
+            resident=ctx.engine.cache is not None or self.memo is not None,
+        )
 
     def detail(self) -> str:
         return "normalize_y={}".format(self.normalize_y)
@@ -783,14 +790,15 @@ class PrecisionCast(Operator):
             trendlines=[
                 cast_trendline(trendline, np.float32)
                 for trendline in candidates.trendlines
-            ]
+            ],
+            resident=False,
         )
 
 
 #: The bound pass's shard floor (``make_range_chunks``): with the
 #: block-batched kernel a shard of fewer candidates is a handful of
 #: array ops, cheaper than its pool round trip — so the pass ships to
-#: workers only when at least two workers get this many candidates each.
+#: workers only when it cuts into at least two shards this large.
 INDEX_DISPATCH_MIN = 256
 
 
@@ -811,8 +819,8 @@ class IndexPrune(Operator):
     least k others', and survivors keep their positions, so the *(score
     desc, position asc)* merge selects exactly the full scan's top k.
 
-    On the shm process backend, once every worker's shard would hold
-    :data:`INDEX_DISPATCH_MIN` candidates, the bound pass itself is
+    On the shm process backend, once the candidates cut into two shards
+    of :data:`INDEX_DISPATCH_MIN`, the bound pass itself is
     sharded: workers attach the published index zero-copy and evaluate
     the same function on the same buckets — identical floats, so the
     prune decisions cannot depend on the transport.
@@ -863,6 +871,7 @@ class IndexPrune(Operator):
             trendlines=trendlines,
             positions=survivors if pruned else None,
             solved=solved,
+            resident=candidates.resident,
         )
 
     def _dispatched_bounds(self, ctx, index, total: int):
@@ -914,8 +923,9 @@ class ParallelScore(_ScoreBase):
     mode = "parallel"
 
     def run(self, ctx, candidates: Candidates) -> ScoredShards:
-        from repro.engine.parallel import ShardResult
+        from repro.engine.parallel import ShardResult, score_ranges
 
+        engine = ctx.engine
         trendlines, solved = candidates.trendlines, candidates.solved
         positions = candidates.positions
         if positions is None:
@@ -934,38 +944,44 @@ class ParallelScore(_ScoreBase):
                 scored=len(solved),
             ))
             positions = [p for p in positions if p not in solved]
-        shards += self.dispatch_shards(ctx, trendlines, positions)
+        # The stage is sized once, here, whatever transport runs it.  One
+        # worker means one shard, whatever chunk size the pools use.
+        ranges = score_ranges(
+            len(positions),
+            self.workers,
+            engine.chunk_size if self.workers > 1 else None,
+            pruning=self.pruning,
+        )
+        shards += self.dispatch_shards(ctx, candidates, positions, ranges)
         return ScoredShards(
             shards, pruned=self.pruning, sequential=self.mode == "sequential"
         )
 
-    def dispatch_shards(self, ctx, trendlines, positions) -> list:
+    def dispatch_shards(self, ctx, candidates, positions, ranges) -> list:
         from repro.engine.parallel import dispatch_prune_shards, dispatch_score_shards
 
         engine = ctx.engine
         pool = engine._resolve_pool(self.workers)
-        # One worker means one shard, whatever chunk size the pools use.
-        chunk_size = engine.chunk_size if self.workers > 1 else None
         if self.pruning:
             return dispatch_prune_shards(
-                trendlines,
+                candidates.trendlines,
                 self.compiled,
                 self.k,
                 pool,
+                ranges,
                 sample_size=engine.sample_size,
                 sample_points=engine.sample_points,
-                chunk_size=chunk_size,
                 kernel=engine.kernel,
                 control=ctx.control,
             )
         return dispatch_score_shards(
-            trendlines,
+            candidates.trendlines,
             self.compiled,
             self.k,
             pool,
+            ranges,
             algorithm=engine.algorithm,
             enable_pushdown=engine.enable_pushdown,
-            chunk_size=chunk_size,
             has_eager_checks=self.has_eager_checks,
             kernel=engine.kernel,
             control=ctx.control,
@@ -987,27 +1003,24 @@ class SharedMemoryScore(ParallelScore):
     session (acquired-and-pinned atomically, so concurrent evictions
     cannot unlink a segment mid-dispatch) and stay resident in the
     workers; shards travel as ``(handle, positions)`` — slices of the
-    positions left to solve — and come back without trendlines.  A stage
-    that would get fewer than two shards runs in the caller and touches
-    neither the segment nor the pool.
+    positions left to solve — and come back without trendlines.  Two
+    stages publish nothing and take the object-passing path instead: one
+    with fewer than two shards (it runs in the caller and never touches
+    the pool), and the survivors of a collection that is not resident —
+    a per-run list would be published whole and re-attached by every
+    worker on every query, to solve the few candidates IndexPrune kept.
     """
 
     mode = "shared-memory"
 
-    def dispatch_shards(self, ctx, trendlines, positions) -> list:
-        from repro.engine.parallel import (
-            BATCH_BLOCK,
-            dispatch_prune_ranges,
-            dispatch_score_ranges,
-            make_range_chunks,
-        )
+    def dispatch_shards(self, ctx, candidates, positions, ranges) -> list:
+        from repro.engine.parallel import dispatch_prune_ranges, dispatch_score_ranges
 
         engine = ctx.engine
-        block = 1 if self.pruning else BATCH_BLOCK
-        if len(make_range_chunks(
-            len(positions), self.workers, engine.chunk_size, block
-        )) < 2:
-            return super().dispatch_shards(ctx, trendlines, positions)
+        trendlines = candidates.trendlines
+        narrowed = len(positions) < len(trendlines)
+        if len(ranges) < 2 or (narrowed and not candidates.resident):
+            return super().dispatch_shards(ctx, candidates, positions, ranges)
         pool = engine._resolve_pool(self.workers)
         session = engine._shm_session()
         handle, query_ref = session.acquire(trendlines, self.compiled)
@@ -1018,9 +1031,9 @@ class SharedMemoryScore(ParallelScore):
                     query_ref,
                     self.k,
                     pool,
+                    ranges,
                     sample_size=engine.sample_size,
                     sample_points=engine.sample_points,
-                    chunk_size=engine.chunk_size,
                     kernel=engine.kernel,
                     control=ctx.control,
                 )
@@ -1029,9 +1042,9 @@ class SharedMemoryScore(ParallelScore):
                 query_ref,
                 self.k,
                 pool,
+                ranges,
                 algorithm=engine.algorithm,
                 enable_pushdown=engine.enable_pushdown,
-                chunk_size=engine.chunk_size,
                 has_eager_checks=self.has_eager_checks,
                 kernel=engine.kernel,
                 control=ctx.control,

@@ -13,7 +13,7 @@ from repro.engine.parallel import (
     ParallelEngine,
     WorkerPool,
     default_workers,
-    make_chunks,
+    make_range_chunks,
     merge_shard_results,
     parallel_rank_items,
     score_shard,
@@ -35,23 +35,21 @@ def _collection(count=12, seed=5, points=30):
 
 class TestChunking:
     def test_chunks_cover_collection_in_order(self):
-        trendlines = _collection(10)
-        chunks = make_chunks(trendlines, workers=3, chunk_size=4)
-        assert [base for base, _ in chunks] == [0, 4, 8]
-        flattened = [tl for _, chunk in chunks for tl in chunk]
-        assert [tl.key for tl in flattened] == [tl.key for tl in trendlines]
+        ranges = make_range_chunks(10, workers=3, chunk_size=4)
+        assert [start for start, _ in ranges] == [0, 4, 8]
+        assert [i for start, end in ranges for i in range(start, end)] == list(range(10))
 
     def test_default_chunk_size_scales_with_workers(self):
-        chunks = make_chunks(_collection(100), workers=4)
-        assert 1 < len(chunks) <= 100
-        assert sum(len(chunk) for _, chunk in chunks) == 100
+        ranges = make_range_chunks(100, workers=4)
+        assert 1 < len(ranges) <= 100
+        assert sum(end - start for start, end in ranges) == 100
 
     def test_empty_collection(self):
-        assert make_chunks([], workers=4) == []
+        assert make_range_chunks(0, workers=4) == []
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ExecutionError):
-            make_chunks(_collection(4), workers=2, chunk_size=0)
+            make_range_chunks(4, workers=2, chunk_size=0)
 
 
 class TestShardScoring:
@@ -71,8 +69,8 @@ class TestShardScoring:
         trendlines = _collection(20)
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=5)
         shards = [
-            score_shard(chunk, base, QUERY, k=5)
-            for base, chunk in make_chunks(trendlines, workers=4, chunk_size=3)
+            score_shard(trendlines[start:end], start, QUERY, k=5)
+            for start, end in make_range_chunks(20, workers=4, chunk_size=3)
         ]
         merged = merge_shard_results(shards, k=5)
         merged_sorted = sorted(merged, key=lambda item: (-item[0], str(item[2].key)))

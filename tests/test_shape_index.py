@@ -335,6 +335,28 @@ class TestWorkDoneOnce:
             created = set(os.listdir("/dev/shm")) - resident
             assert not {name for name in created if name.startswith("psm_")}
 
+    @pytest.mark.parametrize(
+        "options,published",
+        [({}, 0), ({"cache": True, "precision": "float32"}, 0), ({"cache": True}, 1)],
+    )
+    def test_per_run_collection_is_never_published(self, options, published):
+        # A cacheless engine, and a float32 cast, build a fresh list on
+        # every run(): publishing it whole for the survivors IndexPrune
+        # kept would be paid per query, so those travel as objects.  Only
+        # the cached (resident) collection earns a segment — one.
+        table = _smooth_table(count=400, hit_every=2)
+        precision = options.get("precision", "float64")
+        full = ShapeSearchEngine(precision=precision).run(table, PARAMS, UP_DOWN, k=5)
+        with ShapeSearchEngine(
+            index=True, workers=2, backend="process", **options
+        ) as engine:
+            for _ in range(3):
+                indexed = engine.run(table, PARAMS, UP_DOWN, k=5)
+                assert _signature(indexed) == _signature(full)
+                assert indexed.stats.index_pruned == 200
+                assert indexed.stats.shards > 2  # the survivors crossed the pool
+            assert len(engine._shm_session()._collections) == published
+
     def test_position_scored_shard_pickles_without_trendlines(self):
         trendlines = _smooth_collection(count=20)
         compiled = ShapeSearchEngine().compile(UP_DOWN)

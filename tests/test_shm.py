@@ -11,7 +11,6 @@ from repro.engine.cache import table_fingerprint
 from repro.engine.chains import compile_query
 from repro.engine.executor import ShapeSearchEngine
 from repro.engine.parallel import (
-    make_chunks,
     make_range_chunks,
     merge_shard_results,
     score_shard,
@@ -116,8 +115,8 @@ class TestWorkerResolution:
                 for start, end in ranges
             ]
             expected = [
-                score_shard(chunk, base, QUERY, 4)
-                for base, chunk in make_chunks(trendlines, workers=3, chunk_size=4)
+                score_shard(trendlines[start:end], start, QUERY, 4)
+                for start, end in ranges
             ]
             # Scored by position, a shard carries no trendline back: the
             # parent holds them all and re-attaches by position.
@@ -143,28 +142,24 @@ class TestRangeChunks:
         ranges = make_range_chunks(10, workers=3, chunk_size=4)
         assert ranges == [(0, 4), (4, 8), (8, 10)]
 
-    def test_matches_object_chunking(self):
-        trendlines = _collection(count=11)
-        ranges = make_range_chunks(len(trendlines), workers=4)
-        chunks = make_chunks(trendlines, workers=4)
-        assert [start for start, _end in ranges] == [base for base, _ in chunks]
-        assert [end - start for start, end in ranges] == [
-            len(chunk) for _, chunk in chunks
-        ]
-
     @pytest.mark.parametrize("floor", [1, 32, 256])
     def test_default_rule_never_cuts_below_the_floor(self, floor):
-        # One shard per worker, as even as possible, none below the
-        # stage's kernel block unless it is the only shard.
+        # A few shards per worker to balance uneven costs (one for a
+        # one-worker pool), each a whole number of the stage's kernel
+        # blocks — never below one unless it is the only shard — with
+        # the sub-block remainder riding on the last.
         for workers in (1, 2, 3, 5):
-            for count in list(range(1, 70)) + [255, 256, 511, 512, 513, 1000]:
+            wanted = 1 if workers == 1 else 4 * workers
+            for count in list(range(1, 70)) + [255, 256, 511, 512, 513, 1000, 5000]:
                 ranges = make_range_chunks(count, workers, floor=floor)
                 assert ranges[0][0] == 0 and ranges[-1][1] == count
                 assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
                 sizes = [end - start for start, end in ranges]
-                assert len(sizes) == max(1, min(workers, count // floor))
-                assert max(sizes) - min(sizes) <= 1
+                assert len(sizes) == max(1, min(wanted, count // floor))
                 assert len(sizes) == 1 or min(sizes) >= floor
+                assert all(size % floor == 0 for size in sizes[:-1])
+                blocks = [size // floor for size in sizes]
+                assert max(blocks) - min(blocks) <= 1
 
     def test_explicit_chunk_size_overrides_the_floor(self):
         assert make_range_chunks(10, workers=3, chunk_size=4, floor=32) == [
