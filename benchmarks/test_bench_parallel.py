@@ -313,49 +313,53 @@ def test_dp_atan_sharing_large_n(benchmark):
     )
 
 
-#: Slack factors for the generation-stage assertions — the same generous
-#: CI-noise allowance as the shm-beats-thread claim above (the paths
-#: being compared differ by a whole serial generation pass, so 1.25 is
-#: still a meaningful bound on a generation-heavy workload).
-_GEN_MATCH_SEQUENTIAL_SLACK = 1.25
-_GEN_BEAT_PARENT_SLACK = 1.25
-
-#: Cold executes per configuration (a fresh engine each); the fastest is
-#: compared, so one descheduled run cannot decide a 1.25x claim.
+#: Cold executes per configuration (a fresh engine and a fresh table
+#: instance each); the fastest is recorded.
 _GEN_ROUNDS = 3
 
 
 def test_generation_stage(benchmark):
     """Parent-side vs worker-side EXTRACT/GROUP on a many-series table.
 
-    The SlopeSeeker regime: thousands of short candidate series, where
-    generation rivals scoring.  Measures (a) the isolated parent-side
-    generation pass, then cold ``execute`` calls per engine configuration —
-    sequential, parallel scoring with parent-side generation, and the
-    fused worker-side path — each on a fresh engine with its pool
-    pre-warmed on a *different* table, so worker-resident caches cannot
-    serve the measured one; the best of :data:`_GEN_ROUNDS` is kept.
-    Byte-identical results are asserted unconditionally; the speed
-    claims (worker-side at least matches parent-side single-core and
-    beats parent-side generation + parallel scoring) only where the
-    hardware and workload can express them, as with the other pool
-    benchmarks.
+    The SlopeSeeker regime: hundreds of short candidate series, where
+    generation used to rival scoring.  Measures (a) the isolated
+    parent-side generation pass, then cold ``execute`` calls per engine
+    configuration — sequential, parallel scoring with parent-side
+    generation, and the fused worker-side path — each on a fresh engine
+    with its pool pre-warmed on a *different* table, and on a fresh
+    ``Table`` instance over the same columns, so neither worker-resident
+    caches nor the table-attached memos (fingerprint, z encoding) can
+    serve the measured run; the best of :data:`_GEN_ROUNDS` is kept.
+
+    Byte-identical results are asserted unconditionally.  The timings are
+    *recorded*, not asserted: since the block kernel
+    (``repro.engine.collection``) a parent-side generation pass is a
+    fifth of the sequential run or less, so deferring it to workers no
+    longer pays for what deferral costs per fresh table — the
+    parent-serial fingerprint and group count, the attach, and one z
+    encoding per worker.  On the 2-vCPU box this was sized on, worker-side
+    reads 1.0x the sequential run at 900 x 100 and 1.3-1.9x *slower* at
+    every larger size the suites offer (table in CHANGES.md, PR 17); the
+    old "within 1.25x of sequential" bound holds only by luck.  Whether
+    ``generation="worker"`` survives is ROADMAP item 4's call, on this
+    record.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    # Sized so a sequential pass (~0.25 ms per series) is several times
-    # the process path's fixed ~55 ms per fresh table (attach, first-touch
-    # generation, round trips): below ~300 series the whole pass finishes
-    # before a pool has handed out a shard.
     viz = max(60, int(3600 * SCALE))
     length = max(100, int(160 * SCALE))
     table = suite_table("50words", max_visualizations=viz, max_length=length)
     warm_table = suite_table("weather", max_visualizations=8, max_length=60)
     query = parse(SUITES["50words"].fuzzy_queries[0])
 
+    from repro.data.table import Table
     from repro.engine.pipeline import generate_trendlines
 
+    def fresh_table():
+        return Table.from_shared({name: table.column(name) for name in table.column_names})
+
+    cold = fresh_table()
     started = time.perf_counter()
-    generate_trendlines(table, PARAMS)
+    generate_trendlines(cold, PARAMS)
     parent_generate_s = time.perf_counter() - started
 
     timings = {}
@@ -367,12 +371,13 @@ def test_generation_stage(benchmark):
         ("worker-parallel", {"workers": WORKERS, "backend": "process",
                              "shm": True, "generation": "worker"}),
     ]
-    for name, kwargs in configs:
-        for _round in range(_GEN_ROUNDS):
+    for _round in range(_GEN_ROUNDS):
+        for name, kwargs in configs:
             with ShapeSearchEngine(**kwargs) as engine:
                 engine.run(warm_table, PARAMS, query, k=10)  # warm the pool
+                cold = fresh_table()
                 started = time.perf_counter()
-                matches = engine.run(table, PARAMS, query, k=10)
+                matches = engine.run(cold, PARAMS, query, k=10)
                 elapsed = time.perf_counter() - started
                 timings[name] = min(timings.get(name, elapsed), elapsed)
                 signatures[name] = _signature(matches)
@@ -406,18 +411,6 @@ def test_generation_stage(benchmark):
             / max(timings["worker-parallel"], 1e-9),
         },
     )
-    # With real cores, worker-side generation must at least match the
-    # single-core parent path and beat parent-side generation feeding
-    # parallel scoring (its whole point is removing the serial stage).
-    if (os.cpu_count() or 1) >= 2 and SCALE >= 0.25:
-        assert (
-            timings["worker-parallel"]
-            <= timings["sequential"] * _GEN_MATCH_SEQUENTIAL_SLACK
-        )
-        assert (
-            timings["worker-parallel"]
-            <= timings["parent-parallel"] * _GEN_BEAT_PARENT_SLACK
-        )
 
 
 #: CI-noise slack on the index-beats-full-scan claim: the assert only

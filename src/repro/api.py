@@ -203,8 +203,8 @@ class TailSearch(PreparedSearch):
     only the appended row range as a delta segment chained onto the
     previous publication (:meth:`repro.engine.shm.ShmSession.acquire_append`),
     so the per-refresh transport cost is proportional to the delta, not
-    the table.  Workers extend resident state — the attached table, the
-    grouping index, and (for ``algorithm="dp"``) the retained DP tables
+    the table.  Workers extend resident state — the attached table, its
+    z encoding, and (for ``algorithm="dp"``) the retained DP tables
     that make the suffix re-solve a work-skip.
 
     A refresh is atomic with respect to failure: a cancelled or failed
@@ -223,17 +223,13 @@ class TailSearch(PreparedSearch):
     def __init__(self, table: Table, engine: ShapeSearchEngine, node: Node,
                  compiled: CompiledQuery, params: VisualParams, k: int = 10,
                  workers: Optional[int] = None, progress=None):
+        from repro.engine.collection import require_columns
         from repro.engine.pipeline import IncrementalMerge, query_constrains_y
         from repro.engine.pruning import is_prunable
         from repro.engine.pushdown import plan_pushdown
 
         super().__init__(table, engine, node, compiled, params)
-        for name in (params.z, params.x, params.y):
-            if name not in table:
-                raise DataError(
-                    "visual parameter column {!r} not in table (columns: {})"
-                    .format(name, table.column_names)
-                )
+        require_columns(table, params)
         self.k = k
         self._workers = workers
         self._progress = progress
@@ -373,21 +369,13 @@ class TailSearch(PreparedSearch):
         idempotent, so a failed refresh retried over the same delta
         resolves to the same indices.
         """
-        from repro.data.filters import apply_filters
+        from repro.engine.collection import grouping
 
-        delta_columns = {
-            name: table.column(name)[start:] for name in table.column_names
-        }
-        filtered = apply_filters(
-            Table.from_shared(delta_columns), self.params.filters
+        delta = Table.from_shared(
+            {name: table.column(name)[start:] for name in table.column_names}
         )
         indices = []
-        seen = set()
-        for value in filtered.column(self.params.z).tolist():
-            key = canonical_group_key(value)
-            if key in seen:
-                continue
-            seen.add(key)
+        for key in grouping(delta, self.params)[2]:
             index = self._key_index.get(key)
             if index is None:
                 index = len(self._order)

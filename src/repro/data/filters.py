@@ -78,11 +78,16 @@ def parse_filter(text: str) -> Filter:
     return Filter(column=match.group("column").strip(), op=op, value=value)
 
 
-def apply_filters(table: Table, filters: Sequence[Filter]) -> Table:
-    """Conjunction of all filters (``&&`` in the paper's UI)."""
-    if not filters:
-        return table
+def filter_mask(table: Table, filters: Sequence[Filter]) -> np.ndarray:
+    """Rows satisfying every filter — the conjunction ``&&`` in the paper's UI."""
     mask = np.ones(len(table), dtype=bool)
     for item in filters:
         mask &= item.mask(table)
-    return table.where(mask)
+    return mask
+
+
+def apply_filters(table: Table, filters: Sequence[Filter]) -> Table:
+    """The rows of ``table`` that satisfy every filter."""
+    if not filters:
+        return table
+    return table.where(filter_mask(table, filters))

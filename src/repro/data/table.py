@@ -77,6 +77,55 @@ def canonical_group_key(value: Any) -> Any:
     return value
 
 
+def _encode_values(values: np.ndarray, slots: Dict[Hashable, int]) -> np.ndarray:
+    """The one per-row walk of a grouped column: values -> ``intp`` codes.
+
+    ``slots`` maps each distinct key to its code and is extended in
+    place, so its insertion order *is* the first-seen key order.  Keys
+    meet under dict equality (``1``, ``1.0`` and ``True`` are one key,
+    the first seen) and every NaN coalesces into :data:`_NAN_KEY` —
+    exactly what the per-row ``group_by`` loop this replaces did.  The
+    funnel runs once per table and once per appended delta, never per
+    query.
+    """
+    codes = []
+    for value in values.tolist():
+        if isinstance(value, float) and value != value:
+            value = _NAN_KEY
+        codes.append(slots.setdefault(value, len(slots)))
+    return np.array(codes, dtype=np.intp)
+
+
+class ColumnEncoding:
+    """Dictionary encoding of one column: first-seen ``keys`` + ``codes``.
+
+    ``codes[row]`` indexes ``keys``; ``slots`` is the key -> code map an
+    append extends.  Instances are immutable once built (``codes`` is
+    read-only and :meth:`extended` grows a copy of ``slots``), so a
+    table and every table appended from it each hold their own encoding
+    without seeing the other's keys.
+    """
+
+    __slots__ = ("keys", "codes", "slots")
+
+    def __init__(self, slots: Dict[Hashable, int], codes: np.ndarray) -> None:
+        codes.setflags(write=False)
+        self.slots = slots
+        self.keys: List[Hashable] = list(slots)
+        self.codes = codes
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "ColumnEncoding":
+        slots: Dict[Hashable, int] = {}
+        return cls(slots, _encode_values(values, slots))
+
+    def extended(self, tail: np.ndarray) -> "ColumnEncoding":
+        """The encoding of this column plus ``tail``, visiting only ``tail``."""
+        slots = dict(self.slots)
+        codes = np.concatenate([self.codes, _encode_values(tail, slots)])
+        return ColumnEncoding(slots, codes)
+
+
 class Table:
     """Immutable columnar table: column name -> numpy array.
 
@@ -94,6 +143,9 @@ class Table:
     #: the base table's index attachment so extension reuses it — absent
     #: on tables that were never appended from.
     _shape_index_base: Dict[Any, Any]
+    #: Per-column dictionary encodings (:meth:`encoding`), built lazily
+    #: for the columns a query groups by and extended by ``append_rows``.
+    _encodings: Dict[str, ColumnEncoding]
 
     def __init__(self, columns: Dict[str, np.ndarray]) -> None:
         if not columns:
@@ -388,6 +440,7 @@ class Table:
         # restarts too (repro.engine.artifacts keeps entry witnesses on
         # disk for exactly this reuse).
         appended._shape_index_base = attached_state(self, "_shape_index_state", dict)
+        appended.extend_encodings(self)
         if incremental:
             base = column_digests(self)
             digests: Dict[str, "hashlib._Hash"] = {}
@@ -398,6 +451,38 @@ class Table:
             appended._column_digests = digests
             appended._fingerprint = _combined_fingerprint(appended, digests)
         return appended
+
+    def encoding(self, name: str) -> ColumnEncoding:
+        """The column's dictionary encoding, built on first use and kept.
+
+        Tables are immutable, so the encoding never goes stale;
+        :meth:`append_rows` (and the worker-side delta attach) hand the
+        appended table an encoding *extended* by the new rows only.
+        """
+        encodings: Dict[str, ColumnEncoding] = attached_state(self, "_encodings", dict)
+        encoding = encodings.get(name)
+        if encoding is None:
+            encoding = encodings[name] = ColumnEncoding.of(self.column(name))
+        return encoding
+
+    def extend_encodings(self, base: "Table") -> None:
+        """Adopt ``base``'s encodings, extended by this table's extra rows.
+
+        The caller guarantees this table's first ``len(base)`` rows *are*
+        ``base``'s.  A column whose dtype the append changed is skipped:
+        its key objects may differ (``1`` widened to ``1.0``), so it is
+        re-encoded lazily like any fresh column.  (A string column that
+        only grew wider still holds the same ``str`` keys and extends.)
+        """
+        for name, encoding in getattr(base, "_encodings", {}).items():
+            values = self._columns.get(name)
+            if values is None:
+                continue
+            was = base.column(name).dtype
+            if values.dtype == was or values.dtype.kind == was.kind == "U":
+                attached_state(self, "_encodings", dict)[name] = encoding.extended(
+                    values[len(base):]
+                )
 
     def group_by(
         self, name: str, nan_policy: str = "coalesce"
@@ -414,24 +499,15 @@ class Table:
             raise DataError(
                 "unknown nan_policy {!r}; expected one of {}".format(nan_policy, NAN_POLICIES)
             )
-        values = self.column(name)
-        seen: Dict[Hashable, int] = {}
-        buckets: List[List[int]] = []
-        keys: List[Hashable] = []
-        for index, value in enumerate(values.tolist()):
-            if isinstance(value, float) and value != value:
-                if nan_policy == "drop":
-                    continue
-                value = _NAN_KEY
-            slot = seen.get(value)
-            if slot is None:
-                seen[value] = len(buckets)
-                buckets.append([index])
-                keys.append(value)
-            else:
-                buckets[slot].append(index)
-        for key, bucket in zip(keys, buckets):
-            yield key, np.asarray(bucket)
+        encoding = self.encoding(name)
+        # A stable sort on the codes lists each key's rows in row order.
+        order = np.argsort(encoding.codes, kind="stable")
+        counts = np.bincount(encoding.codes, minlength=len(encoding.keys))
+        buckets = np.split(order, np.cumsum(counts)[:-1])
+        dropped = encoding.slots.get(_NAN_KEY) if nan_policy == "drop" else None
+        for code, (key, rows) in enumerate(zip(encoding.keys, buckets)):
+            if code != dropped:
+                yield key, rows
 
 
 def _update_column_digest(digest: "hashlib._Hash", values: np.ndarray) -> None:

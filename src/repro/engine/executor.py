@@ -717,7 +717,7 @@ class ShapeSearchEngine:
         normalize_y: bool,
         plan,
         stats: ExecutionStats,
-    ) -> List[Trendline]:
+    ) -> Sequence[Trendline]:
         """EXTRACT ∘ GROUP, through the trendline cache when configured."""
         if self.cache is None:
             return generate_trendlines(table, params, normalize_y, plan)

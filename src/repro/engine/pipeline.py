@@ -4,12 +4,14 @@ Two layers live here:
 
 * The **EXTRACT and GROUP operators** of paper §5.3 (Figure 5).  EXTRACT
   selects and aggregates records by the visual parameters (z, x, y,
-  filters, aggregation) and streams per-z point sets, sorted on x.
-  GROUP turns each point set into a
-  :class:`~repro.engine.trendline.Trendline`: z-score normalization
-  (when the query has no raw-y constraints), optional binning by width
-  ``b``, and the per-bin summarized statistics of Theorem 5.1.  The
-  push-down hooks of §5.4 thread through both operators.
+  filters, aggregation) into per-z point sets, sorted on x.  GROUP turns
+  each point set into a :class:`~repro.engine.trendline.Trendline`:
+  z-score normalization (when the query has no raw-y constraints),
+  optional binning by width ``b``, and the per-bin summarized statistics
+  of Theorem 5.1.  The push-down hooks of §5.4 thread through both.
+  Both run as one block kernel over the whole table
+  (:mod:`repro.engine.collection`); this module holds its entry points —
+  all groups, a worker's group-index range, the groups an append touched.
 
 * The **staged physical-operator pipeline** of §7's execution engine: a
   small planner (:func:`plan_pipeline`) compiles one query execution
@@ -33,42 +35,26 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.filters import apply_filters
-from repro.data.table import Table, attached_state, canonical_group_key
+from repro.data.table import Table, attached_state
 from repro.data.visual_params import VisualParams
-from repro.engine.cache import plan_fingerprint
-from repro.engine.pushdown import PushdownPlan, has_required_data, plan_pushdown
+from repro.engine.cache import LRUCache, plan_fingerprint
+from repro.engine.collection import (
+    Collection,
+    build_collection,
+    count_groups,
+    require_columns,
+)
+from repro.engine.pushdown import PushdownPlan, plan_pushdown
 from repro.engine.shape_index import MIN_SEED_CANDIDATES, index_supports, prune_with_seeds
-from repro.engine.trendline import Trendline, build_trendline, cast_trendline
-from repro.errors import DataError
-
-_AGGREGATES = {
-    "mean": np.mean,
-    "sum": np.sum,
-    "min": np.min,
-    "max": np.max,
-    "count": len,
-    "median": np.median,
-}
-
+from repro.engine.trendline import Trendline, cast_trendline
 
 # ---------------------------------------------------------------------------
 # EXTRACT / GROUP (logical operators, paper §5.3)
 # ---------------------------------------------------------------------------
-
-
-def _require_columns(table: Table, params: VisualParams) -> None:
-    for name in (params.z, params.x, params.y):
-        if name not in table:
-            raise DataError(
-                "visual parameter column {!r} not in table (columns: {})".format(
-                    name, table.column_names
-                )
-            )
 
 
 def _required_columns(table: Table, params: VisualParams):
@@ -84,102 +70,22 @@ def _required_columns(table: Table, params: VisualParams):
     return None if len(subset) == len(table.column_names) else subset
 
 
-def _extract_stream(filtered, params, key, indices, plan, aggregate):
-    """EXTRACT for one group: ``(key, sorted x, aggregated y)`` or None.
-
-    The single copy of the per-group selection rule — duplicate-x
-    aggregation, push-down (a) skipping, the two-point floor — shared by
-    the streaming :func:`extract` and the worker-side
-    :func:`generate_range`, so parent- and worker-side generation cannot
-    drift apart.
-    """
-    x = filtered.column(params.x)[indices].astype(float)
-    y = filtered.column(params.y)[indices].astype(float)
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    if plan is not None and plan.required_spans and not has_required_data(
-        x, plan.required_spans
-    ):
-        return None
-    unique_x, inverse = np.unique(x, return_inverse=True)
-    if len(unique_x) != len(x):
-        aggregated = np.empty(len(unique_x))
-        for slot in range(len(unique_x)):
-            aggregated[slot] = aggregate(y[inverse == slot])
-        x, y = unique_x, aggregated
-    if len(x) < 2:
-        return None
-    return key, x, y
-
-
-def _group_stream(key, x, y, params, normalize_y, plan) -> Optional[Trendline]:
-    """GROUP for one stream: build the Trendline (or None when degenerate).
-
-    Push-down (c): when the plan says the query is fully pinned, the
-    summarized statistics are materialized only over the union of the
-    pinned x ranges.
-    """
-    keep_range = None
-    if plan is not None and plan.keep_span is not None:
-        lo_x, hi_x = plan.keep_span
-        lo_bin = int(np.searchsorted(x, lo_x, side="left"))
-        hi_bin = int(np.searchsorted(x, hi_x, side="right"))
-        if params.bin_width is None and hi_bin - lo_bin >= 2:
-            keep_range = (lo_bin, hi_bin)
-    try:
-        return build_trendline(
-            key,
-            x,
-            y,
-            bin_width=params.bin_width,
-            normalize_y=normalize_y,
-            keep_range=keep_range,
-        )
-    except DataError:
-        return None
-
-
-def extract(
-    table: Table,
-    params: VisualParams,
-    plan: Optional[PushdownPlan] = None,
-) -> Iterator[Tuple[Hashable, np.ndarray, np.ndarray]]:
-    """EXTRACT: stream ``(z value, sorted x, aggregated y)`` per group.
-
-    Duplicate x values inside a group are collapsed with the configured
-    aggregate (the paper's Real-Estate case).  Push-down (a) skips groups
-    lacking data in any pinned x span of the query.
-    """
-    _require_columns(table, params)
-    filtered = apply_filters(table, params.filters)
-    aggregate = _AGGREGATES[params.aggregate]
-    for key, indices in filtered.group_by(params.z):
-        stream = _extract_stream(filtered, params, key, indices, plan, aggregate)
-        if stream is not None:
-            yield stream
-
-
-def group(
-    streams: Iterator[Tuple[Hashable, np.ndarray, np.ndarray]],
-    params: VisualParams,
-    normalize_y: bool = True,
-    plan: Optional[PushdownPlan] = None,
-) -> Iterator[Trendline]:
-    """GROUP: build one Trendline per z value."""
-    for key, x, y in streams:
-        trendline = _group_stream(key, x, y, params, normalize_y, plan)
-        if trendline is not None:
-            yield trendline
-
-
 def generate_trendlines(
     table: Table,
     params: VisualParams,
     normalize_y: bool = True,
     plan: Optional[PushdownPlan] = None,
-) -> List[Trendline]:
-    """EXTRACT ∘ GROUP: the candidate visualizations ``gen(R)``."""
-    return list(group(extract(table, params, plan), params, normalize_y, plan))
+) -> Collection:
+    """EXTRACT ∘ GROUP: the candidate visualizations ``gen(R)``.
+
+    One :func:`~repro.engine.collection.build_collection` pass: EXTRACT
+    selects records by the visual parameters, sorts each z value's points
+    on x and collapses duplicate x values with the configured aggregate
+    (the paper's Real-Estate case); GROUP bins, normalizes and summarizes
+    them.  The returned :class:`~repro.engine.collection.Collection` is a
+    sequence of :class:`Trendline` views in group order.
+    """
+    return build_collection(table, params, normalize_y, plan)
 
 
 def query_constrains_y(query) -> bool:
@@ -195,91 +101,9 @@ def query_constrains_y(query) -> bool:
 # Worker-side generation (the parallel Extract/Group implementation)
 # ---------------------------------------------------------------------------
 
-class _GenerationState:
-    """Worker-side generation caches for one :class:`Table` *instance*.
-
-    Attached to the table itself (``table._generation_state``) rather
-    than held in module globals, so the caches live exactly as long as
-    the table: dropping the table — or a worker store evicting its
-    reattached copy — frees the grouping index and every generated range
-    with it, with no engine-lifecycle hook required.  Each map is a
-    small LRU; the lock serializes the grouping pass (concurrent
-    thread-backend tasks wait for one pass instead of duplicating it)
-    while range generation itself runs outside it.
-    """
-
-    __slots__ = ("lock", "groupings", "counts", "ranges", "__weakref__")
-
-    #: (z, filters) -> (filtered table, [(key, row indices)]).
-    MAX_GROUPINGS = 4
-    #: (params, normalize_y, plan effect, range) -> [(index, Trendline)].
-    MAX_RANGES = 64
-    #: (z, filters) -> group count (the parent-side planner memo).
-    MAX_COUNTS = 16
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.groupings: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self.counts: "OrderedDict[tuple, int]" = OrderedDict()
-        self.ranges: "OrderedDict[tuple, list]" = OrderedDict()
-
-
-def _generation_state(table: Table) -> _GenerationState:
-    return attached_state(table, "_generation_state", _GenerationState)
-
-
-def _grouping(table: Table, params: VisualParams):
-    """The cached ``(filtered table, group list)`` for one table+params.
-
-    Group enumeration order is ``Table.group_by``'s first-seen order —
-    exactly the order :func:`extract` iterates — which is what makes
-    group-index ranges a faithful sharding of parent-side generation.
-    """
-    state = _generation_state(table)
-    key = (params.z, params.filters)
-    with state.lock:
-        entry = state.groupings.get(key)
-        if entry is not None:
-            state.groupings.move_to_end(key)
-            return entry
-        filtered = apply_filters(table, params.filters)
-        groups = list(filtered.group_by(params.z))
-        state.groupings[key] = (filtered, groups)
-        while len(state.groupings) > state.MAX_GROUPINGS:
-            state.groupings.popitem(last=False)
-        return filtered, groups
-
-
-def count_groups(table: Table, params: VisualParams) -> int:
-    """Number of candidate groups (distinct filtered z values).
-
-    This is the worker-side shard domain: group *indices* are sharded,
-    so the parent only ever needs the count — one cheap column pass,
-    memoized on the table — while the index itself is built
-    worker-resident by :func:`_grouping`.
-    """
-    state = _generation_state(table)
-    key = (params.z, params.filters)
-    with state.lock:
-        entry = state.groupings.get(key)
-        if entry is not None:
-            return len(entry[1])
-        count = state.counts.get(key)
-        if count is not None:
-            state.counts.move_to_end(key)
-            return count
-    filtered = apply_filters(table, params.filters)
-    # Distinct-value count under dict/set semantics with the same NaN
-    # canonicalization group_by buckets with (every NaN coalesces into
-    # one key), so the count always matches len(groups).
-    count = len(
-        {canonical_group_key(value) for value in filtered.column(params.z).tolist()}
-    )
-    with state.lock:
-        state.counts[key] = count
-        while len(state.counts) > state.MAX_COUNTS:
-            state.counts.popitem(last=False)
-    return count
+#: Generated ranges a table keeps: (params, normalize_y, plan effect,
+#: range) -> [(index, Trendline)].
+_MAX_RANGES = 64
 
 
 def generate_range(
@@ -292,39 +116,29 @@ def generate_range(
 ) -> List[Tuple[int, Trendline]]:
     """Worker-side EXTRACT ∘ GROUP over group indices ``[start, end)``.
 
-    Returns ``(group index, trendline)`` pairs — groups dropped by
-    extraction (too few points, push-down skips) or grouping (degenerate
-    series) leave gaps, preserving the global generation order across
-    shards.  Results are memoized on the (worker-resident) table keyed
-    by VisualParams + normalization + push-down effect + range; range
-    boundaries are deterministic (``make_range_chunks``), so repeat
-    queries that land the same range on the same worker skip
+    Group indices follow the first-seen order of the filtered z values —
+    exactly the order :func:`generate_trendlines` enumerates — which is
+    what makes index ranges a faithful sharding of parent-side
+    generation.  Returns ``(group index, trendline)`` pairs — groups
+    dropped by extraction (too few points, push-down skips) or grouping
+    (degenerate series) leave gaps, preserving the global generation
+    order across shards.  Results are memoized on the (worker-resident)
+    table keyed by VisualParams + normalization + push-down effect +
+    range; range boundaries are deterministic (``make_range_chunks``),
+    so repeat queries that land the same range on the same worker skip
     EXTRACT/GROUP entirely.
     """
-    state = _generation_state(table)
+    # The memo hangs off the table instance itself rather than a module
+    # global, so it lives exactly as long as the table: dropping the
+    # table — or a worker store evicting its reattached copy — frees
+    # every generated range with it, with no engine-lifecycle hook.
+    ranges = attached_state(table, "_generation_state", lambda: LRUCache(_MAX_RANGES))
     cache_key = (params, bool(normalize_y), plan_fingerprint(plan), start, end)
-    with state.lock:
-        pairs = state.ranges.get(cache_key)
-        if pairs is not None:
-            state.ranges.move_to_end(cache_key)
-            return pairs
-    filtered, groups = _grouping(table, params)
-    aggregate = _AGGREGATES[params.aggregate]
-    pairs = []
-    for index in range(start, min(end, len(groups))):
-        key, indices = groups[index]
-        stream = _extract_stream(filtered, params, key, indices, plan, aggregate)
-        if stream is None:
-            continue
-        trendline = _group_stream(*stream, params=params,
-                                  normalize_y=normalize_y, plan=plan)
-        if trendline is None:
-            continue
-        pairs.append((index, trendline))
-    with state.lock:
-        state.ranges[cache_key] = pairs
-        while len(state.ranges) > state.MAX_RANGES:
-            state.ranges.popitem(last=False)
+    pairs = ranges.get(cache_key)
+    if pairs is None:
+        collection = build_collection(table, params, normalize_y, plan, range(start, end))
+        pairs = list(zip(collection.groups.tolist(), collection))
+        ranges.put(cache_key, pairs)
     return pairs
 
 
@@ -507,24 +321,19 @@ def score_tail_groups(
 
     table = table_ref if isinstance(table_ref, Table) else resolve_table(table_ref)
     compiled = resolve_query(query)
-    filtered, groups = _grouping(table, params)
-    aggregate = _AGGREGATES[params.aggregate]
+    collection = build_collection(table, params, normalize_y, plan, indices)
+    keys = collection.group_keys
+    generated = dict(zip(collection.groups.tolist(), collection))
     out: List[list] = []  # [index, key, result, trendline]
     for index in indices:
-        if index >= len(groups):
+        if index >= len(keys):
             out.append([index, None, None, None])
             continue
-        key, rows = groups[index]
-        stream = _extract_stream(filtered, params, key, rows, plan, aggregate)
-        trendline = None
-        if stream is not None:
-            trendline = _group_stream(
-                *stream, params=params, normalize_y=normalize_y, plan=plan
-            )
+        trendline = generated.get(index)
         if trendline is None:
             with _TAIL_STATES_LOCK:
-                _tail_state_pop_locked((id(compiled), key))
-        out.append([index, key, None, trendline])
+                _tail_state_pop_locked((id(compiled), keys[index]))
+        out.append([index, keys[index], None, trendline])
     rescored = [entry for entry in out if entry[3] is not None]
     if algorithm == "dp":
         results = [
@@ -681,7 +490,7 @@ class ScanTable(Operator):
         self.mode = mode  # "in-process" | "shared-memory"
 
     def run(self, ctx, _value) -> TableSource:
-        _require_columns(self.table, self.params)
+        require_columns(self.table, self.params)
         handle = None
         if self.mode == "shared-memory":
             # The only mode that needs the content fingerprint — computed
@@ -734,17 +543,9 @@ class ExtractGroup(Operator):
     def run(self, ctx, source: TableSource) -> Candidates:
         ctx.stats.generation = self.mode
         if self.mode == "worker":
-            if source.handle is not None:
-                # Process backend: the parent never builds the grouping
-                # (workers do, resident), so a memoized count-only pass
-                # establishes the shard domain.
-                group_count = count_groups(source.table, source.params)
-            else:
-                # Thread backend: the pool shares this very table
-                # instance, so building (and caching) the grouping here
-                # *is* the workers' grouping — no separate count pass.
-                _filtered, groups = _grouping(source.table, source.params)
-                group_count = len(groups)
+            # Group *indices* are sharded, so the parent only needs their
+            # count, read off the table's z encoding.
+            group_count = count_groups(source.table, source.params)
             return Candidates(
                 deferred=DeferredGeneration(
                     source=source,

@@ -77,15 +77,6 @@ def plan_pushdown(query: CompiledQuery) -> PushdownPlan:
     return plan
 
 
-def has_required_data(x_values: np.ndarray, spans: List[Tuple[float, float]]) -> bool:
-    """Push-down (a): does the group have data inside every pinned span?"""
-    for lo, hi in spans:
-        inside = (x_values >= lo) & (x_values <= hi)
-        if not inside.any():
-            return False
-    return True
-
-
 def eager_discard(trendline: Trendline, query: CompiledQuery) -> bool:
     """Push-down (b): the paper's eager pinned-pattern predicate.
 

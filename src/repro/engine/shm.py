@@ -678,6 +678,9 @@ def attach_table_delta(handle: TableDeltaHandle) -> Tuple[Table, None]:
     finally:
         segment.close()
     table = Table.from_shared(columns, fingerprint=handle.token)
+    # The resident base already encoded its group column: extend that by
+    # the delta rows instead of re-walking the whole column per append.
+    table.extend_encodings(base)
     return table, None
 
 

@@ -62,3 +62,24 @@ def rule_tagger():
     from repro.nlp.tagger import EntityTagger
 
     return EntityTagger(mode="rule")
+
+
+def same_key(a, b) -> bool:
+    """Group keys equal *as objects*: same type, same value, NaN == NaN."""
+    return (a != a and b != b) or (type(a) is type(b) and a == b)
+
+
+@pytest.fixture
+def encoded_rows(monkeypatch):
+    """Row counts of every walk through the one encode funnel, in order."""
+    from repro.data import table as table_module
+
+    visited = []
+    real = table_module._encode_values
+
+    def counting(values, slots):
+        visited.append(len(values))
+        return real(values, slots)
+
+    monkeypatch.setattr(table_module, "_encode_values", counting)
+    return visited

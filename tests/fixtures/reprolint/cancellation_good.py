@@ -42,3 +42,23 @@ def score_block(trendlines, query):
 
 def score_single(trendline, query):
     return solve_one(trendline, query, "segment-tree")  # one candidate: fine
+
+
+def generate(table, params):
+    return build_collection(table, params)  # the block kernel
+
+
+def single_series(key, x, y):
+    return build_trendline(key, x, y)  # one series: fine
+
+
+def _encode_values(values, slots):
+    return [slots.setdefault(value, len(slots)) for value in values.tolist()]  # the funnel
+
+
+def count_groups(table, params):
+    return len(table.encoding(params.z).keys)
+
+
+def group_rows(collection):
+    return [index for index in collection.groups.tolist()]  # per group, not a column

@@ -8,10 +8,12 @@ from repro.data.filters import Filter
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.engine.chains import compile_query
-from repro.engine.pipeline import extract, generate_trendlines
-from repro.engine.pushdown import eager_discard, has_required_data, plan_pushdown
+from repro.engine.pipeline import generate_trendlines
+from repro.engine.pushdown import eager_discard, plan_pushdown
 
 from tests.conftest import make_trendline
+from tests.oracles import generation as oracle
+from tests.oracles.generation import has_required_data
 
 
 def _table():
@@ -90,21 +92,31 @@ class TestEagerDiscard:
         assert not eager_discard(tl, compile_query(tree))
 
 
+def _kernel_streams(table, params, plan=None):
+    """The block kernel's EXTRACT output: each trendline's raw points."""
+    for trendline in generate_trendlines(table, params, plan=plan):
+        yield trendline.key, trendline.x, trendline.y
+
+
 class TestExtract:
+    """EXTRACT's contract, stated on the per-group reference."""
+
+    extract = staticmethod(oracle.extract)
+
     def test_groups_sorted_by_x(self):
-        streams = dict((key, (x, y)) for key, x, y in extract(_table(), PARAMS))
+        streams = dict((key, (x, y)) for key, x, y in self.extract(_table(), PARAMS))
         assert set(streams) == {"rise", "fall", "short"}
         x, y = streams["rise"]
         assert list(x) == sorted(x)
 
     def test_filters_applied(self):
         params = VisualParams(z="z", x="x", y="y", filters=(Filter("z", "!=", "short"),))
-        keys = [key for key, _, _ in extract(_table(), params)]
+        keys = [key for key, _, _ in self.extract(_table(), params)]
         assert keys == ["rise", "fall"]
 
     def test_string_filters_parsed(self):
         params = VisualParams(z="z", x="x", y="y", filters=("y >= 5",))
-        streams = dict((key, (x, y)) for key, x, y in extract(_table(), params))
+        streams = dict((key, (x, y)) for key, x, y in self.extract(_table(), params))
         assert all((y >= 5).all() for _, y in streams.values())
 
     def test_duplicate_x_aggregated(self):
@@ -113,7 +125,7 @@ class TestExtract:
             x=np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
             y=np.array([1.0, 3.0, 4.0, 6.0, 8.0, 10.0]),
         )
-        key, x, y = next(extract(table, PARAMS))
+        key, x, y = next(self.extract(table, PARAMS))
         assert list(x) == [0, 1, 2]
         assert list(y) == [2.0, 5.0, 9.0]
 
@@ -125,20 +137,26 @@ class TestExtract:
         )
         for aggregate, expected in [("sum", [4.0, 10.0]), ("max", [3.0, 6.0]), ("min", [1.0, 4.0])]:
             params = VisualParams(z="z", x="x", y="y", aggregate=aggregate)
-            _, _, y = next(extract(table, params))
+            _, _, y = next(self.extract(table, params))
             assert list(y) == expected
 
     def test_pushdown_a_skips_groups(self):
         tree = q.concat(q.up(x_start=10, x_end=20), q.down())
         plan = plan_pushdown(compile_query(tree))
-        keys = [key for key, _, _ in extract(_table(), PARAMS, plan)]
+        keys = [key for key, _, _ in self.extract(_table(), PARAMS, plan)]
         assert "short" not in keys
 
     def test_unknown_column_raises(self):
         from repro.errors import DataError
 
         with pytest.raises(DataError):
-            list(extract(_table(), VisualParams(z="nope", x="x", y="y")))
+            list(self.extract(_table(), VisualParams(z="nope", x="x", y="y")))
+
+
+class TestKernelExtract(TestExtract):
+    """The same contract, on what the block kernel extracts."""
+
+    extract = staticmethod(_kernel_streams)
 
 
 class TestGroup:

@@ -36,6 +36,7 @@ CASES = [
     ("REP032", "cancellation", 1),
     ("REP033", "cancellation", 1),
     ("REP034", "cancellation", 2),
+    ("REP035", "cancellation", 3),
     ("REP041", "deprecation", 2),
     ("REP051", "kernel", 1),
     ("REP052", "kernel", 1),
@@ -91,6 +92,12 @@ class TestRuleFixtures:
         assert RULES_BY_ID["REP081"].applies("src/repro/serving/app.py")
         assert not RULES_BY_ID["REP081"].applies("src/repro/engine/executor.py")
         assert not RULES_BY_ID["REP081"].applies("tests/test_serving.py")
+        funnel = RULES_BY_ID["REP035"]
+        assert funnel.applies("src/repro/engine/pipeline.py")
+        assert funnel.applies("src/repro/api.py")
+        assert funnel.applies("src/repro/data/table.py")
+        assert not funnel.applies("src/repro/datasets/suites.py")
+        assert not funnel.applies("tests/oracles/generation.py")
 
 
 class TestInlineSuppression:

@@ -21,6 +21,7 @@ from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.datasets.suites import SUITES, suite_trendlines
 from repro.engine import parallel, pipeline, shm
+from repro.engine.collection import Collection
 from repro.engine.executor import ShapeSearchEngine
 from repro.engine.parallel import (
     dispatch_index_bounds,
@@ -356,6 +357,41 @@ class TestWorkDoneOnce:
                 assert indexed.stats.index_pruned == 200
                 assert indexed.stats.shards > 2  # the survivors crossed the pool
             assert len(engine._shm_session()._collections) == published
+
+    def test_generated_collection_is_published_once(self, monkeypatch):
+        # scale_scan's shape: a cached, indexed process-backend engine
+        # asked many (shape, y, k) combinations over one table.  Each y
+        # column is one generated Collection; its Trendline views are the
+        # same objects on every run, so the session's identity witness
+        # holds and the segment is published exactly once per collection.
+        table = _smooth_table(count=400, hit_every=2)
+        table = Table.from_arrays(
+            z=table.column("z"), x=table.column("x"), y=table.column("y"),
+            y2=table.column("y") * 2.0 + 1.0,
+        )
+        published = []
+        real = shm.publish_trendlines
+
+        def counting(trendlines, token=None):
+            published.append(trendlines)
+            return real(trendlines, token)
+
+        monkeypatch.setattr(shm, "publish_trendlines", counting)
+        queries = [UP_DOWN, q.concat(q.down(), q.up()), q.concat(q.up(), q.down(), q.up())]
+        with ShapeSearchEngine(
+            index=True, cache=True, workers=2, backend="process"
+        ) as engine:
+            for _sweep in range(2):
+                for y in ("y", "y2"):
+                    params = VisualParams(z="z", x="x", y=y)
+                    for query in queries:
+                        for k in (3, 10):
+                            result = engine.run(table, params, query, k=k)
+                            assert len(result) == k
+            assert engine.run(table, PARAMS, UP_DOWN, k=5).stats.shards > 2
+            assert len(engine._shm_session()._collections) == 2
+        assert len(published) == 2
+        assert all(isinstance(sent, Collection) and len(sent) == 400 for sent in published)
 
     def test_position_scored_shard_pickles_without_trendlines(self):
         trendlines = _smooth_collection(count=20)

@@ -104,6 +104,53 @@ class TestDeltaChain:
         finally:
             session.close()
 
+    def test_worker_attach_extends_the_resident_encoding(self, request):
+        """Attaching a delta encodes its rows only, equal to a fresh walk."""
+        from repro.data.table import ColumnEncoding
+
+        session = shm.ShmSession()
+        try:
+            table = _table(6)
+            root = session.table_handle(table)
+            steps = []
+            for rows in (
+                [{"z": "c", "x": 6.0, "n": 6}, {"z": "a", "x": 7.0, "n": 7}],
+                [{"z": ("t", 1), "x": 8.0, "n": 8}],
+                [
+                    {"z": float("nan"), "x": 9.0, "n": 9},
+                    {"z": float("nan"), "x": 10.0, "n": 10},
+                    {"z": "b", "x": 11.0, "n": 11},
+                ],
+            ):
+                base, table = table, table.append_rows(rows)
+                handle, _, tokens = session.acquire_append(table, base, QUERY)
+                steps.append((handle, tokens, table))
+            chain = shm.delta_chain_tokens(steps[-1][0])
+            hidden = {token: shm._LOCAL.pop(token) for token in chain if token in shm._LOCAL}
+            try:
+                resident = shm.resolve_table(root)
+                assert resident.encoding("z").keys == ["a", "b"]
+                visited = request.getfixturevalue("encoded_rows")  # from here on
+                for handle, _tokens, grown in steps:
+                    assert isinstance(handle, shm.TableDeltaHandle)
+                    attached = shm.resolve_table(handle).encoding("z")
+                    fresh = ColumnEncoding.of(grown.column("z"))
+                    assert attached.codes.tolist() == fresh.codes.tolist()
+                    assert [repr(key) for key in attached.keys] == [
+                        repr(key) for key in fresh.keys
+                    ]
+                # One walk per attach, over its delta rows only (the three
+                # fresh walks above are the comparison's own).
+                assert visited == [2, 8, 1, 9, 3, 12]
+            finally:
+                shm._LOCAL.update(hidden)
+                for token in chain:
+                    shm._WORKER_STORE.pop(token, None)
+            for _handle, tokens, _grown in steps:
+                session.unpin(*tokens)
+        finally:
+            session.close()
+
     def test_depth_cap_forces_full_publish(self):
         session = shm.ShmSession()
         try:

@@ -484,14 +484,14 @@ class TestBatchAndRepeat:
             first = engine.run(table, PARAMS, QUERY, k=3)
             # Thread-backend generation state hangs off the table itself
             # (its lifetime, not the engine's or a module global's).
-            state = table._generation_state
-            ranges_cached = len(state.ranges)
+            ranges = table._generation_state
+            ranges_cached = len(ranges)
             assert ranges_cached > 0
             second = engine.run(table, PARAMS, QUERY, k=3)
             assert _signature(first) == _signature(second)
             # Deterministic range boundaries: the repeat reused entries
             # instead of inserting new ones.
-            assert len(state.ranges) == ranges_cached
+            assert len(ranges) == ranges_cached
 
     def test_generation_state_dies_with_the_table(self):
         import gc

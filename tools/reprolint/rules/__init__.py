@@ -16,6 +16,7 @@ from tools.reprolint.rules.cancellation import (
     DispatchFunnelRule,
     ExecutorConfinementRule,
     BatchScoreFunnelRule,
+    CollectionFunnelRule,
 )
 from tools.reprolint.rules.deprecation import ShimCallRule
 from tools.reprolint.rules.kernel import MatrixParityRule, SlopeBasedDeclarationRule
@@ -35,6 +36,7 @@ ALL_RULES = [
     DispatchFunnelRule(),
     ExecutorConfinementRule(),
     BatchScoreFunnelRule(),
+    CollectionFunnelRule(),
     ShimCallRule(),
     MatrixParityRule(),
     SlopeBasedDeclarationRule(),

@@ -12,7 +12,12 @@ and no deterministic-rerun discipline.
 REP034 guards the other Score funnel: candidates are solved together by
 ``solve_many`` (one level-wise array combine per block of trendlines),
 so a per-candidate ``solve_one`` loop in engine code silently falls back
-to one kernel launch per trendline.
+to one kernel launch per trendline.  REP035 guards the stage before it
+the same way: collections are generated by the block kernel
+(``repro.engine.collection``) from the table's dictionary-encoded group
+column, so a per-group ``build_trendline`` loop, or a per-row
+``.tolist()`` walk over a table column, re-introduces the Python loops
+that kernel replaced.
 """
 
 from __future__ import annotations
@@ -147,15 +152,20 @@ class ExecutorConfinementRule(Rule):
             )
 
 
-_LOOPS = (
-    ast.For,
-    ast.AsyncFor,
-    ast.While,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_LOOPS = (ast.For, ast.AsyncFor, ast.While) + _COMPREHENSIONS
+
+
+def _inside_loop(ctx: FileContext, node: ast.AST) -> bool:
+    """True when ``node`` sits in a loop/comprehension of its own function."""
+    current = ctx.parent(node)
+    while current is not None and not isinstance(
+        current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    ):
+        if isinstance(current, _LOOPS):
+            return True
+        current = ctx.parent(current)
+    return False
 
 
 class BatchScoreFunnelRule(Rule):
@@ -178,19 +188,89 @@ class BatchScoreFunnelRule(Rule):
 
     def check(self, ctx: FileContext):
         for node in ctx.walk(ast.Call):
-            if call_name(node) != "solve_one":
+            if call_name(node) == "solve_one" and _inside_loop(ctx, node):
+                yield make_finding(
+                    self,
+                    ctx,
+                    node,
+                    "solve_one called per candidate inside a loop; hand the "
+                    "collection to solve_many",
+                )
+
+
+def _is_column(node: ast.AST, column_names) -> bool:
+    """``t.column(...)``, a slice/gather of one, or a local bound to one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in column_names
+    return call_name(node) == "column"
+
+
+class CollectionFunnelRule(Rule):
+    """REP035: collections come from the block kernel, not Python loops.
+
+    Two shapes are flagged.  A ``build_trendline(...)`` call inside a
+    loop or comprehension — the per-group GROUP the kernel replaced
+    (``build_trendline`` stays the single-series constructor).  And a
+    loop or comprehension that iterates ``<column>.tolist()``, where
+    ``<column>`` is a ``.column(...)`` call, a slice of one, or a local
+    assigned from one in the same function — the per-row walk
+    ``Table.group_by``, ``count_groups`` and the tail's affected-key scan
+    each had before they read ``Table.encoding``.  The one sanctioned
+    walk is the encode funnel ``_encode_values`` (once per table, once
+    per appended delta), exempt by name; arrays received as parameters
+    are not tracked.
+    """
+
+    id = "REP035"
+    name = "collection-funnel"
+    rationale = (
+        "build_collection generates every trendline from the table's z "
+        "encoding in one block pass; a per-group build_trendline loop or a "
+        "per-row .tolist() walk over a column pays Python per group/row on "
+        "every query and append"
+    )
+    scope = ("src/repro/engine/", "src/repro/api.py", "src/repro/data/table.py")
+
+    def check(self, ctx: FileContext):
+        for node in ctx.walk(ast.Call):
+            if call_name(node) == "build_trendline" and _inside_loop(ctx, node):
+                yield make_finding(
+                    self,
+                    ctx,
+                    node,
+                    "build_trendline called per group inside a loop; generate "
+                    "the collection with build_collection",
+                )
+        for function in ctx.walk((ast.FunctionDef, ast.AsyncFunctionDef)):
+            if function.name == "_encode_values":
                 continue
-            current = ctx.parent(node)
-            while current is not None and not isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                if isinstance(current, _LOOPS):
-                    yield make_finding(
-                        self,
-                        ctx,
-                        node,
-                        "solve_one called per candidate inside a loop; hand the "
-                        "collection to solve_many",
-                    )
-                    break
-                current = ctx.parent(current)
+            columns = {
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and _is_column(node.value, ())
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(function):
+                if isinstance(node, (ast.For, ast.AsyncFor)):
+                    iterables = [node.iter]
+                elif isinstance(node, _COMPREHENSIONS):
+                    iterables = [generator.iter for generator in node.generators]
+                else:
+                    continue
+                for iterable in iterables:
+                    for call in ast.walk(iterable):
+                        if (
+                            call_name(call) == "tolist"
+                            and isinstance(call.func, ast.Attribute)
+                            and _is_column(call.func.value, columns)
+                        ):
+                            yield make_finding(
+                                self,
+                                ctx,
+                                call,
+                                "per-row .tolist() walk over a table column; read "
+                                "Table.encoding (the one encode funnel) instead",
+                            )
