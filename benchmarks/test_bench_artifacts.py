@@ -12,9 +12,9 @@ behind ``REPRO_BENCH_SCALE>=1`` — the block grows to hundreds of MB):
   DP per pyramid level across all candidates
   (:meth:`ShapeIndex.upper_bounds`) against the retained scalar oracle
   called per candidate.  Timings are best-of-``ROUNDS`` for both sides:
-  the first batched call additionally pays the one-time tile stacking
-  that is memoized on the index (reported as ``batched_cold_s``), which
-  matches production use where one index serves many queries.
+  the first batched call on a freshly mapped block additionally pays
+  its page faults (reported as ``batched_cold_s``), which matches
+  production use where one index serves many queries.
 
 Byte identity between the two bound paths is asserted unconditionally;
 the speedup floors only at the default workload scale where the runs
@@ -49,7 +49,8 @@ ROUNDS = 5
 #: the claim the ISSUE pins at 10^4 candidates, with real headroom.
 BATCHED_WIN = 5.0
 #: Verified mmap load vs pyramid rebuild: the load is one sequential
-#: digest pass + a map, the rebuild is per-trendline O(W^2) work.
+#: digest pass + a map (timed before anything cuts entry views), the
+#: rebuild a class-batched O(n^2) sweep per trendline — 7-12x here.
 LOAD_WIN = 2.0
 
 
@@ -89,7 +90,7 @@ def test_artifact_store_and_batched_bounds(benchmark, tmp_path):
         load_s, loaded = _best_of(
             ROUNDS, lambda: load_index(tmp_path, key, "fp{}".format(count))
         )
-        assert loaded is not None and len(loaded.entries) == count
+        assert loaded is not None and len(loaded) == count
 
         started = time.perf_counter()
         batched_cold = loaded.upper_bounds(compiled)

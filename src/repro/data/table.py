@@ -391,12 +391,14 @@ class Table:
                 # Element-wise fill: np.array would split sequence-valued
                 # cells (tuple/list group keys) into a 2-D array and make
                 # the concatenate below fail.
-                tail = np.empty(len(raw), dtype=object)
-                for index, value in enumerate(raw):
-                    tail[index] = value
+                tail = np.fromiter(raw, dtype=object, count=len(raw))
             else:
                 try:
                     inferred = np.asarray(raw)
+                    if inferred.ndim != 1:
+                        # Equal-length tuple keys read as rows of a 2-D
+                        # array: they are values, and box the column.
+                        raise ValueError("sequence-valued cells")
                     if inferred.dtype == values.dtype:
                         tail = inferred
                     else:
@@ -585,11 +587,13 @@ def content_fingerprint(table: Table) -> str:
 
 def _infer_array(values: Iterable) -> np.ndarray:
     """Numeric array when every value parses as float, else object array."""
-    values = list(values)
+    items = list(values)
     try:
-        result = np.array([float(value) for value in values], dtype=float)
+        result = np.array([float(value) for value in items], dtype=float)
     except (TypeError, ValueError):
-        result = np.array(values, dtype=object)
+        # Element by element: np.array() would read equal-length tuples
+        # as rows of a 2-D array instead of as values.
+        result = np.fromiter(items, dtype=object, count=len(items))
     # Freshly built and never exposed: lock it so Table shares it as-is.
     result.setflags(write=False)
     return result

@@ -30,7 +30,7 @@ manifest it describes.
 
 **Mapping lifecycle** (reprolint REP071): every mapping opened by
 :func:`_open_block` must reach an owner — returned inside the loaded
-index (whose entry views keep the mapping alive) or closed by the
+index (which holds the mapping as its packed block) or closed by the
 idempotent :func:`_close_block` on a verification failure — with no
 unguarded raise between open and ownership transfer.
 """
@@ -100,10 +100,8 @@ def save_index(root, key, index: ShapeIndex, fingerprint: str) -> Path:
     Payload files land before the manifest that vouches for them, each
     via temp-file + ``os.replace``.
     """
-    values, layout = index.packed()
-    witnesses = [
-        entry.witness if entry is not None else None for entry in index.entries
-    ]
+    values, layout = index.pack()
+    witnesses = index.witnesses()
     directory = artifact_dir(root, key)
     directory.mkdir(parents=True, exist_ok=True)
     block = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
@@ -155,9 +153,9 @@ def load_index(root, key, fingerprint: str) -> Optional[ShapeIndex]:
     fingerprint, layout bytes digest-clean, block mappable at the
     manifest's length (truncation fails here) and digest-clean.  Any
     miss returns ``None`` so the caller rebuilds; a block that was
-    mapped before the miss is closed first.  On success the returned
-    index's entries are zero-copy views over the mapping — near-zero
-    cold start, one sequential read for the digest check.
+    mapped before the miss is closed first.  On success the mapping
+    *is* the returned index's packed block — near-zero cold start, one
+    sequential read for the digest check.
     """
     directory = artifact_dir(root, key)
     try:

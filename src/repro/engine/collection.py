@@ -130,6 +130,16 @@ class Collection(Sequence[Trendline]):
         """Bytes held by the block arrays (the views add no data)."""
         return sum(array.nbytes for array in self._arrays())
 
+    def prefix_rows(self, positions: np.ndarray, bins: int) -> np.ndarray:
+        """``(5, len(positions), bins + 1)``: equal-length trendlines' prefix rows.
+
+        One gather from the wide block — what stacking the views'
+        ``prefix.stacked`` windows yields, without a copy per trendline.
+        """
+        positions = np.asarray(positions, dtype=np.intp)
+        first = self.bin_offsets[positions] + positions
+        return np.take(self.prefix, first[:, None] + np.arange(bins + 1), axis=1)
+
     def __len__(self) -> int:
         return len(self._views)
 
@@ -205,7 +215,10 @@ def _length_classes(
     Blocks hold at most :data:`BLOCK_ELEMENTS` elements (one row at
     least).
     """
-    for length in np.unique(lengths).tolist():
+    # (Not np.unique: recent numpy imports the numpy.ma package on the
+    # first such call — ~10 ms in every process, each forked worker's
+    # first shard included.)
+    for length in sorted(set(lengths.tolist())):
         members = np.flatnonzero(lengths == length)
         rows = max(1, BLOCK_ELEMENTS // max(1, length))
         for lo in range(0, len(members), rows):

@@ -11,11 +11,14 @@ index:
   ``(a, b)`` summarizes the min/max ``tan⁻¹(fitted slope)`` over *all*
   segments ``[l, r)`` with ``l`` in super-bin ``a``, ``r−1`` in
   super-bin ``b`` and at least :data:`~repro.engine.units.MIN_SEGMENT_BINS`
-  bins — computed in one vectorized pass per start super-bin from
-  :meth:`~repro.engine.statistics.PrefixStats.slope_matrix`.  Coarser
+  bins — computed for all trendlines of one length at once, in one
+  vectorized pass per start super-bin over their stacked prefix rows
+  (:func:`~repro.engine.statistics.fit_slopes`, the formula behind
+  :meth:`~repro.engine.statistics.PrefixStats.slope_matrix`).  Coarser
   levels double ``w``; because ``floor(l / 2w) = floor(floor(l / w) / 2)``
   they derive *exactly* from the finer level by pairwise min/max
-  combines, so the whole pyramid costs one O(n²) sweep.
+  combines, so the whole pyramid costs one O(n²) sweep, written
+  straight into the packed block the queries read.
 
 * Per query, a **coarse max-plus DP over the buckets**: for chains whose
   units are all statically bounded (the
@@ -28,7 +31,7 @@ index:
   regression-slack margin: a bucket's interval covers the fitted atan of
   every admissible segment exactly (the segment itself is one of the
   aggregated ranges, fitted by the same bit-identical
-  ``PrefixStats._slopes`` algebra), not a blend of node slopes.  A
+  ``fit_slopes`` algebra), not a blend of node slopes.  A
   max-plus recurrence over (start super-bin, end super-bin) then bounds
   the best full segmentation; the query bound is the max over chains,
   min over levels, clamped to the score range at −1.
@@ -65,6 +68,8 @@ import numpy as np
 from repro.data.table import canonical_group_key
 from repro.engine import scoring
 from repro.engine.chains import Chain, CompiledQuery
+from repro.engine.collection import Collection
+from repro.engine.statistics import fit_slopes
 from repro.engine.trendline import Trendline
 from repro.engine.units import MIN_SEGMENT_BINS, LineUnit, SlopeUnit, run_min_length
 
@@ -131,98 +136,139 @@ def index_supports(query: CompiledQuery) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Build: one O(n²) vectorized sweep per trendline
+# Build: one vectorized sweep per length class, into the packed block
 # ---------------------------------------------------------------------------
+
+#: Most slope-tile elements (candidates × start rows × end columns) one
+#: kernel pass may hold.  A length class is swept in blocks of as many
+#: candidates as fit (one at least), so a build peaks at the packed
+#: block plus a few tiles of this size, whatever the collection's.
+BLOCK_ELEMENTS = 1 << 16
 
 
 class TrendlineEntry:
     """One trendline's pyramid: ``(w, atan min, atan max)`` per level.
 
     ``levels`` runs fine → coarse; queries iterate it reversed.  Bucket
-    matrices are ``(W, W)`` with ``+inf``/``−inf`` sentinels marking
-    buckets that contain no admissible segment.  ``witness`` identifies
-    the exact bits the entry was built from (canonical group key, bin
-    count, prefix digest) so :meth:`ShapeIndex.extended` can reuse it
-    only when reuse is bitwise free.
+    matrices are ``(W, W)`` views into an index's packed block (cut on
+    the first read of :attr:`ShapeIndex.entries`, the only way to reach
+    an entry), with ``+inf``/``−inf`` sentinels marking buckets that
+    contain no admissible segment.  ``witness`` identifies the exact
+    bits the entry was built from (canonical group key, bin count,
+    prefix digest) so :meth:`ShapeIndex.extended` can reuse it only when
+    reuse is bitwise free.
     """
 
     __slots__ = ("n_bins", "levels", "witness")
 
-    def __init__(self, n_bins: int, levels: List[Tuple[int, np.ndarray, np.ndarray]],
+    def __init__(self, n_bins: int,
+                 levels: Optional[List[Tuple[int, np.ndarray, np.ndarray]]],
                  witness: Optional[tuple]):
         self.n_bins = n_bins
         self.levels = levels
         self.witness = witness
 
-    @property
-    def nbytes(self) -> int:
-        return sum(amin.nbytes + amax.nbytes for _w, amin, amax in self.levels)
 
+def _level_shapes(n_bins: int) -> List[Tuple[int, int]]:
+    """``(w, W)`` of every pyramid level, fine → coarse.
 
-def _prefix_digest(prefix) -> str:
-    """Content digest of a trendline's cumulative statistics.
-
-    The index is a pure function of these bits (every bucket aggregates
-    ``PrefixStats._slopes`` outputs), so two trendlines with equal
-    digests build bitwise-equal entries — the reuse gate of
-    :meth:`ShapeIndex.extended`.  The five arrays are digested in
-    :data:`~repro.engine.statistics.PrefixStats.STACKED_ROWS` order
-    whether or not the stacked block exists, so publishers and
-    reattached copies agree.
+    Empty for a trendline too short to host even one level; it stays
+    unindexed (entry None — never pruned, trivially exact).
     """
-    if prefix.stacked is not None:
-        block = np.ascontiguousarray(prefix.stacked)
-    else:
-        block = np.ascontiguousarray(
-            np.stack([prefix.count, prefix.sx, prefix.sy, prefix.sxy, prefix.sxx])
-        )
-    digest = hashlib.sha1(block.tobytes())
-    digest.update(str(block.dtype).encode("ascii"))
-    return digest.hexdigest()
+    w = max(MIN_SEGMENT_BINS, -(-n_bins // MAX_SUPER_BINS))
+    W = -(-n_bins // w)
+    shapes = []
+    while W >= MIN_SUPER_BINS:
+        shapes.append((w, W))
+        w, W = w * 2, (W + 1) // 2
+    return shapes
 
 
-def _trendline_witness(trendline: Trendline) -> tuple:
-    return (
-        canonical_group_key(trendline.key),
-        trendline.n_bins,
-        _prefix_digest(trendline.prefix),
+def _prefix_rows(trendlines: Sequence[Trendline], positions, n_bins: int) -> np.ndarray:
+    """Equal-length trendlines' cumulative statistics, ``(5, C, n + 1)``.
+
+    A :class:`~repro.engine.collection.Collection` gathers them from its
+    wide prefix block in one pass; any other sequence stacks the
+    per-trendline blocks.  The dtype is the trendlines' own (a
+    ``precision="float32"`` cast stays float32).
+    """
+    if isinstance(trendlines, Collection):
+        return trendlines.prefix_rows(positions, n_bins)
+    prefixes = [trendlines[position].prefix for position in positions]
+    return np.stack(
+        [
+            p.stacked if p.stacked is not None
+            else np.stack([p.count, p.sx, p.sy, p.sxy, p.sxx])
+            for p in prefixes
+        ],
+        axis=1,
     )
 
 
-def _pair_combine(matrix: np.ndarray, fill: float, op) -> np.ndarray:
-    """Exact one-level coarsening: 2×2 block reduce with sentinel padding."""
-    size = matrix.shape[0]
-    if size % 2:
-        matrix = np.pad(matrix, ((0, 1), (0, 1)), constant_values=fill)
-    rows = op(matrix[0::2, :], matrix[1::2, :])
-    return op(rows[:, 0::2], rows[:, 1::2])
+def _prefix_digests(stack: np.ndarray) -> List[str]:
+    """Content digest of each candidate's ``(5, n + 1)`` cumulative block.
+
+    The index is a pure function of these bits (every bucket aggregates
+    :func:`~repro.engine.statistics.fit_slopes` outputs), so two
+    trendlines with equal digests build bitwise-equal entries — the
+    reuse gate of :meth:`ShapeIndex.extended`.  Each block is digested
+    C-contiguous, rows in
+    :data:`~repro.engine.statistics.PrefixStats.STACKED_ROWS` order,
+    followed by its dtype name.
+    """
+    dtype = str(stack.dtype).encode("ascii")
+    digests = []
+    for block in np.ascontiguousarray(stack.transpose(1, 0, 2)):
+        digest = hashlib.sha1(block)
+        digest.update(dtype)
+        digests.append(digest.hexdigest())
+    return digests
 
 
-def _finest_level(trendline: Trendline, w: int, W: int) -> Tuple[np.ndarray, np.ndarray]:
+def _slope_buckets(stack: np.ndarray, w: int, W: int) -> Tuple[np.ndarray, np.ndarray]:
     """Min/max fitted slope per (start super-bin, end super-bin) bucket.
 
-    One :meth:`PrefixStats.slope_matrix` call per start super-bin (≤ w
-    start rows × n+1 end columns), masked to admissible widths, reduced
-    over rows, then group-reduced over end columns with ``reduceat`` at
-    the super-bin boundaries — O(n²) element work in ~W numpy dispatches.
+    ``stack`` is ``(5, C, n + 1)``; returns two ``(C, W, W)`` tiles.  One
+    pass per start super-bin over all ``C`` candidates and only the end
+    bins that super-bin can reach: the ≤ w start rows against every end
+    from ``MIN_SEGMENT_BINS`` past the first start, fitted by
+    :func:`~repro.engine.statistics.fit_slopes` in the prefix dtype and
+    widened afterwards (as ``PrefixStats.slope_matrix`` callers see
+    them), the too-short corner masked, reduced over the start rows and
+    then ``reduceat`` over the end super-bins.  Min and max do not
+    depend on the order they visit a bucket's segments in, so every
+    bucket is the float a one-trendline sweep produces.
     """
-    prefix = trendline.prefix
-    n = trendline.n_bins
-    ends = np.arange(n + 1)
-    smin = np.empty((W, n), dtype=float)
-    smax = np.empty((W, n), dtype=float)
+    count, n = stack.shape[1], stack.shape[2] - 1
+    bucket_min = np.full((count, W, W), _POS_INF)
+    bucket_max = np.full((count, W, W), _NEG_INF)
     for a in range(W):
-        starts = np.arange(a * w, min((a + 1) * w, n))
-        block = np.asarray(prefix.slope_matrix(starts, ends), dtype=float)
-        valid = ends[None, :] - starts[:, None] >= MIN_SEGMENT_BINS
-        # Column r=0 can never end a segment; slicing it off aligns
-        # column i with end bin r = i + 1, whose bucket is i // w.
-        smin[a] = np.where(valid, block, _POS_INF).min(axis=0)[1:]
-        smax[a] = np.where(valid, block, _NEG_INF).max(axis=0)[1:]
-    offsets = np.arange(W) * w
-    bucket_min = np.minimum.reduceat(smin, offsets, axis=1)
-    bucket_max = np.maximum.reduceat(smax, offsets, axis=1)
+        s0, s1 = a * w, min((a + 1) * w, n)
+        e0 = s0 + MIN_SEGMENT_BINS
+        if e0 > n:
+            break
+        slopes = fit_slopes(*(stack[:, :, None, e0:] - stack[:, :, s0:s1, None]))
+        slopes = slopes.astype(float, copy=False)
+        # Start s0 + j reaches ends from e0 + j on: rows below the
+        # diagonal of the leading columns are narrower than a segment.
+        late, early = np.tril_indices(s1 - s0, -1, n + 1 - e0)
+        # End bin r lies in super-bin (r − 1) // w; column 0 is end e0,
+        # inside super-bin ``a`` because w ≥ MIN_SEGMENT_BINS.
+        cuts = np.arange(a, W) * w + 1 - e0
+        cuts[0] = 0
+        slopes[:, late, early] = _POS_INF
+        bucket_min[:, a, a:] = np.minimum.reduceat(slopes.min(axis=1), cuts, axis=1)
+        slopes[:, late, early] = _NEG_INF
+        bucket_max[:, a, a:] = np.maximum.reduceat(slopes.max(axis=1), cuts, axis=1)
     return bucket_min, bucket_max
+
+
+def _pair_combine(tile: np.ndarray, fill: float, op) -> np.ndarray:
+    """Exact one-level coarsening of ``(C, W, W)``: 2×2 reduce, sentinel-padded."""
+    if tile.shape[1] % 2:
+        tile = np.pad(tile, ((0, 0), (0, 1), (0, 1)), constant_values=fill)
+    rows = op(tile[:, 0::2, :], tile[:, 1::2, :])
+    return op(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
 def _atan_buckets(bucket_min: np.ndarray, bucket_max: np.ndarray):
@@ -239,20 +285,20 @@ def _atan_buckets(bucket_min: np.ndarray, bucket_max: np.ndarray):
     return amin, amax
 
 
-def _build_entry(trendline: Trendline) -> Optional[TrendlineEntry]:
-    n = trendline.n_bins
-    w = max(MIN_SEGMENT_BINS, -(-n // MAX_SUPER_BINS))
-    W = -(-n // w)
-    if W < MIN_SUPER_BINS:
-        return None
-    bucket_min, bucket_max = _finest_level(trendline, w, W)
-    levels = [(w, *_atan_buckets(bucket_min, bucket_max))]
-    while (W + 1) // 2 >= MIN_SUPER_BINS:
-        bucket_min = _pair_combine(bucket_min, _POS_INF, np.minimum)
-        bucket_max = _pair_combine(bucket_max, _NEG_INF, np.maximum)
-        w, W = w * 2, (W + 1) // 2
-        levels.append((w, *_atan_buckets(bucket_min, bucket_max)))
-    return TrendlineEntry(n, levels, _trendline_witness(trendline))
+def _summarize(stack: np.ndarray, tiles: list, rows: np.ndarray) -> None:
+    """Write the candidates' pyramids into ``rows`` of their class's tiles.
+
+    The finest level comes from :func:`_slope_buckets`; each coarser one
+    derives exactly from the finer by pairwise min/max, since
+    ``floor(l / 2w) = floor(floor(l / w) / 2)``.
+    """
+    w, finest, _amax = tiles[0]
+    bucket_min, bucket_max = _slope_buckets(stack, w, finest.shape[1])
+    for depth, (_w, amin, amax) in enumerate(tiles):
+        if depth:
+            bucket_min = _pair_combine(bucket_min, _POS_INF, np.minimum)
+            bucket_max = _pair_combine(bucket_max, _NEG_INF, np.maximum)
+        amin[rows], amax[rows] = _atan_buckets(bucket_min, bucket_max)
 
 
 class ShapeIndex:
@@ -260,39 +306,123 @@ class ShapeIndex:
 
     Built once per collection (:meth:`build`), extended incrementally
     across appends (:meth:`extended` — unchanged trendlines keep their
-    entries bit for bit), packable into one flat float64 block for
-    zero-copy shared-memory publication and on-disk persistence
-    (:meth:`pack` / :meth:`packed` / :meth:`from_packed` — the same
-    layout a worker attaches over shm, ``engine/artifacts.py`` memory-maps
-    from disk).
+    entries bit for bit), and held as one flat float64 block
+    (:meth:`pack`) — the form the bound kernel reads, a worker attaches
+    over shm and ``engine/artifacts.py`` memory-maps from disk
+    (:meth:`from_packed`).  The pyramids are written straight into that
+    block; :attr:`entries` are views of it, cut when first asked for.
     """
 
-    __slots__ = ("entries", "_by_key", "_packed", "_groups")
+    __slots__ = ("_entries", "_values", "_layout", "_tiles", "_cut", "_by_key")
 
-    def __init__(self, entries: List[Optional[TrendlineEntry]]):
-        self.entries = entries
-        self._packed: Optional[Tuple[np.ndarray, tuple]] = None
-        self._groups: Optional[list] = None
-        self._by_key: Dict[object, TrendlineEntry] = {}
-        for entry in entries:
-            if entry is not None and entry.witness is not None:
-                self._by_key[entry.witness[0]] = entry
+    def __init__(self, entries: List[Optional[TrendlineEntry]],
+                 values: np.ndarray, layout: tuple):
+        self._entries = entries
+        self._values = values
+        self._layout = layout
+        self._tiles = _tiled_groups(values, layout[1])
+        self._cut = False
+        self._by_key: Optional[Dict[object, Tuple[TrendlineEntry, int]]] = None
 
     @classmethod
     def build(cls, trendlines: Sequence[Trendline]) -> "ShapeIndex":
-        return cls([_build_entry(trendline) for trendline in trendlines])
+        return cls._assemble(trendlines, {}, {})
+
+    @classmethod
+    def _assemble(cls, trendlines: Sequence[Trendline],
+                  known: dict, known_tiles: dict) -> "ShapeIndex":
+        """The index of ``trendlines``, copying what ``known`` already holds.
+
+        Candidates are grouped by ``n_bins`` — which fixes every level's
+        shape — in first-seen order; the block is sized from the classes
+        alone, then each class is swept in blocks of at most
+        :data:`BLOCK_ELEMENTS` slope-tile elements.  ``known`` maps a
+        canonical group key to ``(entry, row)`` of a previous index and
+        ``known_tiles`` its ``n_bins`` classes to their tiles: a
+        candidate whose witness matches keeps that entry object and has
+        its rows copied instead of re-summarized.
+        """
+        classes: Dict[int, List[int]] = {}
+        for position, trendline in enumerate(trendlines):
+            classes.setdefault(trendline.n_bins, []).append(position)
+        groups: list = []
+        total = 0
+        for n_bins, positions in classes.items():
+            shapes = []
+            for w, W in _level_shapes(n_bins):
+                shapes.append((w, W, total))
+                total += 2 * len(positions) * W * W
+            if shapes:
+                groups.append((n_bins, positions, shapes))
+        entries: List[Optional[TrendlineEntry]] = [None] * len(trendlines)
+        index = cls(entries, np.empty(total, dtype=np.float64), (len(entries), groups))
+        for n_bins, positions, tiles in index._tiles:
+            step = max(1, BLOCK_ELEMENTS // (tiles[0][0] * (n_bins + 1)))
+            for lo in range(0, len(positions), step):
+                part = positions[lo:lo + step]
+                stack = _prefix_rows(trendlines, part, n_bins)
+                fresh, kept, source = [], [], []
+                for row, (position, digest) in enumerate(
+                    zip(part.tolist(), _prefix_digests(stack))
+                ):
+                    key = canonical_group_key(trendlines[position].key)
+                    witness = (key, n_bins, digest)
+                    entry, old_row = known.get(key, (None, 0))
+                    if entry is not None and entry.witness == witness:
+                        kept.append(lo + row)
+                        source.append(old_row)
+                    else:
+                        entry = TrendlineEntry(n_bins, None, witness)
+                        fresh.append(row)
+                    entries[position] = entry
+                if kept:
+                    for (_w, amin, amax), (_w, old_min, old_max) in zip(
+                        tiles, known_tiles[n_bins]
+                    ):
+                        amin[kept], amax[kept] = old_min[source], old_max[source]
+                if fresh:
+                    if kept:
+                        stack = stack[:, fresh]
+                    _summarize(stack, tiles, lo + np.asarray(fresh))
+        return index
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._layout[0]
 
     @property
     def indexed(self) -> int:
         """Entries that actually carry a pyramid (others never prune)."""
-        return sum(1 for entry in self.entries if entry is not None)
+        return sum(len(positions) for _n_bins, positions, _shapes in self._layout[1])
 
     @property
     def nbytes(self) -> int:
-        return sum(entry.nbytes for entry in self.entries if entry is not None)
+        return self._values.nbytes
+
+    @property
+    def entries(self) -> List[Optional[TrendlineEntry]]:
+        """One :class:`TrendlineEntry` per candidate, None where unindexed.
+
+        The level views are cut from the packed block on first access —
+        nothing on the query path reads them.  An entry shared along an
+        append lineage keeps the views of whichever index cut it first
+        (the bytes are equal by construction).
+        """
+        if not self._cut:
+            for _n_bins, positions, tiles in self._tiles:
+                for row, position in enumerate(positions.tolist()):
+                    entry = self._entries[position]
+                    if entry.levels is None:
+                        entry.levels = [
+                            (w, amin[row], amax[row]) for w, amin, amax in tiles
+                        ]
+            self._cut = True
+        return self._entries
+
+    def witnesses(self) -> List[Optional[tuple]]:
+        """Every entry's content witness, None where unindexed or unknown."""
+        return [
+            entry.witness if entry is not None else None for entry in self._entries
+        ]
 
     # -- incremental extension ---------------------------------------------
     def extended(self, trendlines: Sequence[Trendline]) -> "ShapeIndex":
@@ -301,19 +431,22 @@ class ShapeIndex:
         Matching is by content witness (canonical group key + bin count
         + prefix digest), not position, so appends that add new groups —
         or re-generations that drop degenerate ones — still reuse every
-        untouched trendline's pyramid.  An entry is a pure function of
-        the witnessed bits, so the result equals :meth:`build` on the
-        same trendlines bit for bit; reuse is only ever a work-skip.
+        untouched trendline's pyramid: its rows are copied into the new
+        block and its entry object carries over, while changed and new
+        trendlines go through the same class-batched kernel as
+        :meth:`build`.  An entry is a pure function of the witnessed
+        bits, so the result equals :meth:`build` on the same trendlines
+        bit for bit; reuse is only ever a work-skip.
         """
-        entries: List[Optional[TrendlineEntry]] = []
-        for trendline in trendlines:
-            witness = _trendline_witness(trendline)
-            previous = self._by_key.get(witness[0])
-            if previous is not None and previous.witness == witness:
-                entries.append(previous)
-            else:
-                entries.append(_build_entry(trendline))
-        return ShapeIndex(entries)
+        if self._by_key is None:
+            self._by_key = {
+                self._entries[position].witness[0]: (self._entries[position], row)
+                for _n_bins, positions, _tiles in self._tiles
+                for row, position in enumerate(positions.tolist())
+                if self._entries[position].witness is not None
+            }
+        known_tiles = {n_bins: tiles for n_bins, _positions, tiles in self._tiles}
+        return self._assemble(trendlines, self._by_key, known_tiles)
 
     # -- query-time bounds --------------------------------------------------
     def upper_bound(
@@ -359,7 +492,7 @@ class ShapeIndex:
         Unindexed entries bound at ``+inf`` (never pruned); an empty
         index returns a well-formed empty float64 vector.
         """
-        return self.upper_bounds_range(query, 0, len(self.entries), floor)
+        return self.upper_bounds_range(query, 0, len(self), floor)
 
     def upper_bounds_range(
         self, query: CompiledQuery, start: int, end: int,
@@ -375,7 +508,7 @@ class ShapeIndex:
         positions ascend), so shards are zero-copy slices too.
         """
         out = np.full(max(0, end - start), _POS_INF, dtype=np.float64)
-        for n_bins, positions, levels in self._level_tiles():
+        for n_bins, positions, levels in self._tiles:
             lo, hi = np.searchsorted(positions, (start, end))
             if lo < hi:
                 tiles = [(w, amin[lo:hi], amax[lo:hi]) for w, amin, amax in levels]
@@ -384,28 +517,9 @@ class ShapeIndex:
                 )
         return out
 
-    def _level_tiles(self) -> list:
-        """:func:`_tiled_groups` of the packed block, built once per index."""
-        if self._groups is None:
-            values, (_count, groups) = self.packed()
-            self._groups = _tiled_groups(values, groups)
-        return self._groups
-
     # -- flat packing (the shared-memory and on-disk export form) ------------
-    def packed(self) -> Tuple[np.ndarray, tuple]:
-        """The packed ``(values, layout)`` form, computed once and memoized.
-
-        Shared by the batched bound kernel, shm publication and the
-        artifact store; indexes reconstructed by :meth:`from_packed`
-        (attached segments, memory-mapped artifacts) keep their source
-        block here zero-copy instead of repacking.
-        """
-        if self._packed is None:
-            self._packed = self.pack()
-        return self._packed
-
     def pack(self) -> Tuple[np.ndarray, tuple]:
-        """Flatten into ``(values, layout)`` for shared-memory publication.
+        """The ``(values, layout)`` form: the block the index lives in.
 
         ``values`` is one contiguous float64 block laid out **level-major**:
         indexed entries are grouped by ``n_bins`` (which fixes every
@@ -414,35 +528,17 @@ class ShapeIndex:
         bucket-max tile — so the batched kernel reads each level as one
         dense array.  ``layout`` is ``(entry count, [(n_bins, member
         positions ascending, [(w, W, offset), ...]), ...])``; unindexed
-        entries belong to no group.  :meth:`from_packed` reconstructs
-        entries as zero-copy views.
+        entries belong to no group.  Shared, not copied, by the bound
+        kernel, shm publication and the artifact store.
         """
-        members: Dict[int, List[int]] = {}
-        for position, entry in enumerate(self.entries):
-            if entry is not None:
-                members.setdefault(entry.n_bins, []).append(position)
-        groups: list = []
-        total = 0
-        for n_bins, positions in members.items():
-            shapes = []
-            for w, amin, _amax in self.entries[positions[0]].levels:
-                shapes.append((w, amin.shape[0], total))
-                total += 2 * len(positions) * amin.size
-            groups.append((n_bins, positions, shapes))
-        values = np.empty(total, dtype=np.float64)
-        for _n_bins, positions, tiles in _tiled_groups(values, groups):
-            for depth, (_w, amin, amax) in enumerate(tiles):
-                levels = [self.entries[p].levels[depth] for p in positions]
-                np.stack([level[1] for level in levels], out=amin)
-                np.stack([level[2] for level in levels], out=amax)
-        return values, (len(self.entries), groups)
+        return self._values, self._layout
 
     @classmethod
     def from_packed(
         cls, values: np.ndarray, layout: tuple,
         witnesses: Optional[Sequence[Optional[tuple]]] = None,
     ) -> "ShapeIndex":
-        """Rebuild from :meth:`pack` output without copying bucket data.
+        """Adopt :meth:`pack` output (an attached segment, a mapped file).
 
         By default entries carry no witness (an attached shm index is a
         read-only consumer view — extension happens publisher-side and
@@ -451,17 +547,12 @@ class ShapeIndex:
         :meth:`extended` reuse contract across process restarts.
         """
         count, groups = layout
-        tiled = _tiled_groups(values, groups)
         entries: List[Optional[TrendlineEntry]] = [None] * count
-        for n_bins, positions, tiles in tiled:
-            for row, position in enumerate(positions):
-                levels = [(w, amin[row], amax[row]) for w, amin, amax in tiles]
+        for n_bins, positions, _shapes in groups:
+            for position in positions:
                 witness = witnesses[position] if witnesses is not None else None
-                entries[position] = TrendlineEntry(n_bins, levels, witness)
-        index = cls(entries)
-        index._packed = (values, layout)
-        index._groups = tiled
-        return index
+                entries[position] = TrendlineEntry(n_bins, None, witness)
+        return cls(entries, values, layout)
 
 
 def _tiled_groups(values: np.ndarray, groups: list) -> list:

@@ -316,13 +316,13 @@ def publish_index(index, token: Optional[str] = None) -> Tuple[IndexHandle, "obj
     Same shape as :func:`publish_trendlines`: raw float64 payload first,
     pickled layout manifest after it.  Workers reattach the bucket
     matrices as zero-copy views, so the same bytes back every bound on
-    both sides of the process boundary.  Uses the index's memoized
-    :meth:`~repro.engine.shape_index.ShapeIndex.packed` form — an index
-    that was itself loaded from a memory-mapped artifact republishes the
-    mapped block without a repack.
+    both sides of the process boundary.  The payload is the block the
+    index already lives in
+    (:meth:`~repro.engine.shape_index.ShapeIndex.pack`) — one loaded
+    from a memory-mapped artifact republishes the mapped block as is.
     """
     shared = _require_shared_memory()
-    values, layout = index.packed()
+    values, layout = index.pack()
     manifest = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
     total = len(values)
     segment = shared.SharedMemory(create=True, size=max(8, total * 8 + len(manifest)))

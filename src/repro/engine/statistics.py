@@ -273,20 +273,30 @@ class PrefixStats:
             sy = self.sy[r] - self.sy[l]
             sxy = self.sxy[r] - self.sxy[l]
             sxx = self.sxx[r] - self.sxx[l]
-        # In-place arithmetic: the matrix kernel funnels (splits × ends)
-        # tiles through here, where temporaries are megabytes and memory
-        # traffic — not flops — is the bottleneck.  Operand order matches
-        # the scalar slope() formula exactly, so values are unchanged.
-        numerator = np.multiply(n, sxy, out=sxy)
-        numerator -= np.multiply(sx, sy, out=sy)
-        denominator = np.multiply(n, sxx, out=sxx)
-        denominator -= np.multiply(sx, sx, out=sx)
-        # Degenerate ranges are detected and substituted under the same
-        # _EPS mask (a near-zero denominator must not be divided by any
-        # more than an exactly-zero one; both read as slope 0.0, matching
-        # the scalar slope()/SummaryStats.slope() paths bit for bit).
-        degenerate = np.abs(denominator) < _EPS
-        denominator[degenerate] = 1.0
-        slopes = np.divide(numerator, denominator, out=numerator)
-        slopes[degenerate] = 0.0
-        return slopes
+        return fit_slopes(n, sx, sy, sxy, sxx)
+
+
+def fit_slopes(n, sx, sy, sxy, sxx):
+    """Least-squares slopes from range statistics, computed in place.
+
+    The one spelling of the vectorized slope formula: the five arrays
+    (any common shape and float dtype) are consumed as scratch and the
+    result reuses ``sxy``'s storage.  The matrix kernel funnels (splits ×
+    ends) tiles through here, where temporaries are megabytes and memory
+    traffic — not flops — is the bottleneck.  Operand order matches the
+    scalar :meth:`PrefixStats.slope` formula exactly, so values are
+    unchanged.
+    """
+    numerator = np.multiply(n, sxy, out=sxy)
+    numerator -= np.multiply(sx, sy, out=sy)
+    denominator = np.multiply(n, sxx, out=sxx)
+    denominator -= np.multiply(sx, sx, out=sx)
+    # Degenerate ranges are detected and substituted under the same
+    # _EPS mask (a near-zero denominator must not be divided by any
+    # more than an exactly-zero one; both read as slope 0.0, matching
+    # the scalar slope()/SummaryStats.slope() paths bit for bit).
+    degenerate = np.abs(denominator) < _EPS
+    denominator[degenerate] = 1.0
+    slopes = np.divide(numerator, denominator, out=numerator)
+    slopes[degenerate] = 0.0
+    return slopes

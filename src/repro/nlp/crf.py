@@ -12,6 +12,10 @@ is the same model family implemented directly:
   optimized with ``scipy.optimize.minimize(method="L-BFGS-B")``;
 * Viterbi decoding.
 
+Only training needs scipy, and imports it when it runs: decoding and
+loading saved weights are numpy alone, so importing this module (and
+with it :mod:`repro`) stays cheap.
+
 The paper's hyper-parameters (L1 1.0, L2 0.001, 50 iterations) are
 mapped to a pure-L2 configuration since L-BFGS-B requires a smooth
 objective; the regularization strength is matched in magnitude (see
@@ -23,8 +27,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
+
+from repro.errors import ExecutionError
 
 FeatureSet = Sequence[str]
 
@@ -71,7 +75,15 @@ class LinearChainCRF:
         sequences: Sequence[Sequence[FeatureSet]],
         label_sequences: Sequence[Sequence[str]],
     ) -> "LinearChainCRF":
-        """Train by penalized maximum likelihood."""
+        """Train by penalized maximum likelihood (needs scipy)."""
+        try:
+            from scipy.optimize import minimize
+        except ImportError as exc:
+            raise ExecutionError(
+                "training the CRF tagger needs scipy, which is not installed; "
+                "install scipy or use the lexicon tagger: "
+                'tagger=EntityTagger(mode="rule")'
+            ) from exc
         if len(sequences) != len(label_sequences):
             raise ValueError("sequences and labels differ in length")
         encoded = [self._encode(sequence, grow=True) for sequence in sequences]
@@ -126,6 +138,8 @@ class LinearChainCRF:
         grad_transition: np.ndarray,
     ) -> float:
         """Add one sequence's NLL gradient in place; return its NLL."""
+        from scipy.special import logsumexp
+
         n = len(tokens)
         n_labels = len(self.labels)
         scores = self._emission_scores(tokens, emission)

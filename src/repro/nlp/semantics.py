@@ -10,10 +10,9 @@ shortest-path length, the same formula as WordNet's ``path_similarity``
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
-
-import networkx as nx
 
 #: Edges of the semantic network.  Each tuple links two related words;
 #: concept hubs (``up``, ``down``, ``flat``, ``sharp``, ``gradual``)
@@ -51,24 +50,37 @@ _EDGES = [
 
 
 @lru_cache(maxsize=1)
-def semantic_network() -> nx.Graph:
-    """The shape-vocabulary graph (built once)."""
-    graph = nx.Graph()
-    graph.add_edges_from(_EDGES)
-    return graph
+def _hops() -> Dict[str, Dict[str, int]]:
+    """Shortest-path length between every connected word pair (built once).
+
+    One breadth-first sweep per word over the undirected :data:`_EDGES`
+    graph; a pair no path joins is simply absent.
+    """
+    neighbours: Dict[str, list] = {}
+    for a, b in _EDGES:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    table = {}
+    for source in neighbours:
+        reached = {source: 0}
+        queue = deque([source])
+        while queue:
+            word = queue.popleft()
+            for other in neighbours[word]:
+                if other not in reached:
+                    reached[other] = reached[word] + 1
+                    queue.append(other)
+        table[source] = reached
+    return table
 
 
 def path_similarity(a: str, b: str) -> float:
     """``1 / (1 + shortest path length)``; 0.0 when unrelated/unknown."""
-    graph = semantic_network()
     a, b = a.lower(), b.lower()
     if a == b:
         return 1.0
-    if a not in graph or b not in graph:
-        return 0.0
-    try:
-        distance = nx.shortest_path_length(graph, a, b)
-    except nx.NetworkXNoPath:
+    distance = _hops().get(a, {}).get(b)
+    if distance is None:
         return 0.0
     return 1.0 / (1.0 + distance)
 

@@ -219,8 +219,8 @@ class TestArtifactRoundTrip:
         save_index(tmp_path, KEY, index, "fp")
         loaded = load_index(tmp_path, KEY, "fp")
         assert loaded is not None
-        values, layout = index.packed()
-        lvalues, llayout = loaded.packed()
+        values, layout = index.pack()
+        lvalues, llayout = loaded.pack()
         assert np.asarray(lvalues).tobytes() == values.tobytes()
         assert llayout == layout
         witnesses = [

@@ -1,8 +1,11 @@
 """Tests for the from-scratch linear-chain CRF (paper §4)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.errors import ExecutionError
 from repro.nlp.corpus import build_corpus
 from repro.nlp.crf import LinearChainCRF
 from repro.nlp.features import extract_features
@@ -101,6 +104,48 @@ class TestPersistence:
     def test_save_unfitted_raises(self, tmp_path):
         with pytest.raises(RuntimeError):
             LinearChainCRF(["A"]).save(str(tmp_path / "x.npz"))
+
+
+def _block_scipy(monkeypatch):
+    """Make ``import scipy`` (and every submodule already loaded) fail."""
+    loaded = [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+    for name in loaded + ["scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+
+
+@pytest.fixture
+def no_scipy(monkeypatch):
+    _block_scipy(monkeypatch)
+
+
+class TestWithoutScipy:
+    """Only training needs scipy; everything else runs on numpy alone."""
+
+    def test_load_and_predict(self, tmp_path, monkeypatch):
+        sequences, labels = _toy_data()
+        path = str(tmp_path / "crf.npz")
+        LinearChainCRF(["A", "B"]).fit(sequences, labels).save(path)
+        _block_scipy(monkeypatch)
+        model = LinearChainCRF.load(path)
+        assert model.predict([["fa"], ["fb"], ["fa"]]) == ["A", "B", "A"]
+
+    def test_fit_raises_typed_error_naming_the_rule_tagger(self, no_scipy):
+        sequences, labels = _toy_data()
+        with pytest.raises(ExecutionError, match=r'EntityTagger\(mode="rule"\)'):
+            LinearChainCRF(["A", "B"]).fit(sequences, labels)
+
+    def test_rule_tagger_nl_query_runs(self, no_scipy, rule_tagger):
+        import repro  # noqa: F401  (importing the package must not need scipy)
+        from repro import ShapeSearch, Table
+
+        table = Table.from_arrays(
+            z=np.repeat(["rise", "fall"], 8),
+            x=np.tile(np.arange(8.0), 2),
+            y=np.concatenate([np.arange(8.0), -np.arange(8.0)]),
+        )
+        session = ShapeSearch(table, tagger=rule_tagger)
+        (best,) = session.prepare("rising", z="z", x="x", y="y").run(k=1)
+        assert best.key == "rise"
 
 
 class TestOnCorpus:

@@ -43,6 +43,7 @@ CASES = [
     ("REP061", "index", 3),
     ("REP071", "artifacts", 4),
     ("REP081", "serving", 5),
+    ("REP091", "imports", 4),
 ]
 
 
@@ -92,6 +93,9 @@ class TestRuleFixtures:
         assert RULES_BY_ID["REP081"].applies("src/repro/serving/app.py")
         assert not RULES_BY_ID["REP081"].applies("src/repro/engine/executor.py")
         assert not RULES_BY_ID["REP081"].applies("tests/test_serving.py")
+        assert RULES_BY_ID["REP091"].applies("src/repro/nlp/crf.py")
+        assert not RULES_BY_ID["REP091"].applies("tests/test_nlp_crf.py")
+        assert not RULES_BY_ID["REP091"].applies("tools/reprolint/driver.py")
         funnel = RULES_BY_ID["REP035"]
         assert funnel.applies("src/repro/engine/pipeline.py")
         assert funnel.applies("src/repro/api.py")

@@ -699,7 +699,10 @@ class TestServerEndToEnd:
         columns = _columns(groups=4)
         reference = _reference_bytes(columns, self.QUERY, k=3)
         sessions = 32
-        with _serving(max_inflight=sessions + 4) as (handle, client):
+        # Neither cap may refuse: every session is one tenant's, and how
+        # many are in flight before the first result is cached is a race.
+        quota = TenantQuota(rate=None, max_inflight=sessions + 4)
+        with _serving(max_inflight=sessions + 4, quota=quota) as (handle, client):
             fingerprint = client.publish_columns(**columns)
             results = [None] * sessions
             errors = []

@@ -10,17 +10,22 @@ full-scan fallbacks, and the opt-in ``precision="float32"`` mode that
 is explicitly *outside* the identity contract.
 """
 
+import contextlib
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.algebra import builder as q
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.datasets.suites import SUITES, suite_trendlines
-from repro.engine import parallel, pipeline, shm
+from repro.engine import parallel, pipeline, shape_index, shm
+from repro.engine.artifacts import load_index
 from repro.engine.collection import Collection
 from repro.engine.executor import ShapeSearchEngine
 from repro.engine.parallel import (
@@ -37,9 +42,12 @@ from repro.engine.shape_index import (
     prune_candidates,
     survives_floor,
 )
+from repro.engine.statistics import PrefixStats
+from repro.engine.trendline import Trendline, cast_trendline
 from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
+from tests.oracles import index_build as oracle
 
 UP_DOWN = q.concat(q.up(), q.down())
 PARAMS = VisualParams(z="z", x="x", y="y")
@@ -630,6 +638,187 @@ class TestShapeIndexUnit:
         bounds = np.array([0.2, 0.5, 0.8])
         keep = survives_floor(bounds, 0.5)
         assert keep.tolist() == [False, True, True]
+
+
+#: Bin counts that matter to the build: too short for any level (< 8),
+#: the shortest indexable, ``n % w != 0``, one whose super-bin count is
+#: odd at every coarsening step (49/50: W = 25 → 13 → 7 → 4), an odd W
+#: with wide super-bins (961: w = W = 31) and one past 2 000 bins.
+LENGTHS = [3, 7, 8, 9, 24, 24, 24, 33, 49, 50, 65, 130, 961, 2001]
+SHORT_LENGTHS = [n for n in LENGTHS if n < 200]
+SERIES = ["walk", "walk", "constant", "two-valued", "nan"]
+SHAPES = [UP_DOWN, q.concat(q.flat(), q.up()), q.concat(q.down(), q.up(), q.down())]
+
+#: ``BLOCK_ELEMENTS`` settings: one candidate per kernel pass, seven of
+#: the 24-bin class (a pass holds w * (n + 1) = 50 elements each), and
+#: the shipped constant.
+BLOCKS = [1, 7 * 50, shape_index.BLOCK_ELEMENTS]
+
+
+def _series(kind, bins, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(bins, float(seed % 5))
+    if kind == "two-valued":
+        return rng.integers(0, 2, bins).astype(float)
+    y = rng.normal(0, 1, bins).cumsum()
+    if kind == "nan":
+        y[int(rng.integers(0, bins))] = np.nan
+    return y
+
+
+def _ragged(specs, float32=False):
+    trendlines = [
+        make_trendline(_series(kind, bins, seed), key="r{:02d}".format(i))
+        for i, (bins, kind, seed) in enumerate(specs)
+    ]
+    if float32:
+        trendlines = [cast_trendline(t, np.float32) for t in trendlines]
+    return trendlines
+
+
+def _specs(lengths, max_size):
+    return st.lists(
+        st.tuples(st.sampled_from(lengths), st.sampled_from(SERIES), st.integers(0, 999)),
+        min_size=1,
+        max_size=max_size,
+    )
+
+
+@contextlib.contextmanager
+def _block_elements(elements):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shape_index, "BLOCK_ELEMENTS", elements)
+        yield
+
+
+def _assert_equals_oracle(index, trendlines):
+    """Every bucket, witness and packed byte of the per-trendline sweep."""
+    pyramids = [oracle.build_levels(trendline) for trendline in trendlines]
+    assert len(index) == len(trendlines)
+    assert index.indexed == sum(levels is not None for levels in pyramids)
+    for entry, levels, trendline in zip(index.entries, pyramids, trendlines):
+        assert (entry is None) == (levels is None)
+        if entry is None:
+            continue
+        assert entry.n_bins == trendline.n_bins
+        assert entry.witness == oracle.witness(trendline)
+        assert [w for w, _lo, _hi in entry.levels] == [w for w, _lo, _hi in levels]
+        for (_w, lo_a, hi_a), (_w, lo_b, hi_b) in zip(entry.levels, levels):
+            assert lo_a.tobytes() == lo_b.tobytes()
+            assert hi_a.tobytes() == hi_b.tobytes()
+    values, layout = oracle.pack(pyramids, [t.n_bins for t in trendlines])
+    got_values, got_layout = index.pack()
+    # Pickled, not just equal: the artifact digest covers these bytes.
+    assert pickle.dumps(got_layout) == pickle.dumps(layout)
+    assert got_values.tobytes() == values.tobytes()
+    assert index.nbytes == values.nbytes
+    reference = ShapeIndex.from_packed(values, layout)
+    engine = ShapeSearchEngine()
+    for shape in SHAPES:
+        compiled = engine.compile(shape)
+        assert (
+            index.upper_bounds(compiled).tobytes()
+            == reference.upper_bounds(compiled).tobytes()
+        )
+
+
+class TestTiledBuild:
+    """The class-batched build is the per-trendline sweep, bit for bit."""
+
+    @given(
+        _specs(SHORT_LENGTHS, 24) | _specs(LENGTHS, 6),
+        st.booleans(),
+        st.sampled_from(BLOCKS),
+    )
+    @example([(n, "walk", n) for n in LENGTHS], False, BLOCKS[-1])
+    @example([(n, "walk", n) for n in LENGTHS if n < 1000], True, 1)
+    @example([(24, kind, 3) for kind in SERIES] * 3, False, BLOCKS[1])
+    @example([(49, "nan", 1), (961, "two-valued", 2), (50, "constant", 3)], True, BLOCKS[1])
+    def test_build_equals_oracle(self, specs, float32, block):
+        trendlines = _ragged(specs, float32)
+        with _block_elements(block):
+            index = ShapeIndex.build(trendlines)
+        _assert_equals_oracle(index, trendlines)
+
+    def test_collection_block_feeds_the_same_rows(self):
+        # A generated Collection is read through its wide prefix block;
+        # slicing it to a list takes the per-trendline path.
+        collection = pipeline.generate_trendlines(_smooth_table(count=12), PARAMS)
+        assert isinstance(collection, Collection)
+        index = ShapeIndex.build(collection)
+        _assert_equals_oracle(index, collection)
+        assert index.pack()[0].tobytes() == ShapeIndex.build(collection[:]).pack()[0].tobytes()
+
+    @given(
+        _specs(SHORT_LENGTHS, 12),
+        st.lists(st.sampled_from(["keep", "keep", "change", "drop"]), min_size=12, max_size=12),
+        _specs(SHORT_LENGTHS, 4),
+        st.sampled_from(BLOCKS),
+    )
+    def test_extended_equals_build_and_reuses_by_identity(self, specs, fates, added, block):
+        base = _ragged(specs)
+        index = ShapeIndex.build(base)
+        grown, kept = [], []
+        for position, (trendline, fate) in enumerate(zip(base, fates)):
+            if fate == "change":
+                bins, kind, seed = specs[position]
+                trendline = make_trendline(
+                    _series(kind, bins, seed) + np.linspace(0.0, 1.0, bins),
+                    key=trendline.key,
+                )
+            elif fate == "keep":
+                kept.append((position, len(grown)))
+            if fate != "drop":
+                grown.append(trendline)
+        grown += [
+            make_trendline(_series(kind, bins, seed), key="new{}".format(i))
+            for i, (bins, kind, seed) in enumerate(added)
+        ]
+        with _block_elements(block):
+            extended = index.extended(grown)
+        _assert_equals_oracle(extended, grown)
+        assert extended.witnesses() == ShapeIndex.build(grown).witnesses()
+        for old, new in kept:
+            assert extended.entries[new] is index.entries[old]
+
+    def test_parent_commit_store_loads_and_bounds_identically(self):
+        # tests/fixtures/index_store: an artifact written by save_index
+        # at the commit before the tiled build (format 2), beside the
+        # prefix blocks it was built from.
+        root = Path(__file__).parent / "fixtures" / "index_store"
+        inputs = np.load(root / "inputs.npz")
+        if np.arctan(inputs["atan_probe"]).tobytes() != inputs["atan_result"].tobytes():
+            pytest.skip("np.arctan rounds differently here than where the fixture was written")
+        trendlines = []
+        for position, key in enumerate(inputs["keys"].tolist()):
+            stacked = inputs["prefix{:02d}".format(position)]
+            bins = np.zeros(stacked.shape[1] - 1)
+            trendlines.append(
+                Trendline(
+                    key=key, x=bins, y=bins, bin_x=bins, bin_y=bins, norm_bin_y=bins,
+                    prefix=PrefixStats.from_cumulative(*stacked, stacked=stacked),
+                    y_mean=0.0, y_std=1.0,
+                )
+            )
+        loaded = load_index(root, ("fixture", "parent-9663064"), "fixture-fingerprint")
+        assert loaded is not None and len(loaded) == loaded.indexed + 1 == len(trendlines)
+        fresh = ShapeIndex.build(trendlines)
+        assert pickle.dumps(fresh.pack()[1]) == pickle.dumps(loaded.pack()[1])
+        assert fresh.witnesses() == loaded.witnesses()
+        assert fresh.pack()[0].tobytes() == loaded.pack()[0].tobytes()
+        _assert_same_buckets(fresh, loaded)
+        engine = ShapeSearchEngine()
+        for shape in SHAPES:
+            compiled = engine.compile(shape)
+            assert (
+                loaded.upper_bounds(compiled).tobytes()
+                == fresh.upper_bounds(compiled).tobytes()
+            )
+        # ...and the loaded index extends like a built one: nothing to redo.
+        again = loaded.extended(trendlines)
+        assert all(a is b for a, b in zip(again.entries, loaded.entries))
+        assert again.pack()[0].tobytes() == loaded.pack()[0].tobytes()
 
 
 class TestTailStateBudget:

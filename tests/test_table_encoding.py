@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.data import table as table_module
 from repro.data.table import ColumnEncoding, Table
 from repro.data.visual_params import VisualParams
+from repro.engine.cache import table_fingerprint
 from repro.engine.collection import count_groups
 
 from tests.conftest import same_key
@@ -35,10 +36,7 @@ KINDS = {
         st.sampled_from([1, 1.0, True, 0, False, "a", (0, "t"), (1, "t"), NAN, float("nan")]),
     ),
 }
-#: (No tuple here: appending a sequence-valued cell to a *typed* column
-#: fails inside ``append_rows`` itself, before any encoding is involved;
-#: tuple keys live in the object kind above.)
-WIDENERS = st.sampled_from([2.5, "wide", 10 ** 30])
+WIDENERS = st.sampled_from([2.5, "wide", 10 ** 30, ("k", 1), ("k", 2)])
 
 
 def _object_array(values):
@@ -130,6 +128,27 @@ class TestEncodingExtension:
         assert_same_encoding(encoding, scratch_encoding(grown))
         # The base keeps its own encoding, untouched by the append.
         assert base.encoding("z").keys == [1, 2] and len(base.encoding("z").codes) == 3
+
+    @pytest.mark.parametrize(
+        "head", [np.array(["a", "b"]), np.array([1.5, 2.5])], ids=["str", "float"]
+    )
+    def test_tuple_keys_box_a_typed_column(self, head):
+        # Equal-length tuples are values, not rows of a 2-D array: the
+        # append boxes the column exactly as a from-scratch build does.
+        tail = [("k", 1), ("k", 2)]
+        base = Table.from_arrays(z=head, v=np.arange(2.0))
+        base.encoding("z")
+        grown = base.append_rows(
+            [{"z": key, "v": 2.0 + row} for row, key in enumerate(tail)]
+        )
+        scratch = Table.from_records(
+            [{"z": key, "v": float(row)} for row, key in enumerate(head.tolist() + tail)]
+        )
+        assert grown.column("z").dtype == scratch.column("z").dtype == object
+        assert grown.column("z").tolist() == scratch.column("z").tolist()
+        assert grown.column("v").tolist() == scratch.column("v").tolist()
+        assert table_fingerprint(grown) == table_fingerprint(scratch)
+        assert_same_encoding(grown.encoding("z"), scratch_encoding(scratch))
 
     def test_sibling_appends_do_not_share_keys(self):
         base = Table.from_arrays(z=np.array(["a", "b"]), v=np.arange(2.0))

@@ -23,6 +23,7 @@ from tools.reprolint.rules.kernel import MatrixParityRule, SlopeBasedDeclaration
 from tools.reprolint.rules.index import FloorSeamRule
 from tools.reprolint.rules.artifacts import MappingLifecycleRule
 from tools.reprolint.rules.serving import AsyncBlockingCallRule
+from tools.reprolint.rules.imports import ImportWeightRule
 
 ALL_RULES = [
     SetIterationRule(),
@@ -43,6 +44,7 @@ ALL_RULES = [
     FloorSeamRule(),
     MappingLifecycleRule(),
     AsyncBlockingCallRule(),
+    ImportWeightRule(),
 ]
 
 RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}

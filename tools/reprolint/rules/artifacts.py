@@ -7,8 +7,8 @@ bail out — and every bail-out after the map is open is a chance to leak
 the file mapping for the process lifetime (the same failure family
 REP02x pins for shared-memory segments).  The discipline mirrors
 REP021+REP023 for the mmap sources: an opened mapping must reach an
-owner — returned, handed to ``ShapeIndex.from_packed`` (whose entry
-views keep the mapping alive), or released through the idempotent
+owner — returned, handed to ``ShapeIndex.from_packed`` (the index
+holds the mapping as its packed block), or released through the idempotent
 ``_close_block`` — and no ``raise`` may sit between the open and that
 ownership transfer unless a ``try`` handler/finally closes the mapping.
 Runtime proof: ``tests/test_artifacts.py`` fallback suite (every
@@ -27,7 +27,7 @@ from tools.reprolint.visitor import FileContext, Rule, call_name, mentions_name
 _MAPPING_SOURCES = {"memmap", "_open_block", "mmap"}
 #: Callables that take ownership of a mapping passed to them:
 #: ``_close_block`` releases it, ``from_packed`` wraps it in an index
-#: whose views pin it, finalizers inherit the release obligation.
+#: that holds it, finalizers inherit the release obligation.
 _OWNERSHIP_SINKS = {"_close_block", "from_packed", "finalize", "register"}
 
 
