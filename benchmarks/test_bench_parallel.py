@@ -478,24 +478,25 @@ def test_shape_index(benchmark):
         indexed_engine.rank(trendlines, query, k=10)
         indexed_s = min(indexed_s, time.perf_counter() - started)
 
-    # Where the indexed time goes: the bound pass and the exact seed
-    # solve, timed on their own (the rest is Score over the survivors).
-    bounds_s = seed_s = float("inf")
-
-    def timed_seeds(seeds):
-        nonlocal seed_s
-        started = time.perf_counter()
-        results = solve_many(seeds, query, indexed_engine.algorithm)
-        seed_s = min(seed_s, time.perf_counter() - started)
-        return results
-
+    # Where the indexed time goes: the pyramid levels (the coarse pass
+    # up front, the finest on the rows still alive) and the rounds' exact
+    # solves, timed on their own.
+    levels_s = rounds_s = float("inf")
     for _ in range(3):
+        solving = 0.0
+
+        def timed_block(block):
+            nonlocal solving
+            started = time.perf_counter()
+            results = solve_many(block, query, indexed_engine.algorithm)
+            solving += time.perf_counter() - started
+            return results
+
         started = time.perf_counter()
-        bounds = index.upper_bounds(query)
-        bounds_s = min(bounds_s, time.perf_counter() - started)
-        prune_candidates(
-            trendlines, index, query, 10, bounds=bounds, solve_many=timed_seeds
-        )
+        prune_candidates(trendlines, index, query, 10, solve_many=timed_block)
+        elapsed = time.perf_counter() - started
+        levels_s = min(levels_s, elapsed - solving)
+        rounds_s = min(rounds_s, solving)
 
     speedup = full_s / max(indexed_s, 1e-9)
     print_table(
@@ -507,6 +508,8 @@ def test_shape_index(benchmark):
             ["full scan", "{:.3f}s".format(full_s), "1.00x", "-"],
             ["indexed", "{:.3f}s".format(indexed_s), "{:.2f}x".format(speedup),
              "{:.1%}".format(pruned_fraction)],
+            ["  pyramid levels", "{:.3f}s".format(levels_s), "-", "-"],
+            ["  round solves", "{:.3f}s".format(rounds_s), "-", "-"],
             ["index build (one-time)", "{:.3f}s".format(build_s), "-", "-"],
         ],
     )
@@ -519,8 +522,8 @@ def test_shape_index(benchmark):
             "pruned_fraction": pruned_fraction,
             "full_rank_s": full_s,
             "indexed_rank_s": indexed_s,
-            "bounds_s": bounds_s,
-            "seed_s": seed_s,
+            "levels_s": levels_s,
+            "rounds_s": rounds_s,
             "speedup": speedup,
         },
     )

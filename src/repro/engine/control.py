@@ -96,9 +96,14 @@ class ExecutionControl:
 
     # -- progress (driven by the Score stage) ------------------------------
     def begin(self, total: int) -> None:
-        """Record the planned shard count and emit the initial progress."""
+        """Plan ``total`` more shards and emit the progress.
+
+        An indexed Score stage dispatches round after round, each adding
+        its shards to the plan, so ``completed + dropped == total`` holds
+        at every round's end.
+        """
         with self._lock:
-            self.total = total
+            self.total = (self.total or 0) + total
         self._notify()
 
     def shard_completed(self) -> None:

@@ -148,9 +148,10 @@ class ExecutionStats:
     #: Rows the streaming tail consumed in this refresh (0 elsewhere):
     #: the delta the incremental work was proportional to.
     appended_rows: int = 0
-    #: Candidates the IndexPrune stage saw / discarded against the top-k
-    #: floor (both 0 when the stage did not run — index disabled, query
-    #: unbounded, or the collection below the seed threshold).
+    #: Candidates the IndexPrune stage saw / the indexed Score rounds
+    #: never solved — their bound failed the rising top-k floor (both 0
+    #: when the stage did not run — index disabled, query unbounded, or
+    #: the collection no larger than the first round).
     index_candidates: int = 0
     index_pruned: int = 0
     #: Where IndexPrune's index came from: ``"memory"`` (table-attached

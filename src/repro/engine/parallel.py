@@ -43,6 +43,7 @@ from repro.engine.greedy import greedy_run_solver
 from repro.engine.pruning import PruningReport, prune_and_rank
 from repro.engine.pushdown import eager_upper_bound, plan_pushdown
 from repro.engine.segment_tree import BATCH_BLOCK, segment_tree_batch_solver
+from repro.engine.shape_index import MIN_SEED_CANDIDATES
 from repro.engine.trendline import Trendline
 from repro.errors import ExecutionError
 
@@ -92,7 +93,7 @@ def solve_many(
     """Score a collection of candidates with the named algorithm.
 
     The single Score funnel: every collection-level call site (shards,
-    tail re-scores, index seeds) hands its candidates over together.
+    tail re-scores, index rounds) hands its candidates over together.
     ``"segment-tree"`` solves them :data:`BATCH_BLOCK` at a time with one
     level-wise array combine per block, whatever their lengths
     (:class:`~repro.engine.segment_tree.BatchedSegmentTree`); the other
@@ -249,7 +250,7 @@ def score_shard_range(
     :class:`~repro.engine.shm.QueryHandle`; both resolve against the
     worker-resident store (attached on first use), so the task itself is
     only a manifest and the positions — a ``range`` for a full scan, the
-    shard's slice of the survivor positions after IndexPrune.  Scoring
+    shard's slice of an indexed round's block.  Scoring
     and the total order are exactly :func:`score_shard` over the same
     global positions, which is what keeps results byte-identical across
     transports.  The shard travels back as ``(score, position, None,
@@ -352,6 +353,20 @@ def score_ranges(
     once, here, and hand the ranges to whichever transport runs them.
     """
     return make_range_chunks(count, workers, chunk_size, 1 if pruning else BATCH_BLOCK)
+
+
+def round_size(k: int, number: int) -> int:
+    """Candidates the indexed Score stage draws in round ``number`` (from 0).
+
+    ``max(k, MIN_SEED_CANDIDATES)`` first — the fewest that can set a
+    top-k floor — then one :data:`BATCH_BLOCK`, doubling: enough rounds
+    for the floor to rise before most of the work is committed, few
+    enough that a long tail is solved in pool-sized batches.  A pure
+    function of ``(k, number)``, so every plan solves the same set.
+    """
+    if number == 0:
+        return max(int(k), MIN_SEED_CANDIDATES)
+    return BATCH_BLOCK << (number - 1)
 
 
 def _shutdown_executor(executor) -> None:
@@ -521,8 +536,8 @@ def dispatch_score_shards(
     this for callers that want the merged items directly.  ``control``
     (an :class:`~repro.engine.control.ExecutionControl`) makes the
     dispatch cancellable and progress-observable.  ``positions``
-    (ascending) restricts scoring to those candidates — the survivors
-    IndexPrune has not already solved — under their global positions;
+    (ascending) restricts scoring to those candidates — one round's
+    block of an indexed query — under their global positions;
     ``ranges`` (:func:`score_ranges`) tile them.
     """
     if positions is None:

@@ -32,6 +32,7 @@ Two layers live here:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -49,7 +50,12 @@ from repro.engine.collection import (
     require_columns,
 )
 from repro.engine.pushdown import PushdownPlan, plan_pushdown
-from repro.engine.shape_index import MIN_SEED_CANDIDATES, index_supports, prune_with_seeds
+from repro.engine.shape_index import (
+    MIN_SEED_CANDIDATES,
+    BoundFrontier,
+    TopKFloor,
+    index_supports,
+)
 from repro.engine.trendline import Trendline, cast_trendline
 
 # ---------------------------------------------------------------------------
@@ -434,20 +440,17 @@ class DeferredGeneration:
 class Candidates:
     """Extract/Group output: materialized trendlines or a deferred plan.
 
-    IndexPrune narrows a materialized collection *by position*, leaving
-    ``trendlines`` the resident (cached, shm-published) object:
-    ``positions`` are the survivors (ascending; None = all) and
-    ``solved`` maps the seed positions to the exact results IndexPrune
-    already holds, so Score solves every other survivor exactly once.
-    ``resident`` is False for a list built for this run alone (cacheless
-    generation, a precision cast): publishing it whole would be paid on
-    every query, so the shm Score ships its survivors as objects instead.
+    IndexPrune leaves ``trendlines`` the resident (cached, shm-published)
+    object and attaches the ``frontier`` the Score stage draws its
+    rounds from (None = one round over every position).  ``resident`` is
+    False for a list built for this run alone (cacheless generation, a
+    precision cast): publishing it whole would be paid on every query,
+    so the shm Score ships a frontier's blocks as objects instead.
     """
 
     trendlines: Optional[Sequence[Trendline]] = None
     deferred: Optional[DeferredGeneration] = None
-    positions: Optional[List[int]] = None
-    solved: dict = field(default_factory=dict)
+    frontier: Optional[BoundFrontier] = None
     resident: bool = True
 
 
@@ -604,27 +607,26 @@ INDEX_DISPATCH_MIN = 256
 
 
 class IndexPrune(Operator):
-    """Discard candidates the shape index proves cannot enter the top k.
+    """Open the bound frontier that lets Score stop before the last candidate.
 
-    Runs between candidate materialization and Score: the engine's
-    persistent :class:`~repro.engine.shape_index.ShapeIndex` bounds every
-    candidate, the highest-bounded ``max(k, MIN_SEED_CANDIDATES)`` seeds
-    are scored exactly to establish the top-k floor, and every candidate
-    whose bound falls strictly below the floor is dropped before the DP
-    ever touches it (:func:`~repro.engine.shape_index.prune_with_seeds`,
-    decisions routed through the
-    :func:`~repro.engine.shape_index.survives_floor` seam).  The output
-    names the survivors by position and carries the seeds' exact results
-    forward, so Score solves only the survivors this stage has not.
-    Exactness: a discarded candidate's true score is strictly below at
-    least k others', and survivors keep their positions, so the *(score
-    desc, position asc)* merge selects exactly the full scan's top k.
+    Runs between candidate materialization and Score: resolves the
+    engine's persistent :class:`~repro.engine.shape_index.ShapeIndex`
+    and hands on a :class:`~repro.engine.shape_index.BoundFrontier` —
+    every candidate's coarse-level bound.  Score then solves the
+    best-bounded candidates round by round, raising the top-k floor as
+    it goes, and stops when no unsolved candidate's bound reaches the
+    floor; the DP never touches the rest (decisions routed through the
+    :func:`~repro.engine.shape_index.survives_floor` seam).
+    Exactness: an unsolved candidate's true score is strictly below at
+    least k others', and solved candidates keep their positions, so the
+    *(score desc, position asc)* merge selects exactly the full scan's
+    top k.
 
     On the shm process backend, once the candidates cut into two shards
     of :data:`INDEX_DISPATCH_MIN`, the bound pass itself is
     sharded: workers attach the published index zero-copy and evaluate
-    the same function on the same buckets — identical floats, so the
-    prune decisions cannot depend on the transport.
+    the same function on the same buckets at full depth — valid bounds
+    whichever transport computed them.
     """
 
     name = "IndexPrune"
@@ -638,12 +640,12 @@ class IndexPrune(Operator):
         self.table = table
         self.index_key = index_key
         #: Which tier supplied the index on the last run ("memory" |
-        #: "disk" | "built"), rendered into the explained plan.
+        #: "disk" | "built") and the frontier Score drew from, rendered
+        #: into the explained plan.
         self.index_source: Optional[str] = None
+        self.frontier: Optional[BoundFrontier] = None
 
     def run(self, ctx, candidates: Candidates) -> Candidates:
-        from repro.engine.parallel import solve_many
-
         engine = ctx.engine
         trendlines = candidates.trendlines
         total = len(trendlines)
@@ -658,20 +660,10 @@ class IndexPrune(Operator):
         ctx.stats.index_reason = index_reason
         bounds = self._dispatched_bounds(ctx, index, total)
         ctx.stats.index_bounds = "dispatched" if bounds is not None else "inline"
-
-        def solve_seeds(seeds):
-            return solve_many(
-                seeds, self.compiled, engine.algorithm, kernel=engine.kernel
-            )
-
-        survivors, pruned, solved = prune_with_seeds(
-            trendlines, index, self.compiled, self.k, solve_seeds, bounds=bounds
-        )
-        ctx.stats.index_pruned = pruned
+        self.frontier = BoundFrontier(index, self.compiled, bounds)
         return Candidates(
             trendlines=trendlines,
-            positions=survivors if pruned else None,
-            solved=solved,
+            frontier=self.frontier,
             resident=candidates.resident,
         )
 
@@ -696,9 +688,12 @@ class IndexPrune(Operator):
             session.unpin(handle, query_ref)
 
     def detail(self) -> str:
-        if self.index_source is None:
+        if self.frontier is None:
             return "k={}".format(self.k)
-        return "k={} source={}".format(self.k, self.index_source)
+        return "k={} source={} rounds={} refined=[{}]".format(
+            self.k, self.index_source, self.frontier.rounds,
+            ",".join(map(str, self.frontier.refined)),
+        )
 
 
 class _ScoreBase(Operator):
@@ -719,46 +714,62 @@ class _ScoreBase(Operator):
 
 
 class ParallelScore(_ScoreBase):
-    """Object-passing sharded scoring (thread pools, process+pickle)."""
+    """Object-passing sharded scoring (thread pools, process+pickle).
+
+    Without an index the stage is one round over every position.  With
+    a :class:`~repro.engine.shape_index.BoundFrontier` it is best-first:
+    each round draws the best-bounded unsolved block
+    (:func:`~repro.engine.parallel.round_size` — a function of ``k`` and
+    the round number only, so every plan solves the same candidates),
+    shards and dispatches it like any stage, and folds the shards' items
+    into the running top-k floor the next draw is held to.  Every
+    candidate is solved at most once; the rounds end when the frontier
+    has nothing left that could reach the floor.
+    """
 
     mode = "parallel"
 
     def run(self, ctx, candidates: Candidates) -> ScoredShards:
-        from repro.engine.parallel import ShardResult, score_ranges
+        from repro.engine.parallel import round_size, score_ranges
 
         engine = ctx.engine
-        trendlines, solved = candidates.trendlines, candidates.solved
-        positions = candidates.positions
-        if positions is None:
-            positions = range(len(trendlines))
-        ctx.stats.candidates = len(positions)
-        shards = []
-        if solved:
-            # The seeds IndexPrune solved are not solved again: they join
-            # the merge as one shard of their own, already scored, so every
-            # survivor is solved exactly once and stats.scored counts each.
-            shards.append(ShardResult(
-                items=[
-                    (result.score, position, trendlines[position], result)
-                    for position, result in solved.items()
-                ],
-                scored=len(solved),
-            ))
-            positions = [p for p in positions if p not in solved]
-        # The stage is sized once, here, whatever transport runs it.  One
-        # worker means one shard, whatever chunk size the pools use.
-        ranges = score_ranges(
-            len(positions),
-            self.workers,
-            engine.chunk_size if self.workers > 1 else None,
-            pruning=self.pruning,
-        )
-        shards += self.dispatch_shards(ctx, candidates, positions, ranges)
+        frontier = candidates.frontier
+        total = len(candidates.trendlines)
+        floor = TopKFloor(self.k)
+        shards: list = []
+        handed = 0
+        with contextlib.ExitStack() as pins:
+            while True:
+                if frontier is None:
+                    positions = range(total)
+                else:
+                    positions = frontier.next_block(
+                        round_size(self.k, frontier.rounds), floor.value
+                    )
+                    if not positions:
+                        break
+                # A round is sized once, here, whatever transport runs it.
+                # One worker means one shard, whatever chunk size the pools use.
+                ranges = score_ranges(
+                    len(positions),
+                    self.workers,
+                    engine.chunk_size if self.workers > 1 else None,
+                    pruning=self.pruning,
+                )
+                block = self.dispatch_shards(ctx, candidates, positions, ranges, pins)
+                shards += block
+                handed += len(positions)
+                if frontier is None or (ctx.control is not None and ctx.control.cancelled):
+                    break
+                floor.add(item[0] for shard in block for item in shard.items)
+        ctx.stats.candidates = handed
+        if frontier is not None:
+            ctx.stats.index_pruned = total - handed
         return ScoredShards(
             shards, pruned=self.pruning, sequential=self.mode == "sequential"
         )
 
-    def dispatch_shards(self, ctx, candidates, positions, ranges) -> list:
+    def dispatch_shards(self, ctx, candidates, positions, ranges, pins) -> list:
         from repro.engine.parallel import dispatch_prune_shards, dispatch_score_shards
 
         engine = ctx.engine
@@ -791,8 +802,8 @@ class ParallelScore(_ScoreBase):
 
 
 class SequentialScore(ParallelScore):
-    """One shard covering the whole collection, scored in the caller —
-    the workers=1 path (a one-worker pool never leaves the process)."""
+    """One shard per round, scored in the caller — the workers=1 path (a
+    one-worker pool never leaves the process)."""
 
     mode = "sequential"
 
@@ -801,58 +812,64 @@ class SharedMemoryScore(ParallelScore):
     """Position-sharded scoring over the shm-published collection.
 
     The *full* collection and the compiled query are published once per
-    session (acquired-and-pinned atomically, so concurrent evictions
-    cannot unlink a segment mid-dispatch) and stay resident in the
-    workers; shards travel as ``(handle, positions)`` — slices of the
-    positions left to solve — and come back without trendlines.  Two
-    stages publish nothing and take the object-passing path instead: one
-    with fewer than two shards (it runs in the caller and never touches
-    the pool), and the survivors of a collection that is not resident —
-    a per-run list would be published whole and re-attached by every
-    worker on every query, to solve the few candidates IndexPrune kept.
+    session (acquired-and-pinned atomically — once per run, by the first
+    round that crosses the pool — so concurrent evictions cannot unlink
+    a segment mid-dispatch) and stay resident in the workers; shards
+    travel as ``(handle, positions)`` — slices of the round's positions
+    — and come back without trendlines.  Two kinds of round publish
+    nothing and take the object-passing path instead: one with fewer
+    than two shards (it runs in the caller and never touches the pool),
+    and a frontier's block of a collection that is not resident — a
+    per-run list would be published whole and re-attached by every
+    worker on every query, to solve the few candidates a round draws.
     """
 
     mode = "shared-memory"
+    _pinned = None  # this run's (collection handle, query ref), once acquired
 
-    def dispatch_shards(self, ctx, candidates, positions, ranges) -> list:
+    def _unpin(self, session) -> None:
+        pinned, self._pinned = self._pinned, None
+        session.unpin(*pinned)
+
+    def dispatch_shards(self, ctx, candidates, positions, ranges, pins) -> list:
         from repro.engine.parallel import dispatch_prune_ranges, dispatch_score_ranges
 
         engine = ctx.engine
         trendlines = candidates.trendlines
         narrowed = len(positions) < len(trendlines)
         if len(ranges) < 2 or (narrowed and not candidates.resident):
-            return super().dispatch_shards(ctx, candidates, positions, ranges)
+            return super().dispatch_shards(ctx, candidates, positions, ranges, pins)
         pool = engine._resolve_pool(self.workers)
-        session = engine._shm_session()
-        handle, query_ref = session.acquire(trendlines, self.compiled)
-        try:
-            if self.pruning:
-                return dispatch_prune_ranges(
-                    handle,
-                    query_ref,
-                    self.k,
-                    pool,
-                    ranges,
-                    sample_size=engine.sample_size,
-                    sample_points=engine.sample_points,
-                    kernel=engine.kernel,
-                    control=ctx.control,
-                )
-            return dispatch_score_ranges(
+        if self._pinned is None:
+            session = engine._shm_session()
+            self._pinned = session.acquire(trendlines, self.compiled)
+            pins.callback(self._unpin, session)
+        handle, query_ref = self._pinned
+        if self.pruning:
+            return dispatch_prune_ranges(
                 handle,
                 query_ref,
                 self.k,
                 pool,
                 ranges,
-                algorithm=engine.algorithm,
-                enable_pushdown=engine.enable_pushdown,
-                has_eager_checks=self.has_eager_checks,
+                sample_size=engine.sample_size,
+                sample_points=engine.sample_points,
                 kernel=engine.kernel,
                 control=ctx.control,
-                positions=positions,
             )
-        finally:
-            session.unpin(handle, query_ref)
+        return dispatch_score_ranges(
+            handle,
+            query_ref,
+            self.k,
+            pool,
+            ranges,
+            algorithm=engine.algorithm,
+            enable_pushdown=engine.enable_pushdown,
+            has_eager_checks=self.has_eager_checks,
+            kernel=engine.kernel,
+            control=ctx.control,
+            positions=positions,
+        )
 
 
 class GenerateAndScore(_ScoreBase):

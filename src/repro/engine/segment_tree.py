@@ -73,7 +73,7 @@ from repro.engine import scoring
 from repro.engine.chains import ChainUnit
 from repro.engine.statistics import PrefixStats
 from repro.engine.trendline import Trendline
-from repro.engine.units import MIN_SEGMENT_BINS, run_min_length
+from repro.engine.units import MIN_SEGMENT_BINS, default_leaf_size, run_min_length
 
 #: A table entry: (weighted score sum, per-unit placements, per-unit scores).
 Entry = Tuple[float, Tuple[Tuple[int, int], ...], Tuple[float, ...]]
@@ -120,14 +120,6 @@ def leaf_ranges(lo: int, hi: int, size: int = MIN_SEGMENT_BINS) -> List[Tuple[in
     return ranges
 
 
-def _default_leaf_size(min_len: int) -> int:
-    """Finer than the minimum unit width so break points stay close to
-    DP's; the width floor is enforced on interior placements during
-    combination instead (boundary placements keep growing through merges
-    at higher levels)."""
-    return max(MIN_SEGMENT_BINS, min_len // 2)
-
-
 class IncrementalSegmentTree:
     """Level-wise bottom-up construction of the SegmentTree tables."""
 
@@ -145,7 +137,7 @@ class IncrementalSegmentTree:
         self.context = context
         self.min_len = run_min_length(lo, hi, max(1, len(units)))
         if leaf_size is None:
-            leaf_size = _default_leaf_size(self.min_len)
+            leaf_size = default_leaf_size(self.min_len)
         self.ranges = leaf_ranges(lo, hi, leaf_size)
         self.tables = self._leaf_tables()
 
@@ -458,7 +450,7 @@ class BatchedSegmentTree:
         for run in bounds:
             if run not in shapes:
                 min_len = run_min_length(*run, max(1, k))
-                ranges = np.array(leaf_ranges(*run, _default_leaf_size(min_len)))
+                ranges = np.array(leaf_ranges(*run, default_leaf_size(min_len)))
                 shapes[run] = (min_len, ranges[:, 0], ranges[:, 1])
         #: Per candidate: the width floor and the nodes it has left.
         self.min_lens = np.array([shapes[run][0] for run in bounds])
@@ -775,7 +767,7 @@ def segment_tree_batch_solver(
         elif m == 1:
             results[c] = [(lo, hi)]
         else:
-            leaves = (hi - lo) // _default_leaf_size(run_min_length(lo, hi, m))
+            leaves = (hi - lo) // default_leaf_size(run_min_length(lo, hi, m))
             if blocks[-1] and (
                 len(blocks[-1]) == BATCH_BLOCK or lanes + leaves > BATCH_LANES
             ):

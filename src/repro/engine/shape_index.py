@@ -37,21 +37,24 @@ index:
   min over levels, clamped to the score range at −1.
 
 **Soundness** (what makes index-pruned runs byte-identical): every
-engine algorithm places each chain as a full cover of ``[0, n)`` with
-per-unit width ≥ ``run_min_length(0, n, m)`` (dp/loop, segment-tree,
-greedy, exhaustive all share that floor), so any true placement maps to
-a bucket path the coarse DP admits — consecutive units share their
-boundary bin, so the next start super-bin is the previous end super-bin
-or its successor — and every per-unit score is ≤ its bucket bound
-(y-location masks only *lower* scores).  Infeasible chains score
-:data:`~repro.engine.units.INFEASIBLE` = −1, which the −1 clamp covers.
-A candidate is discarded only when its bound is **strictly below** the
-running top-k floor (the k-th best of exactly-scored seed candidates),
-so its true score is strictly below at least k other candidates' and it
-cannot appear in the top k under any tie-break; survivors keep their
-relative positions, so the *(score desc, position asc)* shard order —
-and the key-based presentation order — select exactly the unindexed
-run's matches.
+engine algorithm places each chain as a full cover of ``[0, n)`` whose
+interior units are at least ``run_min_length(0, n, m)`` bins wide and
+whose first and last unit are at least one SegmentTree leaf wide (the
+dp/loop, greedy and exhaustive solvers hold the end units to the full
+floor as well; the tree does not — :func:`_unit_widths`), so any true
+placement maps to a bucket path the coarse DP admits — consecutive
+units share their boundary bin, so the next start super-bin is the
+previous end super-bin or its successor — and every per-unit score is ≤
+its bucket bound (y-location masks only *lower* scores).  Infeasible
+chains score :data:`~repro.engine.units.INFEASIBLE` = −1, which the −1
+clamp covers.  A candidate is discarded only when its bound is
+**strictly below** the running top-k floor (the k-th best of the
+candidates solved exactly so far — :class:`BoundFrontier`), so its true
+score is strictly below at least k other candidates' and it cannot
+appear in the top k under any tie-break; solved candidates keep their
+positions, so the *(score desc, position asc)* shard order — and the
+key-based presentation order — select exactly the unindexed run's
+matches.
 
 Pruning decisions route through one seam — :func:`survives_floor` —
 enforced by reprolint rule REP061: no ad-hoc floor thresholds.
@@ -60,6 +63,7 @@ enforced by reprolint rule REP061: no ad-hoc floor thresholds.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,7 +75,13 @@ from repro.engine.chains import Chain, CompiledQuery
 from repro.engine.collection import Collection
 from repro.engine.statistics import fit_slopes
 from repro.engine.trendline import Trendline
-from repro.engine.units import MIN_SEGMENT_BINS, LineUnit, SlopeUnit, run_min_length
+from repro.engine.units import (
+    INFEASIBLE,
+    MIN_SEGMENT_BINS,
+    SlopeUnit,
+    default_leaf_size,
+    run_min_length,
+)
 
 #: Target super-bin count of the finest pyramid level.  32² buckets keep
 #: the per-candidate query work trivial (a few (32, 32) array ops per
@@ -139,10 +149,14 @@ def index_supports(query: CompiledQuery) -> bool:
 # Build: one vectorized sweep per length class, into the packed block
 # ---------------------------------------------------------------------------
 
-#: Most slope-tile elements (candidates × start rows × end columns) one
-#: kernel pass may hold.  A length class is swept in blocks of as many
-#: candidates as fit (one at least), so a build peaks at the packed
-#: block plus a few tiles of this size, whatever the collection's.
+#: Most tile elements one kernel pass may hold — slope tiles (candidates
+#: × start rows × end columns) in a build, bucket tiles (candidates × W
+#: × W; 64 candidates at the finest level) in a bound pass.  A length
+#: class is swept in blocks of as many candidates as fit (one at least),
+#: so a build peaks at the packed block plus a few tiles of this size
+#: and a query's temporaries at a few such tiles, whatever the
+#: collection's; half-MB tiles also stay cache-resident (272 × 32²
+#: buckets in one pass: 7.2 ms, in passes of 64: 5.0 ms).
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -487,8 +501,8 @@ class ShapeIndex:
         ``n_bins`` group is one dense ``(candidates, W, W)`` tile and the
         recurrence runs on ``(candidates, W)`` state tiles with no
         per-candidate Python dispatch.  Bitwise-equal to the retained
-        scalar oracle :meth:`upper_bound`, including the per-candidate
-        coarse-level early-exit freeze when ``floor`` is bounded.
+        scalar oracle :meth:`upper_bound`, including its coarse-level
+        early exit when ``floor`` is bounded (:func:`_refine`).
         Unindexed entries bound at ``+inf`` (never pruned); an empty
         index returns a well-formed empty float64 vector.
         """
@@ -512,9 +526,9 @@ class ShapeIndex:
             lo, hi = np.searchsorted(positions, (start, end))
             if lo < hi:
                 tiles = [(w, amin[lo:hi], amax[lo:hi]) for w, amin, amax in levels]
-                out[positions[lo:hi] - start] = _batched_level_bounds(
-                    n_bins, tiles, query, floor
-                )
+                bound = np.full(hi - lo, _POS_INF)
+                _refine(n_bins, tiles[::-1], query, bound, floor)
+                out[positions[lo:hi] - start] = bound
         return out
 
     # -- flat packing (the shared-memory and on-disk export form) ------------
@@ -628,6 +642,23 @@ def _unit_upper(unit, amin: np.ndarray, amax: np.ndarray, shared: dict) -> np.nd
     return upper
 
 
+def _unit_widths(n_bins: int, units_count: int) -> List[int]:
+    """The narrowest width any algorithm places each unit of a chain at.
+
+    Interior units are ``run_min_length`` wide under every run solver.
+    dp/loop, greedy and exhaustive hold the end units to it too, but the
+    SegmentTree enforces the floor only where two subtrees meet, so a
+    first or last unit can be one leaf wide
+    (:func:`~repro.engine.units.default_leaf_size`, never above the
+    floor): bounding end units there admits every algorithm's placements.
+    """
+    min_len = run_min_length(0, n_bins, units_count)
+    if units_count < 2:
+        return [min_len]
+    edge = default_leaf_size(min_len)
+    return [edge] + [min_len] * (units_count - 2) + [edge]
+
+
 def _chain_level_bound(
     n_bins: int,
     chain: Chain,
@@ -643,24 +674,20 @@ def _chain_level_bound(
     ``n`` (super-bin W−1), and consecutive units share their boundary
     bin — so the next start super-bin is the previous end super-bin or
     its successor.  Buckets that are empty, inverted, or too narrow to
-    host the run's minimum segment width are −inf.
+    host the unit's minimum width (:func:`_unit_widths`) are −inf.
     """
     W = amin.shape[0]
     grid = np.arange(W)
-    min_len = run_min_length(0, n_bins, len(chain.units))
-    infeasible = (
-        shared["empty"]
-        | (grid[:, None] > grid[None, :])
-        | ((grid[None, :] - grid[:, None] + 1) * w < min_len)
-    )
+    span = (grid[None, :] - grid[:, None] + 1) * w
+    blocked = shared["empty"] | (grid[:, None] > grid[None, :])
     memo = shared.setdefault("units", {})
     state: Optional[np.ndarray] = None
-    for cu in chain.units:
+    for cu, width in zip(chain.units, _unit_widths(n_bins, len(chain.units))):
         key = _unit_key(cu.unit)
         upper = memo.get(key)
         if upper is None:
             upper = memo[key] = _unit_upper(cu.unit, amin, amax, shared)
-        weighted = np.where(infeasible, _NEG_INF, cu.weight * upper)
+        weighted = np.where(blocked | (span < width), _NEG_INF, cu.weight * upper)
         if state is None:
             state = weighted[0, :].copy()
             continue
@@ -721,30 +748,27 @@ def _batched_chain_bound(
     The recurrence is per-candidate independent, so running it on
     ``(C, W)`` state tiles is the scalar DP replicated along axis 0, and
     every chain bound is the scalar oracle's float.  ``shared`` memoizes,
-    for this level, the infeasible mask per ``min_len`` and the masked
-    ``weight · upper`` tile per (unit, weight, ``min_len``) — a repeated
-    unit costs one tile.  The max over start super-bins is accumulated
-    start by start, in the scalar reduction's order, over the end
-    super-bins that start can reach at all: the rest of each row is
-    masked to −inf, which no maximum ever picks.
+    for this level, the infeasible mask per unit width and the masked
+    ``weight · upper`` tile per (unit, weight, width) — a repeated unit
+    costs one tile, masked in place.  The max over start super-bins is
+    accumulated start by start, in the scalar reduction's order, over
+    the end super-bins that start can reach at all: the rest of each row
+    is masked to −inf, which no maximum ever picks.
     """
     count, W = amin.shape[:2]
-    min_len = run_min_length(0, n_bins, len(chain.units))
-    infeasible = shared.get(("infeasible", min_len))
-    if infeasible is None:
-        grid = np.arange(W)
-        infeasible = shared["infeasible", min_len] = (
-            shared["empty"]
-            | (grid[:, None] > grid[None, :])
-            | ((grid[None, :] - grid[:, None] + 1) * w < min_len)
-        )
-    # Buckets (a, b) with b < a + reach_from are too narrow for min_len.
-    reach_from = max(0, -(-min_len // w) - 1)
     state: Optional[np.ndarray] = None
-    for cu in chain.units:
-        key = (_unit_key(cu.unit), cu.weight, min_len)
+    for cu, width in zip(chain.units, _unit_widths(n_bins, len(chain.units))):
+        key = (_unit_key(cu.unit), cu.weight, width)
         weighted = shared.get(key)
         if weighted is None:
+            infeasible = shared.get(("infeasible", width))
+            if infeasible is None:
+                grid = np.arange(W)
+                infeasible = shared["infeasible", width] = (
+                    shared["empty"]
+                    | (grid[:, None] > grid[None, :])
+                    | ((grid[None, :] - grid[:, None] + 1) * w < width)
+                )
             upper = _tile_upper(cu.unit, amin, amax)
             if isinstance(upper, float):
                 weighted = np.where(infeasible, _NEG_INF, cu.weight * upper)
@@ -755,6 +779,8 @@ def _batched_chain_bound(
         if state is None:
             state = weighted[:, 0, :].copy()
             continue
+        # Buckets (a, b) with b < a + reach_from are too narrow for the unit.
+        reach_from = max(0, -(-width // w) - 1)
         reach = state.copy()
         reach[:, 1:] = np.maximum(state[:, 1:], state[:, :-1])
         state = np.full((count, W), _NEG_INF)
@@ -766,48 +792,162 @@ def _batched_chain_bound(
     return state[:, W - 1]
 
 
-def _batched_level_bounds(
+def _refine(
     n_bins: int,
     levels: list,
     query: CompiledQuery,
+    bound: np.ndarray,
     floor: float,
-) -> np.ndarray:
-    """:meth:`ShapeIndex.upper_bound`'s level loop across a candidate group.
+    keep: Optional[np.ndarray] = None,
+) -> List[int]:
+    """Tighten ``bound`` in place through ``levels`` (coarse → fine).
 
-    Mirrors the scalar loop decision for decision: levels coarse → fine,
-    chain max / level min / −1 clamp spelled as the scalar ``max``/``min``
-    (``b if b > a else a`` elementwise — bitwise the same picks), and the
-    bounded-``floor`` early exit becomes an ``alive`` mask freeze: a
-    candidate that fails :func:`survives_floor` at a coarse level keeps
-    that level's bound, exactly the float the scalar early return yields.
+    :meth:`ShapeIndex.upper_bound`'s level loop across one ``n_bins``
+    class, decision for decision: chain max / level min spelled as the
+    scalar ``max``/``min`` (``b if b > a else a`` elementwise — bitwise
+    the same picks; the −1 start of the chain max is the scalar clamp),
+    and the scalar early exit becomes a gather — a level is evaluated
+    only on the rows whose bound still passes :func:`survives_floor`
+    (and, when given, the ``keep`` mask), :data:`BLOCK_ELEMENTS` at a
+    time, so its temporaries are sized by the rows still alive and every
+    other row keeps the coarser float the scalar early return yields.
+    Returns the rows evaluated per level.
     """
-    count = levels[0][1].shape[0]
-    bound = np.full(count, _POS_INF)
-    alive = np.ones(count, dtype=bool)
-    for w, amin, amax in reversed(levels):
-        shared = {"empty": np.isinf(amin)}
-        level_bound = np.full(count, -1.0)
-        for chain in query.chains:
-            chain_bound = _batched_chain_bound(n_bins, chain, w, amin, amax, shared)
-            level_bound = np.where(
-                chain_bound > level_bound, chain_bound, level_bound
-            )
-        tightened = np.where(level_bound < bound, level_bound, bound)
-        tightened = np.where(tightened > -1.0, tightened, -1.0)
-        bound = np.where(alive, tightened, bound)
-        alive = alive & survives_floor(bound, floor)
-        if not alive.any():
+    evaluated = []
+    for w, amin, amax in levels:
+        alive = survives_floor(bound, floor)
+        if keep is not None:
+            alive &= keep
+        rows = np.flatnonzero(alive)
+        evaluated.append(rows.size)
+        if not rows.size:
             break
-    return bound
+        everyone = rows.size == bound.size  # contiguous views, nothing gathered
+        step = max(1, BLOCK_ELEMENTS // amin[0].size)
+        for lo in range(0, rows.size, step):
+            part = slice(lo, lo + step) if everyone else rows[lo:lo + step]
+            tile_min, tile_max = amin[part], amax[part]
+            shared = {"empty": np.isinf(tile_min)}
+            level_bound = np.full(len(tile_min), INFEASIBLE)
+            for chain in query.chains:
+                chain_bound = _batched_chain_bound(
+                    n_bins, chain, w, tile_min, tile_max, shared
+                )
+                level_bound = np.where(
+                    chain_bound > level_bound, chain_bound, level_bound
+                )
+            current = bound[part]
+            bound[part] = np.where(level_bound < current, level_bound, current)
+    return evaluated
 
 
 # ---------------------------------------------------------------------------
-# Seeded pruning pass (the IndexPrune operator's core)
+# Best-first top-k: the bound frontier the Score rounds draw from
 # ---------------------------------------------------------------------------
 
-#: Minimum seed pool: collections at or below this size are never pruned
-#: (scoring them outright is cheaper than bounding them).
+#: Smallest first round: collections at or below this size are never
+#: pruned (scoring them outright is cheaper than bounding them).
 MIN_SEED_CANDIDATES = 16
+
+
+class TopKFloor:
+    """The running top-k floor: the k-th best exact score seen so far.
+
+    −inf until k finite scores exist, and it only ever rises — so a
+    candidate that once failed :func:`survives_floor` against
+    :attr:`value` stays out for good.
+    """
+
+    __slots__ = ("k", "_best")
+
+    def __init__(self, k: int):
+        self.k = k
+        self._best: List[float] = []  # min-heap of the k best scores
+
+    def add(self, scores) -> None:
+        for score in scores:
+            if not math.isfinite(score):
+                continue
+            if len(self._best) < self.k:
+                heapq.heappush(self._best, score)
+            else:
+                heapq.heappushpop(self._best, score)
+
+    @property
+    def value(self) -> float:
+        return self._best[0] if len(self._best) == self.k else _NEG_INF
+
+
+class BoundFrontier:
+    """Every candidate's current bound, and who is still worth solving.
+
+    Bound-ordered top-k: Score draws the best-bounded unsolved candidates
+    a block at a time (:meth:`next_block`), solves them, raises the
+    floor and asks again until nothing unsolved can reach it.  Pyramid
+    levels are consulted lazily: the coarse levels bound everyone up
+    front; the finest — most of a full bound pass — waits for the first
+    floor that can prune at all and is then evaluated once, on the
+    gathered rows that are unsolved and still pass
+    :func:`survives_floor` (the floor only rises, so every other row is
+    already decided; the first block is drawn by the coarse bounds,
+    which a finer level could reorder but not shrink).  Unindexed
+    entries and one-level classes wait at ``+inf`` and go out first;
+    ``bounds`` adopts worker-computed full-depth bounds instead.
+
+    Exactness needs only that each float is a valid upper bound — a min
+    over some of the candidate's levels — and each discard a strict
+    :func:`survives_floor` failure against a floor k solved candidates
+    reach; which block went first never matters.
+    """
+
+    def __init__(self, index: ShapeIndex, query: CompiledQuery,
+                 bounds: Optional[np.ndarray] = None):
+        self.query = query
+        self.unsolved = np.ones(len(index), dtype=bool)
+        self.rounds = 0
+        #: Rows evaluated per pyramid level, coarsest first.
+        self.refined: List[int] = []
+        self._finest: list = []
+        if bounds is not None:
+            self.bounds = np.asarray(bounds, dtype=np.float64)
+            return
+        self.bounds = np.full(len(index), _POS_INF)
+        for n_bins, positions, levels in index._tiles:
+            self._tighten(n_bins, positions, levels[:0:-1], 0, _NEG_INF)
+            self._finest.append((n_bins, positions, levels[:1], len(levels) - 1))
+
+    def _tighten(self, n_bins, positions, levels, depth, floor) -> None:
+        bound = self.bounds[positions]
+        evaluated = _refine(
+            n_bins, levels, self.query, bound, floor, self.unsolved[positions]
+        )
+        self.bounds[positions] = bound
+        for level, rows in enumerate(evaluated, depth):
+            if level == len(self.refined):
+                self.refined.append(0)
+            self.refined[level] += rows
+
+    def next_block(self, size: int, floor: float) -> List[int]:
+        """Up to ``size`` unsolved positions that can still reach ``floor``.
+
+        The best-bounded first (bound desc, position asc), returned in
+        position order and marked solved; empty once no unsolved
+        candidate passes :func:`survives_floor` — the search is over.
+        """
+        if self._finest and not survives_floor(INFEASIBLE, floor):
+            # Bounds never fall below INFEASIBLE, so only now can a
+            # tighter bound change a verdict.
+            finest, self._finest = self._finest, []
+            for n_bins, positions, levels, depth in finest:
+                self._tighten(n_bins, positions, levels, depth, floor)
+        alive = np.flatnonzero(self.unsolved & survives_floor(self.bounds, floor))
+        if not alive.size:
+            return []
+        best = np.lexsort((alive, -self.bounds[alive]))[:size]
+        block = np.sort(alive[best], kind="stable")
+        self.unsolved[block] = False
+        self.rounds += 1
+        return block.tolist()
 
 
 def prune_candidates(
@@ -819,59 +959,35 @@ def prune_candidates(
     bounds: Optional[np.ndarray] = None,
     solve_many=None,
 ) -> Tuple[List[int], int]:
-    """:func:`prune_with_seeds` without the seed results.
+    """The frontier loop outside a pipeline (benchmarks, ``bench/layers.py``).
 
-    Returns ``(surviving positions ascending, pruned count)``.  ``solve``
-    is the older per-trendline form of the seed callback
-    (``bench/layers.py`` still passes it positionally); it is wrapped
-    into a ``solve_many`` that loops.
+    Blocks on the Score stage's schedule
+    (:func:`~repro.engine.parallel.round_size`) go to ``solve_many(block
+    trendlines)``, their scores into the floor.  Returns ``(solved
+    positions ascending, never-solved count)``.  ``solve`` is the older
+    per-trendline callback (``bench/layers.py`` still passes it
+    positionally), wrapped into a ``solve_many`` that loops; ``bounds``
+    supplies full-depth bounds computed elsewhere.
     """
+    from repro.engine.parallel import round_size
+
     if solve_many is None:
         if solve is None:
             raise TypeError("prune_candidates() needs a solve_many callback")
 
-        def solve_many(seeds):
-            return [solve(trendline) for trendline in seeds]
+        def solve_many(block):
+            return [solve(trendline) for trendline in block]
 
-    return prune_with_seeds(trendlines, index, query, k, solve_many, bounds)[:2]
-
-
-def prune_with_seeds(
-    trendlines: Sequence[Trendline],
-    index: ShapeIndex,
-    query: CompiledQuery,
-    k: int,
-    solve_many,
-    bounds: Optional[np.ndarray] = None,
-) -> Tuple[List[int], int, Dict[int, object]]:
-    """Select the candidate positions that can still reach the top k.
-
-    Seeds — the ``max(k, MIN_SEED_CANDIDATES)`` candidates with the
-    highest index bounds (position-ascending on ties) — are scored
-    exactly, all together, by ``solve_many(seed trendlines)`` (the
-    engine's batched Score funnel); the k-th best seed score becomes the
-    floor, and every other candidate is kept iff :func:`survives_floor`
-    says its bound can reach it.  Returns ``(surviving positions
-    ascending, pruned count, {seed position: its exact result})``: seeds
-    always survive, and their results travel on so the Score stage
-    solves only the other survivors.  ``bounds`` lets the caller supply
-    worker-computed bounds (bitwise the same floats — same function,
-    same published buckets).
-    """
     total = len(trendlines)
-    seed_count = max(int(k), MIN_SEED_CANDIDATES)
-    if total <= seed_count or k < 1:
-        return list(range(total)), 0, {}
-    if bounds is None:
-        bounds = index.upper_bounds(query)
-    else:
-        bounds = np.asarray(bounds, dtype=float)
-    order = sorted(range(total), key=lambda i: (-bounds[i], i))
-    seeds = order[:seed_count]
-    results = solve_many([trendlines[i] for i in seeds])
-    seed_scores = sorted((float(result.score) for result in results), reverse=True)
-    floor = seed_scores[k - 1]
-    keep = survives_floor(bounds, floor)
-    keep[seeds] = True
-    survivors = [i for i in range(total) if keep[i]]
-    return survivors, total - len(survivors), dict(zip(seeds, results))
+    if total <= max(int(k), MIN_SEED_CANDIDATES) or k < 1:
+        return list(range(total)), 0
+    frontier = BoundFrontier(index, query, bounds)
+    floor = TopKFloor(int(k))
+    solved: List[int] = []
+    while True:
+        block = frontier.next_block(round_size(k, frontier.rounds), floor.value)
+        if not block:
+            return sorted(solved), total - len(solved)
+        results = solve_many([trendlines[position] for position in block])
+        floor.add(float(result.score) for result in results)
+        solved += block

@@ -63,6 +63,18 @@ def run_min_length(lo: int, hi: int, units_count: int) -> int:
     fit = (hi - lo) // max(1, units_count)
     return max(MIN_SEGMENT_BINS, min(length, fit))
 
+
+def default_leaf_size(min_len: int) -> int:
+    """The SegmentTree's leaf width for a run whose unit floor is ``min_len``.
+
+    Finer than the minimum unit width so break points stay close to
+    DP's; the width floor is enforced on interior placements during
+    combination instead (boundary placements keep growing through merges
+    at higher levels) — so a chain's first and last unit may come out as
+    narrow as one leaf, which is the width the shape index bounds them at.
+    """
+    return max(MIN_SEGMENT_BINS, min_len // 2)
+
 #: Context mapping a segment's AST index to its fitted slope (pass 2).
 #: Solve-scoped auxiliary entries (e.g. the classified-runs memo below)
 #: use non-integer keys so they can never collide with a segment index.

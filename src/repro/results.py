@@ -162,7 +162,7 @@ class ResultSet(Sequence):
         from the memory-mapped artifact store), ``"built"`` (fresh build
         or append-lineage extension), or None when the stage did not
         bound anything — index disabled, query unboundable, collection
-        below the seed threshold, or a synthesized set without stats.
+        no larger than the first round, or a synthesized set without stats.
         """
         if self.stats is None:
             return None

@@ -26,3 +26,16 @@ def floor_bookkeeping(scores, k):
     """Touching the floor without comparing it is fine."""
     topk_floor = sorted(scores, reverse=True)[k - 1]
     return max(topk_floor, -1.0)
+
+
+def best_first_rounds(frontier, solve_block, sizes):
+    """A round loop asks the seam (through the frontier) and only folds."""
+    topk_floor = float("-inf")
+    for size in sizes:
+        block = [
+            position for position in frontier.order[:size]
+            if survives_floor(frontier.bounds[position], topk_floor)
+        ]
+        if not block:
+            break
+        topk_floor = max([topk_floor] + solve_block(block))

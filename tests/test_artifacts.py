@@ -186,6 +186,23 @@ class TestBatchedBoundsParity:
         ]
         assert np.concatenate(parts).tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("elements", [1, 3 * 144, 1 << 30])
+    def test_bounds_do_not_depend_on_the_pass_size(self, elements, monkeypatch):
+        # A level is evaluated BLOCK_ELEMENTS at a time (one row per
+        # pass, three 12x12 rows, everything at once): per-candidate
+        # independent, so the floats cannot move.
+        from repro.engine import shape_index
+
+        rng = np.random.default_rng(9)
+        index = ShapeIndex.build(_random_collection(rng, count=30))
+        compiled = _compiled(UP_DOWN)
+        expected = index.upper_bounds(compiled)
+        monkeypatch.setattr(shape_index, "BLOCK_ELEMENTS", elements)
+        assert index.upper_bounds(compiled).tobytes() == expected.tobytes()
+        assert index.upper_bounds(compiled, 0.5).tobytes() == np.array(
+            [index.upper_bound(i, compiled, 0.5) for i in range(len(index))]
+        ).tobytes()
+
     def test_empty_index_bounds_are_well_formed(self):
         bounds = ShapeIndex.build([]).upper_bounds(_compiled(UP_DOWN))
         assert bounds.dtype == np.float64

@@ -132,3 +132,51 @@ def test_workers_override_changes_both_plan_and_stats(workers):
             assert results.stats.shards == 0
         else:
             assert results.stats.shards >= 1
+
+
+#: ``IndexPrune[pyramid] k=K source=S rounds=R refined=[n0,n1,...]``.
+_INDEX_DETAIL = re.compile(
+    r"IndexPrune\[pyramid\] k=(\d+) source=(\w+) rounds=(\d+) refined=\[([\d,]*)\]"
+)
+
+
+@pytest.mark.parametrize("backend,workers", [
+    ("thread", 1), ("thread", 3), ("process", 2),
+])
+def test_index_plan_reports_the_rounds_stats_count(backend, workers):
+    # 40 smooth 24-bin series (two pyramid levels), a few genuine hits:
+    # the plan promises an IndexPrune stage, the run fills in where the
+    # index came from, how many rounds Score drew and how many rows each
+    # level was evaluated on — and the counters agree with it.
+    rng = np.random.default_rng(0)
+    zs, xs, ys = [], [], []
+    for g in range(40):
+        rise = np.concatenate([np.linspace(0, 10, 12), np.linspace(10, 0, 12)])
+        values = rise if g % 7 == 0 else np.linspace(10, 0, 24) + rng.normal(0, 0.05, 24)
+        zs += ["g{:02d}".format(g)] * 24
+        xs += list(range(24))
+        ys += values.tolist()
+    table = Table.from_arrays(
+        z=np.array(zs, dtype=object), x=np.array(xs, dtype=float), y=np.array(ys)
+    )
+    with ShapeSearchEngine(index=True, backend=backend, workers=workers) as engine:
+        planned = engine.explain_plan(table, PARAMS, QUERY, k=3)
+        assert "IndexPrune[pyramid] k=3\n" in planned
+        results = engine.run(table, PARAMS, QUERY, k=3)
+        stats = results.stats
+        names = [name for name, _mode in parse_stages(results.plan)]
+        assert names == [
+            "ScanTable", "Extract/Group", "IndexPrune", "Score", "MergeTopK"
+        ]
+        k, source, rounds, refined = _INDEX_DETAIL.search(results.plan).groups()
+        refined = [int(rows) for rows in refined.split(",")]
+        assert int(k) == 3 and source == stats.index_source == "built"
+        assert stats.index_candidates == 40
+        # The coarse level bounded everyone; the finest only rows that
+        # were unsolved and alive when the first floor arrived.
+        assert refined[0] == 40 and refined[1] <= 40 - 16
+        # Rounds of 16, 32: at most two cover 40 candidates.
+        assert 1 <= int(rounds) <= 2
+        assert stats.candidates == stats.scored + stats.eager_discarded
+        assert stats.index_pruned == stats.index_candidates - stats.candidates > 0
+        assert stats.index_bounds == "inline"

@@ -75,6 +75,16 @@ class TestRuleFixtures:
         )
         assert [finding for finding in findings if finding.rule == rule_id] == []
 
+    def test_floor_seam_flags_a_round_loop(self):
+        # The frontier-shaped pair: a best-first round loop that restates
+        # ``bound < floor`` inline is flagged where it stands; its twin,
+        # which asks survives_floor, is silent (the good-fixture case).
+        bad = FIXTURES / "index_bad.py"
+        source = bad.read_text().splitlines()
+        start = source.index("def best_first_rounds(frontier, solve_block, sizes):")
+        findings = check_fixture(RULES_BY_ID["REP061"], bad)
+        assert any(finding.line > start for finding in findings)
+
     def test_rule_catalog_shape(self):
         ids = [rule.id for rule in ALL_RULES]
         assert len(ids) == len(set(ids))

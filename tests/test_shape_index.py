@@ -11,6 +11,7 @@ is explicitly *outside* the identity contract.
 """
 
 import contextlib
+import inspect
 import os
 import pickle
 from pathlib import Path
@@ -24,6 +25,7 @@ from repro.algebra import builder as q
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.datasets.suites import SUITES, suite_trendlines
+from repro.datasets.synthetic import mixed_collection
 from repro.engine import parallel, pipeline, shape_index, shm
 from repro.engine.artifacts import load_index
 from repro.engine.collection import Collection
@@ -37,7 +39,9 @@ from repro.engine.parallel import (
 from repro.parser import parse
 from repro.engine.shape_index import (
     MIN_SEED_CANDIDATES,
+    BoundFrontier,
     ShapeIndex,
+    TopKFloor,
     index_supports,
     prune_candidates,
     survives_floor,
@@ -48,9 +52,25 @@ from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
 from tests.oracles import index_build as oracle
+from tests.oracles import index_rounds as rounds_oracle
 
 UP_DOWN = q.concat(q.up(), q.down())
 PARAMS = VisualParams(z="z", x="x", y="y")
+
+#: One unit of a random fuzzy chain: up/down (plain, sharp or gradual),
+#: flat or a slope target, any of them possibly negated.
+_FUZZY_UNIT = st.builds(
+    lambda unit, negated: q.opposite(unit) if negated else unit,
+    st.one_of(
+        st.builds(q.up, sharp=st.booleans()),
+        st.builds(q.up, gradual=st.booleans()),
+        st.builds(q.down, sharp=st.booleans()),
+        st.builds(q.down, gradual=st.booleans()),
+        st.builds(q.flat),
+        st.builds(q.slope, st.sampled_from([-60.0, -30.0, 15.0, 45.0, 75.0])),
+    ),
+    st.booleans(),
+)
 
 
 def _smooth_collection(count=40, bins=24, seed=0, hit_every=7):
@@ -136,12 +156,40 @@ class TestIndexIdentity:
         assert indexed_engine.last_stats.index_pruned > 0
 
     @pytest.mark.parametrize("algorithm", ["dp", "segment-tree", "greedy"])
-    def test_algorithm_identity(self, algorithm):
-        trendlines = _smooth_collection()
-        full = ShapeSearchEngine(algorithm=algorithm).rank(trendlines, UP_DOWN, k=5)
-        with ShapeSearchEngine(algorithm=algorithm, index=True) as engine:
-            indexed = engine.rank(trendlines, UP_DOWN, k=5)
+    @given(
+        units=st.lists(_FUZZY_UNIT, min_size=2, max_size=5),
+        count=st.integers(20, 44),
+        length=st.sampled_from([24, 40, 64, 90]),
+        seed=st.integers(0, 10_000),
+        k=st.sampled_from([1, 5, 20, 99]),
+    )
+    # Four draws the segment tree answered wrongly while the bound still
+    # assumed run_min_length-wide end units (an end unit one leaf wide
+    # scored above its bound, and a true top-k member was pruned).
+    @example(units=[q.down(gradual=True), q.down(), q.opposite(q.down())],
+             count=29, length=90, seed=8451, k=5)
+    @example(units=[q.slope(-60.0), q.up(sharp=True), q.down(gradual=True)],
+             count=24, length=90, seed=53, k=5)
+    @example(units=[q.down(sharp=True), q.slope(45.0), q.up(sharp=True)],
+             count=38, length=40, seed=4849, k=5)
+    @example(units=[q.down(gradual=True), q.slope(75.0), q.slope(-30.0),
+                    q.opposite(q.slope(-60.0))],
+             count=44, length=40, seed=849, k=1)
+    def test_algorithm_identity(self, algorithm, units, count, length, seed, k):
+        # The index's whole contract, generatively: whatever the fuzzy
+        # chain, the series and the algorithm, index=True answers exactly
+        # like index=False — k = 99 exceeds every collection drawn.
+        query = q.concat(*units)
+        trendlines = [
+            make_trendline(series, key=name)
+            for name, series in mixed_collection(count, length, seed)
+        ]
+        full = ShapeSearchEngine(algorithm=algorithm).rank(trendlines, query, k=k)
+        engine = ShapeSearchEngine(algorithm=algorithm, index=True)
+        indexed = engine.rank(trendlines, query, k=k)
         assert _signature(full) == _signature(indexed)
+        assert index_supports(engine.compile(query))
+        assert engine.last_stats.index_candidates == count
 
     @pytest.mark.parametrize(
         "workers,backend,shm",
@@ -223,13 +271,17 @@ class TestIndexIdentity:
         assert len(state) == 1  # one index key, reused across runs
 
 
-#: The three plans an indexed query can run on.  ``chunk_size`` cuts the
-#: small test collections into several shards, so the pooled plans really
-#: cross their transport instead of taking the one-shard in-caller path.
+#: The four plans an indexed query can run on.  ``chunk_size`` cuts the
+#: small test collections' rounds into several shards, so the pooled
+#: plans really cross their transport instead of taking the one-shard
+#: in-caller path.
 PLANS = {
     "sequential": {},
     "thread": {"workers": 3, "backend": "thread", "chunk_size": 5},
     "process-shm": {"workers": 2, "backend": "process", "chunk_size": 5},
+    "process-pickle": {
+        "workers": 2, "backend": "process", "shm": False, "chunk_size": 5,
+    },
 }
 
 
@@ -247,88 +299,82 @@ def _solve_log(monkeypatch, path):
         return real(trendlines, *args, **kwargs)
 
     monkeypatch.setattr(parallel, "solve_many", spy)
-    return real
 
 
-def _parent_plan_answer(real_solve_many, trendlines, compiled, k):
-    """The indexed answer as the parent commit computed it.
+def _assert_rounds_match_oracle(trendlines, compiled, k, result, stats, solved_keys):
+    """The engine ran the reference loop: same candidates, each once.
 
-    Bounds from the retained scalar oracle, the seeds solved to set the
-    floor and their results dropped, then *every* survivor — seeds
-    included — solved again by Score and merged by *(score desc,
-    position asc)*.  Returns ``(signature, survivor positions)``.
+    ``solved_keys`` is the Score funnel's log for the run.  The answer
+    must be the *full scan's*; the solved set the per-candidate oracle's
+    (:mod:`tests.oracles.index_rounds`), no key twice; the counters must
+    say so; and every candidate left unsolved must fail
+    ``survives_floor`` against the floor the answer ends at.
     """
+    full = ShapeSearchEngine().rank(trendlines, compiled, k=k)
+    assert _signature(result) == _signature(full)
     index = ShapeIndex.build(trendlines)
-    bounds = [index.upper_bound(i, compiled) for i in range(len(trendlines))]
-
-    def solve_seeds(seeds):
-        return real_solve_many(seeds, compiled, "segment-tree")
-
-    survivors, _pruned = prune_candidates(
-        trendlines, index, compiled, k, bounds=bounds, solve_many=solve_seeds
+    rounds, solved, bounds, floor = rounds_oracle.best_first_topk(
+        trendlines, index, compiled, k
     )
-    results = solve_seeds([trendlines[i] for i in survivors])
-    ranked = sorted(zip(survivors, results), key=lambda item: (-item[1].score, item[0]))
-    top = sorted(ranked[:k], key=lambda item: (-item[1].score, str(trendlines[item[0]].key)))
-    signature = [
-        (
-            trendlines[position].key,
-            result.score,
-            [
-                (p.seg_index, p.start, p.end, p.score, p.slope)
-                for p in result.solution.placements
-            ],
-        )
-        for position, result in top
-    ]
-    return signature, survivors
+    expected = sorted(str(trendlines[p].key) for p in solved)
+    assert len(set(expected)) == len(expected)  # keys identify candidates
+    assert sorted(solved_keys) == expected
+    assert stats.candidates == stats.scored == len(solved)
+    assert stats.index_candidates == len(trendlines)
+    assert stats.index_pruned == len(trendlines) - len(solved)
+    assert "rounds={} ".format(len(rounds)) in result.plan
+    if len(result) == k:
+        assert floor == result[k - 1].score
+    for position in range(len(trendlines)):
+        if position not in solved:
+            assert not survives_floor(bounds[position], floor)
+    return rounds
 
 
 class TestWorkDoneOnce:
-    """An indexed query solves every surviving candidate exactly once."""
+    """An indexed query solves each candidate that can reach the top k once."""
 
     @pytest.mark.parametrize("plan", sorted(PLANS))
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_table11_solved_once_with_parent_answers(
         self, suite, plan, monkeypatch, tmp_path
     ):
-        trendlines = suite_trendlines(suite, max_visualizations=48, max_length=90)
+        # (The name predates the rounds: the answer every plan is held to
+        # is the unindexed full scan's, the work the reference loop's.)
+        trendlines = suite_trendlines(suite, max_visualizations=80, max_length=90)
         log = tmp_path / "solved.log"
-        real = _solve_log(monkeypatch, log)
         with ShapeSearchEngine(index=True, **PLANS[plan]) as engine:
             for text in SUITES[suite].fuzzy_queries:
                 compiled = engine.compile(parse(text))
-                expected, survivors = _parent_plan_answer(real, trendlines, compiled, 5)
+                _solve_log(monkeypatch, log)
                 log.write_text("")
                 result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
-                assert _signature(result) == expected
-                solved = log.read_text().split()
-                assert sorted(solved) == sorted(
-                    str(trendlines[i].key) for i in survivors
+                monkeypatch.undo()
+                _assert_rounds_match_oracle(
+                    trendlines, compiled, 5, result, stats, log.read_text().split()
                 )
-                assert stats.candidates == stats.scored == len(survivors)
-                assert stats.index_candidates == len(trendlines)
 
     def test_default_sharding_solves_once_over_the_pool(self, monkeypatch, tmp_path):
-        # No chunk_size: 100 survivors less 16 seeds leave two full
-        # kernel blocks, so the default rule hands each worker one shard.
-        trendlines = _smooth_collection(count=200, hit_every=2)
+        # No chunk_size: the 200 tied hits go out in rounds of 16, 32, 64
+        # and 88 — the first two run in the caller, the last two are two
+        # kernel blocks each, so the default rule hands each worker one.
+        trendlines = _smooth_collection(count=400, hit_every=2)
         log = tmp_path / "solved.log"
-        real = _solve_log(monkeypatch, log)
         with ShapeSearchEngine(index=True, workers=2, backend="process") as engine:
             compiled = engine.compile(UP_DOWN)
-            expected, survivors = _parent_plan_answer(real, trendlines, compiled, 5)
-            log.write_text("")
+            _solve_log(monkeypatch, log)
             result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
-            assert _signature(result) == expected
-            assert sorted(log.read_text().split()) == sorted(
-                trendlines[i].key for i in survivors
+            monkeypatch.undo()
+            rounds = _assert_rounds_match_oracle(
+                trendlines, compiled, 5, result, stats, log.read_text().split()
             )
-            assert stats.shards == 3  # two worker shards + the seeds
-            assert stats.candidates == stats.scored == len(survivors) == 100
+            assert [len(block) for block in rounds] == [16, 32, 64, 88]
+            assert stats.shards == 6
+            assert stats.scored == 200
 
     def test_repeat_runs_publish_the_collection_once(self):
-        trendlines = _smooth_collection(count=200, hit_every=2)
+        # 200 tied hits: the third round (64) is the first to cross the pool.
+        trendlines = _smooth_collection(count=400, hit_every=2)
         with ShapeSearchEngine(index=True, workers=2, backend="process") as engine:
             compiled = engine.compile(UP_DOWN)
             engine.rank(trendlines, compiled, k=5)
@@ -595,7 +641,9 @@ class TestShapeIndexUnit:
     )
     def test_upper_bound_admissible(self, query):
         # The soundness contract itself: for every candidate the bucket
-        # bound must dominate the exact DP score, smooth or noisy.
+        # bound must dominate the score of every algorithm the engine can
+        # run under it, smooth or noisy — the segment tree's included,
+        # whose end units may be one leaf wide.
         rng = np.random.default_rng(11)
         trendlines = _smooth_collection(count=15, hit_every=4) + [
             make_trendline(rng.normal(0, 1, 30).cumsum(), key="w{}".format(i))
@@ -605,39 +653,185 @@ class TestShapeIndexUnit:
         compiled = engine.compile(query)
         index = ShapeIndex.build(trendlines)
         bounds = index.upper_bounds(compiled)
-        for position, trendline in enumerate(trendlines):
-            exact = solve_one(trendline, compiled, "dp").score
-            assert bounds[position] >= exact, trendline.key
+        for algorithm in ("dp", "segment-tree", "greedy"):
+            results = solve_many(trendlines, compiled, algorithm)
+            for bound, trendline, result in zip(bounds, trendlines, results):
+                assert bound >= result.score, (algorithm, trendline.key)
+
+    def test_bound_admissible_on_table11_suites(self):
+        # Where the leak lived: the Table 11 suites at 64/100/128 bins,
+        # their fuzzy chains, every algorithm — no score above its bound.
+        engine = ShapeSearchEngine()
+        for suite in sorted(SUITES):
+            for bins in (64, 100, 128):
+                trendlines = suite_trendlines(
+                    suite, max_visualizations=24, max_length=bins
+                )
+                index = ShapeIndex.build(trendlines)
+                for text in SUITES[suite].fuzzy_queries:
+                    compiled = engine.compile(parse(text))
+                    bounds = index.upper_bounds(compiled)
+                    for algorithm in ("dp", "segment-tree", "greedy"):
+                        results = solve_many(trendlines, compiled, algorithm)
+                        leaks = [
+                            (suite, bins, text, algorithm, t.key)
+                            for bound, t, result in zip(bounds, trendlines, results)
+                            if result.score > bound
+                        ]
+                        assert not leaks
 
     def test_prune_candidates_seed_callbacks(self):
-        # One seed path: the seed list goes to ``solve_many``; the older
-        # per-trendline ``solve`` is wrapped into it, and one of the two
-        # is required.
+        # One frontier loop: each round's block goes to ``solve_many``;
+        # the older per-trendline ``solve`` is wrapped into it, and one
+        # of the two is required.
         trendlines = _smooth_collection(count=40)
         index = ShapeIndex.build(trendlines)
         compiled = ShapeSearchEngine().compile(UP_DOWN)
         seen = []
 
-        def seeds_together(seeds):
-            seen.append(len(seeds))
-            return solve_many(seeds, compiled, "segment-tree")
+        def blocks_together(block):
+            seen.append(len(block))
+            return solve_many(block, compiled, "segment-tree")
 
         batched = prune_candidates(
-            trendlines, index, compiled, 3, solve_many=seeds_together
+            trendlines, index, compiled, 3, solve_many=blocks_together
         )
         looped = prune_candidates(
             trendlines, index, compiled, 3,
             lambda trendline: solve_one(trendline, compiled, "segment-tree"),
         )
-        assert seen == [MIN_SEED_CANDIDATES]
+        assert seen[0] == MIN_SEED_CANDIDATES and sum(seen) == len(batched[0])
         assert batched == looped and batched[1] > 0
+        assert batched[1] == len(trendlines) - len(batched[0])
         with pytest.raises(TypeError):
             prune_candidates(trendlines, index, compiled, 3)
+
+    def test_round_size_depends_on_k_and_round_only(self):
+        assert [parallel.round_size(5, r) for r in range(5)] == [16, 32, 64, 128, 256]
+        assert [parallel.round_size(20, r) for r in range(3)] == [20, 32, 64]
+        assert list(inspect.signature(parallel.round_size).parameters) == ["k", "number"]
+
+    def test_topk_floor_rises_over_finite_scores_only(self):
+        floor = TopKFloor(3)
+        floor.add([0.5, float("nan"), float("-inf"), 0.1])
+        assert floor.value == -np.inf  # two finite scores: no floor yet
+        floor.add([0.3])
+        assert floor.value == 0.1
+        floor.add([0.2, 0.9])
+        assert floor.value == 0.3
 
     def test_survives_floor_is_the_single_seam(self):
         bounds = np.array([0.2, 0.5, 0.8])
         keep = survives_floor(bounds, 0.5)
         assert keep.tolist() == [False, True, True]
+
+
+class TestBoundFrontier:
+    """Lazy levels, ordering, and the shapes of pyramid a class can have."""
+
+    def _mixed(self):
+        # 64 bins: 4 levels; 24 bins: 2; 12 bins: a single level; 5: none.
+        rng = np.random.default_rng(21)
+        bins = [64, 24, 12, 5] * 12
+        return [
+            make_trendline(
+                np.linspace(8, 0, n) + rng.normal(0, 0.05, n) if i % 5
+                else np.concatenate([np.linspace(0, 8, n // 2), np.linspace(8, 0, n - n // 2)]),
+                key="x{:02d}".format(i),
+            )
+            for i, n in enumerate(bins)
+        ]
+
+    def test_coarse_levels_up_front_finest_on_alive_rows_only(self):
+        trendlines = _smooth_collection(count=60, bins=64, hit_every=2)
+        index = ShapeIndex.build(trendlines)
+        compiled = ShapeSearchEngine().compile(UP_DOWN)
+        frontier = BoundFrontier(index, compiled)
+        full = index.upper_bounds(compiled)
+        assert frontier.refined == [60, 60, 60]  # every level but the finest
+        assert (frontier.bounds >= full).all()
+        first = frontier.next_block(16, -np.inf)
+        assert first == list(range(0, 32, 2))  # 16 of the 30 tied hits
+        assert frontier.refined == [60, 60, 60]  # no floor yet: nothing to prune
+        results = solve_many([trendlines[p] for p in first], compiled, "segment-tree")
+        floor = min(result.score for result in results)
+        second = frontier.next_block(32, floor)
+        # The finest level ran once, on the unsolved rows still alive:
+        # the other 14 hits, tied with the floor.
+        assert second == list(range(32, 60, 2))
+        assert frontier.refined == [60, 60, 60, 14]
+        assert frontier.bounds[second].tobytes() == full[second].tobytes()
+        assert frontier.next_block(64, floor) == []
+        assert frontier.refined == [60, 60, 60, 14] and frontier.rounds == 2
+
+    def test_single_level_mixed_and_unindexed_classes(self):
+        # A one-level class has no coarse pass (its rows wait at +inf,
+        # like unindexed entries, and go out first); every class refines
+        # on its own when the floor arrives.
+        trendlines = self._mixed()
+        index = ShapeIndex.build(trendlines)
+        compiled = ShapeSearchEngine().compile(UP_DOWN)
+        frontier = BoundFrontier(index, compiled)
+        waiting = [i for i, t in enumerate(trendlines) if t.n_bins in (12, 5)]
+        assert np.isposinf(frontier.bounds[waiting]).all()
+        assert np.isfinite(np.delete(frontier.bounds, waiting)).all()
+        assert frontier.refined == [24, 12, 12]  # 64- and 24-bin coarse levels
+        first = frontier.next_block(16, -np.inf)
+        assert first == waiting[:16]
+        frontier.next_block(8, 0.5)
+        # 64-bin finest is depth 3, 24-bin depth 1, 12-bin depth 0.
+        assert frontier.refined[3] <= 12 and frontier.refined[0] > 24
+        unindexed = [i for i, t in enumerate(trendlines) if t.n_bins == 5]
+        assert np.isposinf(frontier.bounds[unindexed]).all()
+
+    @pytest.mark.parametrize("algorithm", ["dp", "segment-tree", "greedy"])
+    @pytest.mark.parametrize("k", [1, 4, 17, 48, 60])
+    def test_mixed_classes_identity(self, algorithm, k):
+        # k = 48 is the whole collection, 60 more than it holds.
+        trendlines = self._mixed()
+        full = ShapeSearchEngine(algorithm=algorithm).rank(trendlines, UP_DOWN, k=k)
+        engine = ShapeSearchEngine(algorithm=algorithm, index=True)
+        indexed = engine.rank(trendlines, UP_DOWN, k=k)
+        assert _signature(full) == _signature(indexed)
+        if k >= len(trendlines):
+            assert engine.last_stats.index_pruned == 0
+            assert engine.last_stats.scored == len(trendlines)
+
+    def test_single_level_collection_prunes(self):
+        trendlines = _smooth_collection(count=40, bins=12)
+        full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=3)
+        engine = ShapeSearchEngine(index=True)
+        indexed = engine.rank(trendlines, UP_DOWN, k=3)
+        assert _signature(full) == _signature(indexed)
+        assert engine.last_stats.index_pruned > 0
+        assert "refined=[24]" in indexed.plan  # the 24 the first round left
+
+    def test_fewer_than_k_feasible_prunes_nothing(self):
+        # Every candidate is infeasible (an unsatisfiable y window scores
+        # −1): the floor never clears the −1 every bound is clamped at,
+        # so no level is refined and nothing is pruned.
+        impossible = q.concat(
+            q.up(y_start=1e6, y_end=2e6), q.down(y_start=2e6, y_end=1e6)
+        )
+        trendlines = _smooth_collection(count=40, bins=64)
+        full = ShapeSearchEngine().rank(trendlines, impossible, k=5)
+        engine = ShapeSearchEngine(index=True)
+        indexed = engine.rank(trendlines, impossible, k=5)
+        assert _signature(full) == _signature(indexed)
+        assert {match.score for match in full} == {-1.0}
+        assert engine.last_stats.index_pruned == 0
+        assert engine.last_stats.scored == 40
+        assert "refined=[40,40,40]" in indexed.plan  # the finest level never ran
+
+    def test_adopted_bounds_are_born_refined(self):
+        trendlines = _smooth_collection(count=40, bins=64)
+        index = ShapeIndex.build(trendlines)
+        compiled = ShapeSearchEngine().compile(UP_DOWN)
+        full = index.upper_bounds(compiled)
+        frontier = BoundFrontier(index, compiled, full)
+        assert frontier.refined == []
+        frontier.next_block(16, 0.9)
+        assert frontier.refined == [] and frontier.bounds.tobytes() == full.tobytes()
 
 
 #: Bin counts that matter to the build: too short for any level (< 8),
