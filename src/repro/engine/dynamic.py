@@ -36,14 +36,16 @@ from that final pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.chains import Chain, ChainUnit, CompiledQuery
+from repro.engine.statistics import PrefixStats
 from repro.engine.trendline import Trendline, trendline_extends
-from repro.engine.units import INFEASIBLE, MIN_SEGMENT_BINS, run_min_length
+from repro.engine.units import INFEASIBLE, MIN_SEGMENT_BINS, plain_slope, run_min_length
 
 _NEG_INF = -np.inf
 
@@ -108,6 +110,69 @@ class QueryResult:
     score: float
     chain_index: int
     solution: ChainSolution
+
+
+class ScoreBlock(Sequence[QueryResult]):
+    """One Score call's results over a block of candidates, by column.
+
+    ``scores`` (float64, the bits each result reports) and
+    ``chain_index`` (first-best chain) per candidate; per chain the
+    placements, as arrays (columnar final pass) or ChainSolutions.  A
+    candidate's :class:`QueryResult` is built on first access, once, so
+    a shard keeping k of C pays for k; the block compares equal to the
+    list it stands for.
+    """
+
+    def __init__(self, count: int):
+        self.scores = np.empty(count)
+        self.chain_index = np.zeros(count, dtype=np.intp)
+        self._chains: list = []  # per chain: columns tuple or ChainSolution list
+        self._results: List[Optional[QueryResult]] = [None] * count
+
+    @classmethod
+    def of(cls, results: Sequence[QueryResult]) -> "ScoreBlock":
+        """A block over results already built (the per-candidate algorithms)."""
+        block = cls(len(results))
+        block.scores[:] = [result.score for result in results]
+        block.chain_index[:] = [result.chain_index for result in results]
+        block._results = list(results)
+        return block
+
+    def _offer(self, index: int, totals: np.ndarray, chain) -> None:
+        """Chain ``index`` takes a candidate on a strictly greater total."""
+        better = totals > self.scores if index else slice(None)
+        self.scores[better] = totals[better]
+        self.chain_index[better] = index
+        self._chains.append(chain)
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return [self[i] for i in range(*c.indices(len(self)))]
+        result = self._results[c]
+        if result is None:
+            index = int(self.chain_index[c])
+            chain = self._chains[index]
+            if isinstance(chain, list):
+                solution = chain[c]
+            else:
+                units, totals, *columns = chain
+                rows = zip(units, *(column[c].tolist() for column in columns))
+                solution = ChainSolution(float(totals[c]), [
+                    PlacedUnit(cu.unit.seg_index, start, end, score, cu.weight, slope)
+                    for cu, start, end, score, slope in rows
+                ])
+            result = self._results[c] = QueryResult(solution.score, index, solution)
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, (ScoreBlock, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
 
 
 def solve_query(
@@ -262,10 +327,7 @@ def _solve_chain_stateful(
     layouts fall back to the plain solve — their per-piece tables are
     small and pin positions may move as bins arrive.
     """
-    lo, hi = 0, trendline.n_bins
-    layout = plan_layout(trendline, chain, lo, hi)
-    if layout is None:
-        return ChainSolution(score=INFEASIBLE), None
+    layout = plan_layout(trendline, chain, 0, trendline.n_bins)
     if len(layout) != 1 or layout[0].kind != "fuzzy":
         return solve_chain(trendline, chain, context=context), None
     piece = layout[0]
@@ -290,13 +352,9 @@ def solve_chain(
     solver = run_solver if run_solver is not None else _solve_fuzzy_run
     lo = 0 if lo is None else lo
     hi = trendline.n_bins if hi is None else hi
-    layout = plan_layout(trendline, chain, lo, hi)
-    if layout is None:
-        return ChainSolution(score=INFEASIBLE)
-
     placements: List[Optional[Tuple[int, int]]] = [None] * chain.k
     feasible = True
-    for piece in layout:
+    for piece in plan_layout(trendline, chain, lo, hi):
         if piece.kind == "pinned":
             placements[piece.indices[0]] = (piece.start, piece.end)
             continue
@@ -316,60 +374,109 @@ def solve_query_batched(
     trendlines: Sequence[Trendline],
     query: CompiledQuery,
     batch_solver,
-) -> List[QueryResult]:
+) -> ScoreBlock:
     """:func:`solve_query` for many trendlines under a batched run solver.
 
-    ``batch_solver(trendlines, units, bounds, contexts)`` solves one
-    fuzzy run of ``units`` for every trendline it is handed — each over
-    its own ``bounds[c] = (lo, hi)`` — and returns their placements in
-    order.  Per chain, every candidate's run over the same units shares
-    one call (pins may put it at different bins per candidate); pinned
-    units, the per-trendline solve context shared across chains, the
-    final scoring pass and the first-best-chain rule are
-    :func:`solve_query`'s, so each result equals the per-trendline solve
-    under the one-candidate case of the same solver.
+    ``batch_solver(trendlines, units, bounds, contexts, prefix)`` solves
+    one fuzzy run of ``units`` for every trendline it is handed — each
+    over its own ``bounds[c] = (lo, hi)``, ``prefix`` their rows end to
+    end (:meth:`~repro.engine.statistics.PrefixStats.concatenate`, built
+    once here when a plain slope unit gathers from it) — and returns
+    their placements in order.  Per chain, every candidate's run over the
+    same units shares one call (pins may put it at different bins per
+    candidate); pinned units, the per-trendline solve context shared
+    across chains, the final scoring pass and the first-best-chain rule
+    are :func:`solve_query`'s, so each result equals the per-trendline
+    solve under the one-candidate case of the same solver.  The final
+    pass runs as columns for chains of plain slope units, per candidate
+    for the rest.
     """
+    block = ScoreBlock(len(trendlines))
+    if not trendlines:
+        return block
     contexts: List[dict] = [{} for _ in trendlines]
-    best: List[Optional[QueryResult]] = [None] * len(trendlines)
+    prefix = None
+    if any(plain_slope(cu.unit) for chain in query.chains for cu in chain.units):
+        prefix = PrefixStats.concatenate([trendline.prefix for trendline in trendlines])
     for index, chain in enumerate(query.chains):
-        placements: List[List[Optional[Tuple[int, int]]]] = [
-            [None] * chain.k for _ in trendlines
-        ]
-        feasible = [True] * len(trendlines)
-        unplanned = set()  # candidates with no layout: infeasible outright
-        runs: dict = {}  # unit indices -> [(candidate number, (start, end))]
+        placements, feasible = _place_chain(trendlines, chain, contexts, batch_solver, prefix)
+        if all(plain_slope(cu.unit) for cu in chain.units):
+            totals, columns = _finalize_columns(chain, placements, feasible, prefix)
+            block._offer(index, totals, columns)
+        else:
+            solutions = _finalize_each(trendlines, chain, placements, contexts, feasible)
+            block._offer(index, np.array([s.score for s in solutions]), solutions)
+    return block
+
+
+def _place_chain(trendlines, chain: Chain, contexts, batch_solver, prefix):
+    """Every candidate's placements of one chain, and whether each fits.
+    Without x pins the layout is one run over each whole trendline, so
+    only pinned chains are planned candidate by candidate."""
+    k = chain.k
+    placements: List[List[Optional[Tuple[int, int]]]] = [[None] * k for _ in trendlines]
+    feasible = [True] * len(trendlines)
+    runs: dict = {}  # unit indices -> [(candidate number, (start, end))]
+    locations = [cu.unit.location for cu in chain.units]
+    if any(loc.x_start is not None or loc.x_end is not None for loc in locations):
         for c, trendline in enumerate(trendlines):
-            layout = plan_layout(trendline, chain, 0, trendline.n_bins)
-            if layout is None:
-                unplanned.add(c)
-                continue
-            for piece in layout:
+            for piece in plan_layout(trendline, chain, 0, trendline.n_bins):
                 if piece.kind == "pinned":
                     placements[c][piece.indices[0]] = (piece.start, piece.end)
                 else:
                     runs.setdefault(tuple(piece.indices), []).append(
                         (c, (piece.start, piece.end))
                     )
-        for indices, members in runs.items():
-            results = batch_solver(
-                [trendlines[c] for c, _bounds in members],
-                [chain.units[i] for i in indices],
-                [bounds for _c, bounds in members],
-                [contexts[c] for c, _bounds in members],
-            )
-            for (c, (start, _end)), result in zip(members, results):
-                feasible[c] &= _place_run(placements[c], indices, start, result)
-        for c, trendline in enumerate(trendlines):
-            if c in unplanned:
-                solution = ChainSolution(score=INFEASIBLE)
-            else:
-                solution = _finalize(
-                    trendline, chain, placements[c], contexts[c], feasible[c]
-                )
-            current = best[c]
-            if current is None or solution.score > current.score:
-                best[c] = QueryResult(score=solution.score, chain_index=index, solution=solution)
-    return best  # type: ignore[return-value]  # every slot is filled: a query has >= 1 chain
+    else:
+        runs[tuple(range(k))] = [(c, (0, t.n_bins)) for c, t in enumerate(trendlines)]
+    for indices, members in runs.items():
+        chosen = [c for c, _bounds in members]
+        results = batch_solver(
+            [trendlines[c] for c in chosen],
+            [chain.units[i] for i in indices],
+            [bounds for _c, bounds in members],
+            [contexts[c] for c in chosen],
+            None if prefix is None else (prefix[0], prefix[1][chosen]),
+        )
+        for (c, (start, _end)), result in zip(members, results):
+            feasible[c] &= _place_run(placements[c], indices, start, result)
+    return placements, feasible
+
+
+def _finalize_columns(chain: Chain, placements, feasible, prefix):
+    """:func:`_finalize` of a plain-slope chain for a whole block, bit for
+    bit: one ``_slopes`` gather (bitwise ``slope()``), ``math.atan`` of
+    each slope (``np.arctan`` differs in the last bit for a fraction of
+    them), :meth:`~repro.engine.units.SlopeUnit.score_from_atan`, totals
+    summed unit by unit from 0.0.  Plain units read no POSITION context.
+    Returns the totals and the columns :class:`ScoreBlock` keeps."""
+    stats, offsets = prefix
+    bounds = np.array(placements, dtype=np.intp).reshape(len(placements), chain.k, 2)
+    starts, ends = bounds[..., 0], bounds[..., 1]
+    shift = offsets[:, None]
+    slopes = stats._slopes(starts + shift, ends + shift)
+    short = ends - starts < MIN_SEGMENT_BINS
+    slopes[short] = 0.0
+    atans = np.array(list(map(math.atan, slopes.ravel().tolist()))).reshape(slopes.shape)
+    scores = np.empty(slopes.shape)
+    for u, cu in enumerate(chain.units):
+        scores[:, u] = cu.unit.score_from_atan(atans[:, u])
+    scores[short] = INFEASIBLE
+    totals = np.zeros(len(placements))
+    for u, cu in enumerate(chain.units):
+        totals += cu.weight * scores[:, u]
+    totals[np.logical_not(feasible)] = INFEASIBLE
+    return totals, (chain.units, totals, starts, ends, scores, slopes)
+
+
+def _finalize_each(trendlines, chain: Chain, placements, contexts, feasible):
+    """The per-candidate final pass, for chains with a unit the columnar
+    one does not cover (POSITION, sketches, quantifiers, lines, nested
+    queries, UDPs, y-constrained slopes)."""
+    return [
+        _finalize(trendline, chain, places, context, fits)
+        for trendline, places, context, fits in zip(trendlines, placements, contexts, feasible)
+    ]
 
 
 def _place_run(placements, indices, start: int, result) -> bool:
@@ -410,15 +517,15 @@ class LayoutPiece:
     end: int
 
 
-def plan_layout(
-    trendline: Trendline, chain: Chain, lo: int, hi: int
-) -> Optional[List[LayoutPiece]]:
+def plan_layout(trendline: Trendline, chain: Chain, lo: int, hi: int) -> List[LayoutPiece]:
     """Split a chain around its x-pinned units.
 
     Fuzzy runs must exactly cover the space between the surrounding fixed
     boundaries; a single-sided pin (only x.s or only x.e) fixes one
     boundary of its unit while the other side stays free, which the DP
-    models by treating the fixed side as a run boundary.
+    models by treating the fixed side as a run boundary.  Every unit
+    lands in exactly one piece; a chain without pins is one fuzzy run
+    over ``[lo, hi)``.
     """
     k = chain.k
     starts: List[Optional[int]] = [None] * k
@@ -431,19 +538,17 @@ def plan_layout(
     cursor = lo
     run: List[int] = []
 
-    def flush_run(run_end: int) -> bool:
+    def flush_run(run_end: int) -> None:
         nonlocal cursor
         if run:
             pieces.append(LayoutPiece("fuzzy", list(run), cursor, run_end))
             run.clear()
         cursor = run_end
-        return True
 
     for i in range(k):
         fully_pinned = starts[i] is not None and ends[i] is not None
         if fully_pinned:
-            if not flush_run(starts[i]):
-                return None
+            flush_run(starts[i])
             pieces.append(LayoutPiece("pinned", [i], starts[i], ends[i]))
             cursor = ends[i]
         elif starts[i] is not None:  # start-only pin: fixes the left boundary
@@ -840,29 +945,27 @@ def _finalize(
     context: Optional[dict],
     feasible: bool,
 ) -> ChainSolution:
+    """One candidate's final pass; each placement's slope is fitted once
+    and serves the POSITION context, the unit's score and the report."""
+    fitted = [
+        None
+        if bounds is None or bounds[1] - bounds[0] < MIN_SEGMENT_BINS
+        else trendline.prefix.slope(*bounds)
+        for bounds in placements
+    ]
     slopes = dict(context) if context else {}
-    for cu, bounds in zip(chain.units, placements):
-        if bounds is None or cu.unit.seg_index < 0:
-            continue
-        start, end = bounds
-        if end - start >= MIN_SEGMENT_BINS:
-            slopes[cu.unit.seg_index] = trendline.prefix.slope(start, end)
+    for cu, slope in zip(chain.units, fitted):
+        if slope is not None and cu.unit.seg_index >= 0:
+            slopes[cu.unit.seg_index] = slope
 
     placed: List[PlacedUnit] = []
     total = 0.0
-    for cu, bounds in zip(chain.units, placements):
-        if bounds is None:
-            score = INFEASIBLE
-            start = end = 0
-            slope = 0.0
+    for cu, bounds, slope in zip(chain.units, placements, fitted):
+        start, end = (0, 0) if bounds is None else bounds
+        if slope is None:
+            score, slope = INFEASIBLE, 0.0
         else:
-            start, end = bounds
-            if end - start < MIN_SEGMENT_BINS:
-                score = INFEASIBLE
-                slope = 0.0
-            else:
-                score = cu.unit.score(trendline, start, end, slopes)
-                slope = trendline.prefix.slope(start, end)
+            score = cu.unit.score_with_slope(trendline, start, end, slope, slopes)
         total += cu.weight * score
         placed.append(
             PlacedUnit(

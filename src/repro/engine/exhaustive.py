@@ -57,9 +57,6 @@ def exhaustive_solve_chain(
     lo = 0 if lo is None else lo
     hi = trendline.n_bins if hi is None else hi
     layout = plan_layout(trendline, chain, lo, hi)
-    if layout is None:
-        return ChainSolution(score=INFEASIBLE)
-
     per_piece: List[List[List[Optional[Tuple[int, int]]]]] = []
     piece_indices: List[List[int]] = []
     for piece in layout:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.chains import CompiledQuery
-from repro.engine.dynamic import QueryResult, solve_query, solve_query_batched
+from repro.engine.dynamic import QueryResult, ScoreBlock, solve_query, solve_query_batched
 from repro.engine.exhaustive import exhaustive_solve_query
 from repro.engine.greedy import greedy_run_solver
 from repro.engine.pruning import PruningReport, prune_and_rank
@@ -89,7 +89,7 @@ def solve_many(
     query: CompiledQuery,
     algorithm: str,
     kernel: Optional[str] = None,
-) -> List[QueryResult]:
+) -> ScoreBlock:
     """Score a collection of candidates with the named algorithm.
 
     The single Score funnel: every collection-level call site (shards,
@@ -97,7 +97,8 @@ def solve_many(
     ``"segment-tree"`` solves them :data:`BATCH_BLOCK` at a time with one
     level-wise array combine per block, whatever their lengths
     (:class:`~repro.engine.segment_tree.BatchedSegmentTree`); the other
-    algorithms have no cross-candidate kernel and simply loop.
+    algorithms have no cross-candidate kernel and simply loop.  Either
+    way the answer is a :class:`~repro.engine.dynamic.ScoreBlock`.
 
     ``kernel`` picks the DP transition kernel (``"matrix"``/``"loop"``,
     None = the module default); it only affects ``algorithm="dp"`` — the
@@ -107,17 +108,16 @@ def solve_many(
     if algorithm == "segment-tree":
         return solve_query_batched(trendlines, query, segment_tree_batch_solver)
     if algorithm == "exhaustive":
-        return [exhaustive_solve_query(trendline, query) for trendline in trendlines]
+        return ScoreBlock.of([exhaustive_solve_query(t, query) for t in trendlines])
     if algorithm == "dp":
         # kernel= (rather than run_solver=) records the choice in the
         # solve context, so nested sub-queries and AND exact-covers run
         # the same kernel as the top-level chains.
-        return [solve_query(trendline, query, kernel=kernel) for trendline in trendlines]
+        return ScoreBlock.of([solve_query(t, query, kernel=kernel) for t in trendlines])
     if algorithm == "greedy":
-        return [
-            solve_query(trendline, query, run_solver=greedy_run_solver)
-            for trendline in trendlines
-        ]
+        return ScoreBlock.of(
+            [solve_query(t, query, run_solver=greedy_run_solver) for t in trendlines]
+        )
     raise ExecutionError("unknown algorithm {!r}".format(algorithm))
 
 
@@ -187,15 +187,16 @@ def score_shard(
             [trendline for _position, trendline in block], query, algorithm, kernel=kernel
         )
         shard.scored += len(block)
-        for (position, trendline), result in zip(block, results):
-            item = (result.score, -position, trendline, result)
+        scores = results.scores.tolist()  # ranked by column, built only if kept
+        for row, (position, trendline) in enumerate(block):
+            item = (scores[row], -position, trendline, results, row)
             if len(heap) < k:
                 heapq.heappush(heap, item)
             elif item[:2] > heap[0][:2]:
                 heapq.heapreplace(heap, item)
     shard.items = [
-        (score, -neg_position, trendline, result)
-        for score, neg_position, trendline, result in heap
+        (score, -neg_position, trendline, results[row])
+        for score, neg_position, trendline, results, row in heap
     ]
     return shard
 

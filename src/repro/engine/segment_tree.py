@@ -42,7 +42,9 @@ time:
   quantifiers, nested queries, lines, y-constrained slopes — fall back
   to one ``score_pairs`` call per candidate per level); and each key
   keeps its maximum option by ``reduceat``, ties resolved to the option
-  the dict tree would have been *offered first*.  Candidates are
+  the dict tree would have been *offered first* — except at level one
+  (half of all lanes), written in closed form: above two leaves every
+  key has one option at most.  Candidates are
   processed :data:`BATCH_BLOCK` at a time (fewer when long:
   :data:`BATCH_LANES`), so peak memory is flat in the collection size.
 * :class:`IncrementalSegmentTree` — the dict-of-tuples reference, one
@@ -73,7 +75,12 @@ from repro.engine import scoring
 from repro.engine.chains import ChainUnit
 from repro.engine.statistics import PrefixStats
 from repro.engine.trendline import Trendline
-from repro.engine.units import MIN_SEGMENT_BINS, default_leaf_size, run_min_length
+from repro.engine.units import (
+    MIN_SEGMENT_BINS,
+    default_leaf_size,
+    plain_slope,
+    run_min_length,
+)
 
 #: A table entry: (weighted score sum, per-unit placements, per-unit scores).
 Entry = Tuple[float, Tuple[Tuple[int, int], ...], Tuple[float, ...]]
@@ -355,6 +362,14 @@ class _CombinePlan:
         self.merge_interior = (self.merge_first < self.merge_unit) & (
             self.merge_unit < self.merge_last
         )
+        # Level one: keys (m, m) and (m, m+1) in unit order, and the ranks
+        # the dict tree inserts them in: (0,1), (0,0), (1,2), (1,1), …, (k−1,k−1).
+        self.singles = np.array([key_id[(m, m)] for m in range(k)], dtype=np.intp)
+        self.pairs = np.array([key_id[(m, m + 1)] for m in range(k - 1)], dtype=np.intp)
+        self.first_ranks = np.zeros(len(keys), dtype=np.intp)
+        self.first_ranks[[key_id[(i, j)] for i in range(k) for j in (i + 1, i) if j < k]] = (
+            np.arange(2 * k - 1)
+        )
 
 
 @lru_cache(maxsize=32)
@@ -432,6 +447,7 @@ class BatchedSegmentTree:
         units: List[ChainUnit],
         bounds: Sequence[Tuple[int, int]],
         contexts: Sequence[Optional[dict]],
+        prefix: Optional[Tuple[PrefixStats, np.ndarray]] = None,
     ):
         self.trendlines = trendlines
         self.units = units
@@ -460,30 +476,16 @@ class BatchedSegmentTree:
 
         #: Units scored across candidates in one gather: plain slope
         #: patterns.  Everything else is scored per candidate.
-        self.batched = [
-            m
-            for m, cu in enumerate(units)
-            if cu.unit.slope_based
-            and cu.unit.location.y_start is None
-            and cu.unit.location.y_end is None
-        ]
+        self.batched = [m for m, cu in enumerate(units) if plain_slope(cu.unit)]
         if self.batched:
-            # One PrefixStats over all candidates' cumulative rows laid
-            # end to end: candidate c's bin p lives at offsets[c] + p, and
-            # the slope arithmetic is PrefixStats._slopes itself.
-            block = np.concatenate(
-                [
-                    np.stack([getattr(t.prefix, row) for row in PrefixStats.STACKED_ROWS])
-                    if t.prefix.stacked is None
-                    else t.prefix.stacked
-                    for t in trendlines
-                ],
-                axis=1,
+            # All candidates' rows end to end (the caller's, which its
+            # final pass gathers from too): candidate c's bin p is column
+            # offsets[c] + p, and the arithmetic is PrefixStats._slopes.
+            self.prefix, self.offsets = prefix or PrefixStats.concatenate(
+                [t.prefix for t in trendlines]
             )
-            self.prefix = PrefixStats.from_cumulative(*block, stacked=block)
-            widths = np.array([t.n_bins + 1 for t in trendlines])
-            self.offsets = np.cumsum(widths) - widths
         self._leaf_tables()
+        self.depth = 0
 
     @property
     def done(self) -> bool:
@@ -514,29 +516,34 @@ class BatchedSegmentTree:
         values = scoring.pattern_score_from_atan(unit.kind, atans, unit.theta)
         return -values if unit.negated else values
 
-    def _scores(self, starts, ends, owner, rows_of, offered=None):
+    def _scores(self, starts, ends, owner, rows_of=None, offered=None):
         """Unit scores over ``[starts, ends)``, one lane per column.
 
         ``rows_of(m)`` names the rows unit ``m`` is scored on and
-        ``owner`` each lane's candidate (lanes are candidate-major).
+        ``owner`` each lane's candidate (lanes are candidate-major);
+        without it every unit is scored over the same range per lane (row
+        ``m`` is unit ``m``), one slope and ``tan⁻¹`` per lane for all.
         Plain slope units take one gather across all candidates;
         expensive units (nested solves, sketches, quantifiers) go through
         ``score_pairs`` candidate by candidate, and only where
         ``offered`` — where the dict tree would score them too.
         """
-        scores = np.zeros(np.broadcast(starts, ends).shape)
+        shared = rows_of is None
+        shape = (self.k, len(owner)) if shared else np.broadcast(starts, ends).shape
+        scores = np.zeros(shape)
         if self.batched:
             shift = self.offsets[owner]
             atans = np.arctan(self.prefix._slopes(starts + shift, ends + shift))
             for m in self.batched:
-                scores[rows_of(m)] = self._slope_scores(m, atans[rows_of(m)])
+                rows = m if shared else rows_of(m)
+                scores[rows] = self._slope_scores(m, atans if shared else atans[rows])
         if len(self.batched) < self.k:
-            starts, ends = np.broadcast_arrays(starts, ends)
+            starts, ends = np.broadcast_to(starts, shape), np.broadcast_to(ends, shape)
             edges = np.searchsorted(owner, np.arange(len(self.trendlines) + 1))
             for m, cu in enumerate(self.units):
                 if m in self.batched:
                     continue
-                rows = rows_of(m)
+                rows = m if shared else rows_of(m)
                 for c, (trendline, context) in enumerate(zip(self.trendlines, self.contexts)):
                     lanes = slice(edges[c], edges[c + 1])
                     a, b = starts[rows, lanes], ends[rows, lanes]
@@ -557,10 +564,8 @@ class BatchedSegmentTree:
     def _leaf_tables(self) -> None:
         k, plan = self.k, self.plan
         owner = np.repeat(np.arange(len(self.counts)), self.counts)
-        leaf_scores = self._scores(
-            self.lows[None, :], self.highs[None, :].repeat(k, axis=0), owner, lambda m: m
-        )
-        singles = np.flatnonzero(plan.single[:, 0])  # keys (m, m), in unit order
+        leaf_scores = self._scores(self.lows, self.highs, owner)
+        singles = plan.singles
         self.values = np.zeros((3, plan.keys, len(owner)))
         self.values[0] = _NEG_INF
         self.values[0, singles] = self.weights * leaf_scores
@@ -576,15 +581,68 @@ class BatchedSegmentTree:
         parent nodes; an unpaired last node is carried up unchanged."""
         if self.done:
             return
-        plan = self.plan
         pairing = _pairing(tuple(self.counts.tolist()))
+        left, right = pairing.left, pairing.left + 1
+        low, middle, high = self.lows[left], self.highs[left], self.highs[right]
+        combine = self._first_level if self.depth == 0 else self._combine
+        values, marks = combine(pairing, low, middle, high)
+
+        if len(pairing.kept):  # unpaired last nodes are carried up unchanged
+
+            def carry(parents, level):
+                above = np.empty(parents.shape[:-1] + (pairing.total,), dtype=parents.dtype)
+                above[..., pairing.paired] = parents
+                above[..., pairing.kept] = level[..., pairing.source]
+                return above
+
+            values, marks = carry(values, self.values), carry(marks, self.marks)
+            low, high = carry(low, self.lows), carry(high, self.highs)
+        self.values, self.marks, self.lows, self.highs = values, marks, low, high
+        self.counts = pairing.counts
+        self.depth += 1
+
+    def _first_level(self, pairing, low, middle, high):
+        """Level one in closed form.  Over two leaves every key has one
+        option at most — ``(m, m)`` merges unit ``m`` over the pair,
+        ``(m, m+1)`` sets the left leaf's unit ``m`` beside the right
+        leaf's ``m+1`` — so there is no maximum, tie-break or root rule,
+        and the ranks are static.  Merge sums keep :meth:`_options`'
+        operand order (its bits); keys without an entry hold zeros, so
+        their −∞ stays −∞ higher up."""
+        plan, weights = self.plan, self.weights
+        leaves = self.values[:, plan.singles]  # [field, unit, lane]
+        left = np.take(leaves, pairing.left, axis=2)
+        right = np.take(leaves, pairing.left + 1, axis=2)
+
+        merging = (left[0] - weights * left[2]) + right[0]
+        merged = self._scores(low, high, pairing.owner, offered=merging > _NEG_INF)
+        merging -= weights * right[1]
+        merging += weights * merged
+
+        values = np.zeros((3, plan.keys, len(low)))
+        values[0] = _NEG_INF
+        values[0, plan.singles] = merging
+        values[1:, plan.singles] = merged
+        values[0, plan.pairs] = left[0, :-1] + right[0, 1:]
+        values[1, plan.pairs] = left[1, :-1]
+        values[2, plan.pairs] = right[2, 1:]
+        marks = np.zeros((self.k + 2,) + values.shape[1:], dtype=np.intp)
+        marks[0, plan.singles] = high
+        marks[1, plan.singles] = low
+        marks[:2, plan.pairs] = middle
+        marks[2 + np.arange(self.k - 1), plan.pairs] = middle
+        marks[-1] = plan.first_ranks[:, None]
+        return values, marks
+
+    def _combine(self, pairing, low, middle, high):
+        """A level above the first: every option of every key."""
+        plan = self.plan
         owner, left, right, roots = pairing.owner, pairing.left, pairing.left + 1, pairing.roots
         left_values = np.take(self.values, left, axis=2)
         left_marks = np.take(self.marks, left, axis=2)
         right_values = np.take(self.values, right, axis=2)
         right_marks = np.take(self.marks, right, axis=2)
         tables = (left_values, left_marks, right_values, right_marks)
-        low, middle, high = self.lows[left], self.highs[left], self.highs[right]
         min_len = self.min_lens[owner]
 
         options, merged, merge_bounds = self._options(*tables, middle, min_len, owner)
@@ -614,20 +672,7 @@ class BatchedSegmentTree:
             plan.key_start,
         ) % plan.options
         del options, order
-        values, marks = self._entries(winner, best, rank, *tables, merged, middle)
-
-        if len(pairing.kept):  # unpaired last nodes are carried up unchanged
-
-            def carry(parents, level):
-                above = np.empty(parents.shape[:-1] + (pairing.total,), dtype=parents.dtype)
-                above[..., pairing.paired] = parents
-                above[..., pairing.kept] = level[..., pairing.source]
-                return above
-
-            values, marks = carry(values, self.values), carry(marks, self.marks)
-            low, high = carry(low, self.lows), carry(high, self.highs)
-        self.values, self.marks, self.lows, self.highs = values, marks, low, high
-        self.counts = pairing.counts
+        return self._entries(winner, best, rank, *tables, merged, middle)
 
     def _options(
         self, left_values, left_marks, right_values, right_marks, middle, min_len, owner
@@ -748,12 +793,15 @@ def segment_tree_batch_solver(
     units: List[ChainUnit],
     bounds: Sequence[Tuple[int, int]],
     contexts: Sequence[Optional[dict]],
+    prefix: Optional[Tuple[PrefixStats, np.ndarray]] = None,
 ) -> List[Optional[List[Tuple[int, int]]]]:
     """Solve one fuzzy run of ``units`` for many trendlines at once.
 
     The batched twin of a :func:`repro.engine.dynamic.solve_chain` run
     solver: per trendline the placements of ``units`` over its
-    ``bounds[c] = (lo, hi)``, or None where they cannot fit.
+    ``bounds[c] = (lo, hi)``, or None where they cannot fit.  ``prefix``
+    is the trendlines' rows end to end, if the caller already built them
+    (:meth:`~repro.engine.statistics.PrefixStats.concatenate`).
     """
     m = len(units)
     results: List[Optional[List[Tuple[int, int]]]] = [None] * len(trendlines)
@@ -783,6 +831,7 @@ def segment_tree_batch_solver(
             units,
             [bounds[c] for c in block],
             [contexts[c] for c in block],
+            None if prefix is None else (prefix[0], prefix[1][block]),
         )
         for c, placements in zip(block, tree.run()):
             results[c] = placements

@@ -17,6 +17,7 @@ module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -134,6 +135,21 @@ class PrefixStats:
         self.sxx = sxx
         self.stacked = stacked
         return self
+
+    @classmethod
+    def concatenate(cls, prefixes) -> Tuple["PrefixStats", np.ndarray]:
+        """Many prefixes end to end as ``(stats, offsets)``: prefix ``c``'s
+        row ``p`` is column ``offsets[c] + p``, so one :meth:`_slopes`
+        gather fits ranges of all of them — each bitwise its own."""
+        rows = [
+            np.stack([getattr(p, row) for row in cls.STACKED_ROWS])
+            if p.stacked is None
+            else p.stacked
+            for p in prefixes
+        ]
+        block = np.concatenate(rows, axis=1)
+        widths = np.array([p.bins + 1 for p in prefixes])
+        return cls.from_cumulative(*block, stacked=block), np.cumsum(widths) - widths
 
     @classmethod
     def from_binned(cls, x: np.ndarray, y: np.ndarray, bin_index: np.ndarray) -> "PrefixStats":
@@ -256,6 +272,8 @@ class PrefixStats:
         return self._slopes(np.asarray(starts), np.asarray(ends))
 
     def _slopes(self, l, r):
+        """Slopes of ``[l, r)`` for index arrays of any shape, bitwise the
+        scalar :meth:`slope` of each range (same operations and order)."""
         if self.stacked is not None:
             # Fused gather: one fancy-indexing pass per index set pulls
             # all five statistics at once (rows of the gathered block are

@@ -157,6 +157,11 @@ class CompiledUnit:
     ) -> float:
         raise NotImplementedError
 
+    def score_with_slope(self, trendline, l, r, slope=None, context=None) -> float:
+        """:meth:`score` given ``[l, r)``'s fitted ``slope``, which units
+        that score from the slope use instead of refitting."""
+        return self.score(trendline, l, r, context)
+
     def score_ends(
         self,
         trendline: Trendline,
@@ -253,18 +258,20 @@ class SlopeUnit(CompiledUnit):
     def _from_slopes(self, slopes):
         return self._signed(scoring.pattern_score(self.kind, slopes, self.theta))
 
-    def _scalar_from_slope(self, slope: float) -> float:
-        """Pure-float scoring path (the SegmentTree's hot loop)."""
+    def score_from_atan(self, atan):
+        """Table 5 score from ``math.atan(slope)`` — one float or an array
+        of them, op for op the same, so the columnar final pass has the
+        scalar path's bits (``any``/``empty`` return a plain float)."""
         kind = self.kind
         if kind == "up":
-            value = 2.0 * math.atan(slope) / math.pi
+            value = 2.0 * atan / math.pi
         elif kind == "down":
-            value = -2.0 * math.atan(slope) / math.pi
+            value = -2.0 * atan / math.pi
         elif kind == "flat":
-            value = 1.0 - abs(4.0 * math.atan(slope) / math.pi)
+            value = 1.0 - abs(4.0 * atan / math.pi)
         elif kind == "slope":
             target = math.radians(self.theta)
-            deviation = abs(math.atan(slope) - target)
+            deviation = abs(atan - target)
             value = 1.0 - 2.0 * deviation / (math.pi / 2.0 + abs(target))
         elif kind == "any":
             value = 1.0
@@ -275,19 +282,19 @@ class SlopeUnit(CompiledUnit):
     def score(self, trendline, l, r, context=None):
         return self.score_with_slope(trendline, l, r)
 
-    def score_with_slope(self, trendline, l, r, slope=None):
+    def score_with_slope(self, trendline, l, r, slope=None, context=None):
         """Scalar score, optionally with an already-fitted ``slope``.
 
         The single copy of the scalar feasibility-then-score rule:
-        :meth:`score` routes through it, and batched callers that fitted
-        many slopes at once (the push-down eager bound) pass theirs in —
-        so the two paths cannot drift apart.
+        :meth:`score` routes through it, and callers that already fitted
+        the slope (the final pass, the push-down eager bound) pass theirs
+        in — so the paths cannot drift apart.
         """
         if r - l < MIN_SEGMENT_BINS or not self._y_feasible(trendline, l, r):
             return INFEASIBLE
         if slope is None:
             slope = trendline.prefix.slope(l, r)
-        return self._scalar_from_slope(slope)
+        return self.score_from_atan(math.atan(slope))
 
     def score_ends(self, trendline, l, rs, context=None):
         rs = np.asarray(rs)
@@ -440,6 +447,13 @@ class SlopeUnit(CompiledUnit):
             return (-1.0, 1.0)
         slopes = trendline.prefix.slopes_pairs(starts[valid], ends[valid])
         return self.bounds_from_slopes(np.asarray(slopes))
+
+
+def plain_slope(unit: CompiledUnit) -> bool:
+    """A slope pattern with no y constraint: a pure function of the fitted
+    slope, which the batched kernels gather for a whole block at once."""
+    loc = unit.location
+    return unit.slope_based and loc.y_start is None and loc.y_end is None
 
 
 class LineUnit(CompiledUnit):

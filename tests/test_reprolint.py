@@ -36,6 +36,7 @@ CASES = [
     ("REP032", "cancellation", 1),
     ("REP033", "cancellation", 1),
     ("REP034", "cancellation", 2),
+    ("REP034", "score_funnel", 3),
     ("REP035", "cancellation", 3),
     ("REP041", "deprecation", 2),
     ("REP051", "kernel", 1),

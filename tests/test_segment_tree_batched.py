@@ -8,18 +8,26 @@ same weighted sums and the same placements at every node of every
 level — and therefore the same answers through ``solve_many``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.algebra import builder as q
-from repro.engine import parallel, segment_tree
+from repro.algebra.primitives import Pattern
+from repro.engine import dynamic, parallel, segment_tree
 from repro.engine.chains import compile_query
-from repro.engine.dynamic import solve_query
+from repro.engine.dynamic import ScoreBlock, solve_query
 from repro.engine.parallel import score_shard, solve_many, solve_one
-from repro.engine.segment_tree import BatchedSegmentTree, IncrementalSegmentTree
+from repro.engine.segment_tree import (
+    BatchedSegmentTree,
+    IncrementalSegmentTree,
+    leaf_ranges,
+    segment_tree_run_solver,
+)
 from repro.engine.trendline import cast_trendline
-from repro.engine.units import MIN_SEGMENT_BINS
+from repro.engine.units import MIN_SEGMENT_BINS, default_leaf_size, run_min_length
 
 from tests.conftest import make_trendline
 
@@ -117,6 +125,86 @@ def units_of(node):
     return list(compile_query(node).chains[0].units)
 
 
+#: Unit kinds for generated chains: every plain slope kind, plus two the
+#: batched kernels score per candidate (a y-constrained slope, a sketch).
+MIXED_KINDS = {
+    "up": q.up,
+    "down": q.down,
+    "flat": q.flat,
+    "theta": lambda: q.slope(30.0),
+    "any": q.any_pattern,
+    "empty": lambda: q.segment(pattern=Pattern(kind="empty")),
+    "!down": lambda: q.opposite(q.down()),
+    "sharp": lambda: q.up(sharp=True),
+    "y-up": lambda: q.up(y_start=0.0),
+    "sketch": lambda: q.sketch([(0, 0), (1, 2), (2, 1)]),
+}
+
+
+def leaf_count(length, k):
+    return len(leaf_ranges(0, length, default_leaf_size(run_min_length(0, length, k))))
+
+
+@st.composite
+def plain_unit(draw):
+    """An up/down/flat/θ/any/empty segment, maybe negated, sharp or
+    gradual, and x-pinned on one side, both or neither."""
+    kind = draw(st.sampled_from(("up", "down", "flat", "theta", "any", "empty")))
+    pins = {}
+    side = draw(st.sampled_from(("none", "none", "none", "both", "start", "end")))
+    if side != "none":
+        start = draw(st.integers(0, 40))
+        if side != "end":
+            pins["x_start"] = float(start)
+        if side != "start":
+            pins["x_end"] = float(start + draw(st.integers(1, 30)))
+    if kind in ("up", "down"):
+        modifier = draw(st.sampled_from(("plain", "sharp", "gradual")))
+        node = getattr(q, kind)(
+            sharp=modifier == "sharp", gradual=modifier == "gradual", **pins
+        )
+    elif kind == "theta":
+        node = q.slope(draw(st.sampled_from((-60.0, -15.0, 0.0, 30.0, 75.0))), **pins)
+    elif kind == "flat":
+        node = q.flat(**pins)
+    elif kind == "any":
+        node = q.any_pattern(**pins)
+    else:
+        node = q.segment(pattern=Pattern(kind="empty"), **pins)
+    return q.opposite(node) if draw(st.booleans()) else node
+
+
+@st.composite
+def plain_queries(draw):
+    """One to three OR-alternatives of one to four plain units; now and
+    then an alternative with a sketch, so plain and per-candidate chains
+    share a block."""
+    alternatives = [
+        q.concat(*draw(st.lists(plain_unit(), min_size=1, max_size=4)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.integers(0, 4)) == 0:
+        alternatives.append(q.concat(q.up(), q.sketch([(0, 0), (1, 1)])))
+    return compile_query(q.or_(*alternatives))
+
+
+def result_bits(result):
+    """Everything a result reports, floats as hex (so -0.0 != 0.0)."""
+    placed = result.solution.placements
+    for value in [result.score] + [p.score for p in placed] + [p.slope for p in placed]:
+        assert type(value) is float
+    for value in [result.chain_index] + [p.start for p in placed] + [p.end for p in placed]:
+        assert type(value) is int
+    return (
+        result.score.hex(),
+        result.chain_index,
+        [
+            (p.seg_index, p.start, p.end, p.score.hex(), p.weight.hex(), p.slope.hex())
+            for p in placed
+        ],
+    )
+
+
 class TestTableParity:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("length", [24, 47, 128])
@@ -208,6 +296,32 @@ class TestTableParity:
         ]
         assert_same_trees(lines, units_of(q.concat(*alternating(k))))
 
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(MIXED_KINDS)), min_size=2, max_size=5),
+        lengths=st.lists(st.integers(8, 200), min_size=1, max_size=40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_kind_mixes_over_ragged_blocks(self, kinds, lengths, seed):
+        # Level one is written in closed form, level zero and the general
+        # combine by option tables: every level must still be the dict
+        # tree's, key insertion order included, for any mix of kinds and
+        # lengths — the first candidate padded to an odd leaf count, so a
+        # leaf is carried past the closed-form level in every example.
+        units = units_of(q.concat(*[MIXED_KINDS[kind]() for kind in kinds]))
+        while leaf_count(lengths[0], len(units)) % 2 == 0:
+            lengths[0] += 1
+        rng = np.random.default_rng(seed)
+        lines = [
+            make_trendline(
+                rng.integers(-3, 4, n).cumsum().astype(float)
+                if i % 2
+                else rng.normal(0, 1, n).cumsum(),
+                key=i,
+            )
+            for i, n in enumerate(lengths)
+        ]
+        assert_same_trees(lines, units)
+
 
 class TestSolveMany:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -269,6 +383,67 @@ class TestSolveMany:
             ]
 
 
+class TestColumnarFinalize:
+    """``solve_many``'s columnar final pass is the per-candidate
+    ``_finalize`` — what ``solve_query`` runs — bit for bit."""
+
+    @given(
+        query=plain_queries(),
+        size=st.sampled_from([1, 31, 33]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_per_candidate_pass(self, query, size, seed):
+        # Ragged lengths, many below 2·k bins (infeasible runs); pins that
+        # fall outside short series; OR alternatives that tie.
+        rng = np.random.default_rng(seed)
+        lines = [
+            make_trendline(rng.normal(0, 1, n).cumsum(), key=i)
+            for i, n in enumerate(rng.integers(2, 61, size))
+        ]
+        block = solve_many(lines, query, "segment-tree")
+        assert isinstance(block, ScoreBlock) and len(block) == size
+        for c, line in enumerate(lines):
+            want = solve_query(line, query, run_solver=segment_tree_run_solver)
+            assert result_bits(block[c]) == result_bits(want)
+            assert float(block.scores[c]).hex() == want.score.hex()
+            assert block.chain_index[c] == want.chain_index
+
+    def test_scores_use_math_atan_not_np_arctan(self):
+        # The scalar pass scores tan⁻¹ with math.atan; np.arctan differs
+        # from it in the last bit for a fraction of slopes.  Find one and
+        # check the columnar pass reports the scalar bits.
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            line = make_trendline(rng.normal(0, 1, 12).cumsum())
+            slope = line.prefix.slope(0, line.n_bins)
+            scalar = 2.0 * math.atan(slope) / math.pi
+            if scalar != 2.0 * float(np.arctan(slope)) / math.pi:
+                break
+        else:
+            pytest.skip("np.arctan agrees with math.atan on every slope tried")
+        placed = solve_many([line], compile_query(q.up()), "segment-tree")[0]
+        assert [(p.start, p.end) for p in placed.solution.placements] == [(0, line.n_bins)]
+        assert placed.solution.placements[0].score == scalar
+        assert placed.score == scalar
+
+
+class TestScoreBlock:
+    QUERY = compile_query(q.concat(q.up(), q.down(), q.up()))
+
+    def test_the_block_is_the_list_it_stands_for(self):
+        lines = walks(6, 50, seed=3)
+        block = solve_many(lines, self.QUERY, "segment-tree")
+        listed = [solve_query(t, self.QUERY, run_solver=segment_tree_run_solver) for t in lines]
+        assert block[1:4] == listed[1:4]  # before anything else is built
+        assert block == listed and listed == block
+        assert block != listed[:-1]
+        assert list(block) == listed
+        assert block[-1] is block[len(block) - 1]  # built once
+        assert block.scores.tolist() == [result.score for result in listed]
+        assert block.chain_index.tolist() == [result.chain_index for result in listed]
+        assert len(solve_many([], self.QUERY, "segment-tree")) == 0
+
+
 class TestShardBlocks:
     PINNED = compile_query(q.concat(q.up(x_start=0, x_end=20), q.down(), q.up()))
 
@@ -304,3 +479,20 @@ class TestShardBlocks:
         shard = score_shard(lines, 0, self.PINNED, 6)
         assert self._ranked(shard) == want
         assert shard.scored + shard.eager_discarded == len(lines)
+
+    def test_score_shard_builds_results_only_for_what_it_keeps(self, monkeypatch):
+        built = []
+
+        class Counting(dynamic.QueryResult):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dynamic, "QueryResult", Counting)
+        lines = self._collection()
+        sketched = compile_query(q.concat(q.sketch([(0, 0), (1, 2), (2, 0)]), q.down()))
+        for query in (self.PINNED, compile_query(q.concat(q.up(), q.down())), sketched):
+            for k in (1, 4, 200):
+                built.clear()
+                shard = score_shard(lines, 0, query, k)
+                assert len(built) == min(k, shard.scored) == len(shard.items)

@@ -10,12 +10,15 @@ from repro.engine import shm
 from repro.engine.cache import table_fingerprint
 from repro.engine.chains import compile_query
 from repro.engine.executor import ShapeSearchEngine
+from repro.engine.dynamic import solve_query
 from repro.engine.parallel import (
+    ShardResult,
     make_range_chunks,
     merge_shard_results,
     score_shard,
     score_shard_range,
 )
+from repro.engine.segment_tree import segment_tree_run_solver
 from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
@@ -132,6 +135,30 @@ class TestWorkerResolution:
             ]
         finally:
             session.close()
+
+    def test_shard_ships_finished_results_only(self):
+        # A worker's shard is pickled back to the parent: it carries the
+        # kept QueryResults — the objects a per-candidate solve builds, to
+        # the byte — and nothing of the score block they were read from.
+        import pickle
+
+        trendlines = _collection(count=40)
+        session = shm.ShmSession()
+        try:
+            handle = session.collection_handle(trendlines)
+            shard = score_shard_range(handle, range(40), session.query_handle(QUERY), 5)
+        finally:
+            session.close()
+        reference = ShardResult(
+            items=[
+                (score, position, None,
+                 solve_query(trendlines[position], QUERY, run_solver=segment_tree_run_solver))
+                for score, position, _, _ in shard.items
+            ],
+            scored=shard.scored,
+        )
+        assert shard == reference
+        assert len(pickle.dumps(shard)) == len(pickle.dumps(reference))
 
     def test_resolve_query_passes_compiled_through(self):
         assert shm.resolve_query(QUERY) is QUERY

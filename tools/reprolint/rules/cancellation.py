@@ -174,21 +174,31 @@ class BatchScoreFunnelRule(Rule):
     Flags a ``solve_one(...)`` call that sits inside a loop or a
     comprehension of its enclosing function — the shape of a shard,
     tail or seed loop before it was batched.  ``solve_one`` itself stays
-    available for the genuinely single-candidate paths.
+    available for the genuinely single-candidate paths.  Inside the
+    funnel itself (``solve_query_batched``, ``score_shard``) it also
+    flags a per-candidate ``_finalize(...)`` or ``QueryResult(...)`` in
+    a loop: results stay columns (``ScoreBlock``) until a caller reads
+    one, and the per-candidate final pass lives in ``_finalize_each``
+    for the chains the columnar pass does not cover.
     """
 
     id = "REP034"
     name = "batch-score-funnel"
     rationale = (
-        "solve_many solves a block of candidates with one array kernel; a "
-        "solve_one loop pays the per-level dispatch once per trendline "
-        "instead"
+        "solve_many solves a block of candidates with one array kernel and "
+        "finalizes it as columns; a solve_one loop pays the per-level "
+        "dispatch once per trendline, and a per-candidate _finalize or "
+        "QueryResult in the funnel builds objects a shard discards"
     )
     scope = ("src/repro/engine/",)
 
+    _FUNNELS = {"solve_query_batched", "score_shard"}
+    _PER_CANDIDATE = {"_finalize", "QueryResult"}
+
     def check(self, ctx: FileContext):
         for node in ctx.walk(ast.Call):
-            if call_name(node) == "solve_one" and _inside_loop(ctx, node):
+            name = call_name(node)
+            if name == "solve_one" and _inside_loop(ctx, node):
                 yield make_finding(
                     self,
                     ctx,
@@ -196,6 +206,17 @@ class BatchScoreFunnelRule(Rule):
                     "solve_one called per candidate inside a loop; hand the "
                     "collection to solve_many",
                 )
+            elif name in self._PER_CANDIDATE and _inside_loop(ctx, node):
+                function = ctx.enclosing_function(node)
+                if function is not None and function.name in self._FUNNELS:
+                    yield make_finding(
+                        self,
+                        ctx,
+                        node,
+                        "{} called per candidate inside {}; keep the block's "
+                        "columns and build results only where they are "
+                        "read".format(name, function.name),
+                    )
 
 
 def _is_column(node: ast.AST, column_names) -> bool:
