@@ -10,11 +10,12 @@ behind ``REPRO_BENCH_SCALE>=1`` — the block grows to hundreds of MB):
   tier: a second process pays a verified map, not an O(n * W^2) build.
 * **batched bounds beat the per-trendline loop** — one coarse max-plus
   DP per pyramid level across all candidates
-  (:meth:`ShapeIndex.upper_bounds`) against the retained scalar oracle
-  called per candidate.  Timings are best-of-``ROUNDS`` for both sides:
-  the first batched call on a freshly mapped block additionally pays
-  its page faults (reported as ``batched_cold_s``), which matches
-  production use where one index serves many queries.
+  (:meth:`ShapeIndex.upper_bounds`) against the scalar oracle
+  (``tests/oracles/index_bounds.py``) called per candidate.  Timings
+  are best-of-``ROUNDS`` for both sides: the first batched call on a
+  freshly mapped block additionally pays its page faults (reported as
+  ``batched_cold_s``), which matches production use where one index
+  serves many queries.
 
 Byte identity between the two bound paths is asserted unconditionally;
 the speedup floors only at the default workload scale where the runs
@@ -32,6 +33,7 @@ from repro.engine.shape_index import ShapeIndex
 from repro.engine.trendline import build_trendline
 
 from benchmarks.conftest import SCALE, print_table, record_result
+from tests.oracles import index_bounds as bounds_oracle
 
 QUERY = q.concat(q.up(), q.down())
 
@@ -100,9 +102,7 @@ def test_artifact_store_and_batched_bounds(benchmark, tmp_path):
         )
         loop_s, loop = _best_of(
             ROUNDS,
-            lambda: np.array(
-                [loaded.upper_bound(i, compiled) for i in range(count)]
-            ),
+            lambda: bounds_oracle.upper_bounds(loaded, compiled),
         )
         assert batched.tobytes() == loop.tobytes()
         assert batched_cold.tobytes() == loop.tobytes()

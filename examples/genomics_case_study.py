@@ -3,9 +3,8 @@
 Reproduces the bioinformatics researchers' exploration session: genes
 suppressed or activated by a treatment, stem-cell differentiation
 plateaus (gbx2 / klf5 / spry4), and the pvt1 double-peak outlier —
-each found with a one-line ShapeSearch query over the synthetic
-mouse-gene table (DESIGN.md documents the substitution for the MGD
-dataset).
+each found with a one-line ShapeSearch query over a synthetic
+mouse-gene table that stands in for the MGD dataset.
 
 Run with::
 

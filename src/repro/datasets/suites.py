@@ -5,8 +5,8 @@ Zillow Real-Estate table.  Those files are not redistributable and are
 unavailable offline, so each suite here reproduces the *workload
 characteristics* that drive the performance experiments — the number of
 visualizations, their lengths, multi-y-per-x aggregation for Real
-Estate — with a deterministic mix of shape families (see DESIGN.md §3
-for why this substitution preserves the experiments).
+Estate — with a deterministic mix of shape families (README "Layout":
+``datasets/`` holds synthetic stand-ins for the evaluation suites).
 
 Alongside the data, this module records the exact fuzzy and non-fuzzy
 queries of Table 11 in the regex dialect (non-fuzzy x ranges are scaled

@@ -30,8 +30,8 @@ VisualSegments).
 
 POSITION references are resolved with a second pass: once boundaries are
 fixed, every unit is re-scored with the fitted slopes of all units in
-context (DESIGN.md §2.7), and the reported per-unit scores always come
-from that final pass.
+context, and the reported per-unit scores always come from that final
+pass.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ def theta_score(slopes, theta_degrees: float):
     """Slope-target score: +1 at ``θ = x``, −1 at the farthest deviation.
 
     Table 5's printed formula is garbled in the arXiv copy; this
-    implements the stated endpoint semantics (see DESIGN.md §2.2):
+    implements the stated endpoint semantics:
     with ``a = tan⁻¹(slope)`` and ``t = radians(x)``,
     ``score = 1 − 2·|a − t| / (π/2 + |t|)``.
     """
@@ -131,7 +131,7 @@ def sharpened_kind(kind: str, comparison: str) -> Tuple[str, Optional[float]]:
     """Resolve a sharp/gradual modifier on up/down into a θ-target pattern.
 
     ``[p=up, m=>>]`` (sharply rising) scores as ``θ=75°`` and
-    ``[p=up, m=>]`` (gradually rising) as ``θ=30°`` (DESIGN.md §2.3);
+    ``[p=up, m=>]`` (gradually rising) as ``θ=30°``;
     mirrored for ``down``.
     """
     if kind not in ("up", "down"):

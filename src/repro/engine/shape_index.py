@@ -463,46 +463,22 @@ class ShapeIndex:
         return self._assemble(trendlines, self._by_key, known_tiles)
 
     # -- query-time bounds --------------------------------------------------
-    def upper_bound(
-        self, position: int, query: CompiledQuery, floor: float = _NEG_INF
-    ) -> float:
-        """Upper bound on ``query``'s score for candidate ``position``.
-
-        Levels are consulted coarse → fine, each tightening the bound
-        (min over levels), stopping early once the candidate can no
-        longer reach ``floor`` — the returned value is always a valid
-        upper bound, and the :func:`survives_floor` verdict on it is
-        final.  Unindexed candidates bound at ``+inf`` (never pruned).
-        """
-        entry = self.entries[position]
-        if entry is None:
-            return _POS_INF
-        bound = _POS_INF
-        for w, amin, amax in reversed(entry.levels):
-            level_bound = -1.0
-            shared: dict = {"empty": np.isinf(amin)}
-            for chain in query.chains:
-                level_bound = max(
-                    level_bound,
-                    _chain_level_bound(entry.n_bins, chain, w, amin, amax, shared),
-                )
-            bound = max(-1.0, min(bound, level_bound))
-            if not survives_floor(bound, floor):
-                return float(bound)
-        return float(bound)
-
     def upper_bounds(
         self, query: CompiledQuery, floor: float = _NEG_INF
     ) -> np.ndarray:
-        """Per-candidate upper bounds (block-batched twin of :meth:`upper_bound`).
+        """Per-candidate upper bounds on ``query``'s score.
 
-        One coarse max-plus DP per pyramid level across *all* candidates
-        at once: the packed block is level-major, so each level of each
-        ``n_bins`` group is one dense ``(candidates, W, W)`` tile and the
-        recurrence runs on ``(candidates, W)`` state tiles with no
-        per-candidate Python dispatch.  Bitwise-equal to the retained
-        scalar oracle :meth:`upper_bound`, including its coarse-level
-        early exit when ``floor`` is bounded (:func:`_refine`).
+        Levels are consulted coarse → fine, each tightening the bound
+        (min over levels, clamped at −1); with a bounded ``floor`` a
+        candidate stops at the first level whose bound fails
+        :func:`survives_floor`, so every float is a valid upper bound and
+        the verdict on it is final (:func:`_refine`).  One coarse max-plus
+        DP per pyramid level across *all* candidates at once: the packed
+        block is level-major, so each level of each ``n_bins`` group is
+        one dense ``(candidates, W, W)`` tile and the recurrence runs on
+        ``(candidates, W)`` state tiles with no per-candidate Python
+        dispatch.  The one-candidate-at-a-time reference the tests hold
+        it to, bit for bit, is ``tests/oracles/index_bounds.py``.
         Unindexed entries bound at ``+inf`` (never pruned); an empty
         index returns a well-formed empty float64 vector.
         """
@@ -610,38 +586,6 @@ def _constant_upper(unit) -> Optional[float]:
     return -value if unit.negated else value
 
 
-def _unit_upper(unit, amin: np.ndarray, amax: np.ndarray, shared: dict) -> np.ndarray:
-    """(W, W) upper bound on one unit's score over each bucket's segments.
-
-    For up/down the Table 5 score is monotone in the atan, so the
-    endpoint maximum is exact; flat/θ scores additionally peak at 1.0
-    when the bucket's atan interval straddles the target (for a negated
-    flat/θ the peak is a trough, so the endpoint maximum stays exact).
-    ``any``/``empty`` and line units score constants ≤ 1.0.  y-location
-    masks only ever lower scores, so they need no handling in an upper
-    bound.  Empty-bucket sentinels are substituted before the transform
-    and re-masked by the caller.
-    """
-    constant = _constant_upper(unit)
-    if constant is not None:
-        return np.full(amin.shape, constant)
-    empty = shared["empty"]
-    a_lo = shared.get("a_lo")
-    if a_lo is None:
-        a_lo = shared["a_lo"] = np.where(empty, 0.0, amin)
-        shared["a_hi"] = np.where(empty, 0.0, amax)
-    a_hi = shared["a_hi"]
-    score_lo = scoring.pattern_score_from_atan(unit.kind, a_lo, unit.theta)
-    score_hi = scoring.pattern_score_from_atan(unit.kind, a_hi, unit.theta)
-    if unit.negated:
-        score_lo, score_hi = -score_lo, -score_hi
-    upper = np.maximum(score_lo, score_hi)
-    if not unit.negated and unit.kind in ("flat", "slope"):
-        target = 0.0 if unit.kind == "flat" else math.radians(unit.theta)
-        upper = np.where((a_lo < target) & (target < a_hi), 1.0, upper)
-    return upper
-
-
 def _unit_widths(n_bins: int, units_count: int) -> List[int]:
     """The narrowest width any algorithm places each unit of a chain at.
 
@@ -659,64 +603,25 @@ def _unit_widths(n_bins: int, units_count: int) -> List[int]:
     return [edge] + [min_len] * (units_count - 2) + [edge]
 
 
-def _chain_level_bound(
-    n_bins: int,
-    chain: Chain,
-    w: int,
-    amin: np.ndarray,
-    amax: np.ndarray,
-    shared: dict,
-) -> float:
-    """Bound one chain's best full-cover score from one pyramid level.
-
-    Max-plus DP over (start super-bin, end super-bin) bucket bounds:
-    the first unit starts at bin 0 (super-bin 0), the last ends at bin
-    ``n`` (super-bin W−1), and consecutive units share their boundary
-    bin — so the next start super-bin is the previous end super-bin or
-    its successor.  Buckets that are empty, inverted, or too narrow to
-    host the unit's minimum width (:func:`_unit_widths`) are −inf.
-    """
-    W = amin.shape[0]
-    grid = np.arange(W)
-    span = (grid[None, :] - grid[:, None] + 1) * w
-    blocked = shared["empty"] | (grid[:, None] > grid[None, :])
-    memo = shared.setdefault("units", {})
-    state: Optional[np.ndarray] = None
-    for cu, width in zip(chain.units, _unit_widths(n_bins, len(chain.units))):
-        key = _unit_key(cu.unit)
-        upper = memo.get(key)
-        if upper is None:
-            upper = memo[key] = _unit_upper(cu.unit, amin, amax, shared)
-        weighted = np.where(blocked | (span < width), _NEG_INF, cu.weight * upper)
-        if state is None:
-            state = weighted[0, :].copy()
-            continue
-        reach = state.copy()
-        reach[1:] = np.maximum(state[1:], state[:-1])
-        state = np.max(reach[:, None] + weighted, axis=0)
-    return float(state[W - 1])
-
-
-# ---------------------------------------------------------------------------
-# Block-batched bounds: the same DP, one pass per level over all candidates
-# ---------------------------------------------------------------------------
-
-
 def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
-    """:func:`_unit_upper` over a ``(C, W, W)`` tile, one transform per unit.
+    """Upper bound on one unit's Table 5 score over each bucket given.
 
-    Same floats as the scalar oracle on every non-empty bucket, from
-    fewer passes: the empty-bucket ±inf sentinels are not substituted —
-    they flow through the transforms (no 0·inf or inf−inf arises, so no
-    NaN and no FP exception) into buckets the caller masks anyway — and
-    the Table 5 scores are weakly monotone in the atan *under IEEE
-    rounding* (each is a chain of monotone operations), so the endpoint
-    maximum is the score of one known endpoint: the upper one for a
-    rising score, the lower one for a falling score, and for a peaked
-    flat/θ score the endpoint nearest the target — the target itself,
-    scoring exactly 1.0, when the interval straddles it.  A negated
-    flat/θ is a trough, so it keeps both endpoint transforms.  Returns a
-    fresh array the caller may overwrite, or a float for constant units.
+    ``amin``/``amax`` are any equal-shaped selection of buckets — a
+    ``(C, W, W)`` tile, one row or column of it, one bucket per
+    candidate — and every operation is elementwise, so a bucket's float
+    does not depend on what else was selected.  y-location masks only
+    ever lower scores, so they need no handling in an upper bound.  The
+    empty-bucket ±inf sentinels flow through the transforms (no 0·inf
+    or inf−inf arises, so no NaN and no FP exception) into buckets the
+    caller masks anyway, and the scores are weakly monotone in the atan
+    *under IEEE rounding* (each is a chain of monotone operations), so
+    the endpoint maximum is the score of one known endpoint: the upper
+    one for a rising score, the lower one for a falling score, and for a
+    peaked flat/θ score the endpoint nearest the target — the target
+    itself, scoring exactly 1.0, when the interval straddles it.  A
+    negated flat/θ is a trough, so it keeps both endpoint transforms.
+    Returns a fresh array the caller may overwrite, or a float for
+    constant units (``any``, ``empty``, line units: constants ≤ 1.0).
     """
     constant = _constant_upper(unit)
     if constant is not None:
@@ -735,6 +640,46 @@ def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
     return score(unit.kind, np.minimum(nearest, amax, out=nearest), unit.theta)
 
 
+def _weighted_part(cu, width: int, first: bool, last: bool, w: int,
+                   amin: np.ndarray, amax: np.ndarray, shared: dict) -> np.ndarray:
+    """The masked ``weight · upper`` buckets of one unit that the DP reads.
+
+    A first unit starts in super-bin 0, so only row 0 of its ``(C, W,
+    W)`` tile is read; a last unit ends in super-bin W−1, so only column
+    W−1; a lone unit reads bucket (0, W−1); a middle unit the whole
+    tile.  Buckets that are empty, inverted, or too narrow to host the
+    unit's minimum width (:func:`_unit_widths`) are −inf.  ``shared``
+    memoizes, for this level, each part per (unit, weight, width) and
+    its infeasible mask per (width, part); an edge part of a tile
+    already memoized is a view of it, which the DP only ever reads.
+    """
+    key = (_unit_key(cu.unit), cu.weight, width)
+    part = shared.get(key + (first, last))
+    if part is not None:
+        return part
+    at = (slice(None), 0 if first else slice(None), -1 if last else slice(None))
+    tile = shared.get(key + (False, False))
+    if tile is not None:
+        return tile[at]
+    infeasible = shared.get(("infeasible", width, first, last))
+    if infeasible is None:
+        grid = np.arange(amin.shape[1])
+        geometric = (grid[:, None] > grid[None, :]) | (
+            (grid[None, :] - grid[:, None] + 1) * w < width
+        )
+        infeasible = shared["infeasible", width, first, last] = (
+            np.isinf(amin[at]) | geometric[at[1:]]
+        )
+    upper = _tile_upper(cu.unit, amin[at], amax[at])
+    if isinstance(upper, float):
+        part = np.where(infeasible, _NEG_INF, cu.weight * upper)
+    else:
+        part = np.multiply(upper, cu.weight, out=upper)
+        np.copyto(part, _NEG_INF, where=infeasible)
+    shared[key + (first, last)] = part
+    return part
+
+
 def _batched_chain_bound(
     n_bins: int,
     chain: Chain,
@@ -743,53 +688,48 @@ def _batched_chain_bound(
     amax: np.ndarray,
     shared: dict,
 ) -> np.ndarray:
-    """:func:`_chain_level_bound` across a ``(C, W, W)`` candidate tile.
+    """Bound one chain's best full-cover score from one ``(C, W, W)`` level.
 
-    The recurrence is per-candidate independent, so running it on
-    ``(C, W)`` state tiles is the scalar DP replicated along axis 0, and
-    every chain bound is the scalar oracle's float.  ``shared`` memoizes,
-    for this level, the infeasible mask per unit width and the masked
-    ``weight · upper`` tile per (unit, weight, width) — a repeated unit
-    costs one tile, masked in place.  The max over start super-bins is
-    accumulated start by start, in the scalar reduction's order, over
-    the end super-bins that start can reach at all: the rest of each row
-    is masked to −inf, which no maximum ever picks.
+    Max-plus DP over (start super-bin, end super-bin) bucket bounds, run
+    on ``(C, W)`` state rows with no per-candidate Python: the first
+    unit starts at bin 0 (super-bin 0), the last ends at bin ``n``
+    (super-bin W−1), and consecutive units share their boundary bin — so
+    the next start super-bin is the previous end super-bin or its
+    successor.  Each unit contributes only the buckets the recurrence
+    reads (:func:`_weighted_part`).  The max over start super-bins is
+    accumulated start by start, in ascending order, over the end
+    super-bins that start can reach at all — for the last unit, the one
+    end W−1 — so every bound is the float the one-candidate reference
+    (``tests/oracles/index_bounds.py``) computes, signed zeros included.
     """
     count, W = amin.shape[:2]
+    last = len(chain.units) - 1
     state: Optional[np.ndarray] = None
-    for cu, width in zip(chain.units, _unit_widths(n_bins, len(chain.units))):
-        key = (_unit_key(cu.unit), cu.weight, width)
-        weighted = shared.get(key)
-        if weighted is None:
-            infeasible = shared.get(("infeasible", width))
-            if infeasible is None:
-                grid = np.arange(W)
-                infeasible = shared["infeasible", width] = (
-                    shared["empty"]
-                    | (grid[:, None] > grid[None, :])
-                    | ((grid[None, :] - grid[:, None] + 1) * w < width)
-                )
-            upper = _tile_upper(cu.unit, amin, amax)
-            if isinstance(upper, float):
-                weighted = np.where(infeasible, _NEG_INF, cu.weight * upper)
-            else:
-                weighted = np.multiply(upper, cu.weight, out=upper)
-                np.copyto(weighted, _NEG_INF, where=infeasible)
-            shared[key] = weighted
+    for position, (cu, width) in enumerate(
+        zip(chain.units, _unit_widths(n_bins, last + 1))
+    ):
+        weighted = _weighted_part(
+            cu, width, position == 0, position == last, w, amin, amax, shared
+        )
         if state is None:
-            state = weighted[:, 0, :].copy()
+            state = weighted
             continue
         # Buckets (a, b) with b < a + reach_from are too narrow for the unit.
         reach_from = max(0, -(-width // w) - 1)
         reach = state.copy()
         reach[:, 1:] = np.maximum(state[:, 1:], state[:, :-1])
-        state = np.full((count, W), _NEG_INF)
-        for a in range(W - reach_from):
-            ends = state[:, a + reach_from:]
-            np.maximum(
-                ends, reach[:, a, None] + weighted[:, a, a + reach_from:], out=ends
-            )
-    return state[:, W - 1]
+        if position < last:
+            state = np.full((count, W), _NEG_INF)
+            for a in range(W - reach_from):
+                ends = state[:, a + reach_from:]
+                np.maximum(
+                    ends, reach[:, a, None] + weighted[:, a, a + reach_from:], out=ends
+                )
+        else:
+            state = np.full(count, _NEG_INF)
+            for a in range(W - reach_from):
+                np.maximum(state, reach[:, a] + weighted[:, a], out=state)
+    return state
 
 
 def _refine(
@@ -802,16 +742,16 @@ def _refine(
 ) -> List[int]:
     """Tighten ``bound`` in place through ``levels`` (coarse → fine).
 
-    :meth:`ShapeIndex.upper_bound`'s level loop across one ``n_bins``
-    class, decision for decision: chain max / level min spelled as the
-    scalar ``max``/``min`` (``b if b > a else a`` elementwise — bitwise
-    the same picks; the −1 start of the chain max is the scalar clamp),
-    and the scalar early exit becomes a gather — a level is evaluated
-    only on the rows whose bound still passes :func:`survives_floor`
-    (and, when given, the ``keep`` mask), :data:`BLOCK_ELEMENTS` at a
-    time, so its temporaries are sized by the rows still alive and every
-    other row keeps the coarser float the scalar early return yields.
-    Returns the rows evaluated per level.
+    The one-candidate level loop (``tests/oracles/index_bounds.py``)
+    across one ``n_bins`` class, decision for decision: chain max /
+    level min spelled as the scalar ``max``/``min`` (``b if b > a else
+    a`` elementwise — bitwise the same picks; the −1 start of the chain
+    max is the scalar clamp), and the scalar early exit becomes a gather
+    — a level is evaluated only on the rows whose bound still passes
+    :func:`survives_floor` (and, when given, the ``keep`` mask),
+    :data:`BLOCK_ELEMENTS` at a time, so its temporaries are sized by
+    the rows still alive and every other row keeps the coarser float the
+    scalar early return yields.  Returns the rows evaluated per level.
     """
     evaluated = []
     for w, amin, amax in levels:
@@ -827,7 +767,7 @@ def _refine(
         for lo in range(0, rows.size, step):
             part = slice(lo, lo + step) if everyone else rows[lo:lo + step]
             tile_min, tile_max = amin[part], amax[part]
-            shared = {"empty": np.isinf(tile_min)}
+            shared: dict = {}
             level_bound = np.full(len(tile_min), INFEASIBLE)
             for chain in query.chains:
                 chain_bound = _batched_chain_bound(

@@ -48,7 +48,7 @@ MIN_SEGMENT_BINS = 2
 #: granularity (b = x range / pixels), which implicitly stops a "pattern"
 #: from living inside a couple of samples; without such a floor,
 #: z-normalized noise offers near-vertical 2-bin segments that score ±1
-#: and let flat noise beat genuinely shaped trendlines (DESIGN.md §2).
+#: and let flat noise beat genuinely shaped trendlines.
 MIN_SEGMENT_FRACTION = 0.1
 
 #: Absolute cap on the proportional minimum (long trendlines may still
@@ -670,7 +670,7 @@ class PositionUnit(CompiledUnit):
             return INFEASIBLE
         if context is None or self.reference_index not in context:
             # Pass 1: the reference is not yet placed; stay neutral so the
-            # surrounding units drive the segmentation (DESIGN.md §2.7).
+            # surrounding units drive the segmentation.
             return 0.0
         slope = trendline.prefix.slope(l, r)
         value = scoring.position_score(

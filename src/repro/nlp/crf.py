@@ -18,8 +18,7 @@ with it :mod:`repro`) stays cheap.
 
 The paper's hyper-parameters (L1 1.0, L2 0.001, 50 iterations) are
 mapped to a pure-L2 configuration since L-BFGS-B requires a smooth
-objective; the regularization strength is matched in magnitude (see
-DESIGN.md §3).
+objective; the regularization strength is matched in magnitude.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ When edit distance fails to match a word to a supported value, the paper
 falls back to WordNet synset similarity.  WordNet is unavailable offline,
 so this module builds the slice of it that matters — a small semantic
 network over shape/trend vocabulary — and measures similarity by inverse
-shortest-path length, the same formula as WordNet's ``path_similarity``
-(see DESIGN.md §3 for the substitution note).
+shortest-path length, the same formula as WordNet's ``path_similarity``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Best-first indexed top-k, one candidate at a time: the rounds' reference.
 
 The loop ``BoundFrontier`` + the Score rounds run, written the slow way
-— the scalar per-level bound kernel for one candidate, ``solve_one`` for
-one candidate, plain Python lists for the frontier — so the suites can
-hold the engine to it on every plan: same candidates solved, each once,
-same final floor.  Nothing here is fast, on purpose.
+— the scalar per-level bound oracle (``index_bounds``) for one
+candidate, ``solve_one`` for one candidate, plain Python lists for the
+frontier — so the suites can hold the engine to it on every plan: same
+candidates solved, each once, same final floor.  Nothing here is fast,
+on purpose.
 
 The loop: every candidate starts at the min of its coarse levels' bounds
 (all levels but the finest; ``+inf`` with no pyramid or a single level);
@@ -20,25 +21,12 @@ candidate passes the floor.
 import math
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.engine.chains import CompiledQuery
 from repro.engine.parallel import solve_one
-from repro.engine.shape_index import ShapeIndex, _chain_level_bound, survives_floor
+from repro.engine.shape_index import ShapeIndex, survives_floor
 from repro.engine.trendline import Trendline
 
-
-def level_bound(entry, level, query: CompiledQuery) -> float:
-    """One candidate's bound from one pyramid level (max over chains, ≥ −1)."""
-    w, amin, amax = level
-    shared: dict = {"empty": np.isinf(amin)}
-    return max(
-        [-1.0]
-        + [
-            _chain_level_bound(entry.n_bins, chain, w, amin, amax, shared)
-            for chain in query.chains
-        ]
-    )
+from tests.oracles.index_bounds import level_bound
 
 
 def round_sizes(k: int):

@@ -5,9 +5,9 @@ Two contracts pinned here:
 * **Bitwise fidelity** — an index saved to the artifact store and
   memory-mapped back is the in-memory index bit for bit (packed block,
   layout, witnesses, every query bound), and the block-batched
-  ``upper_bounds`` kernel equals the retained scalar ``upper_bound``
-  oracle float for float across randomized collections, queries and
-  floors.
+  ``upper_bounds`` kernel equals the one-candidate scalar oracle
+  (``tests/oracles/index_bounds.py``) float for float across
+  randomized collections, queries and floors.
 
 * **Never a wrong index** — every way an artifact can be bad (missing,
   corrupted, truncated, version-skewed, built from a different table)
@@ -22,6 +22,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.algebra import builder as q
 from repro.api import ShapeSearch
@@ -45,7 +47,14 @@ from repro.errors import ExecutionError
 from repro.engine.shape_index import ShapeIndex, survives_floor
 
 from tests.conftest import make_trendline
-from tests.test_shape_index import _signature, _smooth_table
+from tests.oracles import index_bounds as bounds_oracle
+from tests.test_shape_index import (
+    _FUZZY_UNIT,
+    SERIES,
+    _ragged,
+    _signature,
+    _smooth_table,
+)
 
 UP_DOWN = q.concat(q.up(), q.down())
 PARAMS = VisualParams(z="z", x="x", y="y")
@@ -111,7 +120,7 @@ def _empty_some_buckets(index, rng):
 
 
 class TestBatchedBoundsParity:
-    """upper_bounds == the scalar upper_bound oracle, float for float."""
+    """upper_bounds == the scalar oracle, float for float."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_parity(self, seed):
@@ -119,12 +128,7 @@ class TestBatchedBoundsParity:
         index = ShapeIndex.build(_random_collection(rng))
         for node in QUERIES:
             compiled = _compiled(node)
-            scalar = np.array(
-                [
-                    index.upper_bound(i, compiled)
-                    for i in range(len(index.entries))
-                ]
-            )
+            scalar = bounds_oracle.upper_bounds(index, compiled)
             batched = index.upper_bounds(compiled)
             assert batched.dtype == np.float64
             assert batched.tobytes() == scalar.tobytes()
@@ -140,12 +144,7 @@ class TestBatchedBoundsParity:
         finite = index.upper_bounds(compiled)
         finite = finite[np.isfinite(finite)]
         for floor in (-1.0, float(np.median(finite)), 2.0):
-            scalar = np.array(
-                [
-                    index.upper_bound(i, compiled, floor)
-                    for i in range(len(index.entries))
-                ]
-            )
+            scalar = bounds_oracle.upper_bounds(index, compiled, floor)
             batched = index.upper_bounds(compiled, floor)
             assert batched.tobytes() == scalar.tobytes()
 
@@ -170,9 +169,7 @@ class TestBatchedBoundsParity:
         for compiled in queries:
             with np.errstate(all="raise"):
                 batched = index.upper_bounds(compiled)
-                scalar = np.array(
-                    [index.upper_bound(i, compiled) for i in range(len(index))]
-                )
+                scalar = bounds_oracle.upper_bounds(index, compiled)
             assert batched.tobytes() == scalar.tobytes()
 
     def test_shards_concatenate_to_full_pass(self):
@@ -185,6 +182,45 @@ class TestBatchedBoundsParity:
             for start, end in [(0, 13), (13, 14), (14, 41)]
         ]
         assert np.concatenate(parts).tobytes() == full.tobytes()
+
+    @given(
+        chains=st.lists(
+            st.lists(_FUZZY_UNIT, min_size=1, max_size=6), min_size=1, max_size=3
+        ),
+        specs=st.lists(
+            st.tuples(st.integers(8, 900), st.sampled_from(SERIES), st.integers(0, 999)),
+            min_size=1,
+            max_size=6,
+        ),
+        short=st.integers(8, 24),
+        floor=st.sampled_from([-np.inf]) | st.floats(-1.0, 1.0),
+        cuts=st.lists(st.integers(0, 7), max_size=3),
+    )
+    # At 16 bins a leaf is the unit floor, so an edge unit shares its
+    # memo key with an equal middle unit: the first chain's last unit
+    # and the second chain's first unit are views of that middle tile.
+    @example(chains=[[q.down(), q.up(), q.up()], [q.up(), q.down(), q.flat()]],
+             specs=[(16, "constant", 1)], short=8, floor=-np.inf, cuts=[])
+    @example(chains=[[q.flat(), q.flat(), q.flat(), q.flat()], [q.down()]],
+             specs=[(24, "walk", 2), (900, "two-valued", 3), (33, "nan", 4)],
+             short=17, floor=0.25, cuts=[1, 3])
+    def test_bounds_equal_the_oracle_bit_for_bit(self, chains, specs, short, floor, cuts):
+        # Whatever the fuzzy chains, the ragged lengths (every level
+        # width, empty buckets from NaN and constant series, one length
+        # short enough that a leaf is the unit floor) and the floor, the
+        # batched kernel and its concatenated shards are the
+        # one-candidate oracle's floats.
+        trendlines = _ragged(specs + [(short, "walk", 0)])
+        index = ShapeIndex.build(trendlines)
+        compiled = _compiled(q.or_(*[q.concat(*units) for units in chains]))
+        expected = bounds_oracle.upper_bounds(index, compiled, floor).tobytes()
+        assert index.upper_bounds(compiled, floor).tobytes() == expected
+        edges = sorted({0, len(index), *(min(cut, len(index)) for cut in cuts)})
+        shards = [
+            index.upper_bounds_range(compiled, start, end, floor)
+            for start, end in zip(edges, edges[1:])
+        ]
+        assert np.concatenate(shards).tobytes() == expected
 
     @pytest.mark.parametrize("elements", [1, 3 * 144, 1 << 30])
     def test_bounds_do_not_depend_on_the_pass_size(self, elements, monkeypatch):
@@ -199,9 +235,9 @@ class TestBatchedBoundsParity:
         expected = index.upper_bounds(compiled)
         monkeypatch.setattr(shape_index, "BLOCK_ELEMENTS", elements)
         assert index.upper_bounds(compiled).tobytes() == expected.tobytes()
-        assert index.upper_bounds(compiled, 0.5).tobytes() == np.array(
-            [index.upper_bound(i, compiled, 0.5) for i in range(len(index))]
-        ).tobytes()
+        assert index.upper_bounds(compiled, 0.5).tobytes() == (
+            bounds_oracle.upper_bounds(index, compiled, 0.5).tobytes()
+        )
 
     def test_empty_index_bounds_are_well_formed(self):
         bounds = ShapeIndex.build([]).upper_bounds(_compiled(UP_DOWN))

@@ -1,4 +1,4 @@
-"""Tests for OPPOSITE push-down and operator flattening (DESIGN.md §2.5)."""
+"""Tests for OPPOSITE push-down and operator flattening."""
 
 from hypothesis import given
 from hypothesis import strategies as st

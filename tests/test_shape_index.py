@@ -680,6 +680,39 @@ class TestShapeIndexUnit:
                         ]
                         assert not leaks
 
+    def test_edge_units_transform_one_row_and_one_column(self, monkeypatch):
+        # The DP reads only row 0 of the first unit's buckets and column
+        # W−1 of the last unit's: a two-unit chain over C candidates
+        # transforms 2·C·W atans per level, not 2·C·W²; a middle unit
+        # still transforms its whole tile, a lone unit one bucket.
+        from repro.engine import scoring
+
+        transformed = []
+        real = scoring.pattern_score_from_atan
+
+        def counting(kind, atans, theta=None):
+            transformed.append(np.size(atans))
+            return real(kind, atans, theta)
+
+        monkeypatch.setattr(scoring, "pattern_score_from_atan", counting)
+        count = 70  # two passes over the finest level (64 rows of 32²)
+        index = ShapeIndex.build(_smooth_collection(count=count, bins=64))
+        (_n_bins, _positions, shapes), = index.pack()[1][1]
+        widths = [W for _w, W, _offset in shapes]
+        assert widths == [32, 16, 8, 4]
+        engine = ShapeSearchEngine()
+        expected = {
+            UP_DOWN: sum(2 * count * W for W in widths),
+            q.concat(q.down(), q.up(), q.down()): sum(
+                2 * count * W + count * W * W for W in widths
+            ),
+            q.concat(q.up()): count * len(widths),
+        }
+        for query, elements in expected.items():
+            transformed.clear()
+            index.upper_bounds(engine.compile(query))
+            assert sum(transformed) == elements, query
+
     def test_prune_candidates_seed_callbacks(self):
         # One frontier loop: each round's block goes to ``solve_many``;
         # the older per-trendline ``solve`` is wrapped into it, and one
