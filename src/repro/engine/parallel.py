@@ -36,7 +36,10 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.chains import CompiledQuery
+from repro.engine.collection import BLOCK_ELEMENTS
 from repro.engine.dynamic import QueryResult, ScoreBlock, solve_query, solve_query_batched
 from repro.engine.exhaustive import exhaustive_solve_query
 from repro.engine.greedy import greedy_run_solver
@@ -44,6 +47,7 @@ from repro.engine.pruning import PruningReport, prune_and_rank
 from repro.engine.pushdown import eager_upper_bound, plan_pushdown
 from repro.engine.segment_tree import BATCH_BLOCK, segment_tree_batch_solver
 from repro.engine.shape_index import MIN_SEED_CANDIDATES
+from repro.engine.statistics import PrefixStats
 from repro.engine.trendline import Trendline
 from repro.errors import ExecutionError
 
@@ -94,9 +98,11 @@ def solve_many(
 
     The single Score funnel: every collection-level call site (shards,
     tail re-scores, index rounds) hands its candidates over together.
-    ``"segment-tree"`` solves them :data:`BATCH_BLOCK` at a time with one
-    level-wise array combine per block, whatever their lengths
-    (:class:`~repro.engine.segment_tree.BatchedSegmentTree`); the other
+    ``"segment-tree"`` solves them with one level-wise array combine per
+    tree, whatever their lengths
+    (:class:`~repro.engine.segment_tree.BatchedSegmentTree`), a tree
+    taking candidates while its table fits
+    :data:`~repro.engine.segment_tree.BATCH_CELLS`; the other
     algorithms have no cross-candidate kernel and simply loop.  Either
     way the answer is a :class:`~repro.engine.dynamic.ScoreBlock`.
 
@@ -151,16 +157,19 @@ def score_shard(
     global top-k is always in its shard's local top-k, and ties at the
     boundary resolve identically no matter how candidates were sharded.
 
-    Candidates are scored in blocks through :func:`solve_many`.  Eager
-    discarding (push-down (b)) tests each candidate's optimistic bound
-    against the *shard-local* top-k floor as it stands before the
-    candidate's block: the first block is cut where it fills the heap (no
-    floor exists before that), every later one holds :data:`BATCH_BLOCK`
-    candidates.  Still exact — a discarded candidate provably cannot
-    enter the top k, and a shard hands over a strict superset of its
-    global-top-k members — though the ``eager_discarded`` counter depends
-    on the block size and can differ across worker counts, since each
-    shard's floor tightens independently.
+    Candidates are scored in blocks through :func:`solve_many`.  Without
+    eager checks a block holds as many candidates as
+    :data:`~repro.engine.collection.BLOCK_ELEMENTS` of their concatenated
+    prefix rows fit, and never fewer than :data:`BATCH_BLOCK`; the kernel
+    cuts it into trees by table size.  Eager discarding (push-down (b))
+    tests each candidate's optimistic bound against the *shard-local*
+    top-k floor as it stands before the candidate's block: the first
+    block is cut where it fills the heap (no floor exists before that),
+    every later one holds :data:`BATCH_BLOCK` candidates.  Still exact —
+    a discarded candidate provably cannot enter the top k, and a shard
+    hands over a strict superset of its global-top-k members — though the
+    ``eager_discarded`` counter depends on the block size and can differ
+    across worker counts, since each shard's floor tightens independently.
     """
     shard = ShardResult()
     if positions is None:
@@ -168,11 +177,17 @@ def score_shard(
     if has_eager_checks is None:
         has_eager_checks = enable_pushdown and plan_pushdown(query).has_eager_checks
     check_eager = enable_pushdown and has_eager_checks
+    if not check_eager:  # where each candidate's prefix rows end, end to end
+        row_ends = np.cumsum([t.n_bins + 1 for t in trendlines]) * len(PrefixStats.STACKED_ROWS)
     heap: List[tuple] = []  # min-heap on (score, -position): worst kept item on top
     start = 0
     while start < len(trendlines):
         size = BATCH_BLOCK
-        if check_eager and len(heap) < k:
+        if not check_eager:
+            filled = row_ends[start - 1] if start else 0
+            fit = int(np.searchsorted(row_ends, filled + BLOCK_ELEMENTS, side="right")) - start
+            size = max(size, fit)
+        elif len(heap) < k:
             size = min(size, k - len(heap))
         block = list(zip(positions[start : start + size], trendlines[start : start + size]))
         start += size

@@ -44,9 +44,10 @@ time:
   keeps its maximum option by ``reduceat``, ties resolved to the option
   the dict tree would have been *offered first* — except at level one
   (half of all lanes), written in closed form: above two leaves every
-  key has one option at most.  Candidates are
-  processed :data:`BATCH_BLOCK` at a time (fewer when long:
-  :data:`BATCH_LANES`), so peak memory is flat in the collection size.
+  key has one option at most.  A tree takes candidates while its marks
+  table fits :data:`BATCH_CELLS`, never fewer than :data:`BATCH_BLOCK`,
+  and closes early on long series (:data:`BATCH_LANES`), so peak memory
+  is flat in the collection size.
 * :class:`IncrementalSegmentTree` — the dict-of-tuples reference, one
   trendline at a time.  It is the data structure of the two-stage
   pruning driver (§6.3), which advances all candidates in rounds and
@@ -88,14 +89,23 @@ Entry = Tuple[float, Tuple[Tuple[int, int], ...], Tuple[float, ...]]
 #: A node table: subchain (i, j) -> best Entry.
 Table = Dict[Tuple[int, int], Entry]
 
-#: Candidates per :class:`BatchedSegmentTree`.  The kernel is
-#: numpy-dispatch-bound on small blocks and flat from here up: a whole
-#: ``score_shard`` pass over the 50words suite (226 series × 120 bins,
-#: k = 3) takes 86 / 61 / 45 / 44 / 45 ms at 8 / 16 / 32 / 64 / 128
-#: candidates per block, while the block's working set doubles each step
-#: (1.5 MB at 32) and a shard's push-down floor is refreshed once per
-#: block.
+#: The fewest candidates a :class:`BatchedSegmentTree` is cut at (below
+#: it only :data:`BATCH_LANES` closes a tree), and the block a shard
+#: refreshes its push-down floor after.  The kernel is
+#: numpy-dispatch-bound on small trees: one costs 0.59 ms at one
+#: candidate and 0.98 ms at 32 (2 units, 64 bins, best of 200).
 BATCH_BLOCK = 32
+
+#: Marks-table cells, ``(m + 2) · m(m + 1)/2`` per leaf lane of an
+#: ``m``-unit chain, past which a tree of :data:`BATCH_BLOCK` candidates
+#: or more takes no further candidate: the 5-unit, 32-candidate tree.
+#: ``solve_many`` over 120 random walks of 100 bins (20 leaves each,
+#: best of 10) then builds one tree at 2 units, two at 3, three at 4 and
+#: four at 5, in 2.1 / 4.2 / 6.6 / 8.2 ms at a 1.5 / 2.3 / 2.2 / 2.3 MB
+#: tracemalloc peak, against four 32-candidate trees each at 4.4 / 5.2 /
+#: 6.5 / 8.3 ms and 0.8 / 1.1 / 1.5 / 2.3 MB.  Uncapped, 4 and 5 units
+#: run in 4.2 and 5.7 ms but peak at 4.3 and 6.8 MB.
+BATCH_CELLS = 63_000
 
 #: Leaf nodes (lanes) per :class:`BatchedSegmentTree`.  The width floor
 #: is capped (:data:`repro.engine.units.MIN_SEGMENT_CAP`), so leaves grow
@@ -801,9 +811,12 @@ def segment_tree_batch_solver(
     solver: per trendline the placements of ``units`` over its
     ``bounds[c] = (lo, hi)``, or None where they cannot fit.  ``prefix``
     is the trendlines' rows end to end, if the caller already built them
-    (:meth:`~repro.engine.statistics.PrefixStats.concatenate`).
+    (:meth:`~repro.engine.statistics.PrefixStats.concatenate`).  Lanes
+    are independent, so how the candidates are cut into trees
+    (:data:`BATCH_CELLS`, :data:`BATCH_LANES`) changes no bit.
     """
     m = len(units)
+    cells = (m + 2) * m * (m + 1) // 2  # marks cells per lane
     results: List[Optional[List[Tuple[int, int]]]] = [None] * len(trendlines)
     blocks: List[List[int]] = [[]]
     lanes = 0
@@ -817,7 +830,8 @@ def segment_tree_batch_solver(
         else:
             leaves = (hi - lo) // default_leaf_size(run_min_length(lo, hi, m))
             if blocks[-1] and (
-                len(blocks[-1]) == BATCH_BLOCK or lanes + leaves > BATCH_LANES
+                lanes + leaves > BATCH_LANES
+                or (len(blocks[-1]) >= BATCH_BLOCK and (lanes + leaves) * cells > BATCH_CELLS)
             ):
                 blocks.append([])
                 lanes = 0

@@ -9,6 +9,8 @@ level — and therefore the same answers through ``solve_many``.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +109,19 @@ def assert_same_answers(trendlines, query):
         assert [(p.start, p.end, p.score) for p in result.solution.placements] == [
             (p.start, p.end, p.score) for p in want.solution.placements
         ]
+
+
+def tree_sizes(monkeypatch):
+    """Spy on :class:`BatchedSegmentTree`: the candidates of each tree built."""
+    sizes = []
+    build = BatchedSegmentTree.__init__
+
+    def spy(self, trendlines, *args, **kwargs):
+        sizes.append(len(trendlines))
+        build(self, trendlines, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedSegmentTree, "__init__", spy)
+    return sizes
 
 
 def walks(count, length, seed=0):
@@ -354,25 +369,44 @@ class TestSolveMany:
         steeper = q.concat(q.up(), q.down(), q.position(index=0, comparison=">"))
         assert_same_answers(lines, compile_query(steeper))
 
-    def test_batch_size_and_order_do_not_matter(self):
+    def test_batch_size_and_order_do_not_matter(self, monkeypatch):
         query = compile_query(q.concat(q.up(), q.down(), q.up()))
-        lines = walks(40, 64, seed=8)  # more than one kernel block
-        assert len(lines) > segment_tree.BATCH_BLOCK
+        lines = walks(40, 64, seed=8)
+        trees = tree_sizes(monkeypatch)
         together = solve_many(lines, query, "segment-tree")
+        assert trees == [40]
         alone = [solve_one(t, query, "segment-tree") for t in lines]
         order = np.random.default_rng(0).permutation(len(lines))
+        monkeypatch.setattr(segment_tree, "BATCH_BLOCK", 16)
+        monkeypatch.setattr(segment_tree, "BATCH_CELLS", 0)  # close at BATCH_BLOCK
+        trees.clear()
         shuffled = solve_many([lines[i] for i in order], query, "segment-tree")
+        assert trees == [16, 16, 8]
         for i, result in enumerate(together):
             assert result == alone[i]
         for slot, i in enumerate(order):
             assert shuffled[slot] == together[i]
 
     def test_lane_budget_closes_blocks_early(self, monkeypatch):
+        # Both caps close a tree: the lanes below BATCH_BLOCK candidates,
+        # the marks cells only above it.
         query = compile_query(q.concat(q.up(), q.down(), q.up()))
         lines = walks(5, 200, seed=9) + walks(3, 31, seed=10)
         want = solve_many(lines, query, "segment-tree")
-        monkeypatch.setattr(segment_tree, "BATCH_LANES", 45)  # < one long line's leaves
+        lanes = segment_tree.BATCH_LANES
+        trees = tree_sizes(monkeypatch)
+        monkeypatch.setattr(segment_tree, "BATCH_LANES", 45)  # < two long lines' leaves
         assert solve_many(lines, query, "segment-tree") == want
+        assert trees == [1, 1, 1, 1, 1, 3]
+        monkeypatch.setattr(segment_tree, "BATCH_LANES", lanes)
+        monkeypatch.setattr(segment_tree, "BATCH_CELLS", 0)
+        trees.clear()
+        assert solve_many(lines, query, "segment-tree") == want
+        assert trees == [8]  # fewer than BATCH_BLOCK: the cells never close it
+        monkeypatch.setattr(segment_tree, "BATCH_BLOCK", 3)
+        trees.clear()
+        assert solve_many(lines, query, "segment-tree") == want
+        assert trees == [3, 3, 2]
 
     def test_other_algorithms_loop(self):
         query = compile_query(q.concat(q.up(), q.down()))
@@ -471,6 +505,32 @@ class TestShardBlocks:
         assert on.eager_discarded > 0 and off.eager_discarded == 0
         assert on.scored + on.eager_discarded == len(lines) == off.scored
 
+    def test_eager_blocks_keep_the_floor_schedule(self, monkeypatch):
+        # Eager checks read the floor as it stands before each block, so
+        # their blocks stay k, then BATCH_BLOCK, whatever a tree may hold.
+        bound, solve = parallel.eager_upper_bound, parallel.solve_many
+        bounded, blocks = [], []
+
+        def counted_bound(*args):
+            bounded.append(1)
+            return bound(*args)
+
+        def counted_solve(trendlines, *args, **kwargs):
+            blocks.append(len(bounded) or len(trendlines))  # the first block is unbounded
+            bounded.clear()
+            return solve(trendlines, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "eager_upper_bound", counted_bound)
+        monkeypatch.setattr(parallel, "solve_many", counted_solve)
+        lines = self._collection()
+        shard = score_shard(lines, 5, self.PINNED, 4)
+        assert blocks == [4, 32, 32, 22]
+        assert (shard.scored, shard.eager_discarded) == (42, 48)
+        blocks.clear()
+        shard = score_shard(lines, 0, self.PINNED, 6)
+        assert blocks == [6, 32, 32, 20]
+        assert (shard.scored, shard.eager_discarded) == (72, 18)
+
     @pytest.mark.parametrize("block", [1, 3, 7, 1000])
     def test_results_do_not_depend_on_block_boundaries(self, monkeypatch, block):
         lines = self._collection()
@@ -496,3 +556,111 @@ class TestShardBlocks:
                 built.clear()
                 shard = score_shard(lines, 0, query, k)
                 assert len(built) == min(k, shard.scored) == len(shard.items)
+
+
+@st.composite
+def unit_chains(draw):
+    """One chain of one to seven plain units, some x-pinned."""
+    return compile_query(q.concat(*draw(st.lists(plain_unit(), min_size=1, max_size=7))))
+
+
+def shard_bits(shard):
+    """A shard's kept items in merge order, floats as hex."""
+    ranked = sorted(shard.items, key=lambda item: (-item[0], item[1]))
+    return [(score.hex(), position, result_bits(result)) for score, position, _, result in ranked]
+
+
+class TestTreeBudget:
+    """A shard's block is one tree while the tree's marks table fits
+    ``BATCH_CELLS``; lanes are independent, so the cuts change no bit."""
+
+    @given(
+        query=unit_chains(),
+        count=st.integers(1, 70),
+        cells=st.sampled_from([0, 1, segment_tree.BATCH_CELLS, 10**9]),
+        lanes=st.sampled_from([1, 45, segment_tree.BATCH_LANES, 10**9]),
+        block=st.sampled_from([1, 32, 1000]),
+        elements=st.sampled_from([1, parallel.BLOCK_ELEMENTS, 10**9]),
+        k=st.sampled_from([1, 5, 50]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_results_do_not_depend_on_the_cuts(
+        self, query, count, cells, lanes, block, elements, k, seed
+    ):
+        # Ragged 8–300-bin series, a fifth under 16 bins: some fall below
+        # two bins per unit (infeasible runs).
+        rng = np.random.default_rng(seed)
+        lengths = np.where(
+            rng.random(count) < 0.2, rng.integers(8, 16, count), rng.integers(8, 301, count)
+        )
+        lines = [
+            make_trendline(rng.normal(0, 1, n).cumsum(), key=i) for i, n in enumerate(lengths)
+        ]
+        want = solve_many(lines, query, "segment-tree")
+        want_shard = score_shard(lines, 3, query, k)
+        with mock.patch.multiple(
+            segment_tree, BATCH_CELLS=cells, BATCH_LANES=lanes, BATCH_BLOCK=block
+        ), mock.patch.multiple(parallel, BATCH_BLOCK=block, BLOCK_ELEMENTS=elements):
+            got = solve_many(lines, query, "segment-tree")
+            shard = score_shard(lines, 3, query, k)
+        assert [result_bits(r) for r in got] == [result_bits(r) for r in want]
+        assert [s.hex() for s in got.scores.tolist()] == [s.hex() for s in want.scores.tolist()]
+        assert got.chain_index.tolist() == want.chain_index.tolist()
+        assert shard_bits(shard) == shard_bits(want_shard)
+        assert shard.scored + shard.eager_discarded == len(lines)
+
+    @pytest.mark.parametrize(
+        "k, trees",
+        [
+            (2, [120]),
+            (3, [105, 15]),
+            (4, [52, 52, 16]),
+            (5, [32, 32, 32, 24]),
+            (6, [32, 32, 32, 24]),  # the cells never cut below BATCH_BLOCK
+        ],
+    )
+    def test_trees_per_shard(self, monkeypatch, k, trees):
+        # A cold tail read: 120 candidates of 100 bins, 20 leaves each.
+        lines = walks(120, 100)
+        trees_built = tree_sizes(monkeypatch)
+        shard = score_shard(lines, 0, compile_query(q.concat(*alternating(k))), 3)
+        assert trees_built == trees
+        assert shard.scored == 120
+
+    @staticmethod
+    def _peak(run):
+        run()  # plans and pairings cached
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_tree_peak_stays_at_the_32_candidate_five_unit_tree(self, monkeypatch):
+        # BATCH_CELLS = 0 cuts every chain at BATCH_BLOCK candidates: the
+        # largest of those peaks (5 units) is the ceiling, plus 10 %.
+        lines = walks(120, 100)
+        queries = [compile_query(q.concat(*alternating(k))) for k in (2, 3, 4, 5)]
+
+        def peaks():
+            return [
+                self._peak(lambda query=query: solve_many(lines, query, "segment-tree"))
+                for query in queries
+            ]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(segment_tree, "BATCH_CELLS", 0)
+            ceiling = max(peaks())
+        assert max(peaks()) <= 1.1 * ceiling
+
+    def test_shard_peak_is_flat_in_the_shard_size(self):
+        # 400-bin prefix rows: 130 candidates fill BLOCK_ELEMENTS, so both
+        # shards peak at one block's working set.  The margin is for what
+        # grows with the shard: its row ends, and the columns of up to k
+        # earlier blocks that kept items still point into.
+        lines = walks(2000, 400)
+        query = compile_query(q.concat(q.up(), q.down()))
+        small = self._peak(lambda: score_shard(lines[:400], 0, query, 5))
+        large = self._peak(lambda: score_shard(lines, 0, query, 5))
+        assert large <= 1.05 * small
