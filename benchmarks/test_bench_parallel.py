@@ -2,13 +2,10 @@
 
 Measurements on the Figure 13 scaling suites:
 
-* **sharded ranking** — sequential vs ``workers=N`` for the thread
-  backend and *both* process-backend transports — ``process-shm``
-  (shared-memory collection, shards as index ranges; the default) and
-  ``process-pickle`` (PR 1's object-pickling path) — on one fuzzy query
-  over the 50words collection, asserting byte-identical top-k and
-  recording each speedup.  The shm-vs-pickle gap isolates what moving
-  the data to the workers buys;
+* **sharded ranking** — sequential vs ``workers=N`` (the process pool
+  over the shared-memory collection, shards as index ranges) on one
+  fuzzy query over the 50words collection, asserting byte-identical
+  top-k and recording the speedup;
 * **result caching** — cold vs warm ``execute`` over the same table and
   query, recording the latency ratio and the cache hit rate;
 * **batch amortization** — ``execute_many`` over all of a suite's fuzzy
@@ -17,16 +14,11 @@ Measurements on the Figure 13 scaling suites:
   transition kernel (``kernel=`` on the engine), at n=500 bins (the
   asserted ≥3× point) and a larger scaled n (recorded only) — the
   per-kernel numbers the pool-level measurements above sit on — plus
-  the tile-shared arctan/transform delta at large n (``SHARE_ATAN``);
-* **generation stage** — parent-side vs worker-side EXTRACT/GROUP
-  (``generation=`` on the engine) on a many-series table: the staged
-  pipeline's fused Extract/Group→Score tasks against the published
-  table, vs materializing every trendline in the parent first.
+  the tile-shared arctan/transform delta at large n (``SHARE_ATAN``).
 
-Speedups are *recorded*, not asserted: thread-backend gains depend on
-how much of the inner loop releases the GIL, and process-backend gains
-vary with cores and pool warm-up, both of which vary by machine.
-Correctness — identical results for any worker count and transport, and
+Speedups are *recorded*; the one gated claim (the pool within 1.25x of
+sequential with two or more cores) only catches a pool that stopped
+scaling.  Correctness — identical results for any worker count, and
 cache hits on repeats — is asserted unconditionally.  With
 ``REPRO_BENCH_JSON`` set, every number lands in a ``BENCH_*.json``
 artifact (see benchmarks/conftest.py).
@@ -43,7 +35,7 @@ from repro.datasets.suites import SUITES, suite_table, suite_trendlines
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import fuzzy_run_solver, solve_query
 from repro.engine.executor import ShapeSearchEngine
-from repro.engine.parallel import default_workers
+from repro.engine.parallel import WorkerPool, default_workers
 from repro.engine.trendline import build_trendline
 from repro.parser import parse
 
@@ -56,21 +48,39 @@ _RESULTS = {}
 WORKERS = max(2, min(4, default_workers()))
 PARAMS = VisualParams(z="z", x="x", y="y")
 
-MODES = ["sequential", "thread", "process-pickle", "process-shm"]
+MODES = ["sequential", "process"]
 
 
 def _signature(matches):
     return [(m.key, m.score) for m in matches]
 
 
+def _spin(count):
+    total = 0
+    for value in range(count):
+        total += value
+    return total
+
+
+def _host_parallelism(count=2_000_000):
+    """How many cores two processes get right now, from 1.0 to 2.0.
+
+    ``os.cpu_count()`` counts vCPUs; on a shared host a neighbour can
+    hold the second one, and then no pool can beat the caller.
+    """
+    started = time.perf_counter()
+    _spin(count)
+    alone = time.perf_counter() - started
+    with WorkerPool(workers=2) as pool:
+        pool.map(_spin, [1, 1])  # both workers started before the clock
+        started = time.perf_counter()
+        pool.map(_spin, [count, count])
+        together = time.perf_counter() - started
+    return 2 * alone / max(together, 1e-9)
+
+
 def _make_engine(mode):
-    if mode == "sequential":
-        return ShapeSearchEngine()
-    if mode == "thread":
-        return ShapeSearchEngine(workers=WORKERS, backend="thread")
-    if mode == "process-pickle":
-        return ShapeSearchEngine(workers=WORKERS, backend="process", shm=False)
-    return ShapeSearchEngine(workers=WORKERS, backend="process", shm=True)
+    return ShapeSearchEngine(workers=1 if mode == "sequential" else WORKERS)
 
 
 _RANKING = []
@@ -80,9 +90,9 @@ def _ranking_collection():
     """The 50words suite at four times the default scale's collection.
 
     Under the batched Score kernel the default 226 series are a 37 ms
-    sequential pass — less than three of the process pools' ~15 ms task
-    round trips, so a single-shot ``process-shm <= 1.25 x thread`` check
-    on it times those round trips rather than how the backends scale.
+    sequential pass — less than three of the process pool's ~15 ms task
+    round trips, so a single-shot ``process <= 1.25 x sequential`` check
+    on it times those round trips rather than how the pool scales.
     """
     if not _RANKING:
         spec = SUITES["50words"]
@@ -101,7 +111,7 @@ def test_parallel_speedup(benchmark, mode):
     trendlines = _ranking_collection()
     query = fuzzy_query("50words")
     engine = _make_engine(mode)
-    # Warm the pool (and, for process-shm, publish the collection) outside
+    # Warm the pool (and, for the pool, publish the collection) outside
     # the timed region: sessions pay those costs once, not per query.
     engine.rank(trendlines, query, k=10)
 
@@ -110,7 +120,14 @@ def test_parallel_speedup(benchmark, mode):
 
     started = time.perf_counter()
     matches = benchmark.pedantic(run, rounds=1, iterations=1)
-    _RESULTS[("rank", mode)] = time.perf_counter() - started
+    best = time.perf_counter() - started
+    # Best of three: on a shared host one descheduled slice of a ~40 ms
+    # run must not decide the gated claim in test_parallel_report.
+    for _ in range(2):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    _RESULTS[("rank", mode)] = best
     _RESULTS[("matches", mode)] = _signature(matches)
     engine.close()
 
@@ -313,106 +330,6 @@ def test_dp_atan_sharing_large_n(benchmark):
     )
 
 
-#: Cold executes per configuration (a fresh engine and a fresh table
-#: instance each); the fastest is recorded.
-_GEN_ROUNDS = 3
-
-
-def test_generation_stage(benchmark):
-    """Parent-side vs worker-side EXTRACT/GROUP on a many-series table.
-
-    The SlopeSeeker regime: hundreds of short candidate series, where
-    generation used to rival scoring.  Measures (a) the isolated
-    parent-side generation pass, then cold ``execute`` calls per engine
-    configuration — sequential, parallel scoring with parent-side
-    generation, and the fused worker-side path — each on a fresh engine
-    with its pool pre-warmed on a *different* table, and on a fresh
-    ``Table`` instance over the same columns, so neither worker-resident
-    caches nor the table-attached memos (fingerprint, z encoding) can
-    serve the measured run; the best of :data:`_GEN_ROUNDS` is kept.
-
-    Byte-identical results are asserted unconditionally.  The timings are
-    *recorded*, not asserted: since the block kernel
-    (``repro.engine.collection``) a parent-side generation pass is a
-    fifth of the sequential run or less, so deferring it to workers no
-    longer pays for what deferral costs per fresh table — the
-    parent-serial fingerprint and group count, the attach, and one z
-    encoding per worker.  On the 2-vCPU box this was sized on, worker-side
-    reads 1.0x the sequential run at 900 x 100 and 1.3-1.9x *slower* at
-    every larger size the suites offer (table in CHANGES.md, PR 17); the
-    old "within 1.25x of sequential" bound holds only by luck.  Whether
-    ``generation="worker"`` survives is ROADMAP item 4's call, on this
-    record.
-    """
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    viz = max(60, int(3600 * SCALE))
-    length = max(100, int(160 * SCALE))
-    table = suite_table("50words", max_visualizations=viz, max_length=length)
-    warm_table = suite_table("weather", max_visualizations=8, max_length=60)
-    query = parse(SUITES["50words"].fuzzy_queries[0])
-
-    from repro.data.table import Table
-    from repro.engine.pipeline import generate_trendlines
-
-    def fresh_table():
-        return Table.from_shared({name: table.column(name) for name in table.column_names})
-
-    cold = fresh_table()
-    started = time.perf_counter()
-    generate_trendlines(cold, PARAMS)
-    parent_generate_s = time.perf_counter() - started
-
-    timings = {}
-    signatures = {}
-    configs = [
-        ("sequential", {}),
-        ("parent-parallel", {"workers": WORKERS, "backend": "process",
-                             "shm": True, "generation": "parent"}),
-        ("worker-parallel", {"workers": WORKERS, "backend": "process",
-                             "shm": True, "generation": "worker"}),
-    ]
-    for _round in range(_GEN_ROUNDS):
-        for name, kwargs in configs:
-            with ShapeSearchEngine(**kwargs) as engine:
-                engine.run(warm_table, PARAMS, query, k=10)  # warm the pool
-                cold = fresh_table()
-                started = time.perf_counter()
-                matches = engine.run(cold, PARAMS, query, k=10)
-                elapsed = time.perf_counter() - started
-                timings[name] = min(timings.get(name, elapsed), elapsed)
-                signatures[name] = _signature(matches)
-
-    assert signatures["parent-parallel"] == signatures["sequential"]
-    assert signatures["worker-parallel"] == signatures["sequential"]
-
-    print_table(
-        "Generation stage: 50words, {} series x {} points".format(viz, length),
-        ["path", "runtime", "vs sequential"],
-        [
-            [name, "{:.3f}s".format(timings[name]),
-             "{:.2f}x".format(timings["sequential"] / max(timings[name], 1e-9))]
-            for name, _ in configs
-        ] + [["parent generate only", "{:.3f}s".format(parent_generate_s), "-"]],
-    )
-    record_result(
-        "generation",
-        {
-            "visualizations": viz,
-            "length": length,
-            "workers": WORKERS,
-            "cpu_count": os.cpu_count(),
-            "parent_generate_s": parent_generate_s,
-            "sequential_s": timings["sequential"],
-            "parent_parallel_s": timings["parent-parallel"],
-            "worker_parallel_s": timings["worker-parallel"],
-            "worker_vs_parent_parallel": timings["parent-parallel"]
-            / max(timings["worker-parallel"], 1e-9),
-            "worker_vs_sequential": timings["sequential"]
-            / max(timings["worker-parallel"], 1e-9),
-        },
-    )
-
-
 #: CI-noise slack on the index-beats-full-scan claim: the assert only
 #: demands indexed latency within 1.25x of the full scan (i.e. tolerates
 #: noise), while the recorded speedup tracks the real advantage.
@@ -555,20 +472,21 @@ def test_parallel_report(benchmark):
         )
     print_table(
         "Parallel ranking: 50words suite, fuzzy query, k=10",
-        ["backend", "workers", "runtime", "speedup"],
+        ["plan", "workers", "runtime", "speedup"],
         rows,
     )
     # The Fig. 13 scaling claim: with real cores to scale onto, the
-    # zero-copy process transport must beat the GIL-bound thread backend
-    # (generous slack for CI noise).  On a single core every parallel
-    # backend is pure overhead, and below the default workload scale the
-    # millisecond-sized run is noise-dominated, so the claim is only
-    # checked when the hardware and workload can express it; it is always
-    # *recorded* (shm_vs_thread below).
-    if (os.cpu_count() or 1) >= 2 and SCALE >= 0.25:
+    # zero-copy process pool must not lose to scoring in the caller
+    # (generous slack for CI noise).  On a single core — or a second vCPU
+    # a neighbour holds — the pool is pure overhead, and below the
+    # default workload scale the millisecond-sized run is noise-dominated,
+    # so the claim is only checked when the host and workload can express
+    # it; it is always *recorded* (speedup below).
+    parallelism = _host_parallelism()
+    if (os.cpu_count() or 1) >= 2 and parallelism >= 1.6 and SCALE >= 0.25:
         assert (
-            _RESULTS[("rank", "process-shm")]
-            <= _RESULTS[("rank", "thread")] * 1.25
+            _RESULTS[("rank", "process")]
+            <= _RESULTS[("rank", "sequential")] * 1.25
         )
     record_result(
         "parallel",
@@ -577,10 +495,7 @@ def test_parallel_report(benchmark):
             "cpu_count": os.cpu_count(),
             "runtime_s": {mode: _RESULTS[("rank", mode)] for mode in MODES},
             "speedup": speedups,
-            "shm_vs_thread": _RESULTS[("rank", "thread")]
-            / max(_RESULTS[("rank", "process-shm")], 1e-9),
-            "shm_vs_pickle": _RESULTS[("rank", "process-pickle")]
-            / max(_RESULTS[("rank", "process-shm")], 1e-9),
+            "host_parallelism": parallelism,
         },
     )
     print_table(

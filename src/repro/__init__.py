@@ -31,7 +31,7 @@ from repro.data.visual_params import VisualParams
 from repro.engine.cache import CacheStats, EngineCache, LRUCache
 from repro.engine.control import ExecutionControl
 from repro.engine.executor import ExecutionStats, Match, ShapeSearchEngine
-from repro.engine.parallel import ParallelEngine, WorkerPool
+from repro.engine.parallel import WorkerPool
 from repro.engine.scoring import register_udp, temporary_udp, unregister_udp
 from repro.engine.shm import ShmSession
 from repro.errors import (
@@ -64,7 +64,6 @@ __all__ = [
     "VisualParams",
     "Match",
     "ShapeSearchEngine",
-    "ParallelEngine",
     "WorkerPool",
     "ShmSession",
     "EngineCache",

@@ -65,8 +65,7 @@ QueryLike = Union[str, Node, CompiledQuery]
 #: (everything else is a column array).  Mirrors ``ShapeSearch.__init__``.
 _SESSION_OPTIONS = (
     "engine", "tagger", "workers", "cache", "backend",
-    "quantifier_threshold", "kernel", "generation", "index", "precision",
-    "store",
+    "quantifier_threshold", "kernel", "index", "precision", "store",
 )
 
 
@@ -136,7 +135,7 @@ class PreparedSearch:
         """Execute without blocking: a cancellable :class:`SearchFuture`.
 
         Returns as soon as the execution is handed to the engine's
-        dispatcher — before scoring starts, on any backend.  ``progress``
+        dispatcher — before scoring starts, for any worker count.  ``progress``
         is called as ``progress(completed_shards, total_shards)`` as the
         Score stage advances; ``future.cancel()`` drops un-dispatched
         shards cooperatively and ``future.result()`` then raises
@@ -199,8 +198,8 @@ class TailSearch(PreparedSearch):
     cold code path on exactly the same bytes and the incremental merge
     re-ranks under the cold plan's total order.
 
-    On the process backend with shared memory, each refresh publishes
-    only the appended row range as a delta segment chained onto the
+    With ``workers > 1``, each refresh publishes only the appended row
+    range as a delta segment chained onto the
     previous publication (:meth:`repro.engine.shm.ShmSession.acquire_append`),
     so the per-refresh transport cost is proportional to the delta, not
     the table.  Workers extend resident state — the attached table, its
@@ -388,16 +387,17 @@ class TailSearch(PreparedSearch):
     def _dispatch(self, table: Table, indices: list, control) -> list:
         """Re-score ``indices`` and return (index, key, result, trendline)."""
         from repro.engine.parallel import dispatch_tail_scores
-        from repro.engine.pipeline import _required_columns, score_tail_groups
+        from repro.engine.pipeline import (
+            _required_columns,
+            score_tail_groups,
+            scoring_workers,
+        )
 
         engine = self.engine
         if not indices:
             control.begin(0)
             return []
-        workers = (
-            engine.workers if self._workers is None
-            else engine._check_workers(self._workers)
-        )
+        workers, _reason = scoring_workers(engine, self.compiled, self._workers)
         if workers <= 1:
             control.begin(1)
             if control.cancelled:
@@ -410,25 +410,19 @@ class TailSearch(PreparedSearch):
             )
             control.shard_completed()
             return scored
-        pool = engine._resolve_pool(workers)
-        table_ref, query_ref = table, self.compiled
-        session = pinned = None
-        if engine.backend == "process" and engine.shm:
-            session = engine._shm_session()
-            table_ref, query_ref, pinned = session.acquire_append(
-                table, self._base_table, self.compiled,
-                columns=_required_columns(table, self.params),
-            )
+        session = engine._shm_session()
+        table_ref, query_ref, pinned = session.acquire_append(
+            table, self._base_table, self.compiled,
+            columns=_required_columns(table, self.params),
+        )
         try:
             return dispatch_tail_scores(
                 table_ref, self.params, self._normalize_y, self._plan,
-                query_ref, indices, pool, algorithm=engine.algorithm,
-                kernel=engine.kernel, control=control,
-                chunk_size=engine.chunk_size,
+                query_ref, indices, engine._resolve_pool(workers),
+                algorithm=engine.algorithm, kernel=engine.kernel, control=control,
             )
         finally:
-            if session is not None:
-                session.unpin(*pinned)
+            session.unpin(*pinned)
 
     def _merge_results(self, control, appended: int, rescored: int) -> ResultSet:
         from repro.engine.executor import ExecutionStats, _to_matches
@@ -479,26 +473,22 @@ class TailSearch(PreparedSearch):
 class ShapeSearch:
     """An interactive exploration session over one table.
 
-    ``workers``/``backend``/``cache`` configure the default engine:
-    ``workers`` > 1 shards candidate scoring across a pool (see
-    :mod:`repro.engine.parallel`), ``backend="process"`` adds real
-    multi-core scaling — the session publishes its candidate collections
-    into shared memory once (:mod:`repro.engine.shm`) and workers keep
-    them resident, so shards travel as index ranges — and ``cache=True``
-    keeps generated trendlines and compiled plans across searches so
-    repeated interactive queries skip EXTRACT/GROUP entirely.
+    ``workers``/``cache`` configure the default engine: ``workers`` > 1
+    shards candidate scoring across a process pool (see
+    :mod:`repro.engine.parallel`) — the session publishes its candidate
+    collections into shared memory once (:mod:`repro.engine.shm`) and
+    workers keep them resident, so shards travel as index ranges — and
+    ``cache=True`` keeps generated trendlines and compiled plans across
+    searches so repeated interactive queries skip EXTRACT/GROUP entirely.
     ``quantifier_threshold`` overrides the occurrence floor of §5.2's
-    quantifier scoring (default 0.3), ``kernel`` picks the DP transition
-    kernel (``"matrix"`` default, ``"loop"`` the byte-identical
-    reference), and ``generation`` places EXTRACT/GROUP — ``"parent"``
-    materializes trendlines in this process, ``"worker"`` generates them
-    inside the pool workers from the shared table so generation
-    parallelizes with scoring, ``"auto"`` (default) picks worker-side on
-    the process backend when no cache is configured.  ``index=True``
-    turns on the persistent shape index — an IndexPrune stage discards
-    candidate trendlines whose pyramid upper bound cannot reach the
-    top-k floor before the DP ever runs them; results stay byte-identical
-    to an unindexed search.  ``precision="float32"`` opts into
+    quantifier scoring (default 0.3) and ``kernel`` picks the DP
+    transition kernel (``"matrix"`` default, ``"loop"`` the
+    byte-identical reference).  ``index=True`` turns on the persistent
+    shape index — an IndexPrune stage discards candidate trendlines
+    whose pyramid upper bound cannot reach the top-k floor before the DP
+    ever runs them; results stay byte-identical to an unindexed search.
+    ``backend`` is deprecated and ignored: ``workers`` alone picks the
+    plan.  ``precision="float32"`` opts into
     approximate single-precision scoring (explicitly outside the
     byte-identity contract).  ``store=`` names an artifact-store
     directory (default: the ``REPRO_ARTIFACT_DIR`` environment
@@ -516,17 +506,27 @@ class ShapeSearch:
 
     def __init__(self, table: Table, engine: Optional[ShapeSearchEngine] = None,
                  tagger: Optional[EntityTagger] = None,
-                 workers: Optional[int] = 1, cache=None, backend: str = "thread",
+                 workers: Optional[int] = 1, cache=None,
+                 backend: Optional[str] = None,
                  quantifier_threshold: Optional[float] = None,
-                 kernel: str = "matrix", generation: str = "auto",
-                 index: bool = False, precision: str = "float64",
-                 store: Optional[str] = None):
+                 kernel: str = "matrix", index: bool = False,
+                 precision: str = "float64", store: Optional[str] = None):
+        # Deprecated and ignored: workers= alone picks the plan.  Kept only
+        # because bench/workloads.py (scale_scan) and bench/layers.py
+        # (parallel_metrics) pass backend="process"; it goes once they
+        # stop.
+        if backend is not None:
+            if backend not in ("thread", "process"):
+                raise ExecutionError(
+                    "unknown backend {!r}; choose from ('thread', 'process')"
+                    .format(backend)
+                )
+            warn_deprecated("ShapeSearch(backend=...)", "workers= alone")
         self.table = table
         self.engine = engine if engine is not None else ShapeSearchEngine(
-            workers=workers, cache=cache, backend=backend,
+            workers=workers, cache=cache,
             quantifier_threshold=quantifier_threshold, kernel=kernel,
-            generation=generation, index=index, precision=precision,
-            store=store,
+            index=index, precision=precision, store=store,
         )
         self.tagger = tagger
 
@@ -567,11 +567,10 @@ class ShapeSearch:
 
         Session/engine options (``engine``, ``tagger``, ``workers``,
         ``cache``, ``backend``, ``quantifier_threshold``, ``kernel``,
-        ``generation``, ``index``, ``precision``, ``store``) are routed
-        to the session; every *other* keyword
-        is a column array — so
-        ``ShapeSearch.from_arrays(z=..., x=..., y=..., backend="process",
-        workers=4)`` builds a process-backend session, instead of
+        ``index``, ``precision``, ``store``) are routed to the session;
+        every *other* keyword is a column array — so
+        ``ShapeSearch.from_arrays(z=..., x=..., y=..., workers=4,
+        cache=True)`` builds a four-worker session, instead of
         swallowing the options as columns.  A column whose name collides
         with an option (a column literally called ``"workers"``) must be
         passed through the ``columns`` mapping, which is merged with the
@@ -818,9 +817,8 @@ class ShapeSearch:
 
         Renders the staged pipeline (``ScanTable → Extract/Group → Score
         → MergeTopK``) with the implementation the planner picked per
-        stage — parent- vs worker-side generation, sequential vs
-        parallel scoring, the shared-memory transport.  Planning only:
-        nothing is generated or scored.
+        stage — IndexPrune, in-caller vs shared-memory scoring.
+        Planning only: nothing is generated or scored.
         """
         prepared = self.prepare(
             query, z=z, x=x, y=y, filters=filters, aggregate=aggregate,
@@ -860,7 +858,7 @@ class SessionRegistry:
     lookup for direct library use where the caller owns the lifecycle.
 
     ``session_options`` are the keyword arguments every opened session
-    is constructed with (``workers=``, ``backend=``, ``index=``,
+    is constructed with (``workers=``, ``cache=``, ``index=``,
     ``store=`` ...), fixed at registry construction so all tenants get
     the same engine configuration.
     """

@@ -3,7 +3,7 @@
 from repro.engine.cache import CacheStats, EngineCache, LRUCache
 from repro.engine.chains import Chain, ChainUnit, CompiledQuery, compile_query
 from repro.engine.executor import ALGORITHMS, ExecutionStats, Match, ShapeSearchEngine
-from repro.engine.parallel import BACKENDS, ParallelEngine, WorkerPool
+from repro.engine.parallel import WorkerPool
 from repro.engine.statistics import PrefixStats, SummaryStats
 from repro.engine.trendline import Trendline, build_trendline
 
@@ -13,11 +13,9 @@ __all__ = [
     "CompiledQuery",
     "compile_query",
     "ALGORITHMS",
-    "BACKENDS",
     "ExecutionStats",
     "Match",
     "ShapeSearchEngine",
-    "ParallelEngine",
     "WorkerPool",
     "EngineCache",
     "LRUCache",

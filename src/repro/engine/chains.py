@@ -90,6 +90,11 @@ class CompiledQuery:
     def has_position(self) -> bool:
         return any(chain.has_position for chain in self.chains)
 
+    @property
+    def uses_udp(self) -> bool:
+        """Does any pattern, nested sub-queries included, name a UDP?"""
+        return _uses_udp(self.node)
+
     def pinned_units(self) -> List[ChainUnit]:
         """Units with both x endpoints fixed, across all chains."""
         seen = []
@@ -117,6 +122,16 @@ def compile_query(
     if not alternatives:
         raise ExecutionError("query flattened to no alternatives")
     return CompiledQuery(node=normalized, chains=[Chain(tuple(units)) for units in alternatives])
+
+
+def _uses_udp(node: Node) -> bool:
+    for segment in node.segments():
+        pattern = segment.pattern
+        if pattern is not None and (
+            pattern.kind == "udp" or (pattern.kind == "nested" and _uses_udp(pattern.nested))
+        ):
+            return True
+    return False
 
 
 class _SegmentCounter:

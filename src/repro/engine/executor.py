@@ -15,15 +15,14 @@ implementations per stage), and the engine runs it.  Algorithms:
 * ``"greedy"`` — local-search baseline (§9);
 * ``"exhaustive"`` — the brute-force oracle (tests/small data only).
 
-Scaling knobs (beyond the paper): ``workers=`` shards candidates across
-a :class:`~repro.engine.parallel.WorkerPool` and merges per-shard top-k
-heaps; ``cache=`` plugs in an :class:`~repro.engine.cache.EngineCache`
-so repeated interactive queries skip EXTRACT/GROUP and query compilation
-entirely; ``generation=`` picks where EXTRACT/GROUP runs — parent-side,
-or inside the workers against the shared table so generation
-parallelizes with scoring.  Every configuration uses the total order
-*(score desc, candidate position asc)*, so results are identical for any
-worker count, backend, transport and generation mode.
+Scaling knobs (beyond the paper): ``workers=`` is the whole parallel
+plan — ``1`` scores in the caller, ``N > 1`` shards candidates across a
+process :class:`~repro.engine.parallel.WorkerPool` over shared memory
+and merges per-shard top-k heaps; ``cache=`` plugs in an
+:class:`~repro.engine.cache.EngineCache` so repeated interactive queries
+skip EXTRACT/GROUP and query compilation entirely.  Every configuration
+uses the total order *(score desc, candidate position asc)*, so results
+are identical for any worker count.
 
 The serving-era entry points are :meth:`ShapeSearchEngine.run` /
 :meth:`run_many` (blocking, returning
@@ -68,9 +67,6 @@ from repro.results import ResultSet, SearchFuture
 #: :func:`repro.engine.parallel.solve_many`, the single funnel shared by
 #: the sequential, sharded and score_one paths).
 ALGORITHMS = ("dp", "segment-tree", "greedy", "exhaustive")
-
-#: Supported EXTRACT/GROUP placements (see the ``generation`` option).
-GENERATION_MODES = ("auto", "parent", "worker")
 
 #: Supported scoring precisions (see the ``precision`` option).
 PRECISIONS = ("float64", "float32")
@@ -139,10 +135,9 @@ class ExecutionStats:
     shards: int = 0
     trendline_cache_hit: bool = False
     plan_cache_hit: bool = False
-    #: Which Extract/Group implementation ran: ``"parent"`` (materialized
-    #: in the calling process), ``"worker"`` (generated inside the
-    #: workers from the shared table), or ``"tail"`` (a streaming
-    #: refresh that re-scored only the groups an append touched).
+    #: Which Extract/Group ran: ``"parent"`` (materialized in the
+    #: calling process) or ``"tail"`` (a streaming refresh that
+    #: re-scored only the groups an append touched).
     generation: str = "parent"
     pruning: Optional[PruningReport] = None
     #: Rows the streaming tail consumed in this refresh (0 elsewhere):
@@ -186,13 +181,9 @@ class ShapeSearchEngine:
         sample_size: int = 20,
         sample_points: int = 64,
         workers: int = 1,
-        backend: str = "thread",
-        chunk_size: Optional[int] = None,
         cache=None,
-        shm: bool = True,
         quantifier_threshold: Optional[float] = None,
         kernel: str = "matrix",
-        generation: str = "auto",
         index: bool = False,
         precision: str = "float64",
         store: Optional[str] = None,
@@ -229,41 +220,19 @@ class ShapeSearchEngine:
         self.enable_pruning = enable_pruning
         self.sample_size = sample_size
         self.sample_points = sample_points
+        #: ``1`` scores in the caller; ``N > 1`` on an N-process pool
+        #: over shared memory (repro.engine.shm).  Results are
+        #: byte-identical either way.
         self.workers = self._check_workers(workers)
-        self.backend = backend
-        self.chunk_size = chunk_size
-        #: Use the shared-memory transport for the process backend: the
-        #: candidate collection and compiled query are published once per
-        #: session and shards travel as index ranges (repro.engine.shm).
-        #: ``shm=False`` keeps the object-pickling transport (benchmarks
-        #: compare the two; results are byte-identical either way).
-        self.shm = bool(shm)
         #: Minimum per-run pattern score for a quantifier occurrence
         #: (paper §5.2: the zero default "can be overridden by users");
         #: None keeps scoring.QUANTIFIER_POSITIVE_THRESHOLD (0.3).
         self.quantifier_threshold = quantifier_threshold
-        if generation not in GENERATION_MODES:
-            raise ExecutionError(
-                "unknown generation mode {!r}; choose from {}".format(
-                    generation, GENERATION_MODES
-                )
-            )
-        #: Where EXTRACT/GROUP runs: ``"parent"`` materializes the
-        #: collection in this process, ``"worker"`` generates inside the
-        #: pool workers from the (shared) table so generation
-        #: parallelizes with scoring, ``"auto"`` picks worker-side on
-        #: the *cacheless* process backend (a configured cache marks an
-        #: interactive session, where one parent-side pass feeds every
-        #: repeat from memory).  Results are byte-identical either way;
-        #: the planner falls back to parent-side when the configuration
-        #: cannot support worker-side generation (workers=1, process
-        #: backend without shm, pruning).
-        self.generation = generation
         #: Opt-in shape index (engine/shape_index.py): prune candidates
         #: against the running top-k floor before the DP runs.  Exact —
-        #: results stay byte-identical to ``index=False`` on every
-        #: backend × kernel × worker count; queries the index cannot
-        #: bound fall back to the full scan (no IndexPrune plan stage).
+        #: results stay byte-identical to ``index=False`` for every
+        #: kernel × worker count; queries the index cannot bound fall
+        #: back to the full scan (no IndexPrune plan stage).
         self.index = bool(index)
         #: Scoring dtype: ``"float64"`` (exact, the default) or the
         #: opt-in approximate ``"float32"`` throughput mode (see
@@ -300,10 +269,6 @@ class ShapeSearchEngine:
             self, _release_engine_resources, self._pools, self._pool_lock,
             self._shm_box, self._dispatch_box,
         )
-        if backend not in ("thread", "process"):
-            raise ExecutionError(
-                "unknown backend {!r}; choose from ('thread', 'process')".format(backend)
-            )
 
     @staticmethod
     def _check_workers(workers) -> int:
@@ -320,24 +285,26 @@ class ShapeSearchEngine:
     def _resolve_pool(self, workers: Optional[int]):
         """A persistent pool for the requested worker count.
 
-        Pools are memoized per count so repeated per-call ``workers=``
+        One worker is the shared in-caller pool, which owns no process.
+        Larger pools are memoized per count so repeated per-call ``workers=``
         overrides (interactive sessions flipping between sequential and
         parallel) reuse warm pools instead of spawning and tearing one
-        down per query — which for the process backend would dominate
-        interactive latency.
+        down per query — which would dominate interactive latency.  A
+        pool starts its processes here, when the first ``workers>1``
+        stage resolves it, so the fork is paid once up front rather than
+        by whichever later query first cuts two shards.
         """
-        from repro.engine.parallel import WorkerPool
+        from repro.engine.parallel import IN_CALLER, WorkerPool
+        from repro.engine.shm import worker_init
 
         count = self.workers if workers is None else self._check_workers(workers)
+        if count == 1:
+            return IN_CALLER
         with self._pool_lock:
             pool = self._pools.get(count)
             if pool is None:
-                initializer = None
-                if self.backend == "process" and self.shm:
-                    from repro.engine.shm import worker_init
-
-                    initializer = worker_init
-                pool = WorkerPool(count, self.backend, initializer=initializer)
+                pool = WorkerPool(count, initializer=worker_init)
+                pool.start()
                 self._pools[count] = pool
             return pool
 
@@ -436,9 +403,6 @@ class ShapeSearchEngine:
         EXTRACT/GROUP pass shared by every query (a query that reused
         the batch's earlier generation work reports
         ``trendline_cache_hit=True`` in its ResultSet's stats).
-        Worker-side generation amortizes through the worker-resident
-        range caches instead — the table is published and its group
-        count established once for the whole batch.
         """
         compiled_list = [self._compile(query) for query in queries]
         memo: dict = {}
@@ -491,8 +455,8 @@ class ShapeSearchEngine:
         """Dispatch a batch without blocking: one future per query.
 
         The batch runs on a single driver so generation work is
-        amortized exactly as in :meth:`run_many` (shared memo,
-        worker-resident caches); futures resolve in submission order.
+        amortized exactly as in :meth:`run_many` (shared memo); futures
+        resolve in submission order.
         Cancelling one future skips (or cooperatively stops) only that
         query — the rest of the batch proceeds.  ``progress`` is called
         as ``progress(query_index, completed_shards, total_shards)``.
@@ -631,8 +595,7 @@ class ShapeSearchEngine:
     ) -> Tuple[List[Match], object]:
         """Plan and run the staged operator pipeline for one execution.
 
-        All branching — sequential vs parallel Score, object vs
-        shared-memory transport, parent- vs worker-side Extract/Group,
+        All branching — sequential vs shared-memory Score, index,
         pruning — lives in :func:`repro.engine.pipeline.plan_pipeline`;
         the engine only supplies the session-scoped services (pools, shm
         session, caches) through the :class:`PipelineContext`.  Returns

@@ -3,27 +3,23 @@
 The SEGMENT + SCORE loop of :class:`~repro.engine.executor.ShapeSearchEngine`
 is embarrassingly parallel across candidate visualizations: each
 trendline is scored independently and only the top-k survive.  This
-module shards a candidate collection into chunks, scores each chunk on a
-``concurrent.futures`` pool (thread or process backend), and merges the
-per-shard top-k heaps deterministically.
+module shards a candidate collection into position ranges, scores each
+range, and merges the per-shard top-k heaps deterministically.
 
 Determinism contract: every candidate carries its global position in
 the input collection, shards keep their local top-k under the total
 order *(score desc, position asc)*, and the merge re-applies the same
 order — so ``workers=N`` returns byte-identical results to ``workers=1``
-for any N and any chunk size, including exact score ties.
+for any N and any sharding, including exact score ties.
 
-Backend notes: the ``"thread"`` backend is the safe default (shared
-memory, custom UDPs visible, modest speedup since the inner numpy
-kernels release the GIL only briefly); the ``"process"`` backend gives
-real multi-core scaling for large collections.  With the shared-memory
-transport (:mod:`repro.engine.shm`, the engine's default for the process
-backend) shards travel as ``(handle, positions)`` resolved against a
-worker-resident collection and come back without trendlines, so per-task
-serialization is a few hundred bytes each way; without it each task
-pickles its chunk of Trendlines (on
-platforms with ``fork`` start, custom UDPs registered before the first
-search are inherited by the workers either way).
+``workers=1`` scores in the caller.  ``workers>1`` scores on a
+:class:`WorkerPool` of processes: the collection and the compiled query
+are published to shared memory once (:mod:`repro.engine.shm`), shards
+travel as ``(handle, positions)`` resolved against the worker-resident
+collection and come back without trendlines, so a task is a few hundred
+bytes each way.  Only rounds that would publish a collection for a
+handful of candidates ship their trendlines as objects instead
+(:func:`dispatch_score_shards`).
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import heapq
 import os
 import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -51,12 +47,13 @@ from repro.engine.statistics import PrefixStats
 from repro.engine.trendline import Trendline
 from repro.errors import ExecutionError
 
-#: Supported worker-pool backends.
-BACKENDS = ("thread", "process")
-
-#: Shards per worker when no explicit chunk size is given — a few chunks
-#: per worker lets the pool balance uneven shard costs.
+#: Shards per pool worker — a few per worker lets the pool balance
+#: uneven shard costs.
 _CHUNKS_PER_WORKER = 4
+
+#: The Score stage's shard floor: whole :data:`BATCH_BLOCK` kernel
+#: blocks (:func:`score_ranges`, :func:`dispatch_tail_scores`).
+SHARD_FLOOR = BATCH_BLOCK
 
 
 def default_workers() -> int:
@@ -81,10 +78,6 @@ class ShardResult:
     )
     scored: int = 0
     eager_discarded: int = 0
-    #: Trendlines generated worker-side for this shard (the fused
-    #: Extract/Group → Score tasks of repro.engine.pipeline; 0 when the
-    #: shard scored a parent-materialized collection).
-    generated: int = 0
     pruning: Optional[PruningReport] = None
 
 
@@ -323,30 +316,22 @@ def merge_shard_results(
 
 
 def make_range_chunks(
-    count: int, workers: int, chunk_size: Optional[int] = None, floor: int = 1
+    count: int, workers: int, floor: int = 1
 ) -> List[Tuple[int, int]]:
     """Split ``count`` candidates into ``(start, end)`` index ranges.
 
     This is the sizing rule for *every* sharding path — score, bound,
-    generate, tail, prune; object- and range-based alike — so all of
-    them cover identical positions for any configuration.
+    tail, prune; object- and range-based alike — so all of them cover
+    identical positions for any configuration.
     :data:`_CHUNKS_PER_WORKER` shards per pool worker, as even as
     possible, but never a shard below ``floor`` (the stage's kernel
     block: a smaller shard would pay a pool round trip for a partly
     filled kernel launch) unless it is the only one — and a stage with
     one shard runs in the caller (:func:`_run_tasks`), as does a
-    one-worker pool, which has nothing to balance.  An explicit
-    ``chunk_size`` overrides the rule.
+    one-worker pool, which has nothing to balance.
     """
     if count == 0:
         return []
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ExecutionError("chunk_size must be >= 1, got {}".format(chunk_size))
-        return [
-            (start, min(start + chunk_size, count))
-            for start in range(0, count, chunk_size)
-        ]
     # Whole kernel blocks per shard (the remainder rides on the last): a
     # shard of 36 for a 32-wide kernel would pay a second launch for 4.
     floor = max(1, floor)
@@ -358,17 +343,15 @@ def make_range_chunks(
     return list(zip([0] + ends[:-1], ends))
 
 
-def score_ranges(
-    count: int, workers: int, chunk_size: Optional[int] = None, pruning: bool = False
-) -> List[Tuple[int, int]]:
+def score_ranges(count: int, workers: int, pruning: bool = False) -> List[Tuple[int, int]]:
     """The Score stage's shards over ``count`` candidates left to solve.
 
-    The one place that knows the stage's floor: whole :data:`BATCH_BLOCK`
-    kernel blocks, except under collective pruning, whose driver has no
-    cross-candidate kernel to fill.  The Score operators size a stage
-    once, here, and hand the ranges to whichever transport runs them.
+    The one place that knows the stage's floor: :data:`SHARD_FLOOR`,
+    except under collective pruning, whose driver has no cross-candidate
+    kernel to fill.  The Score operators size a stage once, here, and
+    hand the ranges to whichever transport runs them.
     """
-    return make_range_chunks(count, workers, chunk_size, 1 if pruning else BATCH_BLOCK)
+    return make_range_chunks(count, workers, 1 if pruning else SHARD_FLOOR)
 
 
 def round_size(k: int, number: int) -> int:
@@ -391,12 +374,11 @@ def _shutdown_executor(executor) -> None:
 
 
 class WorkerPool:
-    """A lazily created, reusable ``concurrent.futures`` pool.
+    """A lazily created, reusable process pool.
 
-    ``initializer``/``initargs`` run once per worker *process* (they are
-    ignored for the thread backend, whose workers share the parent's
-    state already — running e.g. :func:`repro.engine.shm.worker_init`
-    in-process would wrongly reset the publisher's registries).  A
+    ``initializer``/``initargs`` run once per worker process (the engine
+    passes :func:`repro.engine.shm.worker_init`).  A one-worker pool
+    never starts a process: it runs every task in the caller.  A
     ``weakref.finalize`` guard shuts the underlying executor down when a
     pool is garbage-collected or the interpreter exits, so forgotten
     pools never leak worker processes; :meth:`shutdown` stays the
@@ -406,18 +388,12 @@ class WorkerPool:
     def __init__(
         self,
         workers: Optional[int] = None,
-        backend: str = "thread",
         initializer: Optional[Callable] = None,
         initargs: Tuple = (),
     ):
-        if backend not in BACKENDS:
-            raise ExecutionError(
-                "unknown backend {!r}; choose from {}".format(backend, BACKENDS)
-            )
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ExecutionError("workers must be >= 1, got {}".format(self.workers))
-        self.backend = backend
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self._pool = None
@@ -427,18 +403,22 @@ class WorkerPool:
     def _ensure(self):
         with self._lock:
             if self._pool is None:
-                if self.backend == "process":
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=self.initializer,
-                        initargs=self.initargs,
-                    )
-                else:
-                    self._pool = ThreadPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=self.initializer,
+                    initargs=self.initargs,
+                )
                 self._finalizer = weakref.finalize(
                     self, _shutdown_executor, self._pool
                 )
             return self._pool
+
+    def start(self) -> None:
+        """Start the worker processes now rather than at the first task."""
+        if self.workers > 1:
+            executor = self._ensure()
+            for future in [executor.submit(int) for _ in range(self.workers)]:
+                future.result()
 
     def map(self, fn, *iterables) -> List:
         """Apply ``fn`` across iterables, inline when ``workers == 1``."""
@@ -513,6 +493,11 @@ class WorkerPool:
         self.shutdown()
 
 
+#: The one-worker pool every ``workers=1`` plan shares: it runs each task
+#: in the caller and never starts a process, so there is nothing to own.
+IN_CALLER = WorkerPool(1)
+
+
 def _run_tasks(pool: WorkerPool, fn, rows: List[tuple], control=None) -> List:
     """Run one ``fn(*row)`` task per row — the single dispatch funnel.
 
@@ -548,13 +533,12 @@ def dispatch_score_shards(
     """Score the shards ``ranges`` of an object-passing collection (no merge).
 
     The Score operators consume the raw shard results (the MergeTopK
-    operator owns merging and stats); :func:`parallel_rank_items` wraps
-    this for callers that want the merged items directly.  ``control``
-    (an :class:`~repro.engine.control.ExecutionControl`) makes the
-    dispatch cancellable and progress-observable.  ``positions``
-    (ascending) restricts scoring to those candidates — one round's
-    block of an indexed query — under their global positions;
-    ``ranges`` (:func:`score_ranges`) tile them.
+    operator owns merging and stats).  ``control`` (an
+    :class:`~repro.engine.control.ExecutionControl`) makes the dispatch
+    cancellable and progress-observable.  ``positions`` (ascending)
+    restricts scoring to those candidates — one round's block of an
+    indexed query — under their global positions; ``ranges``
+    (:func:`score_ranges`) tile them.
     """
     if positions is None:
         positions = range(len(trendlines))
@@ -566,42 +550,6 @@ def dispatch_score_shards(
         for start, end in ranges
     ]
     return _run_tasks(pool, score_shard, rows, control)
-
-
-def parallel_rank_items(
-    trendlines: Sequence[Trendline],
-    query: CompiledQuery,
-    k: int,
-    pool: WorkerPool,
-    algorithm: str = "segment-tree",
-    enable_pushdown: bool = True,
-    chunk_size: Optional[int] = None,
-    stats=None,
-    has_eager_checks: Optional[bool] = None,
-    kernel: Optional[str] = None,
-) -> List[Tuple[float, int, Trendline, QueryResult]]:
-    """Shard, score and merge: the parallel SEGMENT+SCORE inner loop.
-
-    Returns the global top-k items; ``stats`` (an ``ExecutionStats``)
-    receives the aggregated shard counters when provided.
-    """
-    shards = dispatch_score_shards(
-        trendlines,
-        query,
-        k,
-        pool,
-        score_ranges(len(trendlines), pool.workers, chunk_size),
-        algorithm=algorithm,
-        enable_pushdown=enable_pushdown,
-        has_eager_checks=has_eager_checks,
-        kernel=kernel,
-    )
-    if stats is not None:
-        stats.shards = len(shards)
-        for shard in shards:
-            stats.scored += shard.scored
-            stats.eager_discarded += shard.eager_discarded
-    return merge_shard_results(shards, k)
 
 
 def dispatch_score_ranges(
@@ -646,42 +594,6 @@ def dispatch_score_ranges(
     return shards
 
 
-def dispatch_generate_score(
-    table_ref,
-    params,
-    normalize_y: bool,
-    plan,
-    query,
-    group_count: int,
-    k: int,
-    pool: WorkerPool,
-    algorithm: str = "segment-tree",
-    enable_pushdown: bool = True,
-    chunk_size: Optional[int] = None,
-    has_eager_checks: Optional[bool] = None,
-    kernel: Optional[str] = None,
-    control=None,
-) -> List[ShardResult]:
-    """Dispatch fused worker-side Extract/Group → Score range tasks.
-
-    Shards are *group-key index ranges* over the table's candidate
-    groups (sized by the same :func:`make_range_chunks` rule as every
-    other sharding path); ``table_ref`` is a Table (thread backend) or
-    shm TableHandle (process backend) and ``query`` a compiled query or
-    QueryHandle — see :func:`repro.engine.pipeline.generate_score_shard`
-    for the worker-side half.
-    """
-    from repro.engine.pipeline import generate_score_shard
-
-    ranges = make_range_chunks(group_count, pool.workers, chunk_size, BATCH_BLOCK)
-    rows = [
-        (table_ref, params, normalize_y, plan, query, start, end, k,
-         algorithm, enable_pushdown, has_eager_checks, kernel)
-        for start, end in ranges
-    ]
-    return _run_tasks(pool, generate_score_shard, rows, control)
-
-
 def dispatch_tail_scores(
     table_ref,
     params,
@@ -693,7 +605,6 @@ def dispatch_tail_scores(
     algorithm: str = "segment-tree",
     kernel: Optional[str] = None,
     control=None,
-    chunk_size: Optional[int] = None,
 ) -> List[tuple]:
     """Dispatch streaming-tail re-scores of the named group indices.
 
@@ -711,7 +622,7 @@ def dispatch_tail_scores(
     from repro.engine.pipeline import score_tail_groups
 
     indices = list(indices)
-    chunks = make_range_chunks(len(indices), pool.workers, chunk_size, BATCH_BLOCK)
+    chunks = make_range_chunks(len(indices), pool.workers, SHARD_FLOOR)
     rows = [
         (table_ref, params, normalize_y, plan, query,
          indices[start:end], algorithm, kernel)
@@ -830,59 +741,3 @@ def merge_pruned_items(
     merged.sort(key=lambda item: (-item[0], str(item[2].key)))
     return merged[:k]
 
-
-from repro.engine.executor import ShapeSearchEngine  # noqa: E402  (after helpers)
-
-
-class ParallelEngine(ShapeSearchEngine):
-    """A :class:`ShapeSearchEngine` configured for parallel, cached batches.
-
-    Defaults differ from the base engine where scale wants them to:
-    ``workers=None`` resolves to one worker per core, and ``cache=True``
-    turns on the trendline/plan caches so interactive sessions skip
-    repeated EXTRACT/GROUP and compilation.  Everything else — the
-    algorithms, push-down, pruning, the batch :meth:`execute_many` API —
-    is inherited.
-
-    Use as a context manager (or call :meth:`close`) to release the
-    worker pool deterministically::
-
-        with ParallelEngine(workers=8, backend="process") as engine:
-            matches = engine.execute(table, params, query, k=10)
-    """
-
-    def __init__(
-        self,
-        algorithm: str = "segment-tree",
-        enable_pushdown: bool = True,
-        enable_pruning: bool = False,
-        sample_size: int = 20,
-        sample_points: int = 64,
-        workers: Optional[int] = None,
-        backend: str = "thread",
-        chunk_size: Optional[int] = None,
-        cache=True,
-        shm: bool = True,
-        quantifier_threshold: Optional[float] = None,
-        kernel: str = "matrix",
-        generation: str = "auto",
-        index: bool = False,
-        precision: str = "float64",
-    ):
-        super().__init__(
-            algorithm=algorithm,
-            enable_pushdown=enable_pushdown,
-            enable_pruning=enable_pruning,
-            sample_size=sample_size,
-            sample_points=sample_points,
-            workers=workers,
-            backend=backend,
-            chunk_size=chunk_size,
-            cache=cache,
-            shm=shm,
-            quantifier_threshold=quantifier_threshold,
-            kernel=kernel,
-            generation=generation,
-            index=index,
-            precision=precision,
-        )

@@ -11,23 +11,19 @@ Two layers live here:
   of Theorem 5.1.  The push-down hooks of §5.4 thread through both.
   Both run as one block kernel over the whole table
   (:mod:`repro.engine.collection`); this module holds its entry points —
-  all groups, a worker's group-index range, the groups an append touched.
+  all groups, and the groups an append touched.
 
 * The **staged physical-operator pipeline** of §7's execution engine: a
   small planner (:func:`plan_pipeline`) compiles one query execution
-  into a DAG of operators —
+  into a chain of operators —
 
-      ScanTable → Extract/Group → Score → MergeTopK
+      ScanTable → Extract/Group → [IndexPrune →] Score → MergeTopK
 
-  — each with a sequential and a parallel implementation.  The parallel
-  Extract/Group implementation runs *inside workers* against the
-  shared-memory-published table: shards are group-key index ranges,
-  workers generate their own trendlines (cached in a worker-resident
-  store keyed by table fingerprint + VisualParams) and score them in
-  place, so no trendline ever crosses a process boundary.  Every
-  implementation preserves the engine's total order *(score desc,
-  position asc)*, so results are byte-identical across operators,
-  backends and worker counts.
+  — where ``workers=`` alone picks the Score implementation: one shard
+  in the caller, or shards on a process pool over the shared-memory
+  published collection.  Every implementation preserves the engine's
+  total order *(score desc, position asc)*, so results are
+  byte-identical across operators and worker counts.
 """
 
 from __future__ import annotations
@@ -36,19 +32,14 @@ import contextlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.data.table import Table, attached_state
+from repro.data.table import Table
 from repro.data.visual_params import VisualParams
-from repro.engine.cache import LRUCache, plan_fingerprint
-from repro.engine.collection import (
-    Collection,
-    build_collection,
-    count_groups,
-    require_columns,
-)
+from repro.engine.cache import plan_fingerprint
+from repro.engine.collection import Collection, build_collection, require_columns
 from repro.engine.pushdown import PushdownPlan, plan_pushdown
 from repro.engine.shape_index import (
     MIN_SEED_CANDIDATES,
@@ -66,7 +57,7 @@ from repro.engine.trendline import Trendline, cast_trendline
 def _required_columns(table: Table, params: VisualParams):
     """The column subset generation reads: z/x/y plus filter columns.
 
-    Worker-side generation publishes only these into shared memory —
+    The streaming tail publishes only these into shared memory —
     unrelated columns are neither copied nor required to be picklable.
     Returns None when the query touches every column (full export).
     """
@@ -101,104 +92,6 @@ def query_constrains_y(query) -> bool:
         for chain in query.chains
         for cu in chain.units
     )
-
-
-# ---------------------------------------------------------------------------
-# Worker-side generation (the parallel Extract/Group implementation)
-# ---------------------------------------------------------------------------
-
-#: Generated ranges a table keeps: (params, normalize_y, plan effect,
-#: range) -> [(index, Trendline)].
-_MAX_RANGES = 64
-
-
-def generate_range(
-    table: Table,
-    params: VisualParams,
-    normalize_y: bool,
-    plan: Optional[PushdownPlan],
-    start: int,
-    end: int,
-) -> List[Tuple[int, Trendline]]:
-    """Worker-side EXTRACT ∘ GROUP over group indices ``[start, end)``.
-
-    Group indices follow the first-seen order of the filtered z values —
-    exactly the order :func:`generate_trendlines` enumerates — which is
-    what makes index ranges a faithful sharding of parent-side
-    generation.  Returns ``(group index, trendline)`` pairs — groups
-    dropped by extraction (too few points, push-down skips) or grouping
-    (degenerate series) leave gaps, preserving the global generation
-    order across shards.  Results are memoized on the (worker-resident)
-    table keyed by VisualParams + normalization + push-down effect +
-    range; range boundaries are deterministic (``make_range_chunks``),
-    so repeat queries that land the same range on the same worker skip
-    EXTRACT/GROUP entirely.
-    """
-    # The memo hangs off the table instance itself rather than a module
-    # global, so it lives exactly as long as the table: dropping the
-    # table — or a worker store evicting its reattached copy — frees
-    # every generated range with it, with no engine-lifecycle hook.
-    ranges = attached_state(table, "_generation_state", lambda: LRUCache(_MAX_RANGES))
-    cache_key = (params, bool(normalize_y), plan_fingerprint(plan), start, end)
-    pairs = ranges.get(cache_key)
-    if pairs is None:
-        collection = build_collection(table, params, normalize_y, plan, range(start, end))
-        pairs = list(zip(collection.groups.tolist(), collection))
-        ranges.put(cache_key, pairs)
-    return pairs
-
-
-def generate_score_shard(
-    table_ref,
-    params: VisualParams,
-    normalize_y: bool,
-    plan: Optional[PushdownPlan],
-    query,
-    start: int,
-    end: int,
-    k: int,
-    algorithm: str = "segment-tree",
-    enable_pushdown: bool = True,
-    has_eager_checks: Optional[bool] = None,
-    kernel: Optional[str] = None,
-):
-    """Fused Extract/Group → Score over one group-index range, in a worker.
-
-    ``table_ref`` is either a :class:`Table` (thread backend — workers
-    share the parent's memory) or a
-    :class:`~repro.engine.shm.TableHandle` (process backend — resolved
-    against the worker-resident store, attaching the shared segment on
-    first use); ``query`` a compiled query or
-    :class:`~repro.engine.shm.QueryHandle`.  The task payload is a
-    manifest, the visual parameters and two integers — no trendline ever
-    crosses the process boundary; only the shard's top-k results travel
-    back.
-
-    Positions are ``start`` plus the shard-local generation offset.
-    Gaps from dropped groups compact within the shard, but every
-    position in this shard stays strictly below every position of any
-    later range, so the global total order *(score desc, position asc)*
-    ranks candidates exactly as parent-side generation would — which is
-    what keeps worker-side results byte-identical.
-    """
-    from repro.engine.parallel import score_shard
-    from repro.engine.shm import resolve_query, resolve_table
-
-    table = table_ref if isinstance(table_ref, Table) else resolve_table(table_ref)
-    compiled = resolve_query(query)
-    pairs = generate_range(table, params, normalize_y, plan, start, end)
-    shard = score_shard(
-        [trendline for _index, trendline in pairs],
-        start,
-        compiled,
-        k,
-        algorithm=algorithm,
-        enable_pushdown=enable_pushdown,
-        has_eager_checks=has_eager_checks,
-        kernel=kernel,
-    )
-    shard.generated = len(pairs)
-    return shard
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +312,15 @@ class PipelineContext:
 
 @dataclass
 class TableSource:
-    """Output of ScanTable: the table plus its published form, if any."""
+    """Output of ScanTable: the table and the visual parameters."""
 
     table: Table
     params: VisualParams
-    handle: Optional[object] = None  # shm TableHandle when published
-
-
-@dataclass
-class DeferredGeneration:
-    """A worker-side Extract/Group whose work is fused into Score tasks."""
-
-    source: TableSource
-    normalize_y: bool
-    plan: Optional[PushdownPlan]
-    group_count: int
 
 
 @dataclass
 class Candidates:
-    """Extract/Group output: materialized trendlines or a deferred plan.
+    """Extract/Group output: the materialized trendlines.
 
     IndexPrune leaves ``trendlines`` the resident (cached, shm-published)
     object and attaches the ``frontier`` the Score stage draws its
@@ -448,8 +330,7 @@ class Candidates:
     so the shm Score ships a frontier's blocks as objects instead.
     """
 
-    trendlines: Optional[Sequence[Trendline]] = None
-    deferred: Optional[DeferredGeneration] = None
+    trendlines: Sequence[Trendline]
     frontier: Optional[BoundFrontier] = None
     resident: bool = True
 
@@ -461,7 +342,6 @@ class ScoredShards:
     shards: List[object] = field(default_factory=list)
     pruned: bool = False
     sequential: bool = False
-    worker_generated: bool = False
 
 
 class Operator:
@@ -483,27 +363,18 @@ class Operator:
 
 
 class ScanTable(Operator):
-    """Leaf: the OLAP table (in-process, or published to shared memory)."""
+    """Leaf: the in-memory OLAP table."""
 
     name = "ScanTable"
+    mode = "in-process"
 
-    def __init__(self, table: Table, params: VisualParams, mode: str = "in-process"):
+    def __init__(self, table: Table, params: VisualParams):
         self.table = table
         self.params = params
-        self.mode = mode  # "in-process" | "shared-memory"
 
     def run(self, ctx, _value) -> TableSource:
         require_columns(self.table, self.params)
-        handle = None
-        if self.mode == "shared-memory":
-            # The only mode that needs the content fingerprint — computed
-            # (and memoized) inside table_handle; the in-process scan
-            # stays hash-free.  Only the columns generation reads are
-            # published.
-            handle = ctx.engine._shm_session().table_handle(
-                self.table, columns=_required_columns(self.table, self.params)
-            )
-        return TableSource(table=self.table, params=self.params, handle=handle)
+        return TableSource(table=self.table, params=self.params)
 
     def detail(self) -> str:
         return "rows={} z={!r}".format(len(self.table), self.params.z)
@@ -526,37 +397,22 @@ class PrebuiltScan(Operator):
 
 
 class ExtractGroup(Operator):
-    """EXTRACT ∘ GROUP with a parent-side and a worker-side implementation.
+    """EXTRACT ∘ GROUP, materialized in the calling process.
 
-    ``parent`` materializes the collection in the calling process
-    (through the engine's trendline cache and the optional batch memo);
-    ``worker`` defers generation into the Score stage's fused tasks —
-    the parent only establishes the shard domain (the group count).
+    Goes through the engine's trendline cache and the optional batch
+    memo, so repeats and batches share one generation pass.
     """
 
     name = "Extract/Group"
+    mode = "parent"
 
     def __init__(self, normalize_y: bool, plan: Optional[PushdownPlan],
-                 mode: str, memo: Optional[dict] = None):
+                 memo: Optional[dict] = None):
         self.normalize_y = normalize_y
         self.plan = plan
-        self.mode = mode  # "parent" | "worker"
         self.memo = memo
 
     def run(self, ctx, source: TableSource) -> Candidates:
-        ctx.stats.generation = self.mode
-        if self.mode == "worker":
-            # Group *indices* are sharded, so the parent only needs their
-            # count, read off the table's z encoding.
-            group_count = count_groups(source.table, source.params)
-            return Candidates(
-                deferred=DeferredGeneration(
-                    source=source,
-                    normalize_y=self.normalize_y,
-                    plan=self.plan,
-                    group_count=group_count,
-                )
-            )
         memo_key = (self.normalize_y, plan_fingerprint(self.plan))
         if self.memo is not None and memo_key in self.memo:
             ctx.stats.trendline_cache_hit = True
@@ -622,11 +478,11 @@ class IndexPrune(Operator):
     *(score desc, position asc)* merge selects exactly the full scan's
     top k.
 
-    On the shm process backend, once the candidates cut into two shards
-    of :data:`INDEX_DISPATCH_MIN`, the bound pass itself is
-    sharded: workers attach the published index zero-copy and evaluate
-    the same function on the same buckets at full depth — valid bounds
-    whichever transport computed them.
+    With ``workers > 1``, once the candidates cut into two shards of
+    :data:`INDEX_DISPATCH_MIN`, the bound pass itself is sharded:
+    workers attach the published index zero-copy and evaluate the same
+    function on the same buckets at full depth — valid bounds whichever
+    transport computed them.
     """
 
     name = "IndexPrune"
@@ -668,12 +524,12 @@ class IndexPrune(Operator):
         )
 
     def _dispatched_bounds(self, ctx, index, total: int):
-        """Worker-evaluated bounds on the shm path, or None for in-process."""
+        """Worker-evaluated bounds over the published index, or None."""
         from repro.engine.parallel import dispatch_index_bounds, make_range_chunks
 
         engine = ctx.engine
         ranges = make_range_chunks(total, self.workers, floor=INDEX_DISPATCH_MIN)
-        if len(ranges) < 2 or engine.backend != "process" or not engine.shm:
+        if len(ranges) < 2:
             return None
         session = engine._shm_session()
         acquired = session.acquire_index(index, self.compiled)
@@ -697,24 +553,7 @@ class IndexPrune(Operator):
 
 
 class _ScoreBase(Operator):
-    """Shared configuration of the Score implementations."""
-
-    name = "Score"
-
-    def __init__(self, compiled, k: int, workers: int,
-                 has_eager_checks: bool, pruning: bool):
-        self.compiled = compiled
-        self.k = k
-        self.workers = workers
-        self.has_eager_checks = has_eager_checks
-        self.pruning = pruning
-
-    def detail(self) -> str:
-        return "workers={}{}".format(self.workers, " pruning" if self.pruning else "")
-
-
-class ParallelScore(_ScoreBase):
-    """Object-passing sharded scoring (thread pools, process+pickle).
+    """The Score stage's round loop, shared by both implementations.
 
     Without an index the stage is one round over every position.  With
     a :class:`~repro.engine.shape_index.BoundFrontier` it is best-first:
@@ -724,15 +563,34 @@ class ParallelScore(_ScoreBase):
     shards and dispatches it like any stage, and folds the shards' items
     into the running top-k floor the next draw is held to.  Every
     candidate is solved at most once; the rounds end when the frontier
-    has nothing left that could reach the floor.
+    has nothing left that could reach the floor.  A round goes out
+    through :meth:`dispatch_shards`, which here ships the trendlines
+    themselves (object-passing).
     """
 
-    mode = "parallel"
+    name = "Score"
+
+    def __init__(self, compiled, k: int, workers: int,
+                 has_eager_checks: bool, pruning: bool,
+                 reason: Optional[str] = None):
+        self.compiled = compiled
+        self.k = k
+        self.workers = workers
+        self.has_eager_checks = has_eager_checks
+        self.pruning = pruning
+        #: Why the planner overrode the engine's worker count (EXPLAIN).
+        self.reason = reason
+
+    def detail(self) -> str:
+        return "workers={}{}{}".format(
+            self.workers,
+            " pruning" if self.pruning else "",
+            " reason={}".format(self.reason) if self.reason else "",
+        )
 
     def run(self, ctx, candidates: Candidates) -> ScoredShards:
         from repro.engine.parallel import round_size, score_ranges
 
-        engine = ctx.engine
         frontier = candidates.frontier
         total = len(candidates.trendlines)
         floor = TopKFloor(self.k)
@@ -749,13 +607,7 @@ class ParallelScore(_ScoreBase):
                     if not positions:
                         break
                 # A round is sized once, here, whatever transport runs it.
-                # One worker means one shard, whatever chunk size the pools use.
-                ranges = score_ranges(
-                    len(positions),
-                    self.workers,
-                    engine.chunk_size if self.workers > 1 else None,
-                    pruning=self.pruning,
-                )
+                ranges = score_ranges(len(positions), self.workers, pruning=self.pruning)
                 block = self.dispatch_shards(ctx, candidates, positions, ranges, pins)
                 shards += block
                 handed += len(positions)
@@ -801,15 +653,15 @@ class ParallelScore(_ScoreBase):
         )
 
 
-class SequentialScore(ParallelScore):
+class SequentialScore(_ScoreBase):
     """One shard per round, scored in the caller — the workers=1 path (a
-    one-worker pool never leaves the process)."""
+    one-worker pool never starts a process)."""
 
     mode = "sequential"
 
 
-class SharedMemoryScore(ParallelScore):
-    """Position-sharded scoring over the shm-published collection.
+class SharedMemoryScore(_ScoreBase):
+    """Position-sharded scoring on the process pool — the workers>1 path.
 
     The *full* collection and the compiled query are published once per
     session (acquired-and-pinned atomically — once per run, by the first
@@ -872,76 +724,14 @@ class SharedMemoryScore(ParallelScore):
         )
 
 
-class GenerateAndScore(_ScoreBase):
-    """The fused worker-side stage: Extract/Group + Score in one task.
-
-    Consumes a :class:`DeferredGeneration`: shards are group-key index
-    ranges over the (published or in-process) table, and each worker
-    generates its own trendlines before scoring them — generation
-    parallelizes with scoring, and for the process backend nothing but
-    the shard's top-k ever crosses a process boundary.
-    """
-
-    mode = "worker-generate"
-
-    def run(self, ctx, candidates: Candidates) -> ScoredShards:
-        from repro.engine.parallel import dispatch_generate_score
-
-        engine = ctx.engine
-        deferred = candidates.deferred
-        if deferred.group_count == 0:
-            ctx.stats.candidates = 0
-            if ctx.control is not None:
-                ctx.control.begin(0)
-            return ScoredShards([], worker_generated=True)
-        source = deferred.source
-        pool = engine._resolve_pool(self.workers)
-        session = None
-        if source.handle is not None:
-            # Re-acquire (publish-or-reuse) the table and query handles
-            # and pin both atomically: the session's table memo is
-            # LRU-bounded, so a concurrent execute over other tables
-            # must not unlink this dispatch's segment mid-flight.
-            session = engine._shm_session()
-            table_ref, query_ref = session.acquire_generation(
-                source.table,
-                self.compiled,
-                columns=_required_columns(source.table, source.params),
-            )
-        else:
-            table_ref = source.table
-            query_ref = self.compiled
-        try:
-            shards = dispatch_generate_score(
-                table_ref,
-                source.params,
-                deferred.normalize_y,
-                deferred.plan,
-                query_ref,
-                deferred.group_count,
-                self.k,
-                pool,
-                algorithm=engine.algorithm,
-                enable_pushdown=engine.enable_pushdown,
-                chunk_size=engine.chunk_size,
-                has_eager_checks=self.has_eager_checks,
-                kernel=engine.kernel,
-                control=ctx.control,
-            )
-        finally:
-            if session is not None:
-                session.unpin(table_ref, query_ref)
-        return ScoredShards(list(shards), worker_generated=True)
-
-
 class MergeTopK(Operator):
     """Global top-k from per-shard heaps, under the shared total order.
 
     Also the stats rendezvous: per-shard counters (scored, eager
-    discards, worker-side generation counts, pruning reports) fold into
-    the call's :class:`ExecutionStats` here, exactly once.  And the
-    *cancellation* rendezvous: when a cooperative cancel dropped shards
-    upstream, the merge refuses to present a partial top-k and raises
+    discards, pruning reports) fold into the call's
+    :class:`ExecutionStats` here, exactly once.  And the *cancellation*
+    rendezvous: when a cooperative cancel dropped shards upstream, the
+    merge refuses to present a partial top-k and raises
     :class:`~repro.errors.SearchCancelled` instead.
     """
 
@@ -980,10 +770,6 @@ class MergeTopK(Operator):
             for shard in shards:
                 stats.scored += shard.scored
                 stats.eager_discarded += shard.eager_discarded
-            if scored.worker_generated:
-                generated = sum(shard.generated for shard in shards)
-                stats.extracted = generated
-                stats.candidates = generated
             items = merge_shard_results(shards, self.k)
         return _to_matches(items)
 
@@ -993,10 +779,9 @@ class MergeTopK(Operator):
 
 @dataclass
 class PhysicalPlan:
-    """A compiled execution: the operator chain plus planner decisions."""
+    """A compiled execution: the operator chain, in flow order."""
 
     operators: List[Operator]
-    generation: str = "parent"
 
     def run(self, ctx: PipelineContext):
         value = None
@@ -1013,39 +798,19 @@ class PhysicalPlan:
         return "\n".join(lines)
 
 
-def _resolve_generation(engine, parallel, use_pruning, force_parent=False) -> str:
-    """Pick the Extract/Group implementation for one execution.
+def scoring_workers(engine, compiled, workers: Optional[int] = None):
+    """``(worker count, reason)`` one execution of ``compiled`` runs with.
 
-    Worker-side generation requires a parallel Score stage whose workers
-    can reach the table — the thread backend (shared address space) or
-    the process backend with the shm transport — and is skipped under
-    pruning (the collective-pruning driver wants the materialized
-    collection).  ``generation="auto"`` applies it on the process
-    backend, where parent-side generation is the serial bottleneck the
-    stage exists to remove, unless a trendline cache is configured — a
-    cache marks an interactive session, where one parent-side generation
-    pass feeds every repeat query from memory and also lets the shm
-    transport reuse the published collection segment.  The thread
-    backend defaults to parent-side — in-process generation is GIL-bound
-    either way, so deferral buys nothing — but honors an explicit
-    ``generation="worker"``.  ``force_parent`` marks executions whose
-    plan needs the materialized collection in the parent (index pruning,
-    precision casting) regardless of the backend's preference.
+    The engine's (or the per-call) ``workers``, except that a query
+    calling a user-defined pattern anywhere — nested sub-queries
+    included — runs in the caller, reason ``"udp"``: UDPs live in this
+    process's registry, so a pool worker could not resolve one
+    registered after it started.
     """
-    requested = getattr(engine, "generation", "auto")
-    capable = (
-        parallel
-        and not use_pruning
-        and not force_parent
-        and (engine.backend == "thread" or (engine.backend == "process" and engine.shm))
-    )
-    if requested == "parent" or not capable:
-        return "parent"
-    if requested == "worker":
-        return "worker"
-    if engine.backend != "process" or engine.cache is not None:
-        return "parent"
-    return "worker"
+    count = engine.workers if workers is None else engine._check_workers(workers)
+    if count > 1 and compiled.uses_udp:
+        return 1, "udp"
+    return count, None
 
 
 def plan_pipeline(
@@ -1058,21 +823,20 @@ def plan_pipeline(
     workers: Optional[int] = None,
     memo: Optional[dict] = None,
 ) -> PhysicalPlan:
-    """Compile one query execution into the staged operator DAG.
+    """Compile one query execution into the staged operator chain.
 
-    The planner replaces the engine's historical ``_rank_into`` /
-    ``_rank_parallel`` / ``_rank_parallel_shm`` branching: every
-    decision — sequential vs parallel Score, object vs range transport,
-    parent- vs worker-side Extract/Group, pruning — is made here, once,
-    and the returned plan is a linear chain of operators whose
-    implementations all preserve the total order *(score desc, position
-    asc)*.  Pass either ``table`` + ``params`` (the execute paths) or
-    pre-built ``trendlines`` (the rank paths); ``memo`` is the batch
-    generation memo shared across an ``execute_many`` call.
+    Every decision — in-caller vs shared-memory Score, index, pruning —
+    is made here, once, and the returned plan is a linear chain of
+    operators whose implementations all preserve the total order
+    *(score desc, position asc)*.  The Score implementation follows the
+    worker count alone (:func:`scoring_workers`).  Pass either ``table``
+    + ``params`` (the execute paths) or pre-built ``trendlines`` (the
+    rank paths); ``memo`` is the batch generation memo shared across a
+    ``run_many`` call.
     """
     from repro.engine.pruning import is_prunable
 
-    effective = engine.workers if workers is None else engine._check_workers(workers)
+    effective, reason = scoring_workers(engine, compiled, workers)
     plan = plan_pushdown(compiled) if engine.enable_pushdown else None
     has_eager = plan.has_eager_checks if plan is not None else False
     use_pruning = (
@@ -1080,13 +844,11 @@ def plan_pipeline(
         and engine.algorithm == "segment-tree"
         and is_prunable(compiled)
     )
-    parallel = effective > 1
-    cast = getattr(engine, "precision", "float64") == "float32"
-    # Index pruning needs a parent-materialized collection and a query
-    # whose units the pyramid can bound; anything else is the full-scan
-    # fallback, visible as the absence of an IndexPrune line in EXPLAIN.
+    # Index pruning needs a query whose units the pyramid can bound;
+    # anything else is the full-scan fallback, visible as the absence of
+    # an IndexPrune line in EXPLAIN.
     use_index = (
-        getattr(engine, "index", False)
+        engine.index
         and not use_pruning
         and k >= 1
         and index_supports(compiled)
@@ -1097,49 +859,19 @@ def plan_pipeline(
     index_key: Optional[tuple] = None
     if trendlines is not None:
         operators.append(PrebuiltScan(trendlines))
-        generation = "parent"
     else:
         normalize_y = not query_constrains_y(compiled)
-        generation = _resolve_generation(
-            engine, parallel, use_pruning, force_parent=use_index or cast
-        )
-        scan_mode = (
-            "shared-memory"
-            if generation == "worker" and engine.backend == "process"
-            else "in-process"
-        )
-        operators.append(ScanTable(table, params, scan_mode))
-        operators.append(ExtractGroup(normalize_y, plan, generation, memo=memo))
+        operators.append(ScanTable(table, params))
+        operators.append(ExtractGroup(normalize_y, plan, memo=memo))
         index_table = table
-        index_key = (
-            params,
-            normalize_y,
-            plan_fingerprint(plan),
-            getattr(engine, "precision", "float64"),
+        index_key = (params, normalize_y, plan_fingerprint(plan), engine.precision)
+    if engine.precision == "float32":
+        operators.append(PrecisionCast())
+    if use_index:
+        operators.append(
+            IndexPrune(compiled, k, effective, table=index_table, index_key=index_key)
         )
-    if generation == "parent":
-        if cast:
-            operators.append(PrecisionCast())
-        if use_index:
-            operators.append(
-                IndexPrune(compiled, k, effective, table=index_table,
-                           index_key=index_key)
-            )
-
-    score_args = {
-        "compiled": compiled,
-        "k": k,
-        "workers": effective,
-        "has_eager_checks": has_eager,
-        "pruning": use_pruning,
-    }
-    if generation == "worker":
-        operators.append(GenerateAndScore(**score_args))
-    elif not parallel:
-        operators.append(SequentialScore(**score_args))
-    elif engine.backend == "process" and engine.shm:
-        operators.append(SharedMemoryScore(**score_args))
-    else:
-        operators.append(ParallelScore(**score_args))
+    score = SharedMemoryScore if effective > 1 else SequentialScore
+    operators.append(score(compiled, k, effective, has_eager, use_pruning, reason))
     operators.append(MergeTopK(k))
-    return PhysicalPlan(operators, generation=generation)
+    return PhysicalPlan(operators)

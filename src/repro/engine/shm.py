@@ -1,8 +1,8 @@
-"""Shared-memory transport for the ``"process"`` backend (zero-copy shards).
+"""Shared-memory transport for the ``workers>1`` process pool (zero-copy shards).
 
-PR 1's process backend pickles whole :class:`~repro.engine.trendline.Trendline`
-chunks into every task, so serialization dominates and multi-core scaling
-never materializes.  This module moves the data to the workers instead of
+Pickling whole :class:`~repro.engine.trendline.Trendline` chunks into
+every task lets serialization dominate, so multi-core scaling never
+materializes.  This module moves the data to the workers instead of
 moving it with every task, the way the paper's pattern-at-a-time engine
 executes over in-memory columns (§6) and SlopeSeeker precomputes its trend
 collections once and queries them repeatedly:
@@ -24,9 +24,10 @@ collections once and queries them repeatedly:
   query: the query is pickled into shared memory once and each worker
   unpickles it once per session instead of once per shard.
 * :func:`publish_table` / :func:`attach_table` export a
-  :class:`~repro.data.table.Table`'s columns, keyed by the existing
-  content fingerprint so a reattached table hits the same cache entries
-  as the publisher's original.
+  :class:`~repro.data.table.Table`'s columns for the streaming tail,
+  keyed by the existing content fingerprint so a reattached table hits
+  the same cache entries as the publisher's original; appends travel as
+  delta segments (:meth:`ShmSession.acquire_append`).
 
 :class:`ShmSession` owns every segment a session publishes and releases
 them on :meth:`~ShmSession.close` (idempotent); a module-level ``atexit``
@@ -72,7 +73,7 @@ def _require_shared_memory():
     if _shared_memory is None:  # pragma: no cover
         raise ExecutionError(
             "multiprocessing.shared_memory is unavailable on this platform; "
-            "use the thread backend or shm=False"
+            "use workers=1"
         )
     return _shared_memory
 
@@ -703,9 +704,6 @@ def worker_init() -> None:
     silently bypass the shared segments.  Dropping it (and any stale
     attachment store) makes workers persistent shm residents: every
     handle resolves through shared memory exactly once per worker.
-    (The worker-side generation caches of :mod:`repro.engine.pipeline`
-    need no reset here — they hang off Table instances, so a worker only
-    ever populates them on tables it resolved itself.)
     """
     _LOCAL.clear()
     _WORKER_STORE.clear()
@@ -848,28 +846,6 @@ class ShmSession:
             self._indexes.move_to_end(key)
         return handle
 
-    def acquire_generation(
-        self, table: Table, compiled, columns: Optional[Sequence[str]] = None
-    ) -> Tuple[TableHandle, QueryHandle]:
-        """Publish-or-reuse the table + query handles *and* pin both.
-
-        The worker-side generation dispatch entry point: the table memo
-        is LRU-bounded (streaming workloads churn fingerprints), so like
-        :meth:`acquire` the lookup and the pin happen under one lock —
-        a concurrent execute must not evict-and-unlink a segment between
-        handing out its handle and the pin taking effect.  Pair with
-        :meth:`unpin`.
-        """
-        stale: list = []
-        with self._lock:
-            self._check_open()
-            handle = self._table_locked(table, stale, columns=columns)
-            query_ref = self._query_locked(compiled, stale)
-            for token in (handle.token, query_ref.token):
-                self._pins[token] = self._pins.get(token, 0) + 1
-        _destroy_all(stale)
-        return handle, query_ref
-
     def acquire_append(
         self,
         table: Table,
@@ -1010,17 +986,6 @@ class ShmSession:
                 stale.append(self._drop_locked(old_key, old.token))
         else:
             self._queries.move_to_end(key)
-        return handle
-
-    def table_handle(
-        self, table: Table, columns: Optional[Sequence[str]] = None
-    ) -> TableHandle:
-        """Publish a table once per (fingerprint, column subset); LRU-recycled."""
-        stale: list = []
-        with self._lock:
-            self._check_open()
-            handle = self._table_locked(table, stale, columns=columns)
-        _destroy_all(stale)
         return handle
 
     def _table_locked(

@@ -51,7 +51,7 @@ class Trendline:
         """Drop the cached line-fit prefix from pickles.
 
         It is derived data one cumsum away from ``norm_bin_y``; shipping
-        it with process-backend (``shm=False``) tasks would inflate the
+        it with object-passing shard tasks would inflate the
         per-task payload by three n-length arrays per trendline — the
         exact cost the transport work exists to avoid.  Workers rebuild
         it lazily on first LineUnit score.

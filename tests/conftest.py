@@ -64,6 +64,24 @@ def rule_tagger():
     return EntityTagger(mode="rule")
 
 
+@pytest.fixture
+def shard_floor(monkeypatch):
+    """Lower the Score and tail shard floor for one test: ``shard_floor(n)``.
+
+    The planner sizes shards in the calling process from
+    ``parallel.SHARD_FLOOR`` (one kernel block), so a small collection is
+    one shard and never reaches the pool; a lower floor cuts it into
+    several, and ``None`` keeps the default.
+    """
+    from repro.engine import parallel
+
+    def lower(floor):
+        if floor is not None:
+            monkeypatch.setattr(parallel, "SHARD_FLOOR", floor)
+
+    return lower
+
+
 def same_key(a, b) -> bool:
     """Group keys equal *as objects*: same type, same value, NaN == NaN."""
     return (a != a and b != b) or (type(a) is type(b) and a == b)

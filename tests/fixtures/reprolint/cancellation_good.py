@@ -1,5 +1,5 @@
 # Fixture: the conforming twin of cancellation_bad.py.
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from somewhere import _run_tasks, dispatch_score, solve_many, solve_one  # noqa — never imported
 
@@ -32,7 +32,7 @@ class WorkerPool:
 
     def _ensure(self):
         if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=2)
+            self._executor = ProcessPoolExecutor(max_workers=2)
         return self._executor
 
 

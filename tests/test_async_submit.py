@@ -1,15 +1,16 @@
 """The non-blocking submit API: SearchFuture, progress, cooperative cancel.
 
 The acceptance contract of the redesign: ``prepared.submit()`` returns
-before scoring completes on the thread *and* process backends, a cancel
-on a multi-shard search leaves the pool reusable with a subsequent run
-byte-identical to an uncancelled one, and per-shard progress flows from
-the Score stage to the caller's callback.
+before scoring completes, in the caller *and* on the process pool, a
+cancel on a multi-shard search leaves the pool reusable with a
+subsequent run byte-identical to an uncancelled one, and per-shard
+progress flows from the Score stage to the caller's callback.
 
 Timing strategy: a blocking UDP (gated on a ``threading.Event``) proves
-non-blocking submission deterministically on the thread backend; the
-process backend uses a sleeping UDP (inherited by forked workers) where
-only *relative* durations matter.
+non-blocking submission deterministically — a UDP query always scores
+in the caller's driver thread; the process pool gets slow shards from a
+sleeping Score funnel (installed before the pool forks, so the workers
+inherit it) where only *relative* durations matter.
 """
 
 import threading
@@ -52,6 +53,24 @@ def _sleep_udp(values, slope):
     return 0.5
 
 
+@pytest.fixture
+def slow_shards(monkeypatch, shard_floor):
+    """One group per shard, each shard's Score block 20 ms slower.
+
+    Patched before the pool exists, so the forked workers run it too.
+    """
+    from repro.engine import parallel
+
+    real = parallel.solve_many
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "solve_many", slow)
+    shard_floor(1)
+
+
 class TestSubmitBasics:
     def test_submit_resolves_to_run_result(self):
         with ShapeSearch(_table()) as session:
@@ -65,7 +84,7 @@ class TestSubmitBasics:
             assert _sig(results) == _sig(reference)
             assert results.plan == reference.plan
 
-    def test_submit_returns_before_scoring_completes_thread_backend(self):
+    def test_submit_returns_before_scoring_completes_in_caller(self):
         gate = threading.Event()
         started = threading.Event()
 
@@ -78,28 +97,27 @@ class TestSubmitBasics:
             with temporary_udp("gate", blocking):
                 prepared = session.prepare("[p=udp:gate]", z="z", x="x", y="y")
                 future = prepared.submit(k=2)
-                # The driver is provably mid-scoring (a worker is parked
-                # on the gate) while the caller already holds the future.
+                # The driver is provably mid-scoring (parked on the gate)
+                # while the caller already holds the future.
                 assert started.wait(timeout=60)
                 assert not future.done()
                 gate.set()
                 results = future.result(timeout=60)
         assert len(results) > 0
 
-    def test_submit_returns_before_scoring_completes_process_backend(self):
-        with temporary_udp("sleepy", _sleep_udp):
-            with ShapeSearch(_table(groups=8), workers=2, backend="process") as session:
-                prepared = session.prepare("[p=udp:sleepy]", z="z", x="x", y="y")
-                submitted_at = time.perf_counter()
-                future = prepared.submit(k=2)
-                submit_cost = time.perf_counter() - submitted_at
-                done_immediately = future.done()
-                results = future.result(timeout=120)
-                total = time.perf_counter() - submitted_at
-                # Submission is instant relative to the execution it started.
-                assert submit_cost < total / 2
-                assert not done_immediately
-                assert len(results) > 0
+    def test_submit_returns_before_scoring_completes_process_backend(self, slow_shards):
+        with ShapeSearch(_table(groups=8), workers=2) as session:
+            prepared = session.prepare("[p=up][p=down]", z="z", x="x", y="y")
+            submitted_at = time.perf_counter()
+            future = prepared.submit(k=2)
+            submit_cost = time.perf_counter() - submitted_at
+            done_immediately = future.done()
+            results = future.result(timeout=120)
+            total = time.perf_counter() - submitted_at
+            # Submission is instant relative to the execution it started.
+            assert submit_cost < total / 2
+            assert not done_immediately
+            assert len(results) > 0
 
     def test_result_timeout_raises_and_keeps_running(self):
         gate = threading.Event()
@@ -119,10 +137,10 @@ class TestSubmitBasics:
                 gate.set()
                 assert len(future.result(timeout=60)) > 0
 
-    def test_progress_callback_fed_per_shard(self):
+    def test_progress_callback_fed_per_shard(self, shard_floor):
         events = []
-        with ShapeSearch(_table(groups=10), workers=2) as session:
-            session.engine.chunk_size = 1  # ten single-group shards
+        shard_floor(1)
+        with ShapeSearch(_table(groups=10), workers=3) as session:  # ten shards
             prepared = session.prepare("[p=up]", z="z", x="x", y="y")
             future = prepared.submit(k=3, progress=lambda c, t: events.append((c, t)))
             future.result(timeout=60)
@@ -132,12 +150,12 @@ class TestSubmitBasics:
         assert completed == sorted(completed)
         assert future.progress == (10, 10)
 
-    def test_raising_progress_callback_does_not_poison_search(self):
+    def test_raising_progress_callback_does_not_poison_search(self, shard_floor):
         def bad_progress(completed, total):
             raise RuntimeError("observer bug")
 
+        shard_floor(1)
         with ShapeSearch(_table(groups=6), workers=2) as session:
-            session.engine.chunk_size = 1
             prepared = session.prepare("[p=up]", z="z", x="x", y="y")
             future = prepared.submit(k=3, progress=bad_progress)
             results = future.result(timeout=60)
@@ -159,30 +177,23 @@ class TestSubmitBasics:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_cancel_multishard_then_rerun_byte_identical(self, backend):
+    def test_cancel_multishard_then_rerun_byte_identical(self, slow_shards):
         table = _table(groups=12)
-        with ShapeSearch(table, workers=2, backend=backend) as session:
-            session.engine.chunk_size = 1  # one shard per group
-            with temporary_udp("sleepy", _sleep_udp):
-                prepared = session.prepare("[p=udp:sleepy]", z="z", x="x", y="y")
-                future = prepared.submit(k=3)
-                while future.progress[0] < 1:  # let at least one shard land
-                    time.sleep(0.005)
-                assert future.cancel()
-                with pytest.raises(SearchCancelled):
-                    future.result(timeout=120)
-                assert future.cancelled()
-                # The pool is reusable and the rerun is byte-identical to
-                # an uncancelled execution on a fresh session.
-                rerun = prepared.run(k=3)
-                resubmitted = prepared.submit(k=3).result(timeout=120)
-        with ShapeSearch(table, workers=2, backend=backend) as fresh:
-            fresh.engine.chunk_size = 1
-            with temporary_udp("sleepy", _sleep_udp):
-                reference = fresh.prepare(
-                    "[p=udp:sleepy]", z="z", x="x", y="y"
-                ).run(k=3)
+        with ShapeSearch(table, workers=2) as session:
+            prepared = session.prepare("[p=up][p=down]", z="z", x="x", y="y")
+            future = prepared.submit(k=3)
+            while future.progress[0] < 1:  # let at least one shard land
+                time.sleep(0.005)
+            assert future.cancel()
+            with pytest.raises(SearchCancelled):
+                future.result(timeout=120)
+            assert future.cancelled()
+            # The pool is reusable and the rerun is byte-identical to an
+            # uncancelled execution on a fresh session.
+            rerun = prepared.run(k=3)
+            resubmitted = prepared.submit(k=3).result(timeout=120)
+        with ShapeSearch(table, workers=2) as fresh:
+            reference = fresh.prepare("[p=up][p=down]", z="z", x="x", y="y").run(k=3)
         assert _sig(rerun) == _sig(reference)
         assert _sig(resubmitted) == _sig(reference)
 
@@ -286,7 +297,6 @@ class TestSubmitMany:
     def test_cancelling_one_future_spares_the_rest(self):
         with temporary_udp("sleepy", _sleep_udp):
             with ShapeSearch(_table(groups=6), workers=2) as session:
-                session.engine.chunk_size = 1
                 futures = session.submit_many(
                     ["[p=udp:sleepy]", "[p=up]", "[p=down]"],
                     z="z", x="x", y="y", k=2,
@@ -441,7 +451,6 @@ class TestSubmitStorm:
             return 0.5
 
         with ShapeSearch(_table(groups=6), workers=2) as session:
-            session.engine.chunk_size = 1  # one shard per group
             warm = session.prepare("[p=up]", z="z", x="x", y="y")
             warm.run(k=2)  # builds the pool
             pools_before = dict(session.engine._pools)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.engine import collection as kernel
-from repro.engine.pipeline import generate_range, generate_trendlines
+from repro.engine.pipeline import generate_trendlines
 from repro.engine.pushdown import PushdownPlan
 
 from tests.conftest import same_key
@@ -131,13 +131,12 @@ def test_kernel_equals_per_group_oracle_bit_for_bit(case):
         expected = oracle.generate_pairs(table, params, normalize_y, plan)
         with mock.patch.object(kernel, "BLOCK_ELEMENTS", block):
             collection = generate_trendlines(table, params, normalize_y, plan)
-            # Worker-side ranges over any split are slices of that collection.
+            # Group-index ranges over any split are slices of that collection.
             bounds = [0] + sorted(cuts) + [len(KEYS) + 2]
-            ranged = [
-                pair
-                for start, end in zip(bounds, bounds[1:])
-                for pair in generate_range(table, params, normalize_y, plan, start, end)
-            ]
+            ranged = []
+            for start, end in zip(bounds, bounds[1:]):
+                part = kernel.build_collection(table, params, normalize_y, plan, range(start, end))
+                ranged += zip(part.groups.tolist(), part)
     got = list(zip(collection.groups.tolist(), collection))
     assert_same_pairs(expected, got)
     assert_same_pairs(got, ranged)

@@ -115,12 +115,18 @@ class TestShimEquivalence:
 
     @pytest.mark.parametrize("workers,backend", [(1, "thread"), (3, "thread"), (2, "process")])
     def test_execute_matches_run_across_backends(self, workers, backend):
+        # Two shims at once: the ignored ShapeSearch(backend=) keyword and
+        # execute().  Whatever backend the session names, its engine is
+        # the workers= one, and execute() equals run() on it.
         table = _table()
         query = parse("[p=up][p=down]")
-        with ShapeSearchEngine(workers=workers, backend=backend) as engine:
+        with pytest.warns(ShapeSearchDeprecationWarning, match="backend"):
+            session = ShapeSearch(table, workers=workers, backend=backend)
+        with session, ShapeSearchEngine(workers=workers) as plain:
+            assert session.engine.workers == workers
             with pytest.warns(ShapeSearchDeprecationWarning):
-                old = engine.execute(table, PARAMS, query, k=4)
-            new = engine.run(table, PARAMS, query, k=4)
+                old = session.engine.execute(table, PARAMS, query, k=4)
+            new = plain.run(table, PARAMS, query, k=4)
             assert _sig(old) == _sig(new)
 
     def test_execute_result_is_sequence_compatible(self):

@@ -3,8 +3,8 @@
 Guards the shard-merge tie-breaking in ``rank()``: top-k selection uses
 the total order *(score desc, candidate position asc)*, so the result
 must be identical across runs, across engine instances, and across any
-``workers=``/``chunk_size=`` configuration — including collections with
-exact score ties.
+worker count and sharding — including collections with exact score
+ties.
 """
 
 import numpy as np
@@ -75,13 +75,22 @@ class TestRunToRunDeterminism:
 
 
 class TestWorkerCountInvariance:
-    @pytest.mark.parametrize("workers,chunk_size", [(2, None), (3, 1), (4, 5), (4, 100)])
-    def test_parallel_matches_sequential(self, workers, chunk_size):
+    """``workers=N`` (process pool, shared memory) equals ``workers=1``.
+
+    The default floor keeps the 24 candidates one shard — the pool plan
+    runs it in the caller through the object path; a lowered floor cuts
+    them into shards that travel to the workers as position ranges.
+    """
+
+    @pytest.mark.parametrize("workers,floor", [(2, None), (3, 1), (4, 5), (4, 100)])
+    def test_parallel_matches_sequential(self, workers, floor, shard_floor):
+        shard_floor(floor)
         trendlines = _collection()
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=6)
-        with ShapeSearchEngine(workers=workers, chunk_size=chunk_size) as parallel:
-            shard_merged = parallel.rank(trendlines, QUERY, k=6)
+        with ShapeSearchEngine(workers=workers) as parallel:
+            shard_merged, stats = parallel.rank_with_stats(trendlines, QUERY, k=6)
         assert _signature(sequential) == _signature(shard_merged)
+        assert (stats.shards > 1) == (floor is not None and floor < len(trendlines))
 
     def test_workers_override_per_call(self):
         trendlines = _collection()
@@ -100,42 +109,51 @@ class TestWorkerCountInvariance:
         ]
 
 
+def _published(engine) -> int:
+    """How many collections ``engine`` put into shared memory."""
+    session = engine._shm_box[0]
+    return 0 if session is None else len(session._collections)
+
+
 class TestBackendInvariance:
-    """Thread, process+shm and process+pickling must agree byte-for-byte."""
+    """The process pool's transports agree with the caller byte-for-byte.
+
+    Shards travel as position ranges over a collection published once to
+    shared memory; a one-shard round publishes nothing and is scored in
+    the caller.  These cases pin which transport ran, not just the result.
+    """
 
     @pytest.mark.parametrize("shm", [True, False])
-    def test_process_backend_matches_sequential(self, shm):
+    def test_process_backend_matches_sequential(self, shm, shard_floor):
+        shard_floor(5 if shm else None)
         trendlines = _collection()
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=6)
-        with ShapeSearchEngine(workers=2, backend="process", shm=shm) as parallel:
+        with ShapeSearchEngine(workers=2) as parallel:
             shard_merged = parallel.rank(trendlines, QUERY, k=6)
+            assert _published(parallel) == (1 if shm else 0)
         assert _signature(sequential) == _signature(shard_merged)
 
-    @pytest.mark.parametrize("workers,chunk_size", [(2, 3), (3, 1), (4, 100)])
-    def test_shm_worker_count_invariance(self, workers, chunk_size):
+    @pytest.mark.parametrize("workers,floor", [(2, 3), (3, 1), (4, 100)])
+    def test_shm_worker_count_invariance(self, workers, floor, shard_floor):
+        shard_floor(floor)
         trendlines = _collection()
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=6)
-        with ShapeSearchEngine(
-            workers=workers, backend="process", chunk_size=chunk_size
-        ) as parallel:
+        with ShapeSearchEngine(workers=workers) as parallel:
             shard_merged = parallel.rank(trendlines, QUERY, k=6)
+            # A floor the 24 candidates cannot fill twice keeps them one shard.
+            assert _published(parallel) == (1 if 2 * floor <= len(trendlines) else 0)
         assert _signature(sequential) == _signature(shard_merged)
-
-    def test_thread_and_process_backends_agree(self):
-        trendlines = _collection()
-        with ShapeSearchEngine(workers=3, backend="thread") as threaded:
-            via_threads = threaded.rank(trendlines, QUERY, k=6)
-        with ShapeSearchEngine(workers=3, backend="process") as processed:
-            via_processes = processed.rank(trendlines, QUERY, k=6)
-        assert _signature(via_threads) == _signature(via_processes)
 
     def test_shm_pruning_path_matches_sequential(self):
+        # Collective pruning shards at one candidate, so even 30 cross the
+        # pool: the sampling and finishing passes both resolve the
+        # published collection.
         trendlines = _collection(count=30)
         sequential = ShapeSearchEngine(enable_pruning=True).rank(trendlines, QUERY, k=5)
-        with ShapeSearchEngine(
-            enable_pruning=True, workers=3, backend="process"
-        ) as parallel:
-            shard_merged = parallel.rank(trendlines, QUERY, k=5)
+        with ShapeSearchEngine(enable_pruning=True, workers=3) as parallel:
+            shard_merged, stats = parallel.rank_with_stats(trendlines, QUERY, k=5)
+            assert _published(parallel) == 1
+            assert stats.shards > 1
         assert [(m.key, m.score) for m in sequential] == [
             (m.key, m.score) for m in shard_merged
         ]
@@ -157,25 +175,26 @@ class TestTieBreaking:
         trendlines.insert(4, make_trendline(winner, key="winner"))
         return trendlines
 
-    @pytest.mark.parametrize("workers,chunk_size", [(2, 2), (3, 1), (4, 4)])
-    def test_ties_shard_invariant(self, workers, chunk_size):
+    @pytest.mark.parametrize("workers,floor", [(2, 2), (3, 1), (4, 4)])
+    def test_ties_shard_invariant(self, workers, floor, shard_floor):
+        shard_floor(floor)
         trendlines = self._tied_collection()
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=4)
-        with ShapeSearchEngine(workers=workers, chunk_size=chunk_size) as parallel:
+        with ShapeSearchEngine(workers=workers) as parallel:
             shard_merged = parallel.rank(trendlines, QUERY, k=4)
         assert _signature(sequential) == _signature(shard_merged)
 
-    @pytest.mark.parametrize("workers,chunk_size", [(2, 2), (3, 1)])
-    def test_ties_survive_shm_transport(self, workers, chunk_size):
+    @pytest.mark.parametrize("workers,floor", [(2, 2), (3, 1)])
+    def test_ties_survive_shm_transport(self, workers, floor, shard_floor):
         # Byte-identical duplicates cross process and shared-memory
         # boundaries; the (score desc, position asc) order must still pick
         # the earliest input positions.
+        shard_floor(floor)
         trendlines = self._tied_collection()
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=4)
-        with ShapeSearchEngine(
-            workers=workers, backend="process", chunk_size=chunk_size
-        ) as parallel:
+        with ShapeSearchEngine(workers=workers) as parallel:
             shard_merged = parallel.rank(trendlines, QUERY, k=4)
+            assert _published(parallel) == 1
         assert _signature(sequential) == _signature(shard_merged)
 
     def test_tied_selection_prefers_earlier_candidates(self):

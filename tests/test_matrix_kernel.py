@@ -342,20 +342,18 @@ class TestEngineKernelOption:
         with ShapeSearchEngine(algorithm="dp", kernel="matrix") as matrix_engine:
             assert self._signature(matrix_engine.rank(trendlines, compiled, k=5)) == expected
 
-    @pytest.mark.parametrize("workers,backend,shm", [
-        (2, "thread", True),
-        (3, "thread", True),
-        (2, "process", True),
-        (2, "process", False),
-    ])
-    def test_kernels_identical_any_worker_count_and_transport(self, workers, backend, shm):
+    @pytest.mark.parametrize("workers,floor", [(2, None), (3, 2)])
+    def test_kernels_identical_any_worker_count_and_transport(
+        self, workers, floor, shard_floor
+    ):
+        # The default floor keeps the collection one shard (the object
+        # path, in the caller); floor 2 sends shards over shared memory.
+        shard_floor(floor)
         trendlines = self._trendlines()
         compiled = compile_query(q.concat(q.up(), q.down(), q.up()))
         with ShapeSearchEngine(algorithm="dp", kernel="loop") as oracle:
             expected = self._signature(oracle.rank(trendlines, compiled, k=5))
-        with ShapeSearchEngine(
-            algorithm="dp", kernel="matrix", workers=workers, backend=backend, shm=shm
-        ) as engine:
+        with ShapeSearchEngine(algorithm="dp", kernel="matrix", workers=workers) as engine:
             assert self._signature(engine.rank(trendlines, compiled, k=5)) == expected
 
 

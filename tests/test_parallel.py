@@ -7,15 +7,14 @@ from repro.algebra import builder as q
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.engine.chains import compile_query
-from repro.engine.executor import ExecutionStats, ShapeSearchEngine
+from repro.engine.executor import ShapeSearchEngine
 from repro.engine.parallel import (
-    BACKENDS,
-    ParallelEngine,
     WorkerPool,
     default_workers,
+    dispatch_score_ranges,
+    dispatch_score_shards,
     make_range_chunks,
     merge_shard_results,
-    parallel_rank_items,
     score_shard,
 )
 from repro.errors import ExecutionError
@@ -35,8 +34,8 @@ def _collection(count=12, seed=5, points=30):
 
 class TestChunking:
     def test_chunks_cover_collection_in_order(self):
-        ranges = make_range_chunks(10, workers=3, chunk_size=4)
-        assert [start for start, _ in ranges] == [0, 4, 8]
+        ranges = make_range_chunks(10, workers=3, floor=3)
+        assert [start for start, _ in ranges] == [0, 3, 6]
         assert [i for start, end in ranges for i in range(start, end)] == list(range(10))
 
     def test_default_chunk_size_scales_with_workers(self):
@@ -46,10 +45,6 @@ class TestChunking:
 
     def test_empty_collection(self):
         assert make_range_chunks(0, workers=4) == []
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ExecutionError):
-            make_range_chunks(4, workers=2, chunk_size=0)
 
 
 class TestShardScoring:
@@ -70,7 +65,7 @@ class TestShardScoring:
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=5)
         shards = [
             score_shard(trendlines[start:end], start, QUERY, k=5)
-            for start, end in make_range_chunks(20, workers=4, chunk_size=3)
+            for start, end in make_range_chunks(20, workers=4, floor=3)
         ]
         merged = merge_shard_results(shards, k=5)
         merged_sorted = sorted(merged, key=lambda item: (-item[0], str(item[2].key)))
@@ -78,7 +73,7 @@ class TestShardScoring:
             (tl.key, score) for score, _, tl, _ in merged_sorted
         ]
 
-    def test_eager_discard_counted_in_shards(self):
+    def test_eager_discard_counted_in_shards(self, shard_floor):
         # k=1 fills each shard-local heap immediately, so the floor-aware
         # eager check can skip the contradicted falling candidates.
         pinned = compile_query(q.concat(q.up(x_start=0, x_end=20), q.down()))
@@ -93,25 +88,15 @@ class TestShardScoring:
                 make_trendline(np.linspace(9, 0, 30), key="fall{}-{}".format(shard_index, i))
                 for i in range(3)
             )
-        stats = ExecutionStats()
-        pool = WorkerPool(workers=2)
-        try:
-            parallel_rank_items(collection, pinned, 1, pool, chunk_size=4, stats=stats)
-        finally:
-            pool.shutdown()
+        shard_floor(4)
+        with ShapeSearchEngine(workers=2) as engine:
+            _, stats = engine.rank_with_stats(collection, pinned, k=1)
         assert stats.eager_discarded >= 2
         assert stats.scored + stats.eager_discarded == 8
         assert stats.shards == 2
 
 
 class TestWorkerPool:
-    def test_backends_constant(self):
-        assert set(BACKENDS) == {"thread", "process"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExecutionError):
-            WorkerPool(workers=2, backend="fiber")
-
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ExecutionError):
             WorkerPool(workers=0)
@@ -145,72 +130,64 @@ class TestWorkerPool:
         finalizer = pool._finalizer
         assert finalizer.alive
         finalizer()  # what gc / interpreter exit runs
-        assert executor._shutdown
+        assert executor._shutdown_thread
 
 
 class TestProcessBackend:
     def test_process_results_match_sequential(self):
         trendlines = _collection(10)
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=4)
-        with ShapeSearchEngine(workers=2, backend="process") as engine:
+        with ShapeSearchEngine(workers=2) as engine:
             parallel = engine.rank(trendlines, QUERY, k=4)
         assert [(m.key, m.score) for m in sequential] == [
             (m.key, m.score) for m in parallel
         ]
 
     def test_shm_and_pickling_transports_agree(self):
-        trendlines = _collection(12)
-        sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=5)
-        with ShapeSearchEngine(workers=2, backend="process", shm=True) as engine:
-            via_shm = engine.rank(trendlines, QUERY, k=5)
-        with ShapeSearchEngine(workers=2, backend="process", shm=False) as engine:
-            via_pickle = engine.rank(trendlines, QUERY, k=5)
-        signatures = [
-            [(m.key, m.score) for m in matches]
-            for matches in (sequential, via_shm, via_pickle)
-        ]
-        assert signatures[0] == signatures[1] == signatures[2]
+        # The pool's two transports over the same shards: position ranges
+        # into the published collection, and pickled trendlines (the
+        # object path of rounds that publish nothing).
+        from repro.engine.shm import ShmSession
 
-    def test_shm_transport_aggregates_stats(self):
         trendlines = _collection(12)
-        with ShapeSearchEngine(workers=2, backend="process", chunk_size=3) as engine:
+        ranges = make_range_chunks(12, workers=2, floor=3)
+        with WorkerPool(workers=2) as pool, ShmSession() as session:
+            handle, query_ref = session.acquire(trendlines, QUERY)
+            via_shm = dispatch_score_ranges(handle, query_ref, 5, pool, ranges)
+            via_pickle = dispatch_score_shards(trendlines, QUERY, 5, pool, ranges)
+        signatures = [
+            [(score, position, tl.key) for score, position, tl, _ in merge_shard_results(shards, 5)]
+            for shards in (via_shm, via_pickle)
+        ]
+        sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=5)
+        assert signatures[0] == signatures[1]
+        assert [(m.key, m.score) for m in sequential] == [
+            (key, score) for score, _, key in signatures[0]
+        ]
+
+    def test_shm_transport_aggregates_stats(self, shard_floor):
+        shard_floor(3)
+        trendlines = _collection(12)
+        with ShapeSearchEngine(workers=2) as engine:
             _, stats = engine.rank_with_stats(trendlines, QUERY, k=4)
         assert stats.shards == 4
         assert stats.scored + stats.eager_discarded == 12
 
+    def test_pool_starts_at_the_first_parallel_stage(self):
+        # Four candidates are one shard, scored in the caller — but the
+        # pool the plan asked for is up, so no later query pays the fork.
+        with ShapeSearchEngine(workers=2) as engine:
+            _, stats = engine.rank_with_stats(_collection(4), QUERY, k=2)
+            assert stats.shards == 1
+            (pool,) = engine._pools.values()
+            assert len(pool._pool._processes) == 2
+
     def test_shm_process_pool_uses_worker_init(self):
-        with ShapeSearchEngine(workers=2, backend="process") as engine:
+        with ShapeSearchEngine(workers=2) as engine:
             pool = engine._resolve_pool(None)
             from repro.engine.shm import worker_init
 
             assert pool.initializer is worker_init
-        with ShapeSearchEngine(workers=2, backend="process", shm=False) as engine:
-            assert engine._resolve_pool(None).initializer is None
-
-    def test_thread_pool_never_gets_process_initializer(self):
-        with ShapeSearchEngine(workers=2, backend="thread") as engine:
-            assert engine._resolve_pool(None).initializer is None
-
-
-class TestParallelEngine:
-    def test_defaults(self):
-        engine = ParallelEngine()
-        assert engine.workers == default_workers()
-        assert engine.cache is not None
-        engine.close()
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ExecutionError):
-            ParallelEngine(backend="gpu")
-
-    def test_end_to_end_matches_sequential(self):
-        trendlines = _collection(15)
-        sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=5)
-        with ParallelEngine(workers=3, chunk_size=4) as engine:
-            parallel = engine.rank(trendlines, QUERY, k=5)
-        assert [(m.key, m.score) for m in sequential] == [
-            (m.key, m.score) for m in parallel
-        ]
 
 
 class TestExecuteMany:
@@ -297,3 +274,39 @@ class TestExtractedHint:
         _, stats = engine.rank_with_stats(trendlines, QUERY, k=2, extracted_hint=0)
         assert stats.extracted == 0
         assert stats.candidates == 4
+
+
+class TestUdpPlans:
+    """A UDP lives in this process's registry: its queries score in the caller."""
+
+    @staticmethod
+    def _table(groups=80, points=40):
+        rng = np.random.default_rng(21)
+        return Table.from_arrays(
+            z=np.repeat(np.array(["g{:02d}".format(g) for g in range(groups)], dtype=object), points),
+            x=np.tile(np.arange(points, dtype=float), groups),
+            y=rng.normal(0, 1, (groups, points)).cumsum(axis=1).ravel(),
+        )
+
+    @pytest.mark.parametrize(
+        "query", ["[p=udp:late]", "[p=up][p=[p=udp:late][p=down]]"]
+    )
+    def test_udp_registered_after_the_pool_started(self, query):
+        from repro import ShapeSearch, temporary_udp
+
+        table = self._table()
+        with ShapeSearch(table, workers=2) as session:
+            session.prepare("[p=up]", z="z", x="x", y="y").run(k=3)  # 80: two shards
+            pools = dict(session.engine._pools)
+            assert [pool._pool is not None for pool in pools.values()] == [True]
+            with temporary_udp("late", lambda values, slope: float(np.tanh(slope))):
+                prepared = session.prepare(query, z="z", x="x", y="y")
+                plan = prepared.explain_plan(k=3)
+                got = prepared.run(k=3)
+                with ShapeSearch(table) as sequential:
+                    expected = sequential.prepare(query, z="z", x="x", y="y").run(k=3)
+            assert "Score[sequential] workers=1 reason=udp" in plan.splitlines()[-2]
+            assert "reason" not in expected.plan  # workers=1 overrides nothing
+            assert got.plan == plan
+            assert [(m.key, m.score) for m in got] == [(m.key, m.score) for m in expected]
+            assert session.engine._pools == pools  # no pool for the UDP query

@@ -1,7 +1,7 @@
 """Cross-check: explain_plan names exactly the stages the stats report.
 
-Satellite contract of the API redesign: for every backend × generation ×
-kernel combination, the pre-run ``explain_plan`` text, the post-run
+Satellite contract of the API redesign: for every worker count × kernel
+combination, the pre-run ``explain_plan`` text, the post-run
 ``ResultSet.plan`` text, and the post-run ``ExecutionStats`` must tell
 one consistent story — the planner's choice is what actually executed.
 """
@@ -48,15 +48,11 @@ def parse_stages(plan_text):
 
 
 @pytest.mark.parametrize("kernel", ["matrix", "loop"])
-@pytest.mark.parametrize("generation", ["parent", "worker", "auto"])
-@pytest.mark.parametrize("backend,workers", [
-    ("thread", 1), ("thread", 3), ("process", 2),
-])
-def test_plan_names_the_stages_stats_report(backend, workers, generation, kernel):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_plan_names_the_stages_stats_report(workers, kernel, shard_floor):
+    shard_floor(2)  # eight groups: several shards on the pool
     table = _table()
-    with ShapeSearchEngine(
-        workers=workers, backend=backend, generation=generation, kernel=kernel
-    ) as engine:
+    with ShapeSearchEngine(workers=workers, kernel=kernel) as engine:
         planned = engine.explain_plan(table, PARAMS, QUERY, k=3)
         results = engine.run(table, PARAMS, QUERY, k=3)
         stats = results.stats
@@ -70,29 +66,17 @@ def test_plan_names_the_stages_stats_report(backend, workers, generation, kernel
         modes = dict(stages)
 
         # Extract/Group[mode] is exactly ExecutionStats.generation.
-        assert modes["Extract/Group"] == stats.generation
+        assert modes["Extract/Group"] == stats.generation == "parent"
+        assert modes["ScanTable"] == "in-process"
 
-        # Score[mode] vs the shard accounting at the MergeTopK rendezvous.
-        score_mode = modes["Score"]
-        if score_mode == "sequential":
-            assert workers == 1
+        # Score[mode] follows the worker count alone, and agrees with the
+        # shard accounting at the MergeTopK rendezvous.
+        if workers == 1:
+            assert modes["Score"] == "sequential"
             assert stats.shards == 0  # single in-process shard, not counted
         else:
-            assert workers > 1
-            assert stats.shards >= 1
-        if score_mode == "worker-generate":
-            assert stats.generation == "worker"
-        else:
-            assert stats.generation == "parent"
-
-        # ScanTable[shared-memory] appears exactly when worker-side
-        # generation needs the table published (process backend).
-        expected_scan = (
-            "shared-memory"
-            if stats.generation == "worker" and backend == "process"
-            else "in-process"
-        )
-        assert modes["ScanTable"] == expected_scan
+            assert modes["Score"] == "shared-memory"
+            assert stats.shards > 1
 
         # Every candidate is accounted for by the Score stage counters.
         assert stats.scored + stats.eager_discarded == stats.candidates
@@ -140,10 +124,8 @@ _INDEX_DETAIL = re.compile(
 )
 
 
-@pytest.mark.parametrize("backend,workers", [
-    ("thread", 1), ("thread", 3), ("process", 2),
-])
-def test_index_plan_reports_the_rounds_stats_count(backend, workers):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_index_plan_reports_the_rounds_stats_count(workers):
     # 40 smooth 24-bin series (two pyramid levels), a few genuine hits:
     # the plan promises an IndexPrune stage, the run fills in where the
     # index came from, how many rounds Score drew and how many rows each
@@ -159,7 +141,7 @@ def test_index_plan_reports_the_rounds_stats_count(backend, workers):
     table = Table.from_arrays(
         z=np.array(zs, dtype=object), x=np.array(xs, dtype=float), y=np.array(ys)
     )
-    with ShapeSearchEngine(index=True, backend=backend, workers=workers) as engine:
+    with ShapeSearchEngine(index=True, workers=workers) as engine:
         planned = engine.explain_plan(table, PARAMS, QUERY, k=3)
         assert "IndexPrune[pyramid] k=3\n" in planned
         results = engine.run(table, PARAMS, QUERY, k=3)

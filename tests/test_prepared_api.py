@@ -219,11 +219,10 @@ class TestFromArrays:
 
     def test_engine_options_are_not_swallowed_as_columns(self):
         session = ShapeSearch.from_arrays(
-            backend="process", workers=2, cache=True, kernel="loop", **self._arrays()
+            workers=2, cache=True, kernel="loop", **self._arrays()
         )
         try:
             assert list(session.table.column_names) == ["z", "x", "y"]
-            assert session.engine.backend == "process"
             assert session.engine.workers == 2
             assert session.engine.cache is not None
             assert session.engine.kernel == "loop"

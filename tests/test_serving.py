@@ -651,9 +651,6 @@ class TestServerEndToEnd:
         columns = _columns()
         with _serving() as (handle, client):
             fingerprint = client.publish_columns(**columns)
-            # One shard per group so progress frames are guaranteed.
-            session = handle.app.registry.get(fingerprint)
-            session.engine.chunk_size = 1
 
             gate = threading.Event()
 

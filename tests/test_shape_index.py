@@ -3,7 +3,7 @@
 The index (:mod:`repro.engine.shape_index`) is a pure accelerator — the
 IndexPrune stage may only discard candidates that provably cannot reach
 the running top-k floor, so an indexed search must return byte-identical
-results to an unindexed one for every backend, kernel, worker count and
+results to an unindexed one for every kernel, worker count and
 transport.  These tests pin that contract, the append-extension reuse
 path (extended index == fresh build, bit for bit), the visible
 full-scan fallbacks, and the opt-in ``precision="float32"`` mode that
@@ -191,17 +191,11 @@ class TestIndexIdentity:
         assert index_supports(engine.compile(query))
         assert engine.last_stats.index_candidates == count
 
-    @pytest.mark.parametrize(
-        "workers,backend,shm",
-        [(2, "thread", True), (3, "thread", True), (2, "process", True),
-         (2, "process", False)],
-    )
-    def test_parallel_identity(self, workers, backend, shm):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_identity(self, workers):
         trendlines = _smooth_collection()
         full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
-        with ShapeSearchEngine(
-            workers=workers, backend=backend, shm=shm, index=True
-        ) as engine:
+        with ShapeSearchEngine(workers=workers, index=True) as engine:
             indexed = engine.rank(trendlines, UP_DOWN, k=5)
             assert _signature(full) == _signature(indexed)
             assert engine.last_stats.index_pruned > 0
@@ -216,7 +210,7 @@ class TestIndexIdentity:
         index = ShapeIndex.build(trendlines)
         compiled = ShapeSearchEngine().compile(UP_DOWN)
         full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
-        with ShapeSearchEngine(workers=2, backend="process", index=True) as engine:
+        with ShapeSearchEngine(workers=2, index=True) as engine:
             engine.rank(trendlines, UP_DOWN, k=5)
             assert engine.last_stats.index_bounds == "inline"
             monkeypatch.setattr(pipeline, "INDEX_DISPATCH_MIN", 40)
@@ -271,17 +265,13 @@ class TestIndexIdentity:
         assert len(state) == 1  # one index key, reused across runs
 
 
-#: The four plans an indexed query can run on.  ``chunk_size`` cuts the
-#: small test collections' rounds into several shards, so the pooled
-#: plans really cross their transport instead of taking the one-shard
-#: in-caller path.
+#: The two plans an indexed query can run on: ``(engine options, shard
+#: floor)``.  The lowered floor cuts the small test collections' rounds
+#: into several shards, so the pooled plan really crosses its transport
+#: instead of taking the one-shard in-caller path.
 PLANS = {
-    "sequential": {},
-    "thread": {"workers": 3, "backend": "thread", "chunk_size": 5},
-    "process-shm": {"workers": 2, "backend": "process", "chunk_size": 5},
-    "process-pickle": {
-        "workers": 2, "backend": "process", "shm": False, "chunk_size": 5,
-    },
+    "sequential": ({}, None),
+    "process-shm": ({"workers": 2}, 5),
 }
 
 
@@ -343,10 +333,13 @@ class TestWorkDoneOnce:
         # is the unindexed full scan's, the work the reference loop's.)
         trendlines = suite_trendlines(suite, max_visualizations=80, max_length=90)
         log = tmp_path / "solved.log"
-        with ShapeSearchEngine(index=True, **PLANS[plan]) as engine:
+        options, floor = PLANS[plan]
+        with ShapeSearchEngine(index=True, **options) as engine:
             for text in SUITES[suite].fuzzy_queries:
                 compiled = engine.compile(parse(text))
                 _solve_log(monkeypatch, log)
+                if floor is not None:
+                    monkeypatch.setattr(parallel, "SHARD_FLOOR", floor)
                 log.write_text("")
                 result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
                 monkeypatch.undo()
@@ -355,12 +348,12 @@ class TestWorkDoneOnce:
                 )
 
     def test_default_sharding_solves_once_over_the_pool(self, monkeypatch, tmp_path):
-        # No chunk_size: the 200 tied hits go out in rounds of 16, 32, 64
+        # The default floor: the 200 tied hits go out in rounds of 16, 32, 64
         # and 88 — the first two run in the caller, the last two are two
         # kernel blocks each, so the default rule hands each worker one.
         trendlines = _smooth_collection(count=400, hit_every=2)
         log = tmp_path / "solved.log"
-        with ShapeSearchEngine(index=True, workers=2, backend="process") as engine:
+        with ShapeSearchEngine(index=True, workers=2) as engine:
             compiled = engine.compile(UP_DOWN)
             _solve_log(monkeypatch, log)
             result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
@@ -375,7 +368,7 @@ class TestWorkDoneOnce:
     def test_repeat_runs_publish_the_collection_once(self):
         # 200 tied hits: the third round (64) is the first to cross the pool.
         trendlines = _smooth_collection(count=400, hit_every=2)
-        with ShapeSearchEngine(index=True, workers=2, backend="process") as engine:
+        with ShapeSearchEngine(index=True, workers=2) as engine:
             compiled = engine.compile(UP_DOWN)
             engine.rank(trendlines, compiled, k=5)
             session = engine._shm_session()
@@ -403,7 +396,7 @@ class TestWorkDoneOnce:
         precision = options.get("precision", "float64")
         full = ShapeSearchEngine(precision=precision).run(table, PARAMS, UP_DOWN, k=5)
         with ShapeSearchEngine(
-            index=True, workers=2, backend="process", **options
+            index=True, workers=2, **options
         ) as engine:
             for _ in range(3):
                 indexed = engine.run(table, PARAMS, UP_DOWN, k=5)
@@ -413,7 +406,7 @@ class TestWorkDoneOnce:
             assert len(engine._shm_session()._collections) == published
 
     def test_generated_collection_is_published_once(self, monkeypatch):
-        # scale_scan's shape: a cached, indexed process-backend engine
+        # scale_scan's shape: a cached, indexed two-worker engine
         # asked many (shape, y, k) combinations over one table.  Each y
         # column is one generated Collection; its Trendline views are the
         # same objects on every run, so the session's identity witness
@@ -433,7 +426,7 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(shm, "publish_trendlines", counting)
         queries = [UP_DOWN, q.concat(q.down(), q.up()), q.concat(q.up(), q.down(), q.up())]
         with ShapeSearchEngine(
-            index=True, cache=True, workers=2, backend="process"
+            index=True, cache=True, workers=2
         ) as engine:
             for _sweep in range(2):
                 for y in ("y", "y2"):

@@ -38,6 +38,27 @@ def _signature(matches):
     return [(m.key, m.score) for m in matches]
 
 
+def _groups_table(seed: int, groups: int = 4, **extra) -> Table:
+    """``groups`` random-walk series of 20 points under z/x/y."""
+    rng = np.random.default_rng(seed)
+    zs, xs, ys = [], [], []
+    for g in range(groups):
+        for i, v in enumerate(rng.normal(0, 1, 20).cumsum()):
+            zs.append("g{}".format(g))
+            xs.append(float(i))
+            ys.append(float(v))
+    return Table.from_arrays(
+        z=np.array(zs, dtype=object), x=np.array(xs), y=np.array(ys), **extra
+    )
+
+
+def _publish_table(session, table, base=None):
+    """Publish ``table`` the way the streaming tail does; drop the pins."""
+    handle, _query_ref, pinned = session.acquire_append(table, base, QUERY)
+    session.unpin(*pinned)
+    return handle
+
+
 class TestCollectionRoundtrip:
     def test_attach_reconstructs_identical_trendlines(self):
         trendlines = _collection()
@@ -112,7 +133,7 @@ class TestWorkerResolution:
         try:
             handle = session.collection_handle(trendlines)
             query_ref = session.query_handle(QUERY)
-            ranges = make_range_chunks(len(handle), workers=3, chunk_size=4)
+            ranges = make_range_chunks(len(handle), workers=3, floor=4)
             shards = [
                 score_shard_range(handle, range(start, end), query_ref, 4)
                 for start, end in ranges
@@ -166,8 +187,8 @@ class TestWorkerResolution:
 
 class TestRangeChunks:
     def test_ranges_cover_count_in_order(self):
-        ranges = make_range_chunks(10, workers=3, chunk_size=4)
-        assert ranges == [(0, 4), (4, 8), (8, 10)]
+        ranges = make_range_chunks(10, workers=3, floor=3)
+        assert ranges == [(0, 3), (3, 6), (6, 10)]
 
     @pytest.mark.parametrize("floor", [1, 32, 256])
     def test_default_rule_never_cuts_below_the_floor(self, floor):
@@ -188,15 +209,12 @@ class TestRangeChunks:
                 blocks = [size // floor for size in sizes]
                 assert max(blocks) - min(blocks) <= 1
 
-    def test_explicit_chunk_size_overrides_the_floor(self):
-        assert make_range_chunks(10, workers=3, chunk_size=4, floor=32) == [
-            (0, 4), (4, 8), (8, 10)
-        ]
-
     def test_empty_and_invalid(self):
         assert make_range_chunks(0, workers=4) == []
-        with pytest.raises(ExecutionError):
-            make_range_chunks(5, workers=2, chunk_size=0)
+        # A floor below one kernel candidate is one candidate.
+        assert make_range_chunks(5, workers=2, floor=0) == make_range_chunks(
+            5, workers=2, floor=1
+        )
 
 
 class TestQueryHandle:
@@ -266,8 +284,8 @@ class TestTableExport:
         table = self._table()
         session = shm.ShmSession()
         try:
-            first = session.table_handle(table)
-            second = session.table_handle(table)
+            first = _publish_table(session, table)
+            second = _publish_table(session, table)
             assert first is second
             assert shm.resolve_table(first) is table  # publisher short-circuit
         finally:
@@ -332,9 +350,10 @@ class TestBoundedResidency:
         finally:
             session.close()
 
-    def test_mutated_collection_end_to_end(self):
+    def test_mutated_collection_end_to_end(self, shard_floor):
+        shard_floor(2)  # several shards: the published collection is used
         trendlines = _collection(count=8)
-        with ShapeSearchEngine(workers=2, backend="process") as engine:
+        with ShapeSearchEngine(workers=2) as engine:
             engine.rank(trendlines, QUERY, k=3)
             trendlines.insert(
                 0, make_trendline(np.linspace(0.0, 9.0, 40), key="late-add")
@@ -447,10 +466,10 @@ class TestSessionLifecycle:
 
 
 class TestEngineIntegration:
-    def test_engine_close_releases_session(self):
+    def test_engine_close_releases_session(self, shard_floor):
+        shard_floor(4)  # two shards, so the collection is published
         trendlines = _collection(count=8)
-        # chunk_size: eight candidates are one shard, scored in the caller.
-        engine = ShapeSearchEngine(workers=2, backend="process", chunk_size=4)
+        engine = ShapeSearchEngine(workers=2)
         engine.rank(trendlines, QUERY, k=3)
         session = engine._shm_box[0]
         assert session is not None and not session.closed
@@ -458,15 +477,16 @@ class TestEngineIntegration:
         assert session.closed
         engine.close()  # idempotent
 
-    def test_engine_finalizer_releases_session(self):
+    def test_engine_finalizer_releases_session(self, shard_floor):
+        shard_floor(4)
         trendlines = _collection(count=8)
-        engine = ShapeSearchEngine(workers=2, backend="process", chunk_size=4)
+        engine = ShapeSearchEngine(workers=2)
         engine.rank(trendlines, QUERY, k=3)
         session = engine._shm_box[0]
         engine._finalizer()  # what gc / interpreter exit runs
         assert session.closed
 
-    def test_trendline_cache_eviction_releases_segment(self):
+    def test_trendline_cache_eviction_releases_segment(self, shard_floor):
         from repro.engine.cache import EngineCache, LRUCache
 
         cache = EngineCache(trendlines=LRUCache(capacity=1), plans=LRUCache(capacity=8))
@@ -487,9 +507,8 @@ class TestEngineIntegration:
             )
         params = VisualParams(z="z", x="x", y="y")
         node = q.concat(q.up(), q.down())
-        with ShapeSearchEngine(
-            workers=2, backend="process", cache=cache, chunk_size=2
-        ) as engine:
+        shard_floor(1)
+        with ShapeSearchEngine(workers=2, cache=cache) as engine:
             engine.run(tables[0], params, node, k=2)
             session = engine._shm_box[0]
             published_before = len(session._collections)
@@ -498,12 +517,14 @@ class TestEngineIntegration:
             assert len(session._collections) == published_before  # released + added
 
     def test_shm_disabled_still_correct(self):
+        # Ten candidates are one shard at the default floor: the round is
+        # scored in the caller and shared memory is never engaged.
         trendlines = _collection(count=10)
         sequential = ShapeSearchEngine().rank(trendlines, QUERY, k=4)
-        with ShapeSearchEngine(workers=2, backend="process", shm=False) as engine:
-            pickled = engine.rank(trendlines, QUERY, k=4)
+        with ShapeSearchEngine(workers=2) as engine:
+            in_caller = engine.rank(trendlines, QUERY, k=4)
             assert engine._shm_box[0] is None  # transport never engaged
-        assert _signature(sequential) == _signature(pickled)
+        assert _signature(sequential) == _signature(in_caller)
 
 
 class TestAttachFailureLifecycle:
@@ -615,3 +636,122 @@ class TestAttachFailureLifecycle:
         finally:
             segment.close()
             segment.unlink()
+
+
+class TestStreamingSegments:
+    """Table publishing for the streaming tail (``acquire_append``)."""
+
+    def test_tuple_keys_roundtrip_shared_table(self):
+        """Composite (tuple) group keys survive the pickled export 1-D."""
+        keys = [("a", 1), ("a", 1), ("b", 2)]
+        z = np.empty(len(keys), dtype=object)
+        for i, key in enumerate(keys):  # np.array would split tuples 2-D
+            z[i] = key
+        table = Table.from_arrays(
+            z=z, x=np.array([0.0, 1.0, 0.0]), y=np.array([1.0, 2.0, 3.0])
+        )
+        handle, segment = shm.publish_table(table)
+        try:
+            rebuilt, attachment = shm.attach_table(handle)
+            column = rebuilt.column("z")
+            assert column.shape == (3,)
+            assert column.tolist() == [("a", 1), ("a", 1), ("b", 2)]
+            assert [key for key, _rows in rebuilt.group_by("z")] == [
+                ("a", 1), ("b", 2),
+            ]
+            attachment.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_unrelated_columns_not_published(self, shard_floor):
+        """The tail ships only the columns the query reads.
+
+        An object column the query never touches may hold values that do
+        not pickle (and generation never looks at them); publishing must
+        neither copy nor serialize it.
+        """
+        from repro.api import ShapeSearch
+
+        table = _groups_table(18, groups=6)
+        unpicklable = np.empty(len(table), dtype=object)
+        for i in range(len(table)):
+            unpicklable[i] = lambda: None  # lambdas cannot pickle
+        table = Table.from_shared(
+            {**{name: table.column(name) for name in table.column_names},
+             "meta": unpicklable}
+        )
+        shard_floor(1)  # the workers attach the published table
+        with ShapeSearch(table) as sequential, ShapeSearch(table, workers=2) as pooled:
+            expected = sequential.tail("[p=up][p=down]", z="z", x="x", y="y", k=4)
+            got = pooled.tail("[p=up][p=down]", z="z", x="x", y="y", k=4)
+            assert got.results.stats.shards > 1
+            (published,) = pooled.engine._shm_session()._tables.values()
+            assert [name for name, *_rest in published.columns] == ["z", "x", "y"]
+            assert _signature(got.results) == _signature(expected.results)
+
+    def test_subset_publish_manifest(self):
+        table = Table.from_arrays(
+            z=np.array(["a", "a"], dtype=object),
+            x=np.array([0.0, 1.0]),
+            y=np.array([1.0, 2.0]),
+            extra=np.array([9.0, 9.0]),
+        )
+        handle, segment = shm.publish_table(table, columns=("z", "x", "y"))
+        try:
+            assert [name for name, *_rest in handle.columns] == ["z", "x", "y"]
+            assert handle.token != handle.fingerprint  # subset-keyed
+            rebuilt, attachment = shm.attach_table(handle)
+            assert rebuilt.column_names == ["z", "x", "y"]
+            attachment.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_repinned_evictions_defer_every_generation(self):
+        """Evict → republish → evict of one fingerprint while pinned must
+        park (and eventually unlink) *both* segments, not leak the first."""
+        session = shm.ShmSession()
+        try:
+            table = _groups_table(16, groups=3)
+            fingerprint_handle = _publish_table(session, table)
+            fingerprint = fingerprint_handle.fingerprint
+            session.pin(fingerprint_handle)
+            session.pin(fingerprint_handle)  # two dispatches in flight
+
+            def evict_all_tables():
+                filler = _groups_table(17, groups=2)
+                for step in range(shm.ShmSession.MAX_TABLES):
+                    _publish_table(session, filler)
+                    filler = filler.append_rows(
+                        [{"z": "f{}".format(step), "x": 0.0, "y": 1.0},
+                         {"z": "f{}".format(step), "x": 1.0, "y": 2.0}]
+                    )
+
+            evict_all_tables()  # parks generation 1
+            _publish_table(session, table)  # republish same fingerprint
+            evict_all_tables()  # parks generation 2
+            assert len(session._deferred.get(fingerprint, [])) == 2
+            session.unpin(fingerprint_handle)
+            assert len(session._deferred.get(fingerprint, [])) == 2  # still pinned
+            session.unpin(fingerprint_handle)
+            assert fingerprint not in session._deferred  # both unlinked
+        finally:
+            session.close()
+
+    def test_streaming_appends_recycle_table_segments(self):
+        """A fingerprint-churning append loop must not grow /dev/shm."""
+        session = shm.ShmSession()
+        try:
+            table, base = _groups_table(14, groups=4), None
+            for step in range(shm.ShmSession.MAX_TABLES + 3):
+                _publish_table(session, table, base)
+                table, base = table.append_rows(
+                    [{"z": "x{}".format(step), "x": 0.0, "y": 1.0},
+                     {"z": "x{}".format(step), "x": 1.0, "y": 2.0}]
+                ), table
+            assert len(session._tables) <= shm.ShmSession.MAX_TABLES
+            # Every segment is a table (full export or delta) but the query's.
+            assert len(session._segments) <= shm.ShmSession.MAX_TABLES + 1
+        finally:
+            session.close()

@@ -30,6 +30,13 @@ def _table(rows=6, with_object=True):
     return Table.from_arrays(**columns)
 
 
+def _publish(session, table):
+    """A full publish, as a tail's first refresh makes one (pins dropped)."""
+    handle, _query_ref, pinned = session.acquire_append(table, None, QUERY)
+    session.unpin(*pinned)
+    return handle
+
+
 def _simulate_worker(handle):
     """Resolve like a pool worker: bypass the publisher's object registry.
 
@@ -62,7 +69,7 @@ class TestDeltaChain:
             grown = base.append_rows(
                 [{"z": "c", "x": 6.0, "n": 6}, {"z": "a", "x": 7.0, "n": 7}]
             )
-            session.table_handle(base)
+            _publish(session, base)
             handle, query_ref, tokens = session.acquire_append(grown, base, QUERY)
             try:
                 assert isinstance(handle, shm.TableDeltaHandle)
@@ -85,7 +92,7 @@ class TestDeltaChain:
         session = shm.ShmSession()
         try:
             table = _table(4)
-            session.table_handle(table)
+            _publish(session, table)
             handles = []
             for step in range(3):
                 base = table
@@ -111,7 +118,7 @@ class TestDeltaChain:
         session = shm.ShmSession()
         try:
             table = _table(6)
-            root = session.table_handle(table)
+            root = _publish(session, table)
             steps = []
             for rows in (
                 [{"z": "c", "x": 6.0, "n": 6}, {"z": "a", "x": 7.0, "n": 7}],
@@ -155,7 +162,7 @@ class TestDeltaChain:
         session = shm.ShmSession()
         try:
             table = _table(4)
-            session.table_handle(table)
+            _publish(session, table)
             handle = None
             for step in range(shm.ShmSession.MAX_DELTA_CHAIN + 2):
                 base = table
@@ -172,7 +179,7 @@ class TestDeltaFallbacks:
         session = shm.ShmSession()
         try:
             base = _table(6)
-            session.table_handle(base)
+            _publish(session, base)
             widened = base.append_rows([{"z": "w", "x": 6.0, "n": 6.5}])
             assert widened.column("n").dtype != base.column("n").dtype
             handle, _, tokens = session.acquire_append(widened, base, QUERY)
@@ -214,10 +221,10 @@ class TestDeltaFallbacks:
         session = shm.ShmSession()
         try:
             base = _table(6)
-            session.table_handle(base)
+            _publish(session, base)
             # Churn the LRU until the base's segment is evicted.
             for index in range(shm.ShmSession.MAX_TABLES + 2):
-                session.table_handle(
+                _publish(session, 
                     Table.from_arrays(x=np.arange(3.0) + 100 * index)
                 )
             grown = base.append_rows([{"z": "c", "x": 6.0, "n": 6}])
@@ -234,7 +241,7 @@ class TestDeltaFallbacks:
         session = shm.ShmSession()
         try:
             base = _table(6)
-            session.table_handle(base)
+            _publish(session, base)
             grown = base.append_rows([{"z": "c", "x": 6.0, "n": 6}])
             first, _, tokens_a = session.acquire_append(grown, base, QUERY)
             second, _, tokens_b = session.acquire_append(grown, base, QUERY)
@@ -250,7 +257,7 @@ class TestDeltaPins:
         session = shm.ShmSession()
         try:
             base = _table(4)
-            root = session.table_handle(base)
+            root = _publish(session, base)
             grown = base.append_rows([{"z": "c", "x": 4.0, "n": 4}])
             handle, _, tokens = session.acquire_append(grown, base, QUERY)
             try:
@@ -267,12 +274,12 @@ class TestDeltaPins:
         session = shm.ShmSession()
         try:
             base = _table(4)
-            session.table_handle(base)
+            _publish(session, base)
             grown = base.append_rows([{"z": "c", "x": 4.0, "n": 4}])
             handle, _, tokens = session.acquire_append(grown, base, QUERY)
             try:
                 for index in range(shm.ShmSession.MAX_TABLES + 2):
-                    session.table_handle(
+                    _publish(session, 
                         Table.from_arrays(x=np.arange(3.0) + 1000 * index)
                     )
                 # Pinned segments may leave the LRU but must stay

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.data.table import Table, canonical_group_key
 from repro.data.visual_params import VisualParams
 from repro.engine.cache import table_fingerprint
-from repro.engine.pipeline import count_groups
+from repro.engine.collection import count_groups
 from repro.errors import DataError
 
 

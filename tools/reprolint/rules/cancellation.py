@@ -120,36 +120,38 @@ class DispatchFunnelRule(Rule):
 
 
 class ExecutorConfinementRule(Rule):
-    """REP033: concurrent.futures pools are constructed only in WorkerPool.
+    """REP033: the shard pool is a process pool, built only in WorkerPool.
 
     ``WorkerPool`` owns the lifecycle discipline — lazy creation,
     ``weakref.finalize`` shutdown, sweep-cancel, workers==1 inline
-    execution.  A ``ThreadPoolExecutor``/``ProcessPoolExecutor`` built
-    anywhere else starts threads/processes with none of it.
+    execution — and constructs a ``ProcessPoolExecutor`` and nothing
+    else.  A ``ProcessPoolExecutor`` built anywhere else starts processes
+    with none of that discipline, and a ``ThreadPoolExecutor`` anywhere
+    is a GIL-bound shard pool in the making (the driver-dispatch pool is
+    the reviewed exception, in ``baseline.json``).
     """
 
     id = "REP033"
     name = "executor-confinement"
     rationale = (
         "raw executors lack WorkerPool's finalize/shutdown and sweep-cancel "
-        "discipline; construct pools through WorkerPool"
+        "discipline, and a thread pool cannot scale the Score stage; shard "
+        "work goes through WorkerPool's process pool"
     )
     scope = ("src/",)
 
-    _POOLS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
-
     def check(self, ctx: FileContext):
         for node in ctx.walk(ast.Call):
-            if call_name(node) not in self._POOLS:
+            name = call_name(node)
+            if name == "ProcessPoolExecutor":
+                if "WorkerPool" in ctx.qualname(node).split("."):
+                    continue
+                message = "ProcessPoolExecutor constructed outside WorkerPool"
+            elif name == "ThreadPoolExecutor":
+                message = "ThreadPoolExecutor constructed; shard pools are processes"
+            else:
                 continue
-            if "WorkerPool" in ctx.qualname(node).split("."):
-                continue
-            yield make_finding(
-                self,
-                ctx,
-                node,
-                "{} constructed outside WorkerPool".format(call_name(node)),
-            )
+            yield make_finding(self, ctx, node, message)
 
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

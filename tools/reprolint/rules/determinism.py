@@ -2,7 +2,7 @@
 
 The engine's headline guarantee (tests/test_determinism.py,
 tests/test_matrix_kernel.py) is that results are byte-identical for any
-backend, worker count and kernel.  Everything here exists to keep the
+worker count, transport and kernel.  Everything here exists to keep the
 *inputs* to the total order ``(score desc, position asc)`` themselves
 deterministic: no iteration over unordered containers on result paths,
 no unstable sorts where equal keys could swap, no wall-clock or RNG
