@@ -57,7 +57,13 @@ SHARD_FLOOR = BATCH_BLOCK
 
 
 def default_workers() -> int:
-    """Worker count used when ``workers=None``: one per available core."""
+    """Worker count used when ``workers=None``: one per CPU this process may use.
+
+    The affinity mask (``taskset``, a cgroup cpuset) bounds it where the
+    platform reports one; elsewhere it is the machine's core count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

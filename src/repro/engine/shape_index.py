@@ -549,8 +549,12 @@ def _tiled_groups(values: np.ndarray, groups: list) -> list:
     """``(n_bins, positions, [(w, amin tile, amax tile)])`` per packed group.
 
     Tiles are ``(members, W, W)`` views over the level-major block and
-    carry no query state.
+    carry no query state.  They are cut from a plain ``ndarray`` view of
+    the block, so a memory-mapped block's tiles slice without
+    ``np.memmap.__getitem__`` on the bound kernel's path; nothing is
+    copied, and the index still holds the mapping itself.
     """
+    values = values.view(np.ndarray)
     tiled = []
     for n_bins, positions, shapes in groups:
         count = len(positions)

@@ -23,7 +23,9 @@ through :meth:`SearchFuture.cancel(reason="shed")
 <repro.results.SearchFuture.cancel>` rather than hanging connections; a
 **cross-request result cache** (:mod:`repro.serving.result_cache`) keyed
 on (table fingerprint, canonical query, visual params, k, precision)
-serves repeated searches without running Score at all; and
+serves repeated searches without running Score at all (a request
+repeated field for field is answered on the event loop from an alias of
+its raw fields, with no parse); and
 **observability** (:class:`~repro.serving.app.ServerStats`) reports
 p50/p99 latency, shed rates, and cache hit rates on ``GET /v1/stats``.
 """

@@ -9,13 +9,20 @@ API: it owns the :class:`~repro.api.SessionRegistry` (tables), the
 
 **The async/engine seam.**  Handlers are coroutines and must never
 block the event loop (reprolint REP081 enforces this for the whole
-package): CPU-bound session work — building tables, parsing and
-compiling queries — runs on the default executor, and executions go
-through :meth:`PreparedSearch.submit`, whose
-:class:`~repro.results.SearchFuture` is bridged to asyncio via
-``add_done_callback`` + ``call_soon_threadsafe``.  ``future.result`` is
-only ever called after the bridge observed resolution, when it cannot
-block.
+package).  Only dictionary-sized steps run on the loop: the result
+cache's alias lookup (a repeated request's raw fields → its canonical
+key → its stored bytes), the lease-free registry check that its table
+is still published, and :meth:`PreparedSearch.submit`, which only
+enqueues onto the engine's dispatcher.  CPU-bound session work —
+building and publishing tables, parsing and compiling queries,
+computing the canonical key, releasing a session lease (whose last
+release may close an evicted session) — runs on the default executor.
+The :class:`~repro.results.SearchFuture` of a submitted execution is
+bridged to asyncio via ``add_done_callback`` +
+``call_soon_threadsafe``; ``future.result`` is only ever called after
+the bridge observed resolution, when it cannot block.  A repeated
+request therefore never leaves the loop, and never reaches
+:meth:`ShapeServingApp._prepare_search_sync`.
 
 **Response envelopes.**  A search response is ``{"cache": ..., "result":
 {...}}`` where the ``result`` object's bytes are exactly
@@ -29,7 +36,6 @@ populated it.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import threading
 import time
@@ -331,7 +337,10 @@ class ShapeServingApp:
         Runs on the executor: registry lookup, query parse + compile
         (through the session's plan cache), and the response-determining
         cache key.  Raises :class:`RequestError` 404 for fingerprints
-        never published (or already evicted).
+        never published (or already evicted).  Once all of that
+        succeeded, the request's alias is recorded against the key, so
+        the same fields sent again are answered by
+        :meth:`_cached_response` on the loop.
 
         The returned session is **checked out** of the registry — the
         lease keeps a concurrent publish/close from tearing it down
@@ -367,7 +376,29 @@ class ShapeServingApp:
         except BaseException:
             self.registry.release(session)
             raise
+        self.result_cache.remember(ResultCache.alias(fingerprint, body), key)
         return prepared, k, key, fingerprint, session
+
+    def _cached_response(self, body: dict) -> Optional[bytes]:
+        """A repeated request's stored bytes, found on the loop, or None.
+
+        Resolves the request's alias to its canonical key and checks
+        that the table is still published (promoting it in the
+        registry's LRU, without a lease).  None means "take the slow
+        path", which counts the hit or miss and answers 404 for a table
+        no longer published; this lookup counts only the hits it serves.
+        """
+        fingerprint = body.get("table")
+        if not isinstance(fingerprint, str):
+            return None
+        key = self.result_cache.resolve(ResultCache.alias(fingerprint, body))
+        if key is None:
+            return None
+        try:
+            self.registry.get(fingerprint)
+        except DataError:
+            return None
+        return self.result_cache.get(key)
 
     async def _search(
         self, body: dict, tenant: str, progress=None
@@ -381,6 +412,9 @@ class ShapeServingApp:
         envelope).  A cancellation raises :class:`SearchCancelled`
         annotated with whether it was a load-shed.
         """
+        cached = self._cached_response(body)
+        if cached is not None:
+            return "result", cached
         loop = asyncio.get_running_loop()
         prepared, k, key, _fingerprint, session = await loop.run_in_executor(
             None, self._prepare_search_sync, body
@@ -394,9 +428,7 @@ class ShapeServingApp:
                 raise Overloaded(code)
             future = None
             try:
-                future = await loop.run_in_executor(
-                    None, functools.partial(prepared.submit, k=k, progress=progress)
-                )
+                future = prepared.submit(k=k, progress=progress)
                 self.admission.attach(tenant, future)
                 await _await_future(future)
                 try:
@@ -557,6 +589,9 @@ class ShapeServingApp:
         terminal frame to the caller, which sends it only after the
         connection's id bookkeeping for ``sid`` is released.
         """
+        cached = self._cached_response(message)
+        if cached is not None:
+            return False, _result_envelope(cached, "result", sid=sid)
         loop = asyncio.get_running_loop()
         try:
             prepared, k, key, _fingerprint, session = await loop.run_in_executor(
@@ -578,10 +613,7 @@ class ShapeServingApp:
 
             future = None
             try:
-                future = await loop.run_in_executor(
-                    None,
-                    functools.partial(prepared.submit, k=k, progress=on_progress),
-                )
+                future = prepared.submit(k=k, progress=on_progress)
                 searches[sid] = future
                 if sid in cancelled_early:
                     cancelled_early.discard(sid)

@@ -290,6 +290,29 @@ class TestArtifactRoundTrip:
             == index.upper_bounds(compiled).tobytes()
         )
 
+    def test_loaded_tiles_are_plain_views_of_the_mapping(self, tmp_path):
+        index = self._index(seed=5)
+        save_index(tmp_path, KEY, index, "fp")
+        loaded = load_index(tmp_path, KEY, "fp")
+        mapping = loaded.pack()[0]
+        assert isinstance(mapping, np.memmap)
+        tiles = [
+            tile
+            for _n_bins, _positions, levels in loaded._tiles
+            for _w, amin, amax in levels
+            for tile in (amin, amax)
+        ]
+        assert tiles
+        for tile in tiles:
+            assert type(tile) is np.ndarray
+            assert np.shares_memory(tile, mapping)
+        for query in (UP_DOWN, q.up()):
+            compiled = _compiled(query)
+            assert (
+                loaded.upper_bounds(compiled).tobytes()
+                == index.upper_bounds(compiled).tobytes()
+            )
+
     def test_loaded_index_extends_like_lineage(self, tmp_path):
         # Persisted witnesses keep extend-don't-rebuild alive across the
         # save/load boundary: unchanged trendlines reuse the mapped

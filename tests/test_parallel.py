@@ -105,6 +105,15 @@ class TestWorkerPool:
         assert default_workers() >= 1
         assert WorkerPool().workers == default_workers()
 
+    def test_default_workers_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_workers() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_workers() == 64
+
     def test_single_worker_runs_inline(self):
         pool = WorkerPool(workers=1)
         assert pool.map(lambda value: value * 2, [1, 2, 3]) == [2, 4, 6]

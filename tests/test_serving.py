@@ -12,7 +12,6 @@ cancelled through the ExecutionControl seam with ``reason="shed"``.
 
 import contextlib
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -510,6 +509,172 @@ class TestResultCacheKeying:
         assert snapshot["bytes"] == len(b'{"matches":[]}')
         assert snapshot["hits"] == 1 and snapshot["misses"] == 1
 
+    def test_aliases_are_bounded_and_cleared_with_the_entries(self):
+        cache = ResultCache(capacity=2)
+        key = ResultCache.key("fp", "[p=up]", self.PARAMS, 10, "float64")
+        cache.put(key, b"{}")
+        aliases = [
+            ResultCache.alias("fp", {"query": "[p=up]", "z": "z", "k": k})
+            for k in (10, 11, 12)
+        ]
+        for alias in aliases:
+            cache.remember(alias, key)
+        assert cache.snapshot()["aliases"] == 2
+        assert cache.resolve(aliases[0]) is None  # least recently used: gone
+        assert cache.resolve(aliases[2]) == key
+        # An omitted field and an explicit null are different requests.
+        assert ResultCache.alias("fp", {"k": None}) != ResultCache.alias("fp", {})
+        # Fields the response does not depend on are not part of an alias.
+        assert ResultCache.alias(
+            "fp", {"query": "[p=up]", "id": 7, "type": "search", "tenant": "t"}
+        ) == ResultCache.alias("fp", {"query": "[p=up]"})
+        cache.invalidate()
+        snapshot = cache.snapshot()
+        assert snapshot["aliases"] == 0 and snapshot["entries"] == 0
+        assert cache.resolve(aliases[2]) is None
+
+
+class _PrepareSpy:
+    """Counts calls of one app's slow path (parse, compile, canonical key)."""
+
+    def __init__(self, app):
+        self.calls = 0
+        self._prepare = app._prepare_search_sync
+        app._prepare_search_sync = self
+
+    def __call__(self, body):
+        self.calls += 1
+        return self._prepare(body)
+
+
+class TestOnLoopHits:
+    """A repeated request is answered from its alias, on the event loop."""
+
+    QUERY = "[p=up][p=down]"
+
+    def test_repeated_http_and_ws_requests_skip_prepare(self):
+        with _serving() as (handle, client):
+            spy = _PrepareSpy(handle.app)
+            fingerprint = client.publish_columns(**_columns())
+            cold = client.search(fingerprint, self.QUERY, "z", "x", "y", k=5)
+            assert spy.calls == 1 and cold["cache"] is None
+            for _ in range(3):
+                warm = client.search(fingerprint, self.QUERY, "z", "x", "y", k=5)
+                assert warm["cache"] == "result"
+                assert json_dumps(warm["result"]) == json_dumps(cold["result"])
+            with client.open_stream() as stream:
+                ws_cold = stream.result(
+                    stream.submit(fingerprint, "[p=down]", "z", "x", "y", k=5)
+                )
+                assert ws_cold["cache"] is None and spy.calls == 2
+                for _ in range(3):
+                    warm = stream.result(
+                        stream.submit(fingerprint, "[p=down]", "z", "x", "y", k=5)
+                    )
+                    assert warm["cache"] == "result"
+                    assert json_dumps(warm["result"]) == json_dumps(ws_cold["result"])
+                # The alias ignores transport: the HTTP search's alias
+                # answers the same fields sent over the stream.
+                warm = stream.result(
+                    stream.submit(fingerprint, self.QUERY, "z", "x", "y", k=5)
+                )
+                assert json_dumps(warm["result"]) == json_dumps(cold["result"])
+            assert spy.calls == 2
+            snapshot = handle.app.result_cache.snapshot()
+            assert snapshot["hits"] == 7 and snapshot["misses"] == 2
+
+    def test_evicted_table_with_an_alias_is_404(self):
+        app = ShapeServingApp(registry_capacity=1)
+        with _serving(app) as (handle, client):
+            first = client.publish_columns(**_columns(groups=2, seed=1))
+            client.search(first, self.QUERY, "z", "x", "y", k=2)
+            assert client.search(first, self.QUERY, "z", "x", "y", k=2)["cache"]
+            client.publish_columns(**_columns(groups=2, seed=2))  # evicts first
+            hits = handle.app.result_cache.snapshot()["hits"]
+            with pytest.raises(ServingError) as excinfo:
+                client.search(first, self.QUERY, "z", "x", "y", k=2)
+            assert excinfo.value.status == 404
+            assert excinfo.value.code == "unknown_table"
+            with client.open_stream() as stream:
+                sid = stream.submit(first, self.QUERY, "z", "x", "y", k=2)
+                with pytest.raises(ServingError) as excinfo:
+                    stream.result(sid)
+                assert excinfo.value.code == "unknown_table"
+            assert handle.app.result_cache.snapshot()["hits"] == hits
+
+    def test_invalidate_sends_the_next_request_down_the_slow_path(self):
+        with _serving() as (handle, client):
+            spy = _PrepareSpy(handle.app)
+            fingerprint = client.publish_columns(**_columns(groups=3))
+            cold = client.search(fingerprint, self.QUERY, "z", "x", "y", k=3)
+            client.search(fingerprint, self.QUERY, "z", "x", "y", k=3)
+            assert spy.calls == 1
+            handle.app.result_cache.invalidate()
+            again = client.search(fingerprint, self.QUERY, "z", "x", "y", k=3)
+            assert again["cache"] is None and spy.calls == 2
+            assert json_dumps(again["result"]) == json_dumps(cold["result"])
+            assert handle.app.result_cache.snapshot()["entries"] == 1
+            warm = client.search(fingerprint, self.QUERY, "z", "x", "y", k=3)
+            assert warm["cache"] == "result" and spy.calls == 2
+
+    def test_two_spellings_two_aliases_one_entry(self):
+        with _serving() as (handle, client):
+            spy = _PrepareSpy(handle.app)
+            fingerprint = client.publish_columns(**_columns(groups=3))
+            plain = client.search(fingerprint, self.QUERY, "z", "x", "y", k=10)
+            spelled = client.search(
+                fingerprint, self.QUERY, "z", "x", "y", k=10,
+                aggregate="mean", filters=[],
+            )
+            assert spelled["cache"] == "result" and spy.calls == 2
+            assert json_dumps(spelled["result"]) == json_dumps(plain["result"])
+            client.request("POST", "/v1/search", {  # k omitted: a third spelling
+                "table": fingerprint, "query": self.QUERY,
+                "z": "z", "x": "x", "y": "y",
+            })
+            snapshot = handle.app.result_cache.snapshot()
+            assert snapshot["entries"] == 1 and snapshot["aliases"] == 3
+            for extra in ({}, {"aggregate": "mean", "filters": []}):
+                client.search(fingerprint, self.QUERY, "z", "x", "y", k=10, **extra)
+            assert spy.calls == 3
+
+    def test_one_hit_or_one_miss_per_request(self):
+        requests = 0
+        with _serving(registry_capacity=1) as (handle, client):
+            fingerprint = client.publish_columns(**_columns(groups=3))
+            with client.open_stream() as stream:
+                for round_ in range(3):
+                    for query in ("[p=up]", "[p=down]", self.QUERY):
+                        for k in (2, 3):
+                            client.search(fingerprint, query, "z", "x", "y", k=k)
+                            stream.result(
+                                stream.submit(fingerprint, query, "z", "x", "y", k=k)
+                            )
+                            requests += 2
+                    if round_ == 0:
+                        handle.app.result_cache.invalidate()
+                # A fall-through to a 404 counts neither.
+                client.publish_columns(**_columns(groups=2, seed=9))
+                with pytest.raises(ServingError):
+                    client.search(fingerprint, "[p=up]", "z", "x", "y", k=2)
+            snapshot = handle.app.result_cache.snapshot()
+            assert snapshot["hits"] + snapshot["misses"] == requests
+            assert snapshot["misses"] == 12
+
+    def test_a_table_that_only_gets_hits_is_not_the_lru_victim(self):
+        app = ShapeServingApp(registry_capacity=2)
+        with _serving(app) as (handle, client):
+            spy = _PrepareSpy(handle.app)
+            first = client.publish_columns(**_columns(groups=2, seed=1))
+            client.search(first, self.QUERY, "z", "x", "y", k=2)
+            second = client.publish_columns(**_columns(groups=2, seed=2))
+            assert handle.app.registry.fingerprints() == [first, second]
+            hit = client.search(first, self.QUERY, "z", "x", "y", k=2)
+            assert hit["cache"] == "result" and spy.calls == 1
+            client.publish_columns(**_columns(groups=2, seed=3))
+            assert first in handle.app.registry
+            assert second not in handle.app.registry
+
 
 class TestServerEndToEnd:
     QUERY = "[p=up][p=down]"
@@ -597,8 +762,15 @@ class TestServerEndToEnd:
 
     def test_overload_is_429_and_sheds_queued_ws_search(self):
         gate = threading.Event()
+        both_running = threading.Event()
+        drivers = set()
+        drivers_lock = threading.Lock()
 
         def blocking(values, slope):
+            with drivers_lock:
+                drivers.add(threading.get_ident())
+                if len(drivers) == 2:
+                    both_running.set()
             assert gate.wait(timeout=60)
             return 0.5
 
@@ -621,15 +793,13 @@ class TestServerEndToEnd:
                     for sid in sids:
                         frame = stream.next_frame(sid)
                         assert frame["type"] == "accepted"
-                    # Wait until both driver threads have actually picked
-                    # up their executions: a future only reports
-                    # running() once its driver starts it, and the shed
-                    # sweep must see exactly one queued (not-running)
-                    # future — racing ahead would shed all three.
-                    deadline = time.monotonic() + 10.0
-                    while handle.app.admission.snapshot()["running"] < 2:
-                        assert time.monotonic() < deadline, "drivers never started"
-                        time.sleep(0.005)
+                    # Wait until both driver threads are inside the gate:
+                    # a future only reports running() once its driver
+                    # starts it, and the shed sweep must see exactly one
+                    # queued (not-running) future — racing ahead would
+                    # shed all three.
+                    assert both_running.wait(timeout=10), "drivers never started"
+                    assert handle.app.admission.snapshot()["running"] == 2
                     # Admission is full: the HTTP request is refused
                     # immediately (never hangs) and the queued WS search
                     # is shed with reason="shed".
@@ -725,14 +895,8 @@ class TestServerEndToEnd:
                 thread.join(timeout=120)
             assert not errors, errors
             assert all(payload == reference for payload in results)
-            # The terminal frame is written before the handler's finally
-            # records the request, so give the counters a moment.
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                stats = handle.app.stats.snapshot()
-                if stats["WS /v1/submit"]["count"] == sessions:
-                    break
-                time.sleep(0.01)
+            # Each search is counted before its terminal frame is sent.
+            stats = handle.app.stats.snapshot()
             assert stats["WS /v1/submit"]["count"] == sessions
 
     def test_ws_protocol_errors_get_error_frames(self):
