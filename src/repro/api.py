@@ -214,7 +214,7 @@ class TailSearch(PreparedSearch):
 
     __slots__ = (
         "k", "_workers", "_progress", "_normalize_y", "_plan",
-        "_use_pruning", "_merge", "_scored_rows", "_base_table", "_order",
+        "_merge", "_scored_rows", "_base_table", "_order",
         "_key_index", "_entries", "_trendlines", "_revision", "_results",
         "_lock",
     )
@@ -224,7 +224,6 @@ class TailSearch(PreparedSearch):
                  workers: Optional[int] = None, progress=None):
         from repro.engine.collection import require_columns
         from repro.engine.pipeline import IncrementalMerge, query_constrains_y
-        from repro.engine.pruning import is_prunable
         from repro.engine.pushdown import plan_pushdown
 
         super().__init__(table, engine, node, compiled, params)
@@ -234,18 +233,7 @@ class TailSearch(PreparedSearch):
         self._progress = progress
         self._normalize_y = not query_constrains_y(compiled)
         self._plan = plan_pushdown(compiled) if engine.enable_pushdown else None
-        # Mirror plan_pipeline's pruning predicate: the cold plan's
-        # *selection* tie-break is (score, str(key)) under the pruning
-        # driver and (score, position) everywhere else, and the
-        # incremental merge must re-rank under the same total order.
-        self._use_pruning = (
-            engine.enable_pruning
-            and engine.algorithm == "segment-tree"
-            and is_prunable(compiled)
-        )
-        self._merge = IncrementalMerge(
-            k, tie="key" if self._use_pruning else "position"
-        )
+        self._merge = IncrementalMerge(k)
         #: Rows already reflected in the cached per-group results.
         self._scored_rows = 0
         #: The table of the last *successful* refresh — the delta base
@@ -453,10 +441,10 @@ class TailSearch(PreparedSearch):
         plan_text = (
             "ScanDelta(rows={}, groups={})\n"
             "  -> RescoreAffected(algorithm={}, workers={})\n"
-            "  -> IncrementalMerge(k={}, tie={})".format(
+            "  -> IncrementalMerge(k={})".format(
                 appended, rescored, self.engine.algorithm,
                 self.engine.workers if self._workers is None else self._workers,
-                self.k, self._merge.tie,
+                self.k,
             )
         )
         return ResultSet(

@@ -58,14 +58,13 @@ from repro.engine.chains import CompiledQuery, compile_query
 from repro.engine.control import ExecutionControl
 from repro.engine.dynamic import QueryResult
 from repro.engine.pipeline import generate_trendlines
-from repro.engine.pruning import PruningReport
 from repro.engine.trendline import Trendline
 from repro.errors import ExecutionError, SearchCancelled, warn_deprecated
 from repro.results import ResultSet, SearchFuture
 
 #: Supported segmentation algorithms (dispatch lives in
 #: :func:`repro.engine.parallel.solve_many`, the single funnel shared by
-#: the sequential, sharded and score_one paths).
+#: every Score path).
 ALGORITHMS = ("dp", "segment-tree", "greedy", "exhaustive")
 
 #: Supported scoring precisions (see the ``precision`` option).
@@ -139,7 +138,6 @@ class ExecutionStats:
     #: calling process) or ``"tail"`` (a streaming refresh that
     #: re-scored only the groups an append touched).
     generation: str = "parent"
-    pruning: Optional[PruningReport] = None
     #: Rows the streaming tail consumed in this refresh (0 elsewhere):
     #: the delta the incremental work was proportional to.
     appended_rows: int = 0
@@ -177,9 +175,6 @@ class ShapeSearchEngine:
         self,
         algorithm: str = "segment-tree",
         enable_pushdown: bool = True,
-        enable_pruning: bool = False,
-        sample_size: int = 20,
-        sample_points: int = 64,
         workers: int = 1,
         cache=None,
         quantifier_threshold: Optional[float] = None,
@@ -217,9 +212,6 @@ class ShapeSearchEngine:
         #: benchmarking the matrix kernel against.
         self.kernel = kernel
         self.enable_pushdown = enable_pushdown
-        self.enable_pruning = enable_pruning
-        self.sample_size = sample_size
-        self.sample_points = sample_points
         #: ``1`` scores in the caller; ``N > 1`` on an N-process pool
         #: over shared memory (repro.engine.shm).  Results are
         #: byte-identical either way.
@@ -595,8 +587,8 @@ class ShapeSearchEngine:
     ) -> Tuple[List[Match], object]:
         """Plan and run the staged operator pipeline for one execution.
 
-        All branching — sequential vs shared-memory Score, index,
-        pruning — lives in :func:`repro.engine.pipeline.plan_pipeline`;
+        All branching — sequential vs shared-memory Score, index — lives
+        in :func:`repro.engine.pipeline.plan_pipeline`;
         the engine only supplies the session-scoped services (pools, shm
         session, caches) through the :class:`PipelineContext`.  Returns
         ``(matches, rendered plan)`` so callers can build a ResultSet
@@ -623,7 +615,7 @@ class ShapeSearchEngine:
         k: int = 10,
         workers: Optional[int] = None,
     ) -> str:
-        """The physical operator chain one :meth:`execute` call would run.
+        """The physical operator chain one :meth:`run` call would run.
 
         Purely a planning call — nothing is generated, published or
         scored — so it is cheap enough for interactive inspection.
@@ -634,12 +626,6 @@ class ShapeSearchEngine:
         return plan_pipeline(
             self, compiled, k, table=table, params=params, workers=workers
         ).explain()
-
-    def score_one(
-        self, trendline: Trendline, query: Union[Node, CompiledQuery]
-    ) -> QueryResult:
-        """Score a single trendline (used by examples and tests)."""
-        return self._solve(trendline, self._compile(query))
 
     def compile(self, query: Union[Node, CompiledQuery]) -> CompiledQuery:
         """Compile a ShapeQuery AST through the plan cache (idempotent).
@@ -693,11 +679,6 @@ class ShapeSearchEngine:
         trendlines = generate_trendlines(table, params, normalize_y, plan)
         self.cache.trendlines.put(key, trendlines)
         return trendlines
-
-    def _solve(self, trendline: Trendline, compiled: CompiledQuery) -> QueryResult:
-        from repro.engine.parallel import solve_one
-
-        return solve_one(trendline, compiled, self.algorithm, kernel=self.kernel)
 
     #: Per-table attached shape-index entries kept per store (small: one
     #: per distinct (params, normalize_y, plan, precision) combination).
@@ -883,10 +864,11 @@ def _to_matches(items) -> List[Match]:
     """Present ranked ``(score, position, trendline, result)`` items as
     Matches in (score desc, str(key) asc) order.
 
-    Every engine path — sequential, sharded, pruned — builds its final
-    Match list here, so the presentation tie-break cannot drift between
-    paths.  (The *selection* orders live upstream: (score, position) in
-    the shard heaps/merge, (score, key) inside the pruning drivers.)
+    Every engine path — sequential, sharded, indexed, the streaming
+    tail — builds its final Match list here, so the presentation
+    tie-break cannot drift between paths.  (The *selection* order lives
+    upstream and is the same everywhere: (score desc, position asc) in
+    the shard heaps, MergeTopK and the tail's IncrementalMerge.)
     """
     ranked = sorted(items, key=lambda item: (-item[0], str(item[2].key)))
     return [

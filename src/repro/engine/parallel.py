@@ -29,6 +29,7 @@ import os
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -39,7 +40,6 @@ from repro.engine.collection import BLOCK_ELEMENTS
 from repro.engine.dynamic import QueryResult, ScoreBlock, solve_query, solve_query_batched
 from repro.engine.exhaustive import exhaustive_solve_query
 from repro.engine.greedy import greedy_run_solver
-from repro.engine.pruning import PruningReport, prune_and_rank
 from repro.engine.pushdown import eager_upper_bound, plan_pushdown
 from repro.engine.segment_tree import BATCH_BLOCK, segment_tree_batch_solver
 from repro.engine.shape_index import MIN_SEED_CANDIDATES
@@ -84,7 +84,6 @@ class ShardResult:
     )
     scored: int = 0
     eager_discarded: int = 0
-    pruning: Optional[PruningReport] = None
 
 
 def solve_many(
@@ -215,39 +214,6 @@ def score_shard(
     return shard
 
 
-def prune_shard(
-    trendlines: Sequence[Trendline],
-    query: CompiledQuery,
-    k: int,
-    sample_size: int,
-    sample_points: int,
-    kernel: Optional[str] = None,
-) -> ShardResult:
-    """Run the two-stage collective pruning driver on one shard.
-
-    Pruning is exact (candidates are discarded only when their upper
-    bound is provably below the shard's top-k floor), so each shard's
-    top-k is a superset of its contribution to the global top-k and the
-    merge stays correct.
-    """
-    report = PruningReport()
-    ranked = prune_and_rank(
-        list(trendlines),
-        query,
-        k,
-        sample_size=sample_size,
-        sample_points=sample_points,
-        report=report,
-        kernel=kernel,
-    )
-    shard = ShardResult(pruning=report, scored=report.completed)
-    shard.items = [
-        (result.score, position, trendline, result)
-        for position, (trendline, result) in enumerate(ranked)
-    ]
-    return shard
-
-
 def score_shard_range(
     handle,
     positions: Sequence[int],
@@ -292,26 +258,6 @@ def score_shard_range(
     return shard
 
 
-def prune_shard_range(
-    handle,
-    start: int,
-    end: int,
-    query,
-    k: int,
-    sample_size: int,
-    sample_points: int,
-    kernel: Optional[str] = None,
-) -> ShardResult:
-    """Range-based twin of :func:`prune_shard` over the worker store."""
-    from repro.engine.shm import resolve_collection, resolve_query
-
-    trendlines = resolve_collection(handle)
-    compiled = resolve_query(query)
-    return prune_shard(
-        trendlines[start:end], compiled, k, sample_size, sample_points, kernel=kernel
-    )
-
-
 def merge_shard_results(
     shards: Sequence[ShardResult], k: int
 ) -> List[Tuple[float, int, Trendline, QueryResult]]:
@@ -327,7 +273,7 @@ def make_range_chunks(
     """Split ``count`` candidates into ``(start, end)`` index ranges.
 
     This is the sizing rule for *every* sharding path — score, bound,
-    tail, prune; object- and range-based alike — so all of them cover
+    tail; object- and range-based alike — so all of them cover
     identical positions for any configuration.
     :data:`_CHUNKS_PER_WORKER` shards per pool worker, as even as
     possible, but never a shard below ``floor`` (the stage's kernel
@@ -349,15 +295,14 @@ def make_range_chunks(
     return list(zip([0] + ends[:-1], ends))
 
 
-def score_ranges(count: int, workers: int, pruning: bool = False) -> List[Tuple[int, int]]:
+def score_ranges(count: int, workers: int) -> List[Tuple[int, int]]:
     """The Score stage's shards over ``count`` candidates left to solve.
 
-    The one place that knows the stage's floor: :data:`SHARD_FLOOR`,
-    except under collective pruning, whose driver has no cross-candidate
-    kernel to fill.  The Score operators size a stage once, here, and
-    hand the ranges to whichever transport runs them.
+    The one place that knows the stage's floor, :data:`SHARD_FLOOR`.
+    The Score operators size a stage once, here, and hand the ranges to
+    whichever transport runs them.
     """
-    return make_range_chunks(count, workers, 1 if pruning else SHARD_FLOOR)
+    return make_range_chunks(count, workers, SHARD_FLOOR)
 
 
 def round_size(k: int, number: int) -> int:
@@ -389,6 +334,11 @@ class WorkerPool:
     pool is garbage-collected or the interpreter exits, so forgotten
     pools never leak worker processes; :meth:`shutdown` stays the
     deterministic path and is idempotent.
+
+    A worker that dies (killed, out of memory) breaks the executor for
+    good.  The task that finds it broken drops that executor and raises
+    :class:`~repro.errors.ExecutionError`; the next task builds a fresh
+    one, whose workers run ``initializer`` again.
     """
 
     def __init__(
@@ -419,18 +369,38 @@ class WorkerPool:
                 )
             return self._pool
 
+    def _broken(self, executor, exc: BrokenProcessPool) -> ExecutionError:
+        """Drop a broken ``executor`` (once) and say so as an ExecutionError."""
+        with self._lock:
+            if self._pool is executor:
+                self._pool = None
+                finalizer, self._finalizer = self._finalizer, None
+                finalizer.detach()
+                executor.shutdown(wait=False)
+        return ExecutionError(
+            "a worker of the {}-process pool died ({}); the next task starts "
+            "a fresh pool".format(self.workers, exc)
+        )
+
     def start(self) -> None:
         """Start the worker processes now rather than at the first task."""
         if self.workers > 1:
             executor = self._ensure()
-            for future in [executor.submit(int) for _ in range(self.workers)]:
-                future.result()
+            try:
+                for future in [executor.submit(int) for _ in range(self.workers)]:
+                    future.result()
+            except BrokenProcessPool as exc:
+                raise self._broken(executor, exc) from exc
 
     def map(self, fn, *iterables) -> List:
         """Apply ``fn`` across iterables, inline when ``workers == 1``."""
         if self.workers == 1:
             return [fn(*args) for args in zip(*iterables)]
-        return list(self._ensure().map(fn, *iterables))
+        executor = self._ensure()
+        try:
+            return list(executor.map(fn, *iterables))
+        except BrokenProcessPool as exc:
+            raise self._broken(executor, exc) from exc
 
     def run_cancellable(self, fn, rows, control) -> List:
         """Run one ``fn(*row)`` task per row under an ExecutionControl.
@@ -460,26 +430,29 @@ class WorkerPool:
             return results
         executor = self._ensure()
         futures = []
-        for args in rows:
-            if control.cancelled:
-                break
-            futures.append(executor.submit(fn, *args))
-        dropped = len(rows) - len(futures)
-        swept = False
-        for future in futures:
-            if control.cancelled and not swept:
-                # First observation of the cancel: sweep the whole tail at
-                # once so the executor stops pulling queued shards — a
-                # per-future check would race the workers, which keep
-                # starting queued tasks while we harvest completed ones.
-                for pending in reversed(futures):
-                    pending.cancel()
-                swept = True
-            if future.cancelled():
-                dropped += 1
-                continue
-            results.append(future.result())
-            control.shard_completed()
+        try:
+            for args in rows:
+                if control.cancelled:
+                    break
+                futures.append(executor.submit(fn, *args))
+            dropped = len(rows) - len(futures)
+            swept = False
+            for future in futures:
+                if control.cancelled and not swept:
+                    # First observation of the cancel: sweep the whole tail
+                    # at once so the executor stops pulling queued shards —
+                    # a per-future check would race the workers, which keep
+                    # starting queued tasks while we harvest completed ones.
+                    for pending in reversed(futures):
+                        pending.cancel()
+                    swept = True
+                if future.cancelled():
+                    dropped += 1
+                    continue
+                results.append(future.result())
+                control.shard_completed()
+        except BrokenProcessPool as exc:
+            raise self._broken(executor, exc) from exc
         control.drop(dropped)
         return results
 
@@ -682,68 +655,3 @@ def dispatch_index_bounds(
     return np.concatenate(
         [np.asarray(shard, dtype=np.float64) for shard in shards]
     )
-
-
-def dispatch_prune_ranges(
-    handle,
-    query,
-    k: int,
-    pool: WorkerPool,
-    ranges: Sequence[Tuple[int, int]],
-    sample_size: int = 20,
-    sample_points: int = 64,
-    kernel: Optional[str] = None,
-    control=None,
-) -> List[ShardResult]:
-    """Range-sharded collective pruning (no merge)."""
-    rows = [
-        (handle, start, end, query, k, sample_size, sample_points, kernel)
-        for start, end in ranges
-    ]
-    return _run_tasks(pool, prune_shard_range, rows, control)
-
-
-def dispatch_prune_shards(
-    trendlines: Sequence[Trendline],
-    query: CompiledQuery,
-    k: int,
-    pool: WorkerPool,
-    ranges: Sequence[Tuple[int, int]],
-    sample_size: int = 20,
-    sample_points: int = 64,
-    kernel: Optional[str] = None,
-    control=None,
-) -> List[ShardResult]:
-    """Object-passing sharded collective pruning (no merge)."""
-    rows = [
-        (trendlines[start:end], query, k, sample_size, sample_points, kernel)
-        for start, end in ranges
-    ]
-    return _run_tasks(pool, prune_shard, rows, control)
-
-
-def aggregate_pruning_reports(shards: Sequence[ShardResult]) -> PruningReport:
-    """Fold per-shard pruning reports into one (rounds is the max)."""
-    report = PruningReport()
-    for shard in shards:
-        if shard.pruning is not None:
-            report.candidates += shard.pruning.candidates
-            report.sampled += shard.pruning.sampled
-            report.pruned += shard.pruning.pruned
-            report.completed += shard.pruning.completed
-            report.rounds = max(report.rounds, shard.pruning.rounds)
-    return report
-
-
-def merge_pruned_items(
-    shards: Sequence[ShardResult], k: int
-) -> List[Tuple[float, int, Trendline, QueryResult]]:
-    """Global top-k under the pruning drivers' (score desc, key asc) order.
-
-    The single copy of the pruning-path merge rule (the MergeTopK
-    operator's pruned branch).
-    """
-    merged = [item for shard in shards for item in shard.items]
-    merged.sort(key=lambda item: (-item[0], str(item[2].key)))
-    return merged[:k]
-

@@ -254,20 +254,17 @@ class IncrementalMerge:
     Where :class:`MergeTopK` folds per-shard heaps once per execution,
     this merge persists across appends: the tail keeps every group's
     latest result and each refresh re-ranks them under the cold plan's
-    exact total order — ``(score desc, position asc)`` normally,
-    ``(score desc, str(key) asc)`` when the cold plan would have used
-    the pruning driver — so the selected top-k always matches a cold
-    run's.  It is also the cancellation rendezvous: like MergeTopK, a
-    refresh whose shards were dropped by a cooperative cancel raises
-    :class:`~repro.errors.SearchCancelled` instead of presenting a
-    partial update.
+    total order *(score desc, position asc)*, so the selected top-k
+    always matches a cold run's.  It is also the cancellation
+    rendezvous: like MergeTopK, a refresh whose shards were dropped by a
+    cooperative cancel raises :class:`~repro.errors.SearchCancelled`
+    instead of presenting a partial update.
     """
 
-    __slots__ = ("k", "tie")
+    __slots__ = ("k",)
 
-    def __init__(self, k: int, tie: str = "position"):
+    def __init__(self, k: int):
         self.k = k
-        self.tie = tie  # "position" | "key" (mirrors the pruning driver)
 
     def merge(self, entries, control=None):
         """Rank ``(score, position, key, result)`` entries; return top-k."""
@@ -279,10 +276,7 @@ class IncrementalMerge:
                 "tail refresh cancelled: {} of {} shard(s) completed, {} dropped"
                 .format(completed, total, dropped)
             )
-        if self.tie == "key":
-            ranked = sorted(entries, key=lambda entry: (-entry[0], str(entry[2])))
-        else:
-            ranked = sorted(entries, key=lambda entry: (-entry[0], entry[1]))
+        ranked = sorted(entries, key=lambda entry: (-entry[0], entry[1]))
         return ranked[: self.k]
 
 
@@ -340,7 +334,6 @@ class ScoredShards:
     """Score output: per-shard top-k heaps, awaiting the global merge."""
 
     shards: List[object] = field(default_factory=list)
-    pruned: bool = False
     sequential: bool = False
 
 
@@ -571,20 +564,17 @@ class _ScoreBase(Operator):
     name = "Score"
 
     def __init__(self, compiled, k: int, workers: int,
-                 has_eager_checks: bool, pruning: bool,
-                 reason: Optional[str] = None):
+                 has_eager_checks: bool, reason: Optional[str] = None):
         self.compiled = compiled
         self.k = k
         self.workers = workers
         self.has_eager_checks = has_eager_checks
-        self.pruning = pruning
         #: Why the planner overrode the engine's worker count (EXPLAIN).
         self.reason = reason
 
     def detail(self) -> str:
-        return "workers={}{}{}".format(
+        return "workers={}{}".format(
             self.workers,
-            " pruning" if self.pruning else "",
             " reason={}".format(self.reason) if self.reason else "",
         )
 
@@ -607,7 +597,7 @@ class _ScoreBase(Operator):
                     if not positions:
                         break
                 # A round is sized once, here, whatever transport runs it.
-                ranges = score_ranges(len(positions), self.workers, pruning=self.pruning)
+                ranges = score_ranges(len(positions), self.workers)
                 block = self.dispatch_shards(ctx, candidates, positions, ranges, pins)
                 shards += block
                 handed += len(positions)
@@ -617,32 +607,17 @@ class _ScoreBase(Operator):
         ctx.stats.candidates = handed
         if frontier is not None:
             ctx.stats.index_pruned = total - handed
-        return ScoredShards(
-            shards, pruned=self.pruning, sequential=self.mode == "sequential"
-        )
+        return ScoredShards(shards, sequential=self.mode == "sequential")
 
     def dispatch_shards(self, ctx, candidates, positions, ranges, pins) -> list:
-        from repro.engine.parallel import dispatch_prune_shards, dispatch_score_shards
+        from repro.engine.parallel import dispatch_score_shards
 
         engine = ctx.engine
-        pool = engine._resolve_pool(self.workers)
-        if self.pruning:
-            return dispatch_prune_shards(
-                candidates.trendlines,
-                self.compiled,
-                self.k,
-                pool,
-                ranges,
-                sample_size=engine.sample_size,
-                sample_points=engine.sample_points,
-                kernel=engine.kernel,
-                control=ctx.control,
-            )
         return dispatch_score_shards(
             candidates.trendlines,
             self.compiled,
             self.k,
-            pool,
+            engine._resolve_pool(self.workers),
             ranges,
             algorithm=engine.algorithm,
             enable_pushdown=engine.enable_pushdown,
@@ -684,7 +659,7 @@ class SharedMemoryScore(_ScoreBase):
         session.unpin(*pinned)
 
     def dispatch_shards(self, ctx, candidates, positions, ranges, pins) -> list:
-        from repro.engine.parallel import dispatch_prune_ranges, dispatch_score_ranges
+        from repro.engine.parallel import dispatch_score_ranges
 
         engine = ctx.engine
         trendlines = candidates.trendlines
@@ -697,18 +672,6 @@ class SharedMemoryScore(_ScoreBase):
             self._pinned = session.acquire(trendlines, self.compiled)
             pins.callback(self._unpin, session)
         handle, query_ref = self._pinned
-        if self.pruning:
-            return dispatch_prune_ranges(
-                handle,
-                query_ref,
-                self.k,
-                pool,
-                ranges,
-                sample_size=engine.sample_size,
-                sample_points=engine.sample_points,
-                kernel=engine.kernel,
-                control=ctx.control,
-            )
         return dispatch_score_ranges(
             handle,
             query_ref,
@@ -725,11 +688,13 @@ class SharedMemoryScore(_ScoreBase):
 
 
 class MergeTopK(Operator):
-    """Global top-k from per-shard heaps, under the shared total order.
+    """Global top-k from per-shard heaps, selected under the engine's one
+    total order *(score desc, position asc)* — the order the shard heaps
+    keep — and presented by :func:`~repro.engine.executor._to_matches`.
 
     Also the stats rendezvous: per-shard counters (scored, eager
-    discards, pruning reports) fold into the call's
-    :class:`ExecutionStats` here, exactly once.  And the *cancellation*
+    discards) fold into the call's :class:`ExecutionStats` here, exactly
+    once.  And the *cancellation*
     rendezvous: when a cooperative cancel dropped shards upstream, the
     merge refuses to present a partial top-k and raises
     :class:`~repro.errors.SearchCancelled` instead.
@@ -743,11 +708,7 @@ class MergeTopK(Operator):
 
     def run(self, ctx, scored: ScoredShards):
         from repro.engine.executor import _to_matches
-        from repro.engine.parallel import (
-            aggregate_pruning_reports,
-            merge_pruned_items,
-            merge_shard_results,
-        )
+        from repro.engine.parallel import merge_shard_results
         from repro.errors import SearchCancelled
 
         control = ctx.control
@@ -761,17 +722,10 @@ class MergeTopK(Operator):
         shards = scored.shards
         if not scored.sequential:
             stats.shards = len(shards)
-        if scored.pruned:
-            report = aggregate_pruning_reports(shards)
-            stats.pruning = report
-            stats.scored = report.completed
-            items = merge_pruned_items(shards, self.k)
-        else:
-            for shard in shards:
-                stats.scored += shard.scored
-                stats.eager_discarded += shard.eager_discarded
-            items = merge_shard_results(shards, self.k)
-        return _to_matches(items)
+        for shard in shards:
+            stats.scored += shard.scored
+            stats.eager_discarded += shard.eager_discarded
+        return _to_matches(merge_shard_results(shards, self.k))
 
     def detail(self) -> str:
         return "k={}".format(self.k)
@@ -825,8 +779,8 @@ def plan_pipeline(
 ) -> PhysicalPlan:
     """Compile one query execution into the staged operator chain.
 
-    Every decision — in-caller vs shared-memory Score, index, pruning —
-    is made here, once, and the returned plan is a linear chain of
+    Every decision — in-caller vs shared-memory Score, index — is made
+    here, once, and the returned plan is a linear chain of
     operators whose implementations all preserve the total order
     *(score desc, position asc)*.  The Score implementation follows the
     worker count alone (:func:`scoring_workers`).  Pass either ``table``
@@ -834,25 +788,13 @@ def plan_pipeline(
     rank paths); ``memo`` is the batch generation memo shared across a
     ``run_many`` call.
     """
-    from repro.engine.pruning import is_prunable
-
     effective, reason = scoring_workers(engine, compiled, workers)
     plan = plan_pushdown(compiled) if engine.enable_pushdown else None
     has_eager = plan.has_eager_checks if plan is not None else False
-    use_pruning = (
-        engine.enable_pruning
-        and engine.algorithm == "segment-tree"
-        and is_prunable(compiled)
-    )
     # Index pruning needs a query whose units the pyramid can bound;
     # anything else is the full-scan fallback, visible as the absence of
     # an IndexPrune line in EXPLAIN.
-    use_index = (
-        engine.index
-        and not use_pruning
-        and k >= 1
-        and index_supports(compiled)
-    )
+    use_index = engine.index and k >= 1 and index_supports(compiled)
 
     operators: List[Operator] = []
     index_table: Optional[Table] = None
@@ -872,6 +814,6 @@ def plan_pipeline(
             IndexPrune(compiled, k, effective, table=index_table, index_key=index_key)
         )
     score = SharedMemoryScore if effective > 1 else SequentialScore
-    operators.append(score(compiled, k, effective, has_eager, use_pruning, reason))
+    operators.append(score(compiled, k, effective, has_eager, reason))
     operators.append(MergeTopK(k))
     return PhysicalPlan(operators)

@@ -13,6 +13,12 @@ its current level's node slopes (Table 7 + Property 5.1 composition, see
 are discarded without ever reaching the root.  Candidates that complete
 update λ through a top-k heap, tightening the floor for everyone else —
 which is why the technique shines on needle-in-a-haystack patterns.
+
+This is the paper's technique in library form, not an engine plan: the
+engine's exact pruning is the shape index's bound frontier plus
+push-down's eager bound.  The Fig 10 and Fig 13 benchmarks call
+:func:`prune_and_rank` directly to measure §6.3; no engine module
+imports this one.
 """
 
 from __future__ import annotations
@@ -81,15 +87,6 @@ def tree_upper_bound(trendline: Trendline, chain, tree: IncrementalSegmentTree) 
     return upper
 
 
-def is_prunable(query: CompiledQuery) -> bool:
-    """The collective driver handles fully fuzzy queries (paper §6)."""
-    return all(
-        not cu.unit.location.is_x_pinned and cu.unit.location.iterator is None
-        for chain in query.chains
-        for cu in chain.units
-    )
-
-
 def decimate(trendline: Trendline, max_points: int) -> Trendline:
     """Uniform point subsample used by the stage-1 sampler."""
     n = len(trendline.bin_x)
@@ -113,7 +110,8 @@ def prune_and_rank(
     report: Optional[PruningReport] = None,
     kernel: Optional[str] = None,
 ) -> List[Tuple[Trendline, QueryResult]]:
-    """Top-k visualizations for a fuzzy query under two-stage pruning.
+    """Top-k visualizations for a fully fuzzy query
+    (:func:`~repro.engine.shape_index.is_prunable`) under two-stage pruning.
 
     ``kernel`` selects the DP transition kernel for the stage-1 sampled
     solves (the two kernels are byte-identical, so this only matters for

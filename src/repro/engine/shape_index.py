@@ -116,19 +116,30 @@ def survives_floor(upper_bounds, floor):
     return np.greater_equal(upper_bounds, floor)
 
 
+def is_prunable(query: CompiledQuery) -> bool:
+    """Is the query fully fuzzy — no x pins, no iterators (paper §6)?
+
+    The shape both the shape index and the §6.3 collective driver
+    (:func:`~repro.engine.pruning.prune_and_rank`) can bound: pinned
+    layouts change the DP's piece structure.
+    """
+    return all(
+        not cu.unit.location.is_x_pinned and cu.unit.location.iterator is None
+        for chain in query.chains
+        for cu in chain.units
+    )
+
+
 def index_supports(query: CompiledQuery) -> bool:
     """Can the shape index bound this query? (else: full-scan fallback)
 
-    Requires the fully fuzzy shape :func:`~repro.engine.pruning.is_prunable`
-    demands (no x pins, no iterators — pinned layouts change the DP's
-    piece structure), every chain statically bounded (the
+    Requires a fully fuzzy query (:func:`is_prunable`), every chain statically bounded (the
     :func:`~repro.engine.pushdown.chain_statically_bounded` gate shared
     with the eager push-down bound), and at least one directional /
     slope-target unit somewhere — a query of only ``any``/line units
     bounds every candidate at 1.0, so the planner skips the stage
     rather than running a vacuous one.
     """
-    from repro.engine.pruning import is_prunable
     from repro.engine.pushdown import chain_statically_bounded
 
     if not is_prunable(query):

@@ -140,19 +140,16 @@ class ResultSet(Sequence):
     def candidates_pruned(self) -> int:
         """Candidates this call discarded without a full DP solve.
 
-        Sums every exact pruning channel the engine ran: the shape
-        index's IndexPrune stage, push-down (b)'s eager discards, and
-        the two-stage collective pruning driver.  0 for synthesized sets
-        (no stats) and for runs where every candidate was scored.
+        Sums the engine's two exact pruning channels: the shape index's
+        IndexPrune stage and push-down (b)'s eager discards.  0 for
+        synthesized sets (no stats) and for runs where every candidate
+        was scored.
         """
         if self.stats is None:
             return 0
-        pruned = getattr(self.stats, "index_pruned", 0)
-        pruned += getattr(self.stats, "eager_discarded", 0)
-        report = getattr(self.stats, "pruning", None)
-        if report is not None:
-            pruned += report.pruned
-        return pruned
+        return getattr(self.stats, "index_pruned", 0) + getattr(
+            self.stats, "eager_discarded", 0
+        )
 
     @property
     def index_source(self) -> Optional[str]:

@@ -1,10 +1,16 @@
-# Fixture: REP091 violations — third-party packages loaded at import time.
+# Fixture: REP091 violations — third-party packages loaded at import time —
+# and REP092 violations: module-level imports nothing reads.
+import json  # REP092: never read
+import os.path  # REP092: binds ``os``, never read
+from typing import TYPE_CHECKING, Dict  # REP092 (Dict)
+from collections import OrderedDict as Ordered  # REP092: the alias is what binds
+
 import numpy as np
 import scipy.optimize  # REP091: paid by every process that imports the package
-from networkx import Graph  # REP091
+from networkx import Graph  # REP091; REP092 too: never read
 
 try:
-    import pandas  # REP091: a guarded import still runs at import time
+    import pandas  # REP091: a guarded import still runs at import time; REP092: only stored
 except ImportError:
     pandas = None
 
@@ -14,3 +20,7 @@ class Trainer:
 
     def fit(self, objective, start):
         return scipy.optimize.minimize(objective, np.asarray(start))
+
+
+def checked() -> bool:
+    return TYPE_CHECKING  # a read: TYPE_CHECKING is used

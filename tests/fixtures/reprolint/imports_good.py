@@ -3,12 +3,26 @@ from __future__ import annotations
 
 import hashlib
 import os.path
-from collections import deque
+from collections import OrderedDict, deque
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.results import Match  # noqa: F401  (re-exported)
 from . import sibling
+
+if TYPE_CHECKING:
+    from repro.engine.trendline import Trendline
+
+
+def digest(path: str) -> str:
+    return hashlib.sha256(os.path.basename(path).encode()).hexdigest()
+
+
+def recent(items, memo: "OrderedDict[str, Trendline]") -> deque:
+    # Names read only inside a string annotation count as used.
+    return deque(items, maxlen=sibling.LIMIT)
 
 
 class Trainer:

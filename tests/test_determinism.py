@@ -99,15 +99,6 @@ class TestWorkerCountInvariance:
         overridden = engine.rank(trendlines, QUERY, k=5, workers=3)
         assert _signature(sequential) == _signature(overridden)
 
-    def test_pruning_path_matches_sequential(self):
-        trendlines = _collection(count=30)
-        sequential = ShapeSearchEngine(enable_pruning=True).rank(trendlines, QUERY, k=5)
-        with ShapeSearchEngine(enable_pruning=True, workers=3) as parallel:
-            shard_merged = parallel.rank(trendlines, QUERY, k=5)
-        assert [(m.key, m.score) for m in sequential] == [
-            (m.key, m.score) for m in shard_merged
-        ]
-
 
 def _published(engine) -> int:
     """How many collections ``engine`` put into shared memory."""
@@ -143,20 +134,6 @@ class TestBackendInvariance:
             # A floor the 24 candidates cannot fill twice keeps them one shard.
             assert _published(parallel) == (1 if 2 * floor <= len(trendlines) else 0)
         assert _signature(sequential) == _signature(shard_merged)
-
-    def test_shm_pruning_path_matches_sequential(self):
-        # Collective pruning shards at one candidate, so even 30 cross the
-        # pool: the sampling and finishing passes both resolve the
-        # published collection.
-        trendlines = _collection(count=30)
-        sequential = ShapeSearchEngine(enable_pruning=True).rank(trendlines, QUERY, k=5)
-        with ShapeSearchEngine(enable_pruning=True, workers=3) as parallel:
-            shard_merged, stats = parallel.rank_with_stats(trendlines, QUERY, k=5)
-            assert _published(parallel) == 1
-            assert stats.shards > 1
-        assert [(m.key, m.score) for m in sequential] == [
-            (m.key, m.score) for m in shard_merged
-        ]
 
 
 class TestTieBreaking:

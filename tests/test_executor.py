@@ -68,12 +68,6 @@ class TestRank:
         assert engine.last_stats.candidates == 5
         assert engine.last_stats.scored == 5
 
-    def test_pruning_path(self):
-        engine = ShapeSearchEngine(enable_pruning=True, sample_size=3, sample_points=32)
-        matches = engine.rank(_collection(), QUERY, k=2)
-        assert {match.key for match in matches} == {"udu0", "udu1"}
-        assert engine.last_stats.pruning is not None
-
     def test_exhaustive_algorithm_small_input(self):
         rng = np.random.default_rng(5)
         small = [make_trendline(rng.normal(0, 1, 12).cumsum(), key=i) for i in range(3)]

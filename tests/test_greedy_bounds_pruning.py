@@ -7,8 +7,9 @@ from repro.engine.bounds import chain_bounds, level_slopes, query_bounds, query_
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import solve_query
 from repro.engine.greedy import greedy_run_solver
-from repro.engine.pruning import PruningReport, decimate, is_prunable, prune_and_rank
+from repro.engine.pruning import PruningReport, decimate, prune_and_rank
 from repro.engine.segment_tree import segment_tree_run_solver
+from repro.engine.shape_index import is_prunable
 
 from tests.conftest import make_trendline
 

@@ -20,9 +20,6 @@ from repro.errors import ExecutionError
 ENGINE_OPTIONS = [
     "algorithm",
     "enable_pushdown",
-    "enable_pruning",
-    "sample_size",
-    "sample_points",
     "workers",
     "cache",
     "quantifier_threshold",
@@ -62,7 +59,7 @@ def _table():
 
 def test_engine_options_are_pinned():
     assert _parameters(ShapeSearchEngine.__init__) == ENGINE_OPTIONS
-    assert len(ENGINE_OPTIONS) == 12
+    assert len(ENGINE_OPTIONS) == 9
 
 
 def test_session_options_are_pinned():
@@ -70,7 +67,10 @@ def test_session_options_are_pinned():
     assert list(_SESSION_OPTIONS) == SESSION_OPTIONS
 
 
-@pytest.mark.parametrize("name", ["backend", "shm", "generation", "chunk_size"])
+@pytest.mark.parametrize("name", [
+    "backend", "shm", "generation", "chunk_size",
+    "enable_pruning", "sample_size", "sample_points",
+])
 def test_engine_rejects_removed_options(name):
     with pytest.raises(TypeError):
         ShapeSearchEngine(**{name: "process"})

@@ -199,6 +199,42 @@ class TestProcessBackend:
             assert pool.initializer is worker_init
 
 
+class TestWorkerDeath:
+    def test_a_killed_worker_fails_at_most_one_run(self, shard_floor):
+        import os
+        import signal
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro import ShapeSearch
+
+        shard_floor(2)  # twelve groups cut into shards that cross the pool
+        rng = np.random.default_rng(8)
+        table = Table.from_arrays(
+            z=np.repeat(np.array(["g{:02d}".format(i) for i in range(12)], dtype=object), 30),
+            x=np.tile(np.arange(30, dtype=float), 12),
+            y=rng.normal(0, 1, 360).cumsum(),
+        )
+        with ShapeSearch(table, workers=2) as session:
+            prepared = session.prepare("[p=up][p=down]", z="z", x="x", y="y")
+            before = prepared.run(k=4)
+            assert before.stats.shards > 1
+            (pool,) = session.engine._pools.values()
+            broken = pool._pool
+            os.kill(next(iter(broken._processes)), signal.SIGKILL)
+            failures = []
+            while True:
+                try:
+                    after = prepared.run(k=4)
+                    break
+                except ExecutionError as exc:
+                    assert isinstance(exc.__cause__, BrokenProcessPool)
+                    failures.append(exc)
+                    assert len(failures) == 1
+            assert after.to_records() == before.to_records()
+            assert after.stats.shards > 1
+            assert pool._pool is not broken
+
+
 class TestExecuteMany:
     def _table(self):
         rng = np.random.default_rng(11)

@@ -94,16 +94,6 @@ def test_prebuilt_rank_plan_reports_prebuilt_scan():
         assert stats.generation == "parent"
 
 
-def test_pruning_plan_reports_pruning_detail():
-    table = _table()
-    with ShapeSearchEngine(
-        enable_pruning=True, sample_size=3, sample_points=32
-    ) as engine:
-        results = engine.run(table, PARAMS, QUERY, k=3)
-        assert "pruning" in results.plan
-        assert results.stats.pruning is not None
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 def test_workers_override_changes_both_plan_and_stats(workers):
     table = _table()

@@ -1,12 +1,14 @@
-"""Top-k correctness of the optimized paths against the plain engine.
+"""Top-k correctness of the exactness-preserving optimizations.
 
-The two-stage collective pruning driver (§6.3) and the push-down
-optimizations (§5.4) are *exactness-preserving*: pruning discards a
-candidate only when its score upper bound is provably below the current
-top-k floor, and push-down only skips work the query provably cannot
-use.  These tests assert that on the synthetic evaluation suites both
-optimized paths return the same top-k set — same keys, same scores — as
-the unoptimized engine, catching eager-discard/pruning false negatives.
+The two-stage collective pruning driver (§6.3, the library function
+:func:`~repro.engine.pruning.prune_and_rank` that Fig 10 and Fig 13
+measure) and the push-down optimizations (§5.4) are
+*exactness-preserving*: pruning discards a candidate only when its score
+upper bound is provably below the current top-k floor, and push-down
+only skips work the query provably cannot use.  These tests assert that
+on the synthetic evaluation suites both return the same top-k set —
+same keys, same scores — as the unoptimized engine, catching
+eager-discard/pruning false negatives.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.data.visual_params import VisualParams
 from repro.datasets.suites import SUITES, suite_table, suite_trendlines
 from repro.engine.chains import compile_query
 from repro.engine.executor import ShapeSearchEngine
+from repro.engine.pruning import PruningReport, prune_and_rank
 from repro.parser import parse
 
 #: Scaled-down suite sizes so the whole module stays CI-friendly.
@@ -28,24 +31,23 @@ PRUNING_CASES = [
 ]
 
 
-def _result_set(matches):
-    return sorted((match.key, round(match.score, 9)) for match in matches)
+def _result_set(pairs):
+    return sorted((key, round(score, 9)) for key, score in pairs)
 
 
 @pytest.mark.parametrize("suite,query_text", PRUNING_CASES)
 def test_pruning_matches_unoptimized_top_k(suite, query_text):
     trendlines = suite_trendlines(suite, max_visualizations=MAX_VIZ, max_length=MAX_LEN)
     query = compile_query(parse(query_text))
-    baseline = ShapeSearchEngine(enable_pushdown=False, enable_pruning=False).rank(
-        trendlines, query, k=10
-    )
-    pruned_engine = ShapeSearchEngine(enable_pruning=True)
-    pruned, stats = pruned_engine.rank_with_stats(trendlines, query, k=10)
-    assert _result_set(pruned) == _result_set(baseline)
-    assert stats.pruning is not None
+    baseline = ShapeSearchEngine().rank(trendlines, query, k=10)
+    report = PruningReport()
+    pruned = prune_and_rank(list(trendlines), query, k=10, report=report)
+    assert _result_set(
+        [(trendline.key, result.score) for trendline, result in pruned]
+    ) == _result_set([(match.key, match.score) for match in baseline])
     # The driver really exercised the two-stage machinery.
-    assert stats.pruning.sampled > 0
-    assert stats.pruning.completed + stats.pruning.pruned <= stats.candidates
+    assert report.sampled > 0
+    assert report.completed + report.pruned <= report.candidates == len(trendlines)
 
 
 @pytest.mark.parametrize(
@@ -71,27 +73,3 @@ def test_pushdown_matches_unoptimized_top_k(suite, query_text):
     for match in without:
         assert match.score == pytest.approx(on_scores[match.key], abs=1e-9)
 
-
-def test_pruning_and_pushdown_together_fuzzy():
-    """Both flags on at once: fuzzy queries take the pruning path."""
-    trendlines = suite_trendlines("weather", max_visualizations=MAX_VIZ, max_length=MAX_LEN)
-    query = compile_query(parse(SUITES["weather"].fuzzy_queries[0]))
-    baseline = ShapeSearchEngine(enable_pushdown=False, enable_pruning=False).rank(
-        trendlines, query, k=10
-    )
-    optimized = ShapeSearchEngine(enable_pushdown=True, enable_pruning=True).rank(
-        trendlines, query, k=10
-    )
-    assert _result_set(optimized) == _result_set(baseline)
-
-
-def test_parallel_pruning_matches_unoptimized_top_k():
-    """Sharded pruning must stay exact too (per-shard floors are local)."""
-    trendlines = suite_trendlines("weather", max_visualizations=MAX_VIZ, max_length=MAX_LEN)
-    query = compile_query(parse(SUITES["weather"].fuzzy_queries[0]))
-    baseline = ShapeSearchEngine(enable_pushdown=False, enable_pruning=False).rank(
-        trendlines, query, k=10
-    )
-    with ShapeSearchEngine(enable_pruning=True, workers=3) as engine:
-        optimized = engine.rank(trendlines, query, k=10)
-    assert _result_set(optimized) == _result_set(baseline)

@@ -45,6 +45,7 @@ CASES = [
     ("REP071", "artifacts", 4),
     ("REP081", "serving", 5),
     ("REP091", "imports", 4),
+    ("REP092", "imports", 6),
 ]
 
 
@@ -107,6 +108,9 @@ class TestRuleFixtures:
         assert RULES_BY_ID["REP091"].applies("src/repro/nlp/crf.py")
         assert not RULES_BY_ID["REP091"].applies("tests/test_nlp_crf.py")
         assert not RULES_BY_ID["REP091"].applies("tools/reprolint/driver.py")
+        assert RULES_BY_ID["REP092"].applies("src/repro/api.py")
+        assert not RULES_BY_ID["REP092"].applies("src/repro/engine/__init__.py")
+        assert not RULES_BY_ID["REP092"].applies("tests/test_options.py")
         funnel = RULES_BY_ID["REP035"]
         assert funnel.applies("src/repro/engine/pipeline.py")
         assert funnel.applies("src/repro/api.py")

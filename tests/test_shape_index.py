@@ -522,15 +522,6 @@ class TestFallbacks:
         assert _signature(full) == _signature(indexed)
         assert engine.last_stats.index_pruned == 0
 
-    def test_collective_pruning_takes_precedence(self):
-        table = _smooth_table()
-        engine = ShapeSearchEngine(
-            index=True, enable_pruning=True, algorithm="segment-tree"
-        )
-        result = engine.run(table, PARAMS, UP_DOWN, k=5)
-        assert "IndexPrune" not in result.plan
-        assert "pruning" in result.plan  # the collective driver ran instead
-
     def test_index_off_by_default(self):
         table = _smooth_table()
         result = ShapeSearchEngine().run(table, PARAMS, UP_DOWN, k=5)

@@ -64,6 +64,29 @@ def _run_tail_scenario(session):
     return tail, live
 
 
+#: Groups first seen in an order their ``str`` order is not.
+TIED = ["t7", "t3", "t5", "t1", "t6", "t2"]
+
+
+def _tied_records(groups, rows, offset=0):
+    """The same noise-free rows for every group: equal rows, equal scores."""
+    return [
+        {"z": g, "x": float(offset + i), "y": float(np.sin((offset + i) / 4.0))}
+        for g in groups
+        for i in range(rows)
+    ]
+
+
+def _run_tied_scenario(session):
+    tail = session.tail(QUERY, z="z", x="x", y="y", k=4)
+    tail.append_rows(_tied_records(["t3", "t1"], 6, offset=24))
+    live = tail.append_rows(_tied_records(TIED, 4, offset=40))
+    assert _signature(live) == _signature(tail.run(k=4))
+    # t1 = t3 score above the four-way tie t7 = t5 = t6 = t2, which k = 4
+    # cuts: the first-seen t7 and t5 stay, not t2 and t5 by str(key).
+    assert [m.key for m in live] == ["t1", "t3", "t5", "t7"]
+
+
 class TestByteIdentity:
     """Delta-vs-cold equality across kernel x workers."""
 
@@ -81,13 +104,9 @@ class TestByteIdentity:
             tail, live = _run_tail_scenario(session)
             assert live.stats.generation == "tail"
             assert live.revision == 3
-
-    def test_pruning_tiebreak_mirrors_cold_plan(self):
-        engine = ShapeSearchEngine(enable_pruning=True, workers=1)
-        with ShapeSearch(Table.from_records(_records(GROUPS, 24)),
+        with ShapeSearch(Table.from_records(_tied_records(TIED, 24)),
                          engine=engine) as session:
-            tail, live = _run_tail_scenario(session)
-            assert tail._merge.tie == "key"
+            _run_tied_scenario(session)
 
     def test_filters_limit_affected_groups(self):
         records = _records(GROUPS, 24)

@@ -23,7 +23,7 @@ from tools.reprolint.rules.kernel import MatrixParityRule, SlopeBasedDeclaration
 from tools.reprolint.rules.index import FloorSeamRule
 from tools.reprolint.rules.artifacts import MappingLifecycleRule
 from tools.reprolint.rules.serving import AsyncBlockingCallRule
-from tools.reprolint.rules.imports import ImportWeightRule
+from tools.reprolint.rules.imports import ImportWeightRule, UnusedImportRule
 
 ALL_RULES = [
     SetIterationRule(),
@@ -45,6 +45,7 @@ ALL_RULES = [
     MappingLifecycleRule(),
     AsyncBlockingCallRule(),
     ImportWeightRule(),
+    UnusedImportRule(),
 ]
 
 RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}
