@@ -83,7 +83,7 @@ def test_fig12_accuracy(benchmark, suites, suite_name):
     # is "never off by more than 2 visualizations OR more than ~12%
     # deviation in scores" — high top-k overlap, or a tiny k-th-score
     # deviation when the top-k region is a dense band of near-ties
-    # (see EXPERIMENTS.md).
+    # (the ledger of this claim is ROADMAP item 3, not yet written).
     st_overlap, st_deviation = table[20]["segment-tree"]
     assert st_overlap >= 50.0 or st_deviation <= 15.0
     assert st_deviation <= 25.0

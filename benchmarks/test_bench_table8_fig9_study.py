@@ -9,7 +9,8 @@ reference sketch), scored against programmatic ground truth.
 Paper shape: ShapeSearch scoring ≥ ~89% on 6 of 7 tasks and above the
 VQS measures on average (Table 8: 88% vs 71%); the exact-trend task (ET)
 is where value-based measures are competitive.  Human timing and
-preference columns are not simulated (see EXPERIMENTS.md).
+preference columns are not simulated (ROADMAP item 3's ledger, not yet
+written, records which claims are reproduced).
 """
 
 import pytest

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from array import array
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -215,20 +217,63 @@ class Table:
 
     @classmethod
     def from_csv(cls, path: str, delimiter: str = ",") -> "Table":
-        """Load a CSV file with header row; numeric columns are inferred."""
+        """Load a CSV file with a header row, building typed columns as it reads.
+
+        A column is float64 iff every value passes ``float()``; otherwise
+        it is an object column of the raw strings, holding one shared
+        ``str`` per distinct value.  Rows are converted in chunks of
+        :data:`CSV_CHUNK_ROWS`, so a load peaks near twice the finished
+        columns instead of holding every row as strings first.  A column
+        whose first non-float value comes after rows were converted is
+        re-read from the file on its own.
+
+        Blank lines are skipped.  Raises :class:`DataError` when the file
+        is empty or has no data rows, when the header names a column
+        twice (after ``strip()``), and when a row's field count differs
+        from the header's (rows are numbered from the header, row 1).
+        """
+        builders: Dict[str, _CsvColumn] = {}
         with open(path, newline="") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataError("CSV file {!r} is empty".format(path)) from None
-            rows = list(reader)
+            for name in header:
+                name = name.strip()
+                if name in builders:
+                    raise DataError(
+                        "CSV file {!r} names column {!r} twice".format(path, name)
+                    )
+                builders[name] = _CsvColumn()
+            shared: Dict[str, str] = {}
+            rows = 0
+            for chunk in _csv_chunks(path, reader, len(header)):
+                for builder, values in zip(builders.values(), zip(*chunk)):
+                    builder.add(values, shared)
+                rows += len(chunk)
         if not rows:
             raise DataError("CSV file {!r} has no data rows".format(path))
-        columns: Dict[str, np.ndarray] = {}
-        for index, name in enumerate(header):
-            columns[name.strip()] = _infer_array([row[index] for row in rows])
-        return cls(columns)
+        pending = [
+            (index, builder)
+            for index, builder in enumerate(builders.values())
+            if builder.strings is None and builder.floats is None
+        ]
+        if pending:
+            for _, builder in pending:
+                builder.strings = []
+            with open(path, newline="") as handle:
+                reader = csv.reader(handle, delimiter=delimiter)
+                next(reader)
+                for chunk in _csv_chunks(path, reader, len(header)):
+                    columns = list(zip(*chunk))
+                    for index, builder in pending:
+                        builder.add(columns[index], shared)
+        del shared  # freed before finish() copies the object columns out
+        # The buffers are private to this load: adopt them without a copy.
+        return cls.from_shared(
+            {name: builder.finish() for name, builder in builders.items()}
+        )
 
     @classmethod
     def from_shared(
@@ -237,9 +282,11 @@ class Table:
         """Adopt already-immutable arrays without copying.
 
         This is the shared-memory reattachment path
-        (:mod:`repro.engine.shm`): the caller guarantees the arrays are
-        read-only views over a buffer nobody mutates, so the constructor's
-        defensive copy is skipped and the columns stay zero-copy.
+        (:mod:`repro.engine.shm`) and the end of :meth:`from_csv`, whose
+        column buffers nothing else references: the caller guarantees the
+        arrays are read-only views over a buffer nobody mutates, so the
+        constructor's defensive copy is skipped and the columns stay
+        zero-copy.
         ``fingerprint`` pre-seeds the content digest the result cache keys
         on, so a reattached table hits the same cache entries as the
         publisher's original without rehashing (or re-encoding object
@@ -583,6 +630,80 @@ def content_fingerprint(table: Table) -> str:
     except AttributeError:  # __slots__-style tables: just recompute
         pass
     return fingerprint
+
+
+#: Rows :meth:`Table.from_csv` converts per step: its working set is one
+#: chunk of row lists, never the whole file.
+CSV_CHUNK_ROWS = 512
+
+
+class _CsvColumn:
+    """One column of a CSV load: float64 until a value fails ``float()``.
+
+    ``floats`` collects the numeric values and ``strings`` the raw ones
+    of an object column, one shared instance per distinct value.  Both
+    are ``None`` while a column whose first non-float value came after
+    converted rows waits for its re-read.
+    """
+
+    __slots__ = ("floats", "strings")
+
+    def __init__(self) -> None:
+        self.floats: Optional[array[float]] = array("d")
+        self.strings: Optional[List[str]] = None
+
+    def add(self, values: Sequence[str], shared: Dict[str, str]) -> None:
+        """Append one chunk of raw values (a pending column ignores it)."""
+        if self.floats is not None:
+            converted = len(self.floats)
+            try:
+                self.floats.extend(map(float, values))
+                return
+            except ValueError:
+                self.floats = None
+                if converted:
+                    return  # those rows' strings are gone: wait for the re-read
+                self.strings = []
+        if self.strings is not None:
+            self.strings.extend(map(shared.setdefault, values, values))
+
+    def finish(self) -> np.ndarray:
+        if self.floats is not None:
+            column = np.frombuffer(self.floats, dtype=np.float64)
+        else:
+            strings, self.strings = self.strings or [], None  # one copy at a time
+            column = np.fromiter(strings, dtype=object, count=len(strings))
+        column.setflags(write=False)
+        return column
+
+
+def _csv_chunks(
+    path: str, reader: Iterator[List[str]], width: int
+) -> Iterator[List[List[str]]]:
+    """``reader``'s data rows in lists of up to :data:`CSV_CHUNK_ROWS`.
+
+    Rows of zero fields (blank lines) are dropped; any other row whose
+    field count differs from the header's ``width`` raises
+    :class:`DataError` naming its row number (the header is row 1).
+    """
+    row = 1
+    while True:
+        records = list(islice(reader, CSV_CHUNK_ROWS))
+        if not records:
+            return
+        chunk = records
+        if set(map(len, records)) != {width}:
+            for number, record in enumerate(records, row + 1):
+                if record and len(record) != width:
+                    raise DataError(
+                        "CSV file {!r} row {} has {} fields; the header has {}".format(
+                            path, number, len(record), width
+                        )
+                    )
+            chunk = [record for record in records if record]
+        row += len(records)
+        if chunk:
+            yield chunk
 
 
 def _infer_array(values: Iterable) -> np.ndarray:

@@ -11,8 +11,9 @@ visualizations with
 
 then measure each method's study accuracy against the programmatic
 ground truth.  Human timing and preference results are *not* simulated
-(see EXPERIMENTS.md); what is reproduced is the claim that the algebra's
-scoring outranks value-based measures on blurry tasks.
+(ROADMAP item 3's ledger, not yet written, will record that); what is
+reproduced is the claim that the algebra's scoring outranks value-based
+measures on blurry tasks.
 """
 
 from __future__ import annotations

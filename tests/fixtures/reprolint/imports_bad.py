@@ -1,5 +1,6 @@
 # Fixture: REP091 violations — third-party packages loaded at import time —
-# and REP092 violations: module-level imports nothing reads.
+# REP092 violations: module-level imports nothing reads — and REP093
+# violations: citations of files that do not exist (see NOWHERE.md).
 import json  # REP092: never read
 import os.path  # REP092: binds ``os``, never read
 from typing import TYPE_CHECKING, Dict  # REP092 (Dict)
@@ -24,3 +25,12 @@ class Trainer:
 
 def checked() -> bool:
     return TYPE_CHECKING  # a read: TYPE_CHECKING is used
+
+
+def ledger():
+    """Numbers for this claim live in the experiments ledger.
+
+    The ledger is ``EXPERIMENTS_LEDGER.md`` (REP093: never written), and
+    its driver is ``engine/vanished.py`` (REP093: not under src/repro/).
+    """
+    return "measured by benchmarks/test_bench_gone.py at scale 0.25"  # REP093

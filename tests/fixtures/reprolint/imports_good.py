@@ -1,4 +1,4 @@
-# Fixture: the conforming twin of imports_bad.py.
+# Fixture: the conforming twin of imports_bad.py; it cites ROADMAP.md.
 from __future__ import annotations
 
 import hashlib
@@ -33,3 +33,13 @@ class Trainer:
         except ImportError as exc:
             raise ExecutionError("training needs scipy") from exc
         return minimize(objective, np.asarray(start))
+
+
+def ledger():
+    """Citations that resolve: ``README.md`` and ``tools/reprolint/RULES.md``
+    from the repo root, ``engine/parallel.py`` from ``src/repro/``.
+
+    Not citations: a bare module name (``table.py:225``), a URL
+    (https://example.org/NOTES.md) and a string that is only a path.
+    """
+    return open("missing/dir/file.py")

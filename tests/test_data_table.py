@@ -44,6 +44,31 @@ class TestConstruction:
         with pytest.raises(DataError):
             Table.from_csv(str(path))
 
+    def test_from_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("z,y\na,1\n\nb,2\n\n")
+        table = Table.from_csv(str(path))
+        assert table.column("z").tolist() == ["a", "b"]
+        assert table.column("y").tolist() == [1.0, 2.0]
+
+    def test_from_csv_short_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("z,x,y\na,0,1\nb,1\n")
+        with pytest.raises(DataError, match="row 3 has 2 fields; the header has 3"):
+            Table.from_csv(str(path))
+
+    def test_from_csv_extra_field_rejected(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("z,y\na,1\n\nb,2,9\n")
+        with pytest.raises(DataError, match="row 4 has 3 fields; the header has 2"):
+            Table.from_csv(str(path))
+
+    def test_from_csv_duplicate_header_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("z,y, y\na,1,2\n")
+        with pytest.raises(DataError, match="names column 'y' twice"):
+            Table.from_csv(str(path))
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_text(json.dumps([{"a": 1, "b": 2}, {"a": 3, "b": 4}]))

@@ -46,6 +46,7 @@ CASES = [
     ("REP081", "serving", 5),
     ("REP091", "imports", 4),
     ("REP092", "imports", 6),
+    ("REP093", "imports", 4),
 ]
 
 
@@ -111,6 +112,9 @@ class TestRuleFixtures:
         assert RULES_BY_ID["REP092"].applies("src/repro/api.py")
         assert not RULES_BY_ID["REP092"].applies("src/repro/engine/__init__.py")
         assert not RULES_BY_ID["REP092"].applies("tests/test_options.py")
+        assert RULES_BY_ID["REP093"].applies("benchmarks/test_bench_fig12_accuracy.py")
+        assert RULES_BY_ID["REP093"].applies("tests/test_ingest.py")
+        assert not RULES_BY_ID["REP093"].applies("tools/reprolint/driver.py")
         funnel = RULES_BY_ID["REP035"]
         assert funnel.applies("src/repro/engine/pipeline.py")
         assert funnel.applies("src/repro/api.py")

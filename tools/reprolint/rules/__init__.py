@@ -24,6 +24,7 @@ from tools.reprolint.rules.index import FloorSeamRule
 from tools.reprolint.rules.artifacts import MappingLifecycleRule
 from tools.reprolint.rules.serving import AsyncBlockingCallRule
 from tools.reprolint.rules.imports import ImportWeightRule, UnusedImportRule
+from tools.reprolint.rules.citations import DanglingCitationRule
 
 ALL_RULES = [
     SetIterationRule(),
@@ -46,6 +47,7 @@ ALL_RULES = [
     AsyncBlockingCallRule(),
     ImportWeightRule(),
     UnusedImportRule(),
+    DanglingCitationRule(),
 ]
 
 RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}
