@@ -6,9 +6,9 @@ Measurements on the Figure 13 scaling suites:
   over the shared-memory collection, shards as index ranges) on one
   fuzzy query over the 50words collection, asserting byte-identical
   top-k and recording the speedup;
-* **result caching** — cold vs warm ``execute`` over the same table and
+* **result caching** — cold vs warm ``run`` over the same table and
   query, recording the latency ratio and the cache hit rate;
-* **batch amortization** — ``execute_many`` over all of a suite's fuzzy
+* **batch amortization** — ``run_many`` over all of a suite's fuzzy
   queries vs issuing them one at a time on a fresh engine;
 * **DP kernel** — single-trendline fuzzy segmentation, loop vs matrix
   transition kernel (``kernel=`` on the engine), at n=500 bins (the
@@ -382,7 +382,7 @@ def test_shape_index(benchmark):
     full = full_engine.rank(trendlines, query, k=10)  # warm (and correctness)
     indexed = indexed_engine.rank(trendlines, query, k=10)  # warm + index build
     assert _signature(full) == _signature(indexed)
-    stats = indexed_engine.last_stats
+    stats = indexed.stats
     assert stats.index_pruned > 0
     pruned_fraction = stats.index_pruned / max(stats.index_candidates, 1)
 
@@ -516,7 +516,7 @@ def test_parallel_report(benchmark):
         "Batch amortization: weather suite, {} fuzzy queries".format(
             len(SUITES["weather"].fuzzy_queries)
         ),
-        ["one at a time", "execute_many", "ratio"],
+        ["one at a time", "run_many", "ratio"],
         [
             [
                 "{:.3f}s".format(_RESULTS[("batch", "individual")]),

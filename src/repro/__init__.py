@@ -28,12 +28,9 @@ from repro.api import (
 )
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
-from repro.engine.cache import CacheStats, EngineCache, LRUCache
 from repro.engine.control import ExecutionControl
 from repro.engine.executor import ExecutionStats, Match, ShapeSearchEngine
-from repro.engine.parallel import WorkerPool
 from repro.engine.scoring import register_udp, temporary_udp, unregister_udp
-from repro.engine.shm import ShmSession
 from repro.errors import (
     AmbiguityError,
     DataError,
@@ -44,7 +41,6 @@ from repro.errors import (
     ShapeSearchDeprecationWarning,
     ShapeSearchError,
 )
-from repro.parser import parse as parse_regex
 from repro.results import ResultSet, SearchFuture
 
 __version__ = "1.1.0"
@@ -58,17 +54,11 @@ __all__ = [
     "SearchFuture",
     "ExecutionControl",
     "parse_query",
-    "parse_regex",
     "to_regex",
     "Table",
     "VisualParams",
     "Match",
     "ShapeSearchEngine",
-    "WorkerPool",
-    "ShmSession",
-    "EngineCache",
-    "LRUCache",
-    "CacheStats",
     "ExecutionStats",
     "register_udp",
     "unregister_udp",

@@ -22,15 +22,12 @@ API is built around three objects::
 :class:`PreparedSearch` binds a parsed+compiled query to the session's
 visual context, so repeated interactive calls skip parse and compile by
 construction; :class:`~repro.results.SearchFuture` is the cancellable
-handle of the submit paths; :class:`~repro.results.ResultSet` replaces
-the bare ``List[Match]`` everywhere (it still *is* a sequence of
-matches, so seed-era code keeps working).
+handle of the submit paths; :class:`~repro.results.ResultSet` is a
+sequence of matches that also carries the call's stats and plan.
 
 Strings are parsed as regex first and fall back to natural language, so
 ``session.prepare("[p=up][p=down]", ...)`` and
-``session.prepare("up then down", ...)`` both work.  The historical
-one-shot ``search``/``search_many`` entry points remain as deprecated
-shims over the prepared path.
+``session.prepare("up then down", ...)`` both work.
 """
 
 from __future__ import annotations
@@ -228,7 +225,7 @@ class TailSearch(PreparedSearch):
 
         super().__init__(table, engine, node, compiled, params)
         require_columns(table, params)
-        self.k = k
+        self.k = engine._check_k(k)
         self._workers = workers
         self._progress = progress
         self._normalize_y = not query_constrains_y(compiled)
@@ -704,75 +701,7 @@ class ShapeSearch:
             node, z=z, x=x, y=y, filters=filters, aggregate=aggregate,
             bin_width=bin_width,
         )
-        result = prepared.run(k=k, workers=workers)
-        # Not deprecated, but the seed-era call updated last_stats;
-        # keep that visible side effect for code that inspected it.
-        self.engine.last_stats = result.stats
-        return result
-
-    # -- deprecated one-shot shims -------------------------------------------
-    def search(
-        self,
-        query: QueryLike,
-        z: str,
-        x: str,
-        y: str,
-        k: int = 10,
-        filters: Sequence = (),
-        aggregate: str = "mean",
-        bin_width: Optional[float] = None,
-        workers: Optional[int] = None,
-    ) -> ResultSet:
-        """Deprecated: use ``prepare(...).run(...)``.
-
-        One-shot top-k search, kept as a thin shim over the prepared
-        path: identical matches in identical order, now as a
-        list-compatible :class:`ResultSet`.
-        """
-        warn_deprecated(
-            "ShapeSearch.search()", "ShapeSearch.prepare(...).run(...)"
-        )
-        prepared = self.prepare(
-            query, z=z, x=x, y=y, filters=filters, aggregate=aggregate,
-            bin_width=bin_width,
-        )
-        result = prepared.run(k=k, workers=workers)
-        self.engine.last_stats = result.stats
-        return result
-
-    def search_many(
-        self,
-        queries: Sequence[QueryLike],
-        z: str,
-        x: str,
-        y: str,
-        k: int = 10,
-        filters: Sequence = (),
-        aggregate: str = "mean",
-        bin_width: Optional[float] = None,
-        workers: Optional[int] = None,
-    ) -> List[ResultSet]:
-        """Deprecated: use :meth:`submit_many` (or prepared runs).
-
-        Batch search, kept as a blocking shim: one ResultSet per query,
-        in order, with compilation and EXTRACT/GROUP amortized across
-        the batch exactly as before.
-        """
-        warn_deprecated(
-            "ShapeSearch.search_many()",
-            "ShapeSearch.submit_many(...) (gather with future.result())",
-        )
-        nodes = [parse_query(query, tagger=self.tagger) for query in queries]
-        params = VisualParams(
-            z=z, x=x, y=y, filters=tuple(filters), aggregate=aggregate,
-            bin_width=bin_width,
-        )
-        results = self.engine.run_many(
-            self.table, params, nodes, k=k, workers=workers
-        )
-        if results:
-            self.engine.last_stats = results[-1].stats
-        return results
+        return prepared.run(k=k, workers=workers)
 
     # -- identity -------------------------------------------------------------
     @property

@@ -30,7 +30,8 @@ The serving-era entry points are :meth:`ShapeSearchEngine.run` /
 :meth:`submit_many` (non-blocking, returning
 :class:`~repro.results.SearchFuture` handles driven by a small
 dispatcher thread pool, with cooperative cancellation and per-shard
-progress).  ``execute``/``execute_many`` remain as deprecated shims.
+progress).  :meth:`ShapeSearchEngine.rank` scores caller-held
+trendlines.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ from repro.engine.chains import CompiledQuery, compile_query
 from repro.engine.control import ExecutionControl
 from repro.engine.dynamic import QueryResult
 from repro.engine.pipeline import generate_trendlines
+# Imported with the engine, not on first use: first imported while the
+# server was answering requests, it raised served_dashboard's peak RSS by
+# about 1 MiB.
+from repro.engine.shm import ShmSession, release_evicted, worker_init
 from repro.engine.trendline import Trendline
-from repro.errors import ExecutionError, SearchCancelled, warn_deprecated
+from repro.errors import ExecutionError, SearchCancelled
 from repro.results import ResultSet, SearchFuture
 
 #: Supported segmentation algorithms (dispatch lives in
@@ -71,7 +76,7 @@ ALGORITHMS = ("dp", "segment-tree", "greedy", "exhaustive")
 PRECISIONS = ("float64", "float32")
 
 #: Engine-local shape-index memo size (rank paths, keyed by collection
-#: identity; the table-attached store covers the execute paths).
+#: identity; the table-attached store covers the table paths).
 _MAX_ENGINE_INDEXES = 8
 
 #: Artifact stores already warned about (abspath -> True): an unwritable
@@ -121,10 +126,9 @@ class Match:
 class ExecutionStats:
     """What the engine did for one query (inspected by benchmarks).
 
-    Stats are built per call and returned by
-    :meth:`ShapeSearchEngine.rank_with_stats`; the engine's
-    ``last_stats`` attribute only ever holds a *completed* snapshot, so
-    concurrent calls on one engine never observe each other's counters.
+    Stats are built per call and ride on the returned
+    :class:`~repro.results.ResultSet` (``results.stats``), so concurrent
+    calls on one engine never observe each other's counters.
     """
 
     candidates: int = 0
@@ -238,7 +242,6 @@ class ShapeSearchEngine:
             store = os.environ.get("REPRO_ARTIFACT_DIR") or None
         self.store: Optional[str] = str(store) if store else None
         self.cache: Optional[EngineCache] = coerce_cache(cache)
-        self.last_stats = ExecutionStats()
         #: Rank-path shape indexes: id(collection) -> (id witness,
         #: collection ref, ShapeIndex).  The collection is held strongly
         #: so ids cannot recycle under a live entry.
@@ -252,8 +255,6 @@ class ShapeSearchEngine:
         #: thread pool that drives the non-blocking submit paths.
         self._dispatch_box: list = [None]
         if self.cache is not None:
-            from repro.engine.shm import release_evicted
-
             self.cache.trendlines.add_evict_listener(release_evicted)
         #: Safety net: releases pools and shared memory when the engine is
         #: garbage-collected or the interpreter exits without close().
@@ -273,6 +274,14 @@ class ShapeSearchEngine:
             raise ExecutionError("workers must be >= 1, got {}".format(workers))
         return workers
 
+    @staticmethod
+    def _check_k(k) -> int:
+        # The serving protocol's rule (protocol.search_k): bool is an int
+        # subclass, so it is refused explicitly.
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ExecutionError("k must be an int >= 1, got {!r}".format(k))
+        return k
+
     # -- worker pool -------------------------------------------------------
     def _resolve_pool(self, workers: Optional[int]):
         """A persistent pool for the requested worker count.
@@ -287,7 +296,6 @@ class ShapeSearchEngine:
         by whichever later query first cuts two shards.
         """
         from repro.engine.parallel import IN_CALLER, WorkerPool
-        from repro.engine.shm import worker_init
 
         count = self.workers if workers is None else self._check_workers(workers)
         if count == 1:
@@ -302,8 +310,6 @@ class ShapeSearchEngine:
 
     def _shm_session(self):
         """The session-scoped shared-memory registry (created on first use)."""
-        from repro.engine.shm import ShmSession
-
         with self._pool_lock:
             if self._shm_box[0] is None or self._shm_box[0].closed:
                 self._shm_box[0] = ShmSession()
@@ -359,16 +365,16 @@ class ShapeSearchEngine:
     ) -> ResultSet:
         """EXTRACT → GROUP → SEGMENT → SCORE → top-k, as a :class:`ResultSet`.
 
-        The blocking core of every execute path: compiles the query
+        The blocking core of every table path: compiles the query
         (through the plan cache), plans the staged operator pipeline and
         runs it.  Returns a :class:`~repro.results.ResultSet` carrying
-        this call's private stats and the rendered physical plan — the
-        engine's ``last_stats`` is *not* touched, so concurrent calls on
-        one engine never observe each other.  ``control`` threads the
-        cancellation/progress hooks of the submit paths through the
-        pipeline; ``memo`` is the batch generation memo shared across a
-        :meth:`run_many` call.
+        this call's private stats and the rendered physical plan, so
+        concurrent calls on one engine never observe each other.
+        ``control`` threads the cancellation/progress hooks of the submit
+        paths through the pipeline; ``memo`` is the batch generation memo
+        shared across a :meth:`run_many` call.
         """
+        self._check_k(k)
         stats = ExecutionStats()
         compiled = self._compile(query, stats)
         matches, plan = self._run_pipeline(
@@ -423,6 +429,9 @@ class ShapeSearchEngine:
         :meth:`SearchFuture.cancel` drops un-dispatched shards
         cooperatively (see :mod:`repro.engine.control`).
         """
+        self._check_k(k)
+        if workers is not None:
+            self._check_workers(workers)
         control = ExecutionControl(progress=progress)
         future = SearchFuture(control)
 
@@ -453,6 +462,9 @@ class ShapeSearchEngine:
         query — the rest of the batch proceeds.  ``progress`` is called
         as ``progress(query_index, completed_shards, total_shards)``.
         """
+        self._check_k(k)
+        if workers is not None:
+            self._check_workers(workers)
         jobs = []
         for index, query in enumerate(queries):
             if progress is not None:
@@ -475,103 +487,22 @@ class ShapeSearchEngine:
             task.add_done_callback(_abandonment_guard(future))
         return [future for _query, future, _control in jobs]
 
-    # -- deprecated blocking shims ------------------------------------------
-    def execute(
-        self,
-        table: Table,
-        params: VisualParams,
-        query: Union[Node, CompiledQuery],
-        k: int = 10,
-        workers: Optional[int] = None,
-    ) -> ResultSet:
-        """Deprecated: use :meth:`run` (same results, per-call stats).
-
-        Kept as a thin shim for seed-era callers: identical matches in
-        identical order, now as a list-compatible :class:`ResultSet`,
-        with ``last_stats`` still updated for code that inspected it.
-        """
-        warn_deprecated("ShapeSearchEngine.execute()", "ShapeSearchEngine.run()")
-        result = self.run(table, params, query, k=k, workers=workers)
-        self.last_stats = result.stats
-        return result
-
-    def execute_with_stats(
-        self,
-        table: Table,
-        params: VisualParams,
-        query: Union[Node, CompiledQuery],
-        k: int = 10,
-        workers: Optional[int] = None,
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        """Like :meth:`run`, unpacked as ``(results, stats)``.
-
-        Not deprecated — internal plumbing and tests use it — but new
-        code should prefer :meth:`run`: the stats ride on the ResultSet.
-        """
-        result = self.run(table, params, query, k=k, workers=workers)
-        return result, result.stats
-
-    def execute_many(
-        self,
-        table: Table,
-        params: VisualParams,
-        queries: Sequence[Union[Node, CompiledQuery]],
-        k: int = 10,
-        workers: Optional[int] = None,
-    ) -> List[ResultSet]:
-        """Deprecated: use :meth:`run_many` (same batch amortization)."""
-        warn_deprecated(
-            "ShapeSearchEngine.execute_many()", "ShapeSearchEngine.run_many()"
-        )
-        results = self.run_many(table, params, queries, k=k, workers=workers)
-        if results:
-            self.last_stats = results[-1].stats
-        return results
-
-    def execute_many_with_stats(
-        self,
-        table: Table,
-        params: VisualParams,
-        queries: Sequence[Union[Node, CompiledQuery]],
-        k: int = 10,
-        workers: Optional[int] = None,
-    ) -> Tuple[List[ResultSet], List[ExecutionStats]]:
-        """Batch :meth:`run_many`, unpacked as ``(results, stats list)``."""
-        results = self.run_many(table, params, queries, k=k, workers=workers)
-        return results, [result.stats for result in results]
-
     # -- core ranking --------------------------------------------------------
     def rank(
         self,
         trendlines: Sequence[Trendline],
         query: Union[Node, CompiledQuery],
         k: int = 10,
-        extracted_hint: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> ResultSet:
-        """Rank pre-built trendlines against a query."""
-        matches, stats = self.rank_with_stats(
-            trendlines, query, k, extracted_hint=extracted_hint, workers=workers
-        )
-        self.last_stats = stats
-        return matches
-
-    def rank_with_stats(
-        self,
-        trendlines: Sequence[Trendline],
-        query: Union[Node, CompiledQuery],
-        k: int = 10,
-        extracted_hint: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> Tuple[ResultSet, ExecutionStats]:
-        """Rank with per-call stats (safe under concurrent use)."""
-        stats = ExecutionStats()
+        """Rank pre-built trendlines against a query (stats on the ResultSet)."""
+        self._check_k(k)
+        stats = ExecutionStats(extracted=len(trendlines))
         compiled = self._compile(query, stats)
-        stats.extracted = extracted_hint if extracted_hint is not None else len(trendlines)
         matches, plan = self._run_pipeline(
             compiled, k, stats, trendlines=trendlines, workers=workers
         )
-        return ResultSet(matches, stats=stats, plan=plan), stats
+        return ResultSet(matches, stats=stats, plan=plan)
 
     def _run_pipeline(
         self,
@@ -622,6 +553,7 @@ class ShapeSearchEngine:
         """
         from repro.engine.pipeline import plan_pipeline
 
+        self._check_k(k)
         compiled = self._compile(query)
         return plan_pipeline(
             self, compiled, k, table=table, params=params, workers=workers
@@ -698,7 +630,7 @@ class ShapeSearchEngine:
         rebuilding on every process start is the failure mode this
         surfaces.  Storage tiers, in lookup order:
 
-        * **Table-attached** (execute paths): the index lives on the
+        * **Table-attached** (table paths): the index lives on the
           immutable ``Table`` itself, keyed by the generation inputs
           (params, normalize_y, push-down plan, precision) — it survives
           engine restarts and cache evictions, and ``append_rows``

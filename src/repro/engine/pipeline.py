@@ -784,7 +784,7 @@ def plan_pipeline(
     operators whose implementations all preserve the total order
     *(score desc, position asc)*.  The Score implementation follows the
     worker count alone (:func:`scoring_workers`).  Pass either ``table``
-    + ``params`` (the execute paths) or pre-built ``trendlines`` (the
+    + ``params`` (the table paths) or pre-built ``trendlines`` (the
     rank paths); ``memo`` is the batch generation memo shared across a
     ``run_many`` call.
     """

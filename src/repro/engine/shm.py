@@ -722,7 +722,7 @@ class ShmSession:
     Publishing is memoized — the same collection object, compiled query,
     or table (by fingerprint) is exported exactly once per session — and
     the collection/query memos are LRU-bounded, so an engine run *without*
-    a trendline cache (fresh collection per ``execute``) recycles old
+    a trendline cache (fresh collection per ``run``) recycles old
     segments instead of accumulating one per query.  :meth:`pin` defers
     any release of a handle's segment while shards referencing it are in
     flight.  :meth:`close` is idempotent, also running via ``atexit`` so

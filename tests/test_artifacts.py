@@ -618,22 +618,22 @@ class TestIndexReason:
     """ExecutionStats.index_reason: why a build happened, stated explicitly."""
 
     def test_no_store_configured(self):
-        _res, stats = ShapeSearchEngine(index=True).execute_with_stats(
+        stats = ShapeSearchEngine(index=True).run(
             _smooth_table(), PARAMS, UP_DOWN, k=5
-        )
+        ).stats
         assert stats.index_source == "built"
         assert stats.index_reason == "no-store"
 
     def test_store_miss_then_disk_hit_clears_reason(self, tmp_path):
         store = str(tmp_path / "artifacts")
-        _res, cold = ShapeSearchEngine(index=True, store=store).execute_with_stats(
+        cold = ShapeSearchEngine(index=True, store=store).run(
             _smooth_table(), PARAMS, UP_DOWN, k=5
-        )
+        ).stats
         assert cold.index_source == "built"
         assert cold.index_reason == "store-miss"
-        _res, warm = ShapeSearchEngine(index=True, store=store).execute_with_stats(
+        warm = ShapeSearchEngine(index=True, store=store).run(
             _smooth_table(), PARAMS, UP_DOWN, k=5
-        )
+        ).stats
         assert warm.index_source == "disk"
         assert warm.index_reason is None
 
@@ -648,9 +648,9 @@ class TestIndexReason:
         blocked.write_text("not a directory")
         engine = ShapeSearchEngine(index=True, store=str(blocked))
         with pytest.warns(RuntimeWarning, match="store-unwritable"):
-            _res, stats = engine.execute_with_stats(
+            stats = engine.run(
                 _smooth_table(), PARAMS, UP_DOWN, k=5
-            )
+            ).stats
         assert stats.index_source == "built"
         assert stats.index_reason == "store-unwritable"
         # Second query against the same store: reason persists but the
@@ -659,15 +659,15 @@ class TestIndexReason:
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
-            _res, again = engine.execute_with_stats(
+            again = engine.run(
                 _smooth_table(), PARAMS, UP_DOWN, k=5
-            )
+            ).stats
         assert again.index_reason == "store-unwritable"
 
     def test_memory_source_has_no_reason(self):
         engine = ShapeSearchEngine(index=True)
         table = _smooth_table()
         engine.run(table, PARAMS, UP_DOWN, k=5)
-        _res, stats = engine.execute_with_stats(table, PARAMS, UP_DOWN, k=5)
+        stats = engine.run(table, PARAMS, UP_DOWN, k=5).stats
         assert stats.index_source == "memory"
         assert stats.index_reason is None

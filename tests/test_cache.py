@@ -218,10 +218,10 @@ class TestEngineIntegration:
         table = self._table()
         params = VisualParams(z="z", x="x", y="y")
         query = q.concat(q.up(), q.down())
-        first, stats_first = engine.execute_with_stats(table, params, query, k=2)
-        second, stats_second = engine.execute_with_stats(table, params, query, k=2)
-        assert not stats_first.trendline_cache_hit and not stats_first.plan_cache_hit
-        assert stats_second.trendline_cache_hit and stats_second.plan_cache_hit
+        first = engine.run(table, params, query, k=2)
+        second = engine.run(table, params, query, k=2)
+        assert not first.stats.trendline_cache_hit and not first.stats.plan_cache_hit
+        assert second.stats.trendline_cache_hit and second.stats.plan_cache_hit
         assert [(m.key, m.score) for m in first] == [(m.key, m.score) for m in second]
 
     def test_cached_results_identical_to_uncached(self):
@@ -239,9 +239,9 @@ class TestEngineIntegration:
         params = VisualParams(z="z", x="x", y="y")
         query = q.concat(q.up(), q.down())
         engine.run(table=self._table(seed=0), params=params, query=query, k=2)
-        _, stats = engine.execute_with_stats(
+        stats = engine.run(
             table=self._table(seed=1), params=params, query=query, k=2
-        )
+        ).stats
         assert not stats.trendline_cache_hit
         assert stats.plan_cache_hit  # the plan is data-independent
 
@@ -251,9 +251,9 @@ class TestEngineIntegration:
         params = VisualParams(z="z", x="x", y="y")
         query = q.concat(q.up(), q.down())
         ShapeSearchEngine(cache=shared).run(table, params, query, k=2)
-        _, stats = ShapeSearchEngine(cache=shared).execute_with_stats(
+        stats = ShapeSearchEngine(cache=shared).run(
             table, params, query, k=2
-        )
+        ).stats
         assert stats.trendline_cache_hit and stats.plan_cache_hit
 
     def test_disabled_cache_never_hits(self):
@@ -262,7 +262,7 @@ class TestEngineIntegration:
         params = VisualParams(z="z", x="x", y="y")
         query = q.concat(q.up(), q.down())
         engine.run(table, params, query, k=2)
-        _, stats = engine.execute_with_stats(table, params, query, k=2)
+        stats = engine.run(table, params, query, k=2).stats
         assert engine.cache is None
         assert not stats.trendline_cache_hit and not stats.plan_cache_hit
 

@@ -63,10 +63,9 @@ class TestRank:
             engine.rank(_collection(), "not-an-ast", k=1)
 
     def test_stats_populated(self):
-        engine = ShapeSearchEngine()
-        engine.rank(_collection(), QUERY, k=2)
-        assert engine.last_stats.candidates == 5
-        assert engine.last_stats.scored == 5
+        stats = ShapeSearchEngine().rank(_collection(), QUERY, k=2).stats
+        assert stats.candidates == 5
+        assert stats.scored == 5
 
     def test_exhaustive_algorithm_small_input(self):
         rng = np.random.default_rng(5)
@@ -139,11 +138,11 @@ class TestAlgorithmsConstant:
 class TestStatsIsolation:
     """Stats are per-call: concurrent ranks can't see each other's counters."""
 
-    def test_rank_with_stats_returns_private_stats(self):
+    def test_rank_returns_private_stats(self):
         engine = ShapeSearchEngine()
         collection = _collection()
-        _, stats_a = engine.rank_with_stats(collection, QUERY, k=2)
-        _, stats_b = engine.rank_with_stats(collection[:3], QUERY, k=2)
+        stats_a = engine.rank(collection, QUERY, k=2).stats
+        stats_b = engine.rank(collection[:3], QUERY, k=2).stats
         assert stats_a.candidates == 5 and stats_a.scored == 5
         assert stats_b.candidates == 3 and stats_b.scored == 3
         # The first call's stats object was not mutated by the second.
@@ -158,7 +157,7 @@ class TestStatsIsolation:
         large = _collection()
 
         def run(trendlines):
-            _, stats = engine.rank_with_stats(trendlines, QUERY, k=2)
+            stats = engine.rank(trendlines, QUERY, k=2).stats
             return len(trendlines), stats
 
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -170,13 +169,3 @@ class TestStatsIsolation:
                 expected, stats = future.result()
                 assert stats.candidates == expected
                 assert stats.scored == expected
-
-    def test_last_stats_is_completed_snapshot(self):
-        engine = ShapeSearchEngine()
-        engine.rank(_collection(), QUERY, k=2)
-        snapshot = engine.last_stats
-        assert snapshot.candidates == 5 and snapshot.scored == 5
-        engine.rank(_collection()[:3], QUERY, k=2)
-        # The old snapshot object is immutable history, not a live view.
-        assert snapshot.scored == 5
-        assert engine.last_stats.scored == 3

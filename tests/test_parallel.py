@@ -90,7 +90,7 @@ class TestShardScoring:
             )
         shard_floor(4)
         with ShapeSearchEngine(workers=2) as engine:
-            _, stats = engine.rank_with_stats(collection, pinned, k=1)
+            stats = engine.rank(collection, pinned, k=1).stats
         assert stats.eager_discarded >= 2
         assert stats.scored + stats.eager_discarded == 8
         assert stats.shards == 2
@@ -178,7 +178,7 @@ class TestProcessBackend:
         shard_floor(3)
         trendlines = _collection(12)
         with ShapeSearchEngine(workers=2) as engine:
-            _, stats = engine.rank_with_stats(trendlines, QUERY, k=4)
+            stats = engine.rank(trendlines, QUERY, k=4).stats
         assert stats.shards == 4
         assert stats.scored + stats.eager_discarded == 12
 
@@ -186,7 +186,7 @@ class TestProcessBackend:
         # Four candidates are one shard, scored in the caller — but the
         # pool the plan asked for is up, so no later query pays the fork.
         with ShapeSearchEngine(workers=2) as engine:
-            _, stats = engine.rank_with_stats(_collection(4), QUERY, k=2)
+            stats = engine.rank(_collection(4), QUERY, k=2).stats
             assert stats.shards == 1
             (pool,) = engine._pools.values()
             assert len(pool._pool._processes) == 2
@@ -304,21 +304,11 @@ class TestExecuteMany:
         table = self._table()
         params = VisualParams(z="z", x="x", y="y")
         queries = [q.concat(q.up(), q.down()), q.concat(q.down(), q.up())]
-        _, stats_list = ShapeSearchEngine().execute_many_with_stats(
-            table, params, queries, k=2
-        )
+        results = ShapeSearchEngine().run_many(table, params, queries, k=2)
+        stats_list = [result.stats for result in results]
         assert not stats_list[0].trendline_cache_hit
         assert stats_list[1].trendline_cache_hit  # reused the batch generation
         assert all(s.extracted == s.candidates for s in stats_list)
-
-
-class TestExtractedHint:
-    def test_zero_hint_preserved(self):
-        engine = ShapeSearchEngine()
-        trendlines = _collection(4)
-        _, stats = engine.rank_with_stats(trendlines, QUERY, k=2, extracted_hint=0)
-        assert stats.extracted == 0
-        assert stats.candidates == 4
 
 
 class TestUdpPlans:

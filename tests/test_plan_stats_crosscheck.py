@@ -87,7 +87,8 @@ def test_prebuilt_rank_plan_reports_prebuilt_scan():
     table = _table()
     trendlines = generate_trendlines(table, PARAMS)
     with ShapeSearchEngine(workers=2) as engine:
-        results, stats = engine.rank_with_stats(trendlines, QUERY, k=3)
+        results = engine.rank(trendlines, QUERY, k=3)
+        stats = results.stats
         stages = parse_stages(results.plan)
         assert stages[0] == ("Scan", "prebuilt")
         assert [name for name, _mode in stages] == ["Scan", "Score", "MergeTopK"]

@@ -7,14 +7,19 @@ sketch front-end routes through the same prepared path as text queries,
 and ``from_arrays`` separates engine options from column arrays.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro import PreparedSearch, ResultSet, ShapeSearch
+from repro import PreparedSearch, ResultSet, ShapeSearch, ShapeSearchDeprecationWarning
 from repro.data.table import Table
 from repro.engine.chains import CompiledQuery
 from repro.engine.executor import ExecutionStats, ShapeSearchEngine
+from repro.errors import ExecutionError
 from repro.render import render_matches, render_results
+
+from tests.conftest import make_trendline
 
 
 def _table(groups=6, length=30, seed=0):
@@ -139,14 +144,6 @@ class TestResultSet:
         assert first.stats is not second.stats
         assert first.stats.candidates == 6
 
-    def test_run_does_not_touch_last_stats(self):
-        engine = ShapeSearchEngine()
-        sentinel = engine.last_stats
-        ShapeSearch(_table(), engine=engine).prepare(
-            "[p=up]", z="z", x="x", y="y"
-        ).run(k=2)
-        assert engine.last_stats is sentinel
-
     def test_to_records(self):
         results = self._results(k=2)
         records = results.to_records()
@@ -180,6 +177,62 @@ class TestResultSet:
         results = self._results(k=4)
         assert repr(results).startswith("ResultSet([")
         assert "n=4" in repr(results)
+
+
+def _call(entry, session, k=2, workers=None):
+    """Drive one library entry point that takes ``k`` (and ``workers``)."""
+    prepared = session.prepare("[p=up]", z="z", x="x", y="y")
+    if entry == "run":
+        return prepared.run(k=k, workers=workers)
+    if entry == "submit":
+        return prepared.submit(k=k, workers=workers)
+    if entry == "submit_many":
+        return session.submit_many(["[p=up]"], z="z", x="x", y="y", k=k, workers=workers)
+    if entry == "rank":
+        lines = [make_trendline(np.arange(10.0) * (i + 1), key=i) for i in range(3)]
+        return session.engine.rank(lines, prepared.compiled, k=k, workers=workers)
+    if entry == "explain_plan":
+        return prepared.explain_plan(k=k, workers=workers)
+    return session.tail("[p=up]", z="z", x="x", y="y", k=k, workers=workers)
+
+
+_K_ENTRIES = ["run", "submit", "submit_many", "rank", "explain_plan", "tail"]
+
+
+class TestArgumentValidation:
+    """``k`` follows the serving protocol's rule (an int, not a bool, >= 1)
+    on every entry point, and a bad value fails at the call, not later
+    inside a shard or at ``future.result()``."""
+
+    @pytest.mark.parametrize("entry", _K_ENTRIES)
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_bad_k_raises_execution_error(self, entry, k):
+        with ShapeSearch(_table()) as session:
+            with pytest.raises(ExecutionError, match="k must be"):
+                _call(entry, session, k=k)
+
+    @pytest.mark.parametrize("entry", ["submit", "submit_many"])
+    def test_bad_workers_fails_before_dispatch(self, entry):
+        with ShapeSearch(_table()) as session:
+            with pytest.raises(ExecutionError, match="workers must be"):
+                _call(entry, session, workers=0)
+
+
+class TestWarningDiscipline:
+    def test_new_api_does_not_warn(self):
+        session = ShapeSearch(_table())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShapeSearchDeprecationWarning)
+            prepared = session.prepare("[p=up]", z="z", x="x", y="y")
+            prepared.run(k=1)
+            prepared.submit(k=1).result()
+            session.engine.run(session.table, prepared.params, prepared.compiled, k=1)
+            session.engine.run_many(
+                session.table, prepared.params, [prepared.compiled], k=1
+            )
+            session.search_sketch(
+                [(float(i), float(i)) for i in range(20)], z="z", x="x", y="y", k=1
+            )
 
 
 class TestRunManyFailFast:

@@ -153,7 +153,7 @@ class TestIndexIdentity:
         indexed_engine = ShapeSearchEngine(kernel=kernel, index=True)
         indexed = indexed_engine.rank(trendlines, UP_DOWN, k=5)
         assert _signature(full) == _signature(indexed)
-        assert indexed_engine.last_stats.index_pruned > 0
+        assert indexed.stats.index_pruned > 0
 
     @pytest.mark.parametrize("algorithm", ["dp", "segment-tree", "greedy"])
     @given(
@@ -189,7 +189,7 @@ class TestIndexIdentity:
         indexed = engine.rank(trendlines, query, k=k)
         assert _signature(full) == _signature(indexed)
         assert index_supports(engine.compile(query))
-        assert engine.last_stats.index_candidates == count
+        assert indexed.stats.index_candidates == count
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_identity(self, workers):
@@ -198,7 +198,7 @@ class TestIndexIdentity:
         with ShapeSearchEngine(workers=workers, index=True) as engine:
             indexed = engine.rank(trendlines, UP_DOWN, k=5)
             assert _signature(full) == _signature(indexed)
-            assert engine.last_stats.index_pruned > 0
+            assert indexed.stats.index_pruned > 0
 
     def test_shm_dispatched_bounds_identity(self, monkeypatch):
         # Once two workers each get INDEX_DISPATCH_MIN candidates the
@@ -211,13 +211,13 @@ class TestIndexIdentity:
         compiled = ShapeSearchEngine().compile(UP_DOWN)
         full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
         with ShapeSearchEngine(workers=2, index=True) as engine:
-            engine.rank(trendlines, UP_DOWN, k=5)
-            assert engine.last_stats.index_bounds == "inline"
+            inline = engine.rank(trendlines, UP_DOWN, k=5)
+            assert inline.stats.index_bounds == "inline"
             monkeypatch.setattr(pipeline, "INDEX_DISPATCH_MIN", 40)
             indexed = engine.rank(trendlines, UP_DOWN, k=5)
             assert _signature(full) == _signature(indexed)
-            assert engine.last_stats.index_pruned > 0
-            assert engine.last_stats.index_bounds == "dispatched"
+            assert indexed.stats.index_pruned > 0
+            assert indexed.stats.index_bounds == "dispatched"
             # The dispatched floats themselves, not just the decisions.
             session = engine._shm_session()
             handle, query_ref = session.acquire_index(index, compiled)
@@ -240,9 +240,9 @@ class TestIndexIdentity:
     def test_inline_bounds_path_recorded(self):
         trendlines = _smooth_collection()
         with ShapeSearchEngine(index=True) as engine:
-            engine.rank(trendlines, UP_DOWN, k=5)
-            assert engine.last_stats.index_bounds == "inline"
-            assert engine.last_stats.index_source in ("memory", "built")
+            stats = engine.rank(trendlines, UP_DOWN, k=5).stats
+            assert stats.index_bounds == "inline"
+            assert stats.index_source in ("memory", "built")
 
     def test_execute_identity_and_stats(self):
         table = _smooth_table()
@@ -341,7 +341,8 @@ class TestWorkDoneOnce:
                 if floor is not None:
                     monkeypatch.setattr(parallel, "SHARD_FLOOR", floor)
                 log.write_text("")
-                result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
+                result = engine.rank(trendlines, compiled, k=5)
+                stats = result.stats
                 monkeypatch.undo()
                 _assert_rounds_match_oracle(
                     trendlines, compiled, 5, result, stats, log.read_text().split()
@@ -356,7 +357,8 @@ class TestWorkDoneOnce:
         with ShapeSearchEngine(index=True, workers=2) as engine:
             compiled = engine.compile(UP_DOWN)
             _solve_log(monkeypatch, log)
-            result, stats = engine.rank_with_stats(trendlines, compiled, k=5)
+            result = engine.rank(trendlines, compiled, k=5)
+            stats = result.stats
             monkeypatch.undo()
             rounds = _assert_rounds_match_oracle(
                 trendlines, compiled, 5, result, stats, log.read_text().split()
@@ -520,7 +522,7 @@ class TestFallbacks:
         engine = ShapeSearchEngine(index=True)
         indexed = engine.rank(trendlines, UP_DOWN, k=5)
         assert _signature(full) == _signature(indexed)
-        assert engine.last_stats.index_pruned == 0
+        assert indexed.stats.index_pruned == 0
 
     def test_index_off_by_default(self):
         table = _smooth_table()
@@ -811,8 +813,8 @@ class TestBoundFrontier:
         indexed = engine.rank(trendlines, UP_DOWN, k=k)
         assert _signature(full) == _signature(indexed)
         if k >= len(trendlines):
-            assert engine.last_stats.index_pruned == 0
-            assert engine.last_stats.scored == len(trendlines)
+            assert indexed.stats.index_pruned == 0
+            assert indexed.stats.scored == len(trendlines)
 
     def test_single_level_collection_prunes(self):
         trendlines = _smooth_collection(count=40, bins=12)
@@ -820,7 +822,7 @@ class TestBoundFrontier:
         engine = ShapeSearchEngine(index=True)
         indexed = engine.rank(trendlines, UP_DOWN, k=3)
         assert _signature(full) == _signature(indexed)
-        assert engine.last_stats.index_pruned > 0
+        assert indexed.stats.index_pruned > 0
         assert "refined=[24]" in indexed.plan  # the 24 the first round left
 
     def test_fewer_than_k_feasible_prunes_nothing(self):
@@ -836,8 +838,8 @@ class TestBoundFrontier:
         indexed = engine.rank(trendlines, impossible, k=5)
         assert _signature(full) == _signature(indexed)
         assert {match.score for match in full} == {-1.0}
-        assert engine.last_stats.index_pruned == 0
-        assert engine.last_stats.scored == 40
+        assert indexed.stats.index_pruned == 0
+        assert indexed.stats.scored == 40
         assert "refined=[40,40,40]" in indexed.plan  # the finest level never ran
 
     def test_adopted_bounds_are_born_refined(self):

@@ -24,8 +24,7 @@ runtime suite that backs each one):
 * **REP03x cancellation seam** — Score operators route dispatch through
   ``_run_tasks``/``run_cancellable`` or checkpoint the control; pool
   construction is confined to ``WorkerPool``.
-* **REP04x deprecation discipline** — internal modules must not call
-  the ``search``/``execute`` shims.
+* **REP04x** — retired: the call shims its one rule guarded are gone.
 * **REP05x kernel parity** — ``CompiledUnit`` subclasses overriding a
   matrix kernel keep a consistent scalar path and declare
   ``slope_based``.

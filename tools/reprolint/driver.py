@@ -174,8 +174,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
         description="AST-based invariant checker for the repro engine "
-        "(determinism, shm lifecycle, cancellation seams, deprecation "
-        "discipline, kernel parity).",
+        "(determinism, shm lifecycle, cancellation seams, kernel parity).",
     )
     parser.add_argument("paths", nargs="+", help="files or directories to scan")
     parser.add_argument(

@@ -18,7 +18,6 @@ from tools.reprolint.rules.cancellation import (
     BatchScoreFunnelRule,
     CollectionFunnelRule,
 )
-from tools.reprolint.rules.deprecation import ShimCallRule
 from tools.reprolint.rules.kernel import MatrixParityRule, SlopeBasedDeclarationRule
 from tools.reprolint.rules.index import FloorSeamRule
 from tools.reprolint.rules.artifacts import MappingLifecycleRule
@@ -39,7 +38,6 @@ ALL_RULES = [
     ExecutorConfinementRule(),
     BatchScoreFunnelRule(),
     CollectionFunnelRule(),
-    ShimCallRule(),
     MatrixParityRule(),
     SlopeBasedDeclarationRule(),
     FloorSeamRule(),
