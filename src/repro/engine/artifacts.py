@@ -1,18 +1,20 @@
 """Memory-mapped on-disk artifact store for shape indexes.
 
-PR 8's shape index dies with the process: every restart repays the
-O(n²)-per-trendline pyramid build before the first ``index=True`` query
-can prune anything.  This module gives the packed index form
-(:meth:`~repro.engine.shape_index.ShapeIndex.pack` — the same flat
-float64 block + layout manifest the shm transport publishes) a
-durable home on disk, so a cold process serves indexed queries at
-``np.memmap`` cost instead of build cost.
+Without a store the shape index dies with the process: every restart
+repays the O(n²)-per-trendline pyramid build before the first
+``index=True`` query can prune anything.  This module gives the packed
+index form (:meth:`~repro.engine.shape_index.ShapeIndex.pack` — the
+same flat float64 block + layout manifest the shm transport publishes
+and the bound kernel reads: per level, each trendline's upper-triangle
+buckets) a durable home on disk, so a cold process serves indexed
+queries at ``np.memmap`` cost instead of build cost.
 
 **Layout on disk** — one subdirectory per index key under the store
 root (``store=`` on the session/engine, or ``REPRO_ARTIFACT_DIR``),
 named by the SHA-1 of the key's canonical repr:
 
-* ``block.f64`` — the raw packed float64 block, memory-mapped on load.
+* ``block.f64`` — the raw packed float64 block, memory-mapped on load;
+  ``16 · C · Σ W(W+1)/2`` bytes for a class of ``C`` trendlines.
 * ``layout.pkl`` — pickled ``(layout, witnesses)``: the per-entry shape
   manifest plus each entry's content witness, so a loaded index keeps
   the :meth:`~repro.engine.shape_index.ShapeIndex.extended`
@@ -23,7 +25,8 @@ named by the SHA-1 of the key's canonical repr:
 **Fallback semantics** — :func:`load_index` returns the index or
 ``None``, never a wrong index: missing/unreadable files, a format
 version skew, a fingerprint mismatch (the table changed), a truncated
-block, or corrupted payload bytes (digest mismatch) all miss, and the
+block, corrupted payload bytes (digest mismatch), or a block its layout
+does not describe exactly all miss, and the
 caller rebuilds exactly as if no artifact existed.  Writes go through
 temp files + ``os.replace`` so a torn save can never satisfy the
 manifest it describes.
@@ -55,8 +58,11 @@ from repro.errors import ExecutionError
 
 #: On-disk format version: bump on any layout/manifest change so stale
 #: artifacts from older code miss cleanly instead of mis-parsing.
-#: 2: the packed block is level-major (one dense tile per group level).
-ARTIFACT_FORMAT = 2
+#: 1: entry-major block.  2: level-major, one dense ``(C, W, W)`` tile
+#: per group level and side.  3: level-major, each level its row-major
+#: upper triangle ``(C, W(W+1)/2)`` — 0.52× of format 2 at 32/16/8/4
+#: super-bins.
+ARTIFACT_FORMAT = 3
 
 _BLOCK_FILE = "block.f64"
 _LAYOUT_FILE = "layout.pkl"
@@ -151,7 +157,8 @@ def load_index(root, key, fingerprint: str) -> Optional[ShapeIndex]:
     Verification order: manifest readable and well-formed, format
     version current, fingerprint equal to the *current* table's content
     fingerprint, layout bytes digest-clean, block mappable at the
-    manifest's length (truncation fails here) and digest-clean.  Any
+    manifest's length (truncation fails here), digest-clean, and
+    exactly the length its layout describes.  Any
     miss returns ``None`` so the caller rebuilds; a block that was
     mapped before the miss is closed first.  On success the mapping
     *is* the returned index's packed block — near-zero cold start, one

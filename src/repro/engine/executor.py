@@ -269,9 +269,12 @@ class ShapeSearchEngine:
             from repro.engine.parallel import default_workers
 
             return default_workers()
-        workers = int(workers)
-        if workers < 1:
-            raise ExecutionError("workers must be >= 1, got {}".format(workers))
+        # As _check_k: no coercion, so 2.7, True and "3" are refused
+        # rather than truncated to a pool size.
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise ExecutionError(
+                "workers must be an int >= 1, got {!r}".format(workers)
+            )
         return workers
 
     @staticmethod

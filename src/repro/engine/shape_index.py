@@ -18,7 +18,9 @@ index:
   levels double ``w``; because ``floor(l / 2w) = floor(floor(l / w) / 2)``
   they derive *exactly* from the finer level by pairwise min/max
   combines, so the whole pyramid costs one O(n²) sweep, written
-  straight into the packed block the queries read.
+  straight into the packed block the queries read.  A bucket can only
+  hold a segment when ``a ≤ b``, so each level keeps just the row-major
+  upper triangle, ``W(W+1)/2`` buckets per side (:func:`_triangle`).
 
 * Per query, a **coarse max-plus DP over the buckets**: for chains whose
   units are all statically bounded (the
@@ -65,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -161,13 +164,12 @@ def index_supports(query: CompiledQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 #: Most tile elements one kernel pass may hold — slope tiles (candidates
-#: × start rows × end columns) in a build, bucket tiles (candidates × W
-#: × W; 64 candidates at the finest level) in a bound pass.  A length
-#: class is swept in blocks of as many candidates as fit (one at least),
-#: so a build peaks at the packed block plus a few tiles of this size
-#: and a query's temporaries at a few such tiles, whatever the
-#: collection's; half-MB tiles also stay cache-resident (272 × 32²
-#: buckets in one pass: 7.2 ms, in passes of 64: 5.0 ms).
+#: × start rows × end columns) in a build, bucket triangles (candidates
+#: × W(W+1)/2; 124 candidates at the finest level, W = 32) in a bound
+#: pass.  A length class is swept in blocks of as many candidates as fit
+#: (one at least), so a build peaks at the packed block plus a few tiles
+#: of this size and a query's temporaries at a few such tiles, whatever
+#: the collection's; half-MB tiles also stay cache-resident.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -175,13 +177,14 @@ class TrendlineEntry:
     """One trendline's pyramid: ``(w, atan min, atan max)`` per level.
 
     ``levels`` runs fine → coarse; queries iterate it reversed.  Bucket
-    matrices are ``(W, W)`` views into an index's packed block (cut on
-    the first read of :attr:`ShapeIndex.entries`, the only way to reach
-    an entry), with ``+inf``/``−inf`` sentinels marking buckets that
-    contain no admissible segment.  ``witness`` identifies the exact
-    bits the entry was built from (canonical group key, bin count,
-    prefix digest) so :meth:`ShapeIndex.extended` can reuse it only when
-    reuse is bitwise free.
+    matrices are dense ``(W, W)`` copies of an index's packed triangles
+    (made on the first read of :attr:`ShapeIndex.entries`, the only way
+    to reach an entry), with ``+inf``/``−inf`` sentinels marking buckets
+    that contain no admissible segment — every bucket below the diagonal
+    among them.  ``witness`` identifies the exact bits the entry was
+    built from (canonical group key, bin count, prefix digest) so
+    :meth:`ShapeIndex.extended` can reuse it only when reuse is bitwise
+    free.
     """
 
     __slots__ = ("n_bins", "levels", "witness")
@@ -207,6 +210,40 @@ def _level_shapes(n_bins: int) -> List[Tuple[int, int]]:
         shapes.append((w, W))
         w, W = w * 2, (W + 1) // 2
     return shapes
+
+
+def _super_bins(n_bins: int, w: int) -> int:
+    """``W`` of an ``n_bins`` pyramid's level of width ``w``: ⌈n_bins / w⌉.
+
+    Exact at every level of :func:`_level_shapes`, since
+    ⌈⌈n / w⌉ / 2⌉ = ⌈n / 2w⌉.
+    """
+    return -(-n_bins // w)
+
+
+@lru_cache(maxsize=None)
+def _triangle(W: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, starts)`` of a ``W``-super-bin level's packed triangle.
+
+    A level stores bucket ``(a, b)``, ``a ≤ b``, at ``starts[a] + b − a``:
+    row ``a``'s buckets are one contiguous run ``[starts[a],
+    starts[a + 1])`` and ``starts[W] = W(W+1)/2``.  ``rows``/``cols``
+    are the ``(a, b)`` of each packed position (``np.triu_indices``
+    order).  Read-only, shared by every caller.
+    """
+    rows, cols = np.triu_indices(W)
+    starts = np.concatenate(([0], np.cumsum(np.arange(W, 0, -1))))
+    for array in (rows, cols, starts):
+        array.flags.writeable = False
+    return rows, cols, starts
+
+
+def _dense(tri: np.ndarray, W: int, fill: float) -> np.ndarray:
+    """``(C, W, W)`` copy of a ``(C, W(W+1)/2)`` triangle, ``fill`` below it."""
+    rows, cols, _starts = _triangle(W)
+    dense = np.full((tri.shape[0], W, W), fill)
+    dense[:, rows, cols] = tri
+    return dense
 
 
 def _prefix_rows(trendlines: Sequence[Trendline], positions, n_bins: int) -> np.ndarray:
@@ -253,20 +290,23 @@ def _prefix_digests(stack: np.ndarray) -> List[str]:
 def _slope_buckets(stack: np.ndarray, w: int, W: int) -> Tuple[np.ndarray, np.ndarray]:
     """Min/max fitted slope per (start super-bin, end super-bin) bucket.
 
-    ``stack`` is ``(5, C, n + 1)``; returns two ``(C, W, W)`` tiles.  One
-    pass per start super-bin over all ``C`` candidates and only the end
-    bins that super-bin can reach: the ≤ w start rows against every end
-    from ``MIN_SEGMENT_BINS`` past the first start, fitted by
+    ``stack`` is ``(5, C, n + 1)``; returns two ``(C, W(W+1)/2)``
+    triangles (:func:`_triangle`).  One pass per start super-bin ``a``
+    over all ``C`` candidates and only the end bins that super-bin can
+    reach: the ≤ w start rows against every end from
+    ``MIN_SEGMENT_BINS`` past the first start, fitted by
     :func:`~repro.engine.statistics.fit_slopes` in the prefix dtype and
     widened afterwards (as ``PrefixStats.slope_matrix`` callers see
     them), the too-short corner masked, reduced over the start rows and
-    then ``reduceat`` over the end super-bins.  Min and max do not
-    depend on the order they visit a bucket's segments in, so every
-    bucket is the float a one-trendline sweep produces.
+    then ``reduceat`` over the end super-bins ``a..W−1`` — row ``a`` of
+    the triangle.  Min and max do not depend on the order they visit a
+    bucket's segments in, so every bucket is the float a one-trendline
+    sweep produces.
     """
     count, n = stack.shape[1], stack.shape[2] - 1
-    bucket_min = np.full((count, W, W), _POS_INF)
-    bucket_max = np.full((count, W, W), _NEG_INF)
+    starts = _triangle(W)[2]
+    bucket_min = np.full((count, starts[W]), _POS_INF)
+    bucket_max = np.full((count, starts[W]), _NEG_INF)
     for a in range(W):
         s0, s1 = a * w, min((a + 1) * w, n)
         e0 = s0 + MIN_SEGMENT_BINS
@@ -281,19 +321,36 @@ def _slope_buckets(stack: np.ndarray, w: int, W: int) -> Tuple[np.ndarray, np.nd
         # inside super-bin ``a`` because w ≥ MIN_SEGMENT_BINS.
         cuts = np.arange(a, W) * w + 1 - e0
         cuts[0] = 0
+        row = slice(starts[a], starts[a + 1])
         slopes[:, late, early] = _POS_INF
-        bucket_min[:, a, a:] = np.minimum.reduceat(slopes.min(axis=1), cuts, axis=1)
+        bucket_min[:, row] = np.minimum.reduceat(slopes.min(axis=1), cuts, axis=1)
         slopes[:, late, early] = _NEG_INF
-        bucket_max[:, a, a:] = np.maximum.reduceat(slopes.max(axis=1), cuts, axis=1)
+        bucket_max[:, row] = np.maximum.reduceat(slopes.max(axis=1), cuts, axis=1)
     return bucket_min, bucket_max
 
 
-def _pair_combine(tile: np.ndarray, fill: float, op) -> np.ndarray:
-    """Exact one-level coarsening of ``(C, W, W)``: 2×2 reduce, sentinel-padded."""
-    if tile.shape[1] % 2:
-        tile = np.pad(tile, ((0, 0), (0, 1), (0, 1)), constant_values=fill)
-    rows = op(tile[:, 0::2, :], tile[:, 1::2, :])
-    return op(rows[:, :, 0::2], rows[:, :, 1::2])
+def _pair_combine(tri: np.ndarray, W: int, fill: float, op) -> np.ndarray:
+    """Exact one-level coarsening of a ``(C, W(W+1)/2)`` triangle.
+
+    Coarse bucket ``(A, B)`` is the 2×2 ``op`` reduce of fine rows
+    ``2A, 2A+1`` × columns ``2B, 2B+1``: rows first, then column pairs,
+    with ``fill`` for the one corner below the diagonal and for the row
+    and column past an odd ``W`` — the operands and order of a
+    sentinel-padded dense reduce, so every float is the same.
+    """
+    fine = _triangle(W)[2]
+    half = (W + 1) // 2
+    coarse = _triangle(half)[2]
+    out = np.empty((tri.shape[0], coarse[half]))
+    for A in range(half):
+        a = 2 * A
+        pair = np.full((2, tri.shape[0], 2 * (half - A)), fill)
+        pair[0, :, :W - a] = tri[:, fine[a]:fine[a + 1]]
+        if a + 1 < W:
+            pair[1, :, 1:W - a] = tri[:, fine[a + 1]:fine[a + 2]]
+        rows = op(pair[0], pair[1])
+        out[:, coarse[A]:coarse[A + 1]] = op(rows[:, 0::2], rows[:, 1::2])
+    return out
 
 
 def _atan_buckets(bucket_min: np.ndarray, bucket_max: np.ndarray):
@@ -317,12 +374,13 @@ def _summarize(stack: np.ndarray, tiles: list, rows: np.ndarray) -> None:
     derives exactly from the finer by pairwise min/max, since
     ``floor(l / 2w) = floor(floor(l / w) / 2)``.
     """
-    w, finest, _amax = tiles[0]
-    bucket_min, bucket_max = _slope_buckets(stack, w, finest.shape[1])
+    W = _super_bins(stack.shape[2] - 1, tiles[0][0])
+    bucket_min, bucket_max = _slope_buckets(stack, tiles[0][0], W)
     for depth, (_w, amin, amax) in enumerate(tiles):
         if depth:
-            bucket_min = _pair_combine(bucket_min, _POS_INF, np.minimum)
-            bucket_max = _pair_combine(bucket_max, _NEG_INF, np.maximum)
+            bucket_min = _pair_combine(bucket_min, W, _POS_INF, np.minimum)
+            bucket_max = _pair_combine(bucket_max, W, _NEG_INF, np.maximum)
+            W = (W + 1) // 2
         amin[rows], amax[rows] = _atan_buckets(bucket_min, bucket_max)
 
 
@@ -376,7 +434,7 @@ class ShapeIndex:
             shapes = []
             for w, W in _level_shapes(n_bins):
                 shapes.append((w, W, total))
-                total += 2 * len(positions) * W * W
+                total += len(positions) * W * (W + 1)
             if shapes:
                 groups.append((n_bins, positions, shapes))
         entries: List[Optional[TrendlineEntry]] = [None] * len(trendlines)
@@ -427,18 +485,28 @@ class ShapeIndex:
     def entries(self) -> List[Optional[TrendlineEntry]]:
         """One :class:`TrendlineEntry` per candidate, None where unindexed.
 
-        The level views are cut from the packed block on first access —
-        nothing on the query path reads them.  An entry shared along an
-        append lineage keeps the views of whichever index cut it first
-        (the bytes are equal by construction).
+        The dense ``(W, W)`` level matrices are unpacked from the block's
+        triangles on first access — for tests and reference oracles;
+        nothing on the query path reads them.  They are copies: writing
+        to them leaves the index as it is.  An entry shared along an
+        append lineage keeps the matrices of whichever index made them
+        first (the bytes are equal by construction).
         """
         if not self._cut:
-            for _n_bins, positions, tiles in self._tiles:
+            for n_bins, positions, tiles in self._tiles:
+                dense = [
+                    (
+                        w,
+                        _dense(amin, _super_bins(n_bins, w), _POS_INF),
+                        _dense(amax, _super_bins(n_bins, w), _NEG_INF),
+                    )
+                    for w, amin, amax in tiles
+                ]
                 for row, position in enumerate(positions.tolist()):
                     entry = self._entries[position]
                     if entry.levels is None:
                         entry.levels = [
-                            (w, amin[row], amax[row]) for w, amin, amax in tiles
+                            (w, amin[row], amax[row]) for w, amin, amax in dense
                         ]
             self._cut = True
         return self._entries
@@ -486,10 +554,11 @@ class ShapeIndex:
         the verdict on it is final (:func:`_refine`).  One coarse max-plus
         DP per pyramid level across *all* candidates at once: the packed
         block is level-major, so each level of each ``n_bins`` group is
-        one dense ``(candidates, W, W)`` tile and the recurrence runs on
-        ``(candidates, W)`` state tiles with no per-candidate Python
-        dispatch.  The one-candidate-at-a-time reference the tests hold
-        it to, bit for bit, is ``tests/oracles/index_bounds.py``.
+        one ``(candidates, W(W+1)/2)`` triangle pair, read in place, and
+        the recurrence runs on ``(candidates, W)`` state tiles with no
+        per-candidate Python dispatch.  The one-candidate-at-a-time
+        reference the tests hold it to, bit for bit, is
+        ``tests/oracles/index_bounds.py``.
         Unindexed entries bound at ``+inf`` (never pruned); an empty
         index returns a well-formed empty float64 vector.
         """
@@ -525,11 +594,13 @@ class ShapeIndex:
         ``values`` is one contiguous float64 block laid out **level-major**:
         indexed entries are grouped by ``n_bins`` (which fixes every
         level's shape), and per group, per level, the block holds the
-        ``(C, W, W)`` bucket-min tile of all ``C`` members, then their
-        bucket-max tile — so the batched kernel reads each level as one
-        dense array.  ``layout`` is ``(entry count, [(n_bins, member
-        positions ascending, [(w, W, offset), ...]), ...])``; unindexed
-        entries belong to no group.  Shared, not copied, by the bound
+        ``(C, W(W+1)/2)`` bucket-min triangles of all ``C`` members, then
+        their bucket-max triangles — each member's buckets ``(a, b)``,
+        ``a ≤ b``, in row-major order (:func:`_triangle`; a bucket with
+        ``b < a`` holds no segment and is not stored) — so the batched
+        kernel reads each level as one array.  ``layout`` is ``(entry
+        count, [(n_bins, member positions ascending, [(w, W, offset),
+        ...]), ...])``; unindexed entries belong to no group.  Shared, not copied, by the bound
         kernel, shm publication and the artifact store.
         """
         return self._values, self._layout
@@ -559,23 +630,39 @@ class ShapeIndex:
 def _tiled_groups(values: np.ndarray, groups: list) -> list:
     """``(n_bins, positions, [(w, amin tile, amax tile)])`` per packed group.
 
-    Tiles are ``(members, W, W)`` views over the level-major block and
-    carry no query state.  They are cut from a plain ``ndarray`` view of
-    the block, so a memory-mapped block's tiles slice without
-    ``np.memmap.__getitem__`` on the bound kernel's path; nothing is
-    copied, and the index still holds the mapping itself.
+    Tiles are ``(members, W(W+1)/2)`` triangle views over the level-major
+    block and carry no query state.  They are cut from a plain
+    ``ndarray`` view of the block, so a memory-mapped block's tiles
+    slice without ``np.memmap.__getitem__`` on the bound kernel's path;
+    nothing is copied, and the index still holds the mapping itself.  A
+    layout that does not describe the block exactly — a level shape
+    other than its class's (:func:`_level_shapes`, whose
+    :func:`_super_bins` the kernel relies on), a gap or overlap between
+    tiles, a block
+    of another length (say, dense tiles under a triangle layout) —
+    raises ``ValueError``; the artifact store counts that as a miss.
     """
     values = values.view(np.ndarray)
     tiled = []
+    cursor = 0
     for n_bins, positions, shapes in groups:
         count = len(positions)
+        if [(w, W) for w, W, _offset in shapes] != _level_shapes(n_bins):
+            raise ValueError("level shapes {} do not fit {} bins".format(shapes, n_bins))
         tiles = []
         for w, W, offset in shapes:
-            size = count * W * W
-            amin = values[offset:offset + size].reshape(count, W, W)
-            amax = values[offset + size:offset + 2 * size].reshape(count, W, W)
+            if offset != cursor:
+                raise ValueError("tile at {}, expected {}".format(offset, cursor))
+            size = count * W * (W + 1) // 2
+            amin = values[offset:offset + size].reshape(count, -1)
+            amax = values[offset + size:offset + 2 * size].reshape(count, -1)
             tiles.append((w, amin, amax))
+            cursor = offset + 2 * size
         tiled.append((n_bins, np.asarray(positions, dtype=np.intp), tiles))
+    if cursor != len(values):
+        raise ValueError(
+            "layout covers {} floats of a {}-float block".format(cursor, len(values))
+        )
     return tiled
 
 
@@ -622,7 +709,7 @@ def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
     """Upper bound on one unit's Table 5 score over each bucket given.
 
     ``amin``/``amax`` are any equal-shaped selection of buckets — a
-    ``(C, W, W)`` tile, one row or column of it, one bucket per
+    ``(C, W(W+1)/2)`` triangle, one row or column of it, one bucket per
     candidate — and every operation is elementwise, so a bucket's float
     does not depend on what else was selected.  y-location masks only
     ever lower scores, so they need no handling in an upper bound.  The
@@ -655,37 +742,51 @@ def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
     return score(unit.kind, np.minimum(nearest, amax, out=nearest), unit.theta)
 
 
-def _weighted_part(cu, width: int, first: bool, last: bool, w: int,
+def _dp_buckets(tri: np.ndarray, W: int, first: bool, last: bool) -> np.ndarray:
+    """The buckets of a ``(…, W(W+1)/2)`` triangle a unit's DP step reads.
+
+    A first unit starts in super-bin 0, so only row 0 — the triangle's
+    first ``W`` entries; a last unit ends in super-bin W−1, so only
+    column W−1 — each row's last entry, gathered; a lone unit reads
+    bucket (0, W−1); a middle unit the whole triangle.
+    """
+    if first and last:
+        return tri[..., W - 1]
+    if first:
+        return tri[..., :W]
+    if last:
+        return tri[..., _triangle(W)[2][1:] - 1]
+    return tri
+
+
+def _weighted_part(cu, width: int, first: bool, last: bool, w: int, W: int,
                    amin: np.ndarray, amax: np.ndarray, shared: dict) -> np.ndarray:
     """The masked ``weight · upper`` buckets of one unit that the DP reads.
 
-    A first unit starts in super-bin 0, so only row 0 of its ``(C, W,
-    W)`` tile is read; a last unit ends in super-bin W−1, so only column
-    W−1; a lone unit reads bucket (0, W−1); a middle unit the whole
-    tile.  Buckets that are empty, inverted, or too narrow to host the
-    unit's minimum width (:func:`_unit_widths`) are −inf.  ``shared``
-    memoizes, for this level, each part per (unit, weight, width) and
-    its infeasible mask per (width, part); an edge part of a tile
-    already memoized is a view of it, which the DP only ever reads.
+    The unit's :func:`_dp_buckets` of the level's triangles; buckets that are
+    empty or too narrow to host the unit's minimum width
+    (:func:`_unit_widths`) are −inf.  ``shared`` memoizes, for this
+    level, each part per (unit, weight, width) and its infeasible mask
+    per (width, part); an edge part of a triangle already memoized is
+    cut from it, and the DP only ever reads a part.
     """
     key = (_unit_key(cu.unit), cu.weight, width)
     part = shared.get(key + (first, last))
     if part is not None:
         return part
-    at = (slice(None), 0 if first else slice(None), -1 if last else slice(None))
     tile = shared.get(key + (False, False))
     if tile is not None:
-        return tile[at]
+        part = shared[key + (first, last)] = _dp_buckets(tile, W, first, last)
+        return part
+    lo, hi = _dp_buckets(amin, W, first, last), _dp_buckets(amax, W, first, last)
     infeasible = shared.get(("infeasible", width, first, last))
     if infeasible is None:
-        grid = np.arange(amin.shape[1])
-        geometric = (grid[:, None] > grid[None, :]) | (
-            (grid[None, :] - grid[:, None] + 1) * w < width
-        )
+        rows, cols, _starts = _triangle(W)
+        narrow = (cols - rows + 1) * w < width
         infeasible = shared["infeasible", width, first, last] = (
-            np.isinf(amin[at]) | geometric[at[1:]]
+            np.isinf(lo) | _dp_buckets(narrow, W, first, last)
         )
-    upper = _tile_upper(cu.unit, amin[at], amax[at])
+    upper = _tile_upper(cu.unit, lo, hi)
     if isinstance(upper, float):
         part = np.where(infeasible, _NEG_INF, cu.weight * upper)
     else:
@@ -703,7 +804,7 @@ def _batched_chain_bound(
     amax: np.ndarray,
     shared: dict,
 ) -> np.ndarray:
-    """Bound one chain's best full-cover score from one ``(C, W, W)`` level.
+    """Bound one chain's best full-cover score from one level's triangles.
 
     Max-plus DP over (start super-bin, end super-bin) bucket bounds, run
     on ``(C, W)`` state rows with no per-candidate Python: the first
@@ -711,20 +812,23 @@ def _batched_chain_bound(
     (super-bin W−1), and consecutive units share their boundary bin — so
     the next start super-bin is the previous end super-bin or its
     successor.  Each unit contributes only the buckets the recurrence
-    reads (:func:`_weighted_part`).  The max over start super-bins is
-    accumulated start by start, in ascending order, over the end
-    super-bins that start can reach at all — for the last unit, the one
-    end W−1 — so every bound is the float the one-candidate reference
-    (``tests/oracles/index_bounds.py``) computes, signed zeros included.
+    reads (:func:`_weighted_part`); start ``a``'s reachable ends are
+    one contiguous run of its triangle row.  The max over start
+    super-bins is accumulated start by start, in ascending order, over
+    the end super-bins that start can reach at all — for the last unit,
+    the one end W−1 — so every bound is the float the one-candidate
+    reference (``tests/oracles/index_bounds.py``) computes, signed
+    zeros included.
     """
-    count, W = amin.shape[:2]
+    count, W = amin.shape[0], _super_bins(n_bins, w)
+    starts = _triangle(W)[2]
     last = len(chain.units) - 1
     state: Optional[np.ndarray] = None
     for position, (cu, width) in enumerate(
         zip(chain.units, _unit_widths(n_bins, last + 1))
     ):
         weighted = _weighted_part(
-            cu, width, position == 0, position == last, w, amin, amax, shared
+            cu, width, position == 0, position == last, w, W, amin, amax, shared
         )
         if state is None:
             state = weighted
@@ -737,9 +841,8 @@ def _batched_chain_bound(
             state = np.full((count, W), _NEG_INF)
             for a in range(W - reach_from):
                 ends = state[:, a + reach_from:]
-                np.maximum(
-                    ends, reach[:, a, None] + weighted[:, a, a + reach_from:], out=ends
-                )
+                row = weighted[:, starts[a] + reach_from:starts[a + 1]]
+                np.maximum(ends, reach[:, a, None] + row, out=ends)
         else:
             state = np.full(count, _NEG_INF)
             for a in range(W - reach_from):

@@ -148,8 +148,8 @@ class IndexHandle:
     """Reference to one published shape index (engine/shape_index.py).
 
     The packed form is a single float64 payload (every pyramid level's
-    bucket matrices, concatenated) plus a small pickled layout that says
-    how to slice it back into per-trendline entries; like a collection
+    upper-triangle buckets, concatenated) plus a small pickled layout
+    that says how to slice it back into per-trendline entries; like a collection
     handle it is O(1) in the index size, so an index-bounds task travels
     as ``(handle, start, end)``.
     """
@@ -316,7 +316,7 @@ def publish_index(index, token: Optional[str] = None) -> Tuple[IndexHandle, "obj
 
     Same shape as :func:`publish_trendlines`: raw float64 payload first,
     pickled layout manifest after it.  Workers reattach the bucket
-    matrices as zero-copy views, so the same bytes back every bound on
+    triangles as zero-copy views, so the same bytes back every bound on
     both sides of the process boundary.  The payload is the block the
     index already lives in
     (:meth:`~repro.engine.shape_index.ShapeIndex.pack`) — one loaded
@@ -739,7 +739,7 @@ class ShmSession:
     #: fingerprints every batch — recycle segments instead of filling
     #: /dev/shm.  Evictions defer to the dispatch pins below.
     MAX_TABLES = 8
-    #: Retained index segments (a few bucket matrices per trendline —
+    #: Retained index segments (a few bucket triangles per trendline —
     #: far smaller than a collection, but rebuilt per index key).
     MAX_INDEXES = 8
     #: Longest delta chain :meth:`acquire_append` will extend before

@@ -95,6 +95,9 @@ def pack(pyramids: Sequence[Optional[List[Level]]], bins: Sequence[int]):
 
     Stacks entry by entry, as ``ShapeIndex.pack`` did when the pyramids
     were built one at a time; ``bins[i]`` is trendline ``i``'s bin count.
+    Each ``(W, W)`` bucket matrix is stored as its row-major upper
+    triangle (``np.triu_indices`` order), the only buckets that can hold
+    a segment.
     """
     members: Dict[int, List[int]] = {}
     for position, levels in enumerate(pyramids):
@@ -105,15 +108,17 @@ def pack(pyramids: Sequence[Optional[List[Level]]], bins: Sequence[int]):
     for n_bins, positions in members.items():
         shapes = []
         for w, amin, _amax in pyramids[positions[0]]:
-            shapes.append((w, amin.shape[0], total))
-            total += 2 * len(positions) * amin.size
+            W = amin.shape[0]
+            shapes.append((w, W, total))
+            total += len(positions) * W * (W + 1)
         groups.append((n_bins, positions, shapes))
     values = np.empty(total, dtype=np.float64)
     for _n_bins, positions, shapes in groups:
         for depth, (_w, W, offset) in enumerate(shapes):
-            size = len(positions) * W * W
+            upper = np.triu_indices(W)
+            size = len(positions) * W * (W + 1) // 2
             for side in (1, 2):
-                tile = values[offset:offset + size].reshape(len(positions), W, W)
-                np.stack([pyramids[p][depth][side] for p in positions], out=tile)
+                tile = values[offset:offset + size].reshape(len(positions), -1)
+                np.stack([pyramids[p][depth][side][upper] for p in positions], out=tile)
                 offset += size
     return values, (len(pyramids), groups)

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.algebra import builder as q
 from repro.api import ShapeSearch
-from repro.data.table import Table
 from repro.data.visual_params import VisualParams
 from repro.engine.artifacts import (
     ARTIFACT_BUDGET_ENV,
@@ -42,8 +41,10 @@ from repro.algebra.primitives import Location
 from repro.engine.cache import table_fingerprint
 from repro.engine.chains import Chain, ChainUnit, CompiledQuery
 from repro.engine.executor import ShapeSearchEngine
-from repro.engine.units import LineUnit, SlopeUnit
+from repro.engine.pipeline import generate_trendlines
+from repro.engine.units import MIN_SEGMENT_BINS, LineUnit, SlopeUnit
 from repro.errors import ExecutionError
+from repro.engine import shape_index
 from repro.engine.shape_index import ShapeIndex, survives_floor
 
 from tests.conftest import make_trendline
@@ -65,6 +66,21 @@ QUERIES = [
     q.up(),
     q.concat(q.up(sharp=True), q.down()),
 ]
+
+
+def _edge_length(n):
+    """Does an ``n``-bin pyramid pad a coarsening or stop its sweep short?"""
+    shapes = shape_index._level_shapes(n)
+    if not shapes:
+        return False
+    w, W = shapes[0]
+    odd = any(W % 2 for _w, W in shapes[:-1])
+    return odd or n - (W - 1) * w < MIN_SEGMENT_BINS
+
+
+#: Bin counts whose finest or a coarsened level has an odd super-bin
+#: count, or whose last super-bin is too narrow to start a segment.
+_EDGE_LENGTHS = [n for n in range(8, 400) if _edge_length(n)]
 
 
 def _random_collection(rng, count=30):
@@ -106,17 +122,63 @@ def _chains(*chains):
 
 
 def _empty_some_buckets(index, rng):
-    """Blank one entry's finest level outright, and random buckets elsewhere."""
-    entries = [entry for entry in index.entries if entry is not None]
-    for entry in entries[:1]:
-        _w, amin, amax = entry.levels[0]
-        amin[...] = np.inf
-        amax[...] = -np.inf
-    for entry in entries[1:6]:
-        for _w, amin, amax in entry.levels:
-            blank = rng.random(amin.shape) < 0.3
-            amin[blank] = np.inf
-            amax[blank] = -np.inf
+    """Blank one entry's finest level outright, and random buckets elsewhere.
+
+    Written into the packed triangles the kernel reads, before anything
+    unpacks ``index.entries``, so the oracle's dense copies carry them too.
+    """
+    members = [
+        (levels, row)
+        for _n_bins, positions, levels in index._tiles
+        for row in range(len(positions))
+    ]
+    for levels, row in members[:1]:
+        _w, amin, amax = levels[0]
+        amin[row] = np.inf
+        amax[row] = -np.inf
+    for levels, row in members[1:6]:
+        for _w, amin, amax in levels:
+            blank = rng.random(amin.shape[1]) < 0.3
+            amin[row, blank] = np.inf
+            amax[row, blank] = -np.inf
+
+
+def _write_dense_store(directory, index, fingerprint):
+    """Save ``index`` as format 2 did; returns the block's float count.
+
+    Format 2 held each group level as dense ``(members, W, W)`` tiles —
+    min tiles, then max tiles — with every bucket below the diagonal an
+    empty sentinel, at offsets a dense layout records.
+    """
+    count, groups = index.pack()[1]
+    entries = index.entries
+    parts, dense_groups, total = [], [], 0
+    for n_bins, positions, shapes in groups:
+        dense_shapes = []
+        for depth, (w, W, _offset) in enumerate(shapes):
+            dense_shapes.append((w, W, total))
+            for side in (1, 2):
+                parts.append(
+                    np.stack([entries[p].levels[depth][side] for p in positions]).ravel()
+                )
+            total += 2 * len(positions) * W * W
+        dense_groups.append((n_bins, positions, dense_shapes))
+    block = np.concatenate(parts).tobytes()
+    layout = pickle.dumps(
+        ((count, dense_groups), index.witnesses()), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "block.f64").write_bytes(block)
+    (directory / "layout.pkl").write_bytes(layout)
+    (directory / "manifest.json").write_text(json.dumps({
+        "format": 2,
+        "fingerprint": fingerprint,
+        "count": count,
+        "values_len": total,
+        "block_sha1": hashlib.sha1(block).hexdigest(),
+        "layout_sha1": hashlib.sha1(layout).hexdigest(),
+    }))
+    return total
 
 
 class TestBatchedBoundsParity:
@@ -221,6 +283,54 @@ class TestBatchedBoundsParity:
             for start, end in zip(edges, edges[1:])
         ]
         assert np.concatenate(shards).tobytes() == expected
+
+    @given(
+        chains=st.lists(
+            st.lists(_FUZZY_UNIT, min_size=1, max_size=4), min_size=1, max_size=2
+        ),
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(_EDGE_LENGTHS),
+                st.sampled_from(["steps", "steps", "constant", "walk"]),
+                st.integers(0, 999),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        floor=st.sampled_from([-np.inf, 0.0]) | st.floats(-1.0, 1.0),
+        cut=st.integers(0, 5),
+    )
+    @example(chains=[[q.opposite(q.up())]], specs=[(13, "constant", 3)],
+             floor=-np.inf, cut=0)
+    @example(chains=[[q.down(), q.opposite(q.flat()), q.up()]],
+             specs=[(97, "steps", 1), (30, "steps", 2), (49, "walk", 3)],
+             floor=0.0, cut=1)
+    def test_packed_kernel_equals_oracle_on_edge_layouts(self, chains, specs, floor, cut):
+        # The triangle layout's corners: odd super-bin counts that still
+        # coarsen (the pair-combine pads a row and a column), a last
+        # super-bin of one bin (the build's sweep stops before its row),
+        # and flat runs whose bounds come out as −0.0.  Full pass and
+        # shards are the dense one-candidate oracle's floats.
+        trendlines = _ragged(specs)
+        index = ShapeIndex.build(trendlines)
+        compiled = _compiled(q.or_(*[q.concat(*units) for units in chains]))
+        expected = bounds_oracle.upper_bounds(index, compiled, floor).tobytes()
+        assert index.upper_bounds(compiled, floor).tobytes() == expected
+        cut = min(cut, len(index))
+        shards = [
+            index.upper_bounds_range(compiled, 0, cut, floor),
+            index.upper_bounds_range(compiled, cut, len(index), floor),
+        ]
+        assert np.concatenate(shards).tobytes() == expected
+
+    def test_flat_run_bounds_keep_their_negative_zero(self):
+        # A constant series under a negated ``up``: the bound is −0.0 in
+        # the kernel and the oracle alike, sign bit included.
+        index = ShapeIndex.build(_ragged([(13, "constant", 3)]))
+        compiled = _compiled(q.concat(q.opposite(q.up())))
+        bounds = index.upper_bounds(compiled)
+        assert bounds[0] == 0.0 and np.signbit(bounds[0])
+        assert bounds.tobytes() == bounds_oracle.upper_bounds(index, compiled).tobytes()
 
     @pytest.mark.parametrize("elements", [1, 3 * 144, 1 << 30])
     def test_bounds_do_not_depend_on_the_pass_size(self, elements, monkeypatch):
@@ -399,6 +509,68 @@ class TestArtifactFallbacks:
             _smooth_table(), PARAMS, UP_DOWN, k=5  # no table-attached index yet
         )
         assert served.stats.index_source == "disk"
+
+    def test_dense_format_2_store_is_refused_and_rebuilt(self, tmp_path):
+        # What the previous format wrote for this very table: the same
+        # buckets as dense (members, W, W) tiles, vouched for by a
+        # self-consistent format-2 manifest.  The format-3 reader misses
+        # it, the engine rebuilds with the storeless run's bytes and
+        # heals the store in the triangle layout.
+        table = _smooth_table()
+        key = (PARAMS, True, None, "float64")
+        store = tmp_path / "store"
+        fingerprint = table_fingerprint(table)
+        index = ShapeIndex.build(generate_trendlines(table, PARAMS))
+        directory = artifact_dir(store, key)
+        dense_len = _write_dense_store(directory, index, fingerprint)
+        assert load_index(store, key, fingerprint) is None
+        full = ShapeSearchEngine().run(table, PARAMS, UP_DOWN, k=5)
+        rebuilt = ShapeSearchEngine(index=True, store=str(store)).run(
+            table, PARAMS, UP_DOWN, k=5
+        )
+        assert rebuilt.stats.index_source == "built"
+        assert rebuilt.stats.index_reason == "store-miss"
+        assert _signature(rebuilt) == _signature(full)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["format"] == ARTIFACT_FORMAT == 3
+        assert manifest["values_len"] < dense_len
+        healed = load_index(store, key, fingerprint)
+        assert healed.pack()[0].tobytes() == index.pack()[0].tobytes()
+        assert healed.witnesses() == index.witnesses()
+        del healed  # its tiles pin the mapping
+        served = ShapeSearchEngine(index=True, store=str(store)).run(
+            _smooth_table(), PARAMS, UP_DOWN, k=5
+        )
+        assert served.stats.index_source == "disk"
+        assert _signature(served) == _signature(full)
+
+    def test_block_of_the_other_layout_misses(self, tmp_path):
+        # A format-3 manifest over a block of the old dense length —
+        # the triangle block read as if it ran that long, or the dense
+        # bytes in its place, even with the digest and length rewritten
+        # to vouch for them — is never served as an index.
+        index = ShapeIndex.build(_random_collection(np.random.default_rng(1), 20))
+        source = tmp_path / "dense"
+        dense_len = _write_dense_store(artifact_dir(source, KEY), index, "fp")
+        dense = (artifact_dir(source, KEY) / "block.f64").read_bytes()
+        assert len(dense) == 8 * dense_len
+        directory = self._saved(tmp_path)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["values_len"] * 8 == index.nbytes < len(dense)
+
+        manifest_path.write_text(json.dumps(dict(manifest, values_len=dense_len)))
+        assert load_index(tmp_path, KEY, "fp") is None  # file shorter than claimed
+
+        (directory / "block.f64").write_bytes(dense)
+        manifest_path.write_text(json.dumps(manifest))
+        assert load_index(tmp_path, KEY, "fp") is None  # digest of the wrong bytes
+
+        manifest_path.write_text(json.dumps(dict(
+            manifest, values_len=dense_len,
+            block_sha1=hashlib.sha1(dense).hexdigest(),
+        )))
+        assert load_index(tmp_path, KEY, "fp") is None  # layout does not fit
 
     def test_block_corruption(self, tmp_path):
         directory = self._saved(tmp_path)

@@ -1,0 +1,72 @@
+"""A shape index stores only the buckets that can hold a segment.
+
+A pyramid level cut into ``W`` super-bins has buckets ``(a, b)`` for a
+segment starting in super-bin ``a`` and ending in ``b``; only ``a ≤ b``
+can hold one, so each level keeps its ``W(W+1)/2``-bucket upper
+triangle, once for the atan minima and once for the maxima.  The packed
+block is therefore ``16 · C · Σ W(W+1)/2`` bytes for a class of ``C``
+trendlines — about 0.52x of the dense ``(W, W)`` tiles at 32/16/8/4
+super-bins — and the artifact store's ``block.f64`` is that block, byte
+for byte.  Also runnable as a plain script — the CI ``minimal-install``
+job has no pytest::
+
+    PYTHONPATH=src python tests/test_index_footprint.py
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from repro.engine.artifacts import artifact_dir, save_index
+from repro.engine.shape_index import ShapeIndex
+from repro.engine.trendline import build_trendline
+
+#: ``(bins, trendlines, super-bins per level)``: a 64-bin class and a
+#: 2 000-bin one both reach the 32-super-bin cap at the finest level.
+CLASSES = [(64, 40, [32, 16, 8, 4]), (2000, 3, [32, 16, 8, 4])]
+
+#: Largest packed size, as a share of the dense ``(W, W)`` tiles.
+DENSE_RATIO = 0.53
+
+
+def _trendlines(bins: int, count: int):
+    rng = np.random.default_rng(bins)
+    x = np.arange(bins, dtype=float)
+    return [
+        build_trendline("b{}-{}".format(bins, i), x, rng.normal(0, 1, bins).cumsum())
+        for i in range(count)
+    ]
+
+
+def check_footprint() -> list:
+    sizes = []
+    for bins, count, widths in CLASSES:
+        index = ShapeIndex.build(_trendlines(bins, count))
+        (_n_bins, _positions, shapes), = index.pack()[1][1]
+        assert [W for _w, W, _offset in shapes] == widths, shapes
+        expected = 16 * count * sum(W * (W + 1) // 2 for W in widths)
+        dense = 16 * count * sum(W * W for W in widths)
+        assert index.nbytes == expected, (bins, index.nbytes, expected)
+        assert index.nbytes <= DENSE_RATIO * dense, (bins, index.nbytes, dense)
+        with tempfile.TemporaryDirectory() as root:
+            key = ("footprint", bins)
+            save_index(root, key, index, "fingerprint")
+            on_disk = (Path(artifact_dir(root, key)) / "block.f64").stat().st_size
+        assert on_disk == index.nbytes, (bins, on_disk, index.nbytes)
+        sizes.append((bins, count, index.nbytes, dense))
+    return sizes
+
+
+def test_packed_index_is_the_upper_triangles():
+    check_footprint()
+
+
+if __name__ == "__main__":
+    for bins, count, packed, dense in check_footprint():
+        print(
+            "ok: {count} x {bins}-bin trendlines pack into {packed} bytes, "
+            "{ratio:.3f}x the dense tiles".format(
+                count=count, bins=bins, packed=packed, ratio=packed / dense
+            )
+        )

@@ -200,9 +200,9 @@ _K_ENTRIES = ["run", "submit", "submit_many", "rank", "explain_plan", "tail"]
 
 
 class TestArgumentValidation:
-    """``k`` follows the serving protocol's rule (an int, not a bool, >= 1)
-    on every entry point, and a bad value fails at the call, not later
-    inside a shard or at ``future.result()``."""
+    """``k`` and ``workers`` follow the serving protocol's rule (an int,
+    not a bool, >= 1) on every entry point, and a bad value fails at the
+    call, not later inside a shard or at ``future.result()``."""
 
     @pytest.mark.parametrize("entry", _K_ENTRIES)
     @pytest.mark.parametrize("k", [0, -1, 2.5, True])
@@ -216,6 +216,21 @@ class TestArgumentValidation:
         with ShapeSearch(_table()) as session:
             with pytest.raises(ExecutionError, match="workers must be"):
                 _call(entry, session, workers=0)
+
+    @pytest.mark.parametrize("workers", [0, -2, 2.7, 1.0, True, "3"])
+    def test_bad_workers_are_refused_not_coerced(self, workers):
+        # The same rule as k: an int, not a bool, >= 1.  int() used to
+        # turn 2.7 into 2, True into 1 and "3" into 3.
+        with pytest.raises(ExecutionError, match="workers must be"):
+            ShapeSearchEngine(workers=workers)
+        with ShapeSearch(_table()) as session:
+            for entry in ("run", "submit"):
+                with pytest.raises(ExecutionError, match="workers must be"):
+                    _call(entry, session, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_good_workers_are_kept(self, workers):
+        assert ShapeSearchEngine(workers=workers).workers == workers
 
 
 class TestWarningDiscipline:

@@ -27,7 +27,7 @@ from repro.data.visual_params import VisualParams
 from repro.datasets.suites import SUITES, suite_trendlines
 from repro.datasets.synthetic import mixed_collection
 from repro.engine import parallel, pipeline, shape_index, shm
-from repro.engine.artifacts import load_index
+from repro.engine.artifacts import artifact_dir, load_index
 from repro.engine.collection import Collection
 from repro.engine.executor import ShapeSearchEngine
 from repro.engine.parallel import (
@@ -51,6 +51,7 @@ from repro.engine.trendline import Trendline, cast_trendline
 from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
+from tests.oracles import index_bounds as bounds_oracle
 from tests.oracles import index_build as oracle
 from tests.oracles import index_rounds as rounds_oracle
 
@@ -581,8 +582,10 @@ class TestShapeIndexUnit:
 
     def test_pack_is_level_major_and_round_trips(self):
         # Mixed bin counts (one unindexable): every n_bins group's level
-        # is one dense (members, W, W) tile pair inside the block, and
-        # from_packed / an shm attach hand back the same buckets.
+        # is one (members, W(W+1)/2) upper-triangle pair inside the
+        # block, the buckets below the diagonal are empty sentinels in
+        # the dense entry matrices, and from_packed / an shm attach hand
+        # back the same buckets.
         rng = np.random.default_rng(4)
         trendlines = [
             make_trendline(rng.normal(0, 1, bins).cumsum(), key="m{}".format(i))
@@ -598,13 +601,16 @@ class TestShapeIndexUnit:
         for _n_bins, positions, shapes in groups:
             for depth, (w, W, offset) in enumerate(shapes):
                 assert offset == cursor
-                for side in (1, 2):
-                    tile = values[cursor:cursor + len(positions) * W * W]
-                    tile = tile.reshape(len(positions), W, W)
+                upper, below = np.triu_indices(W), np.tril_indices(W, -1)
+                for side, empty in ((1, np.inf), (2, -np.inf)):
+                    tile = values[cursor:cursor + len(positions) * W * (W + 1) // 2]
+                    tile = tile.reshape(len(positions), W * (W + 1) // 2)
                     for row, position in enumerate(positions):
                         level = index.entries[position].levels[depth]
                         assert level[0] == w
-                        assert tile[row].tobytes() == level[side].tobytes()
+                        assert level[side].shape == (W, W)
+                        assert tile[row].tobytes() == level[side][upper].tobytes()
+                        assert (level[side][below] == empty).all()
                     cursor += tile.size
         assert cursor == len(values)
         _assert_same_buckets(index, ShapeIndex.from_packed(values, (count, groups)))
@@ -669,8 +675,9 @@ class TestShapeIndexUnit:
     def test_edge_units_transform_one_row_and_one_column(self, monkeypatch):
         # The DP reads only row 0 of the first unit's buckets and column
         # W−1 of the last unit's: a two-unit chain over C candidates
-        # transforms 2·C·W atans per level, not 2·C·W²; a middle unit
-        # still transforms its whole tile, a lone unit one bucket.
+        # transforms 2·C·W atans per level, not C·W(W+1); a middle unit
+        # still transforms its whole triangle, C·W(W+1)/2 buckets, and
+        # a lone unit one bucket.
         from repro.engine import scoring
 
         transformed = []
@@ -690,7 +697,7 @@ class TestShapeIndexUnit:
         expected = {
             UP_DOWN: sum(2 * count * W for W in widths),
             q.concat(q.down(), q.up(), q.down()): sum(
-                2 * count * W + count * W * W for W in widths
+                2 * count * W + count * W * (W + 1) // 2 for W in widths
             ),
             q.concat(q.up()): count * len(widths),
         }
@@ -874,6 +881,9 @@ def _series(kind, bins, seed):
         return np.full(bins, float(seed % 5))
     if kind == "two-valued":
         return rng.integers(0, 2, bins).astype(float)
+    if kind == "steps":  # flat runs of 2–6 bins
+        levels = rng.integers(0, 4, bins).astype(float)
+        return np.repeat(levels, rng.integers(2, 7, bins))[:bins]
     y = rng.normal(0, 1, bins).cumsum()
     if kind == "nan":
         y[int(rng.integers(0, bins))] = np.nan
@@ -903,6 +913,23 @@ def _block_elements(elements):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shape_index, "BLOCK_ELEMENTS", elements)
         yield
+
+
+def _dense_levels(block, groups):
+    """Position → ``[(w, amin, amax)]`` of a format-2 (dense-tile) block.
+
+    Format 2 stored each group level as ``(members, W, W)`` min tiles
+    then max tiles at the layout's offsets.
+    """
+    levels = {}
+    for _n_bins, positions, shapes in groups:
+        for w, W, offset in shapes:
+            size = len(positions) * W * W
+            lo = block[offset:offset + size].reshape(len(positions), W, W)
+            hi = block[offset + size:offset + 2 * size].reshape(len(positions), W, W)
+            for row, position in enumerate(positions):
+                levels.setdefault(position, []).append((w, lo[row], hi[row]))
+    return levels
 
 
 def _assert_equals_oracle(index, trendlines):
@@ -995,10 +1022,12 @@ class TestTiledBuild:
         for old, new in kept:
             assert extended.entries[new] is index.entries[old]
 
-    def test_parent_commit_store_loads_and_bounds_identically(self):
+    def test_parent_commit_store_misses_and_rebuilds_identically(self):
         # tests/fixtures/index_store: an artifact written by save_index
-        # at the commit before the tiled build (format 2), beside the
-        # prefix blocks it was built from.
+        # at the commit before the tiled build (format 2: dense (W, W)
+        # tiles), beside the prefix blocks it was built from.  The
+        # format-3 reader refuses it, and a rebuild holds every one of
+        # its buckets — the empty ones below the diagonal included.
         root = Path(__file__).parent / "fixtures" / "index_store"
         inputs = np.load(root / "inputs.npz")
         if np.arctan(inputs["atan_probe"]).tobytes() != inputs["atan_result"].tobytes():
@@ -1014,24 +1043,38 @@ class TestTiledBuild:
                     y_mean=0.0, y_std=1.0,
                 )
             )
-        loaded = load_index(root, ("fixture", "parent-9663064"), "fixture-fingerprint")
-        assert loaded is not None and len(loaded) == loaded.indexed + 1 == len(trendlines)
+        key = ("fixture", "parent-9663064")
+        assert load_index(root, key, "fixture-fingerprint") is None
+        directory = artifact_dir(root, key)
+        with open(directory / "layout.pkl", "rb") as handle:
+            (count, groups), witnesses = pickle.load(handle)
+        dense = _dense_levels(np.fromfile(directory / "block.f64"), groups)
+        assert count == len(trendlines) == len(dense) + 1
         fresh = ShapeIndex.build(trendlines)
-        assert pickle.dumps(fresh.pack()[1]) == pickle.dumps(loaded.pack()[1])
-        assert fresh.witnesses() == loaded.witnesses()
-        assert fresh.pack()[0].tobytes() == loaded.pack()[0].tobytes()
-        _assert_same_buckets(fresh, loaded)
+        assert fresh.witnesses() == witnesses
+        assert [
+            (n_bins, positions, [(w, W) for w, W, _offset in shapes])
+            for n_bins, positions, shapes in fresh.pack()[1][1]
+        ] == [
+            (n_bins, positions, [(w, W) for w, W, _offset in shapes])
+            for n_bins, positions, shapes in groups
+        ]
+        for position, entry in enumerate(fresh.entries):
+            assert (entry is None) == (position not in dense)
+            if entry is None:
+                continue
+            assert len(entry.levels) == len(dense[position])
+            for (w_a, lo_a, hi_a), (w_b, lo_b, hi_b) in zip(entry.levels, dense[position]):
+                assert w_a == w_b
+                assert lo_a.tobytes() == lo_b.tobytes()
+                assert hi_a.tobytes() == hi_b.tobytes()
         engine = ShapeSearchEngine()
         for shape in SHAPES:
             compiled = engine.compile(shape)
             assert (
-                loaded.upper_bounds(compiled).tobytes()
-                == fresh.upper_bounds(compiled).tobytes()
+                fresh.upper_bounds(compiled).tobytes()
+                == bounds_oracle.upper_bounds(fresh, compiled).tobytes()
             )
-        # ...and the loaded index extends like a built one: nothing to redo.
-        again = loaded.extended(trendlines)
-        assert all(a is b for a, b in zip(again.entries, loaded.entries))
-        assert again.pack()[0].tobytes() == loaded.pack()[0].tobytes()
 
 
 class TestTailStateBudget:
