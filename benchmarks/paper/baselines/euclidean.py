@@ -14,10 +14,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.dtw import query_prototypes
 from repro.engine.chains import CompiledQuery
 from repro.engine.scoring import resample, znormalize
 from repro.engine.trendline import Trendline
+
+from benchmarks.paper.baselines.dtw import query_prototypes
 
 
 def euclidean_distance(a: np.ndarray, b: np.ndarray, normalize: bool = True) -> float:

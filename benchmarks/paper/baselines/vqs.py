@@ -15,11 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.dtw import dtw_distance
-from repro.baselines.euclidean import euclidean_distance
 from repro.engine.scoring import resample
 from repro.engine.trendline import Trendline
 from repro.errors import ExecutionError
+
+from benchmarks.paper.baselines.dtw import dtw_distance
+from benchmarks.paper.baselines.euclidean import euclidean_distance
 
 MEASURES = ("euclidean", "dtw")
 

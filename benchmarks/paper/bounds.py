@@ -4,8 +4,9 @@ Given the fitted slopes of the SegmentTree nodes at some level, every
 unit's final score is bounded (Table 7); operator combination preserves
 boundedness (Property 5.1): CONCAT's mean, AND's min and OR's max of
 per-child bounds bound the combined score.  The two-stage pruning driver
-uses the resulting per-visualization upper bounds to discard candidates
-whose best possible score cannot reach the current top-k floor.
+(``pruning.py``) applies the same per-unit bounds to the slopes its
+trees' entries record (``tree_upper_bound``): bounds from raw level
+windows do not hold for placements finer than a window.
 """
 
 from __future__ import annotations

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.vqs import VisualQuerySystem
 from repro.engine.executor import ShapeSearchEngine
 from repro.parser import parse
-from repro.study.metrics import study_accuracy
-from repro.study.tasks import Task, build_tasks
+
+from benchmarks.paper.baselines.vqs import VisualQuerySystem
+from benchmarks.paper.study.metrics import study_accuracy
+from benchmarks.paper.study.tasks import Task, build_tasks
 
 #: Method identifiers understood by the harness.
 METHODS = ("shapesearch-dp", "shapesearch-st", "dtw", "euclidean")

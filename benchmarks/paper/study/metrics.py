@@ -3,8 +3,9 @@
 * :func:`study_accuracy` — the user-study metric of §7.1: the sum of
   ground-truth relevance scores of the retrieved visualizations over the
   best achievable sum, as a percentage.
-* :func:`topk_overlap` — the Figure 12 accuracy: fraction of an
-  algorithm's top-k that also appears in the DP oracle's top-k.
+* :func:`tie_aware_overlap` — the Figure 12 accuracy: fraction of an
+  algorithm's top-k that the DP oracle scores at its own k-th best or
+  within a tolerance of it.
 * :func:`kth_score_deviation` — Figure 12's annotation: how far (in %)
   the k-th selected visualization's score sits from the k-th optimal.
 """
@@ -27,14 +28,6 @@ def study_accuracy(
     return 100.0 * achieved / best
 
 
-def topk_overlap(selected: Sequence[Hashable], reference: Sequence[Hashable]) -> float:
-    """|selected ∩ reference| / |reference| — Figure 12's accuracy measure."""
-    reference_set = set(reference)
-    if not reference_set:
-        return 0.0
-    return 100.0 * len(set(selected) & reference_set) / len(reference_set)
-
-
 def tie_aware_overlap(
     selected: Sequence[Hashable],
     reference_scores: Dict[Hashable, float],
@@ -44,8 +37,8 @@ def tie_aware_overlap(
     """Top-k accuracy robust to near-ties in the oracle's scores.
 
     A selected visualization counts as correct when its oracle score
-    reaches the oracle's k-th best score within ``tolerance`` — the
-    identity-based overlap of :func:`topk_overlap` churns arbitrarily
+    reaches the oracle's k-th best score within ``tolerance`` — an
+    identity-based overlap (|selected ∩ reference| / |reference|) churns arbitrarily
     when many candidates tie at the cut-off, which synthetic suites
     (and the paper's "never off by more than 2 visualizations" remark)
     make common.

@@ -22,14 +22,14 @@ import time
 
 import pytest
 
-from repro.baselines.dtw import rank_by_dtw
 from repro.engine.dynamic import fuzzy_run_solver, solve_query
 from repro.engine.greedy import greedy_run_solver
 from repro.engine.parallel import solve_many
-from repro.engine.pruning import prune_and_rank
 from repro.engine.segment_tree import segment_tree_run_solver
 
 from benchmarks.conftest import fuzzy_query, print_table
+from benchmarks.paper.baselines.dtw import rank_by_dtw
+from benchmarks.paper.pruning import prune_and_rank
 
 SUITE_NAMES = ("weather", "worms", "50words", "realestate", "haptics")
 

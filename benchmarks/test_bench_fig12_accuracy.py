@@ -8,13 +8,13 @@ deviation of the k-th chosen score from the k-th optimal.
 
 import pytest
 
-from repro.baselines.dtw import rank_by_dtw
 from repro.engine.dynamic import solve_query
 from repro.engine.greedy import greedy_run_solver
 from repro.engine.segment_tree import segment_tree_run_solver
-from repro.study.metrics import kth_score_deviation, tie_aware_overlap
 
 from benchmarks.conftest import fuzzy_query, print_table
+from benchmarks.paper.baselines.dtw import rank_by_dtw
+from benchmarks.paper.study.metrics import kth_score_deviation, tie_aware_overlap
 
 SUITE_NAMES = ("weather", "worms", "50words", "realestate", "haptics")
 KS = (2, 5, 10, 20)

@@ -27,11 +27,11 @@ from repro.datasets.suites import suite_trendlines
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import solve_query
 from repro.engine.parallel import solve_many
-from repro.engine.pruning import prune_and_rank
 from repro.engine.segment_tree import segment_tree_run_solver
 from repro.engine.trendline import build_trendline
 
 from benchmarks.conftest import SCALE, print_table
+from benchmarks.paper.pruning import prune_and_rank
 
 _RESULTS_A = {}
 _RESULTS_B = {}

@@ -15,10 +15,9 @@ written, records which claims are reproduced).
 
 import pytest
 
-from repro.study.harness import run_study
-from repro.study.tasks import build_tasks
-
 from benchmarks.conftest import print_table
+from benchmarks.paper.study.harness import run_study
+from benchmarks.paper.study.tasks import build_tasks
 
 METHODS = ("shapesearch-dp", "shapesearch-st", "dtw", "euclidean")
 

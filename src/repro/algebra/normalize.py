@@ -1,6 +1,6 @@
 """ShapeQuery normalization: OPPOSITE push-down and operator flattening.
 
-The execution engines (DP, SegmentTree, exhaustive) assume a tree built
+The execution engines (DP, SegmentTree, greedy) assume a tree built
 only of CONCAT / AND / OR with negation recorded on the leaves.  This
 module rewrites any ShapeQuery into that form:
 

@@ -12,8 +12,10 @@ implementations per stage), and the engine runs it.  Algorithms:
   tiled matrix kernel by default (``kernel="matrix"``; ``"loop"`` keeps
   the byte-identical reference kernel for benchmarking);
 * ``"segment-tree"`` — pattern-aware, O(nk⁴) (§6.2), the default;
-* ``"greedy"`` — local-search baseline (§9);
-* ``"exhaustive"`` — the brute-force oracle (tests/small data only).
+* ``"greedy"`` — local-search baseline (§9).
+
+The brute-force layout enumerator the test suites check these against
+is ``tests/oracles/exhaustive.py``, not an engine algorithm.
 
 Scaling knobs (beyond the paper): ``workers=`` is the whole parallel
 plan — ``1`` scores in the caller, ``N > 1`` shards candidates across a
@@ -70,7 +72,7 @@ from repro.results import ResultSet, SearchFuture
 #: Supported segmentation algorithms (dispatch lives in
 #: :func:`repro.engine.parallel.solve_many`, the single funnel shared by
 #: every Score path).
-ALGORITHMS = ("dp", "segment-tree", "greedy", "exhaustive")
+ALGORITHMS = ("dp", "segment-tree", "greedy")
 
 #: Supported scoring precisions (see the ``precision`` option).
 PRECISIONS = ("float64", "float32")

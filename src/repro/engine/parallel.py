@@ -38,7 +38,6 @@ import numpy as np
 from repro.engine.chains import CompiledQuery
 from repro.engine.collection import BLOCK_ELEMENTS
 from repro.engine.dynamic import QueryResult, ScoreBlock, solve_query, solve_query_batched
-from repro.engine.exhaustive import exhaustive_solve_query
 from repro.engine.greedy import greedy_run_solver
 from repro.engine.pushdown import eager_upper_bound, plan_pushdown
 from repro.engine.segment_tree import BATCH_BLOCK, segment_tree_batch_solver
@@ -111,8 +110,6 @@ def solve_many(
     """
     if algorithm == "segment-tree":
         return solve_query_batched(trendlines, query, segment_tree_batch_solver)
-    if algorithm == "exhaustive":
-        return ScoreBlock.of([exhaustive_solve_query(t, query) for t in trendlines])
     if algorithm == "dp":
         # kernel= (rather than run_solver=) records the choice in the
         # solve context, so nested sub-queries and AND exact-covers run

@@ -21,42 +21,42 @@ accuracy Figure 12 measures against the DP oracle.  Node work is
 O(n·k³) — linear in the trendline length (Theorem 6.3; the paper quotes
 the coarser O(n·k⁴) bound from the k²×k² cross product).
 
-Two implementations build the same tables bottom-up, one level at a
-time:
+:class:`BatchedSegmentTree` builds the tables bottom-up, one level at a
+time, and solves one fuzzy run for *C trendlines at once*, each over its
+own ``[lo, hi)``.  Per level the node tables are dense arrays indexed ``[field, key,
+lane]`` — one row per subchain key ``(i, j)``, one *lane* per node of
+each candidate, candidate-major, so trees of different shapes share
+the arrays and each candidate pairs up its nodes on its own schedule
+(:class:`_Pairing`).  The fields: the weighted sum (−∞ = no entry),
+the first unit's end and the last unit's start with their two scores,
+the ``k−1`` interior break points (carried forward, so the root row
+*is* the placement) and the entry's first-offer rank.  Every way to
+form a parent key from a left and a right child key is one row of a
+key-major *option* block filled by row gathers (:class:`_CombinePlan`);
+all merged units of a level are re-scored by one slope gather over
+the candidates' concatenated ``(5, Σ(n+1))`` prefix block and one
+shared ``tan⁻¹`` (units that are not plain slope patterns — sketches,
+quantifiers, nested queries, lines, y-constrained slopes — fall back
+to one ``score_pairs`` call per candidate per level); and each key
+keeps its maximum option by ``reduceat``, ties resolved to the option
+the dict tree would have been *offered first* — except at level one
+(half of all lanes), written in closed form: above two leaves every
+key has one option at most.  A tree takes candidates while its marks
+table fits :data:`BATCH_CELLS`, never fewer than :data:`BATCH_BLOCK`,
+and closes early on long series (:data:`BATCH_LANES`), so peak memory
+is flat in the collection size.
 
-* :class:`BatchedSegmentTree` — what the engine runs.  It solves one
-  fuzzy run for *C trendlines at once*, each over its own ``[lo, hi)``.
-  Per level the node tables are dense arrays indexed ``[field, key,
-  lane]`` — one row per subchain key ``(i, j)``, one *lane* per node of
-  each candidate, candidate-major, so trees of different shapes share
-  the arrays and each candidate pairs up its nodes on its own schedule
-  (:class:`_Pairing`).  The fields: the weighted sum (−∞ = no entry),
-  the first unit's end and the last unit's start with their two scores,
-  the ``k−1`` interior break points (carried forward, so the root row
-  *is* the placement) and the entry's first-offer rank.  Every way to
-  form a parent key from a left and a right child key is one row of a
-  key-major *option* block filled by row gathers (:class:`_CombinePlan`);
-  all merged units of a level are re-scored by one slope gather over
-  the candidates' concatenated ``(5, Σ(n+1))`` prefix block and one
-  shared ``tan⁻¹`` (units that are not plain slope patterns — sketches,
-  quantifiers, nested queries, lines, y-constrained slopes — fall back
-  to one ``score_pairs`` call per candidate per level); and each key
-  keeps its maximum option by ``reduceat``, ties resolved to the option
-  the dict tree would have been *offered first* — except at level one
-  (half of all lanes), written in closed form: above two leaves every
-  key has one option at most.  A tree takes candidates while its marks
-  table fits :data:`BATCH_CELLS`, never fewer than :data:`BATCH_BLOCK`,
-  and closes early on long series (:data:`BATCH_LANES`), so peak memory
-  is flat in the collection size.
-* :class:`IncrementalSegmentTree` — the dict-of-tuples reference, one
-  trendline at a time.  It is the data structure of the two-stage
-  pruning driver (§6.3), which advances all candidates in rounds and
-  reads the entries' placements between levels, and thereby the parity
-  oracle of the batched kernel: both score leaves and merges through the
-  same ``score_pairs`` arithmetic, so weighted sums and placements agree
-  bit for bit.
+The dict-of-tuples reference, one trendline at a time, is
+``IncrementalSegmentTree`` in ``benchmarks/paper/pruning.py``: the data
+structure of the paper's two-stage pruning driver (§6.3), which advances
+all candidates in rounds and reads the entries' placements between
+levels.  It is the batched kernel's parity oracle
+(``tests/test_segment_tree_batched.py``) and "the dict tree" of the
+comments below: both score leaves and merges through the same
+``score_pairs`` arithmetic, so weighted sums and placements agree bit
+for bit.
 
-Tie rule (shared): an entry is replaced only by a *strictly* greater
+Tie rule (both trees): an entry is replaced only by a *strictly* greater
 weighted sum, so among equal options the first offered wins.  Offers
 arrive in the left table's insertion order, adjacent before merge, then
 in the right table's insertion order — which is itself a first-offer
@@ -82,12 +82,6 @@ from repro.engine.units import (
     plain_slope,
     run_min_length,
 )
-
-#: A table entry: (weighted score sum, per-unit placements, per-unit scores).
-Entry = Tuple[float, Tuple[Tuple[int, int], ...], Tuple[float, ...]]
-
-#: A node table: subchain (i, j) -> best Entry.
-Table = Dict[Tuple[int, int], Entry]
 
 #: The fewest candidates a :class:`BatchedSegmentTree` is cut at (below
 #: it only :data:`BATCH_LANES` closes a tree), and the block a shard
@@ -135,186 +129,6 @@ def leaf_ranges(lo: int, hi: int, size: int = MIN_SEGMENT_BINS) -> List[Tuple[in
         position += size
     ranges.append((position, hi))
     return ranges
-
-
-class IncrementalSegmentTree:
-    """Level-wise bottom-up construction of the SegmentTree tables."""
-
-    def __init__(
-        self,
-        trendline: Trendline,
-        units: List[ChainUnit],
-        lo: int,
-        hi: int,
-        context: Optional[dict] = None,
-        leaf_size: Optional[int] = None,
-    ):
-        self.trendline = trendline
-        self.units = units
-        self.context = context
-        self.min_len = run_min_length(lo, hi, max(1, len(units)))
-        if leaf_size is None:
-            leaf_size = default_leaf_size(self.min_len)
-        self.ranges = leaf_ranges(lo, hi, leaf_size)
-        self.tables = self._leaf_tables()
-
-    @property
-    def done(self) -> bool:
-        return len(self.tables) <= 1
-
-    def step(self) -> None:
-        """Combine one level: adjacent node pairs become parent nodes."""
-        if self.done:
-            return
-        final = len(self.tables) == 2
-        pairs = [
-            (self.tables[i], _by_start(self.tables[i + 1]))
-            for i in range(0, len(self.tables) - 1, 2)
-        ]
-        merged = self._merged_scores(pairs)
-        new_tables = [
-            self._combine(left, right, scores, final=final)
-            for (left, right), scores in zip(pairs, merged)
-        ]
-        new_ranges = [
-            (self.ranges[i][0], self.ranges[i + 1][1])
-            for i in range(0, len(self.tables) - 1, 2)
-        ]
-        if len(self.tables) % 2 == 1:
-            new_tables.append(self.tables[-1])
-            new_ranges.append(self.ranges[-1])
-        self.tables = new_tables
-        self.ranges = new_ranges
-
-    def run(self) -> Optional[Entry]:
-        """Build to the root and return the full-chain entry (or None)."""
-        while not self.done:
-            self.step()
-        return self.tables[0].get((0, len(self.units) - 1)) if self.tables else None
-
-    # -- internals ---------------------------------------------------------
-    def _leaf_tables(self) -> List[Table]:
-        """Score every unit over every leaf range in one batched pass.
-
-        This is the same unit kernel the matrix DP rides
-        (:meth:`~repro.engine.units.CompiledUnit.score_pairs`): slope and
-        line units evaluate all leaves with one vectorized prefix query
-        instead of one Python call per (unit, leaf) pair.
-        """
-        starts = np.array([l for l, _ in self.ranges])
-        ends = np.array([r for _, r in self.ranges])
-        tables: List[Table] = [{} for _ in self.ranges]
-        for i, cu in enumerate(self.units):
-            scores = cu.unit.score_pairs(self.trendline, starts, ends, self.context)
-            for table, (l, r), score in zip(tables, self.ranges, scores):
-                score = float(score)
-                table[(i, i)] = (cu.weight * score, ((l, r),), (score,))
-        return tables
-
-    def _merged_scores(self, pairs) -> List[Dict[Tuple[int, int, int], float]]:
-        """Re-score every merge of this level: one ``score_pairs`` per unit.
-
-        For each sibling pair, every left ``[i..m]`` meets every right
-        ``[m..j]``; the shared unit ``m`` then spans ``[a, b)`` — from
-        the start of its left part to the end of its right part.  A
-        merge that would leave an *interior* unit under the width floor
-        is never offered and therefore never scored.  Merges go through
-        the same vectorized unit kernel as the leaves, so one unit over
-        one range carries one score everywhere in the tree (a scalar
-        ``math.atan`` here would disagree with the leaves' ``np.arctan``
-        in the last bit for a fraction of slopes).
-        """
-        requests: List[List[tuple]] = [[] for _ in self.units]
-        for pair, (left, right_by_start) in enumerate(pairs):
-            for (i, m), (_wsum, l_place, _scores) in left.items():
-                for j, (_r_wsum, r_place, _r_scores) in right_by_start.get(m, ()):
-                    a = l_place[-1][0]
-                    b = r_place[0][1]
-                    if i < m and m < j and b - a < self.min_len:
-                        continue
-                    requests[m].append((pair, i, j, a, b))
-        merged: List[Dict[Tuple[int, int, int], float]] = [{} for _ in pairs]
-        for m, (cu, wanted) in enumerate(zip(self.units, requests)):
-            if not wanted:
-                continue
-            scores = cu.unit.score_pairs(
-                self.trendline,
-                np.array([a for _pair, _i, _j, a, _b in wanted]),
-                np.array([b for _pair, _i, _j, _a, b in wanted]),
-                self.context,
-            )
-            for (pair, i, j, _a, _b), score in zip(wanted, scores):
-                merged[pair][(i, m, j)] = float(score)
-        return merged
-
-    def _combine(self, left: Table, right_by_start, merged, final: bool = False) -> Table:
-        """Combine two sibling tables; ``final`` marks the root combine,
-        where boundary placements can no longer grow and entries meeting
-        the width floor on *every* placement are preferred."""
-        units = self.units
-        out: Table = {}
-        strict: Table = {}
-
-        def offer(key, entry):
-            current = out.get(key)
-            if current is None or entry[0] > current[0]:
-                out[key] = entry
-            if final:
-                places = entry[1]
-                if (
-                    places[0][1] - places[0][0] >= self.min_len
-                    and places[-1][1] - places[-1][0] >= self.min_len
-                ):
-                    best = strict.get(key)
-                    if best is None or entry[0] > best[0]:
-                        strict[key] = entry
-
-        min_len = self.min_len
-        for (i, m), (l_wsum, l_place, l_scores) in left.items():
-            # Adjacent: [i..m] ⊗ [m+1..j].  A placement that becomes
-            # *interior* here is final and must meet the width floor.
-            left_last_ok = i == m or l_place[-1][1] - l_place[-1][0] >= min_len
-            for j, (r_wsum, r_place, r_scores) in right_by_start.get(m + 1, ()):
-                if not left_last_ok:
-                    break
-                if m + 1 < j and r_place[0][1] - r_place[0][0] < min_len:
-                    continue
-                offer((i, j), (l_wsum + r_wsum, l_place + r_place, l_scores + r_scores))
-
-            # Merge: the shared unit m spans the node boundary.
-            for j, (r_wsum, r_place, r_scores) in right_by_start.get(m, ()):
-                merged_score = merged.get((i, m, j))
-                if merged_score is None:
-                    continue  # under the interior width floor: never offered
-                weight = units[m].weight
-                wsum = (
-                    l_wsum
-                    - weight * l_scores[-1]
-                    + r_wsum
-                    - weight * r_scores[0]
-                    + weight * merged_score
-                )
-                offer(
-                    (i, j),
-                    (
-                        wsum,
-                        l_place[:-1] + ((l_place[-1][0], r_place[0][1]),) + r_place[1:],
-                        l_scores[:-1] + (merged_score,) + r_scores[1:],
-                    ),
-                )
-        if final:
-            # Width-floor-compliant entries win at the root; entries with
-            # an undersized boundary survive only as fallbacks.
-            out.update(strict)
-        return out
-
-
-def _by_start(table: Table) -> Dict[int, List[Tuple[int, Entry]]]:
-    """A right-hand table's entries grouped by first unit, in table order."""
-    grouped: Dict[int, List[Tuple[int, Entry]]] = {}
-    for (start, j), entry in table.items():
-        grouped.setdefault(start, []).append((j, entry))
-    return grouped
 
 
 class _CombinePlan:

@@ -29,10 +29,10 @@ index:
   is bounded by its value at the bucket's atan endpoints — the same
   endpoint-extreme + flat/θ straddle reasoning as
   :meth:`SlopeUnit.bounds_from_slopes <repro.engine.units.SlopeUnit.bounds_from_slopes>`
-  and :func:`~repro.engine.bounds.chain_bounds`, but *without* the
-  regression-slack margin: a bucket's interval covers the fitted atan of
-  every admissible segment exactly (the segment itself is one of the
-  aggregated ranges, fitted by the same bit-identical
+  and the §6.3 level bounds (``benchmarks/paper/bounds.py``), but
+  *without* the regression-slack margin: a bucket's interval covers the
+  fitted atan of every admissible segment exactly (the segment itself is
+  one of the aggregated ranges, fitted by the same bit-identical
   ``fit_slopes`` algebra), not a blend of node slopes.  A
   max-plus recurrence over (start super-bin, end super-bin) then bounds
   the best full segmentation; the query bound is the max over chains,
@@ -42,8 +42,8 @@ index:
 engine algorithm places each chain as a full cover of ``[0, n)`` whose
 interior units are at least ``run_min_length(0, n, m)`` bins wide and
 whose first and last unit are at least one SegmentTree leaf wide (the
-dp/loop, greedy and exhaustive solvers hold the end units to the full
-floor as well; the tree does not — :func:`_unit_widths`), so any true
+dp/loop and greedy solvers hold the end units to the full floor as
+well; the tree does not — :func:`_unit_widths`), so any true
 placement maps to a bucket path the coarse DP admits — consecutive
 units share their boundary bin, so the next start super-bin is the
 previous end super-bin or its successor — and every per-unit score is ≤
@@ -122,9 +122,9 @@ def survives_floor(upper_bounds, floor):
 def is_prunable(query: CompiledQuery) -> bool:
     """Is the query fully fuzzy — no x pins, no iterators (paper §6)?
 
-    The shape both the shape index and the §6.3 collective driver
-    (:func:`~repro.engine.pruning.prune_and_rank`) can bound: pinned
-    layouts change the DP's piece structure.
+    The shape both the shape index and the paper's §6.3 collective
+    driver (``benchmarks/paper/pruning.py``) can bound: pinned layouts
+    change the DP's piece structure.
     """
     return all(
         not cu.unit.location.is_x_pinned and cu.unit.location.iterator is None
@@ -692,7 +692,7 @@ def _unit_widths(n_bins: int, units_count: int) -> List[int]:
     """The narrowest width any algorithm places each unit of a chain at.
 
     Interior units are ``run_min_length`` wide under every run solver.
-    dp/loop, greedy and exhaustive hold the end units to it too, but the
+    dp/loop and greedy hold the end units to it too, but the
     SegmentTree enforces the floor only where two subtrees meet, so a
     first or last unit can be one leaf wide
     (:func:`~repro.engine.units.default_leaf_size`, never above the

@@ -25,6 +25,11 @@ def recent(items, memo: "OrderedDict[str, Trendline]") -> deque:
     return deque(items, maxlen=sibling.LIMIT)
 
 
+def oracle_note() -> str:
+    # Citing the test tree is fine; importing from it is not (REP094).
+    return "ranked as tests/oracles/exhaustive.py ranks"
+
+
 class Trainer:
     def fit(self, objective, start):
         # Function-level: only a caller that trains pays for scipy.

@@ -1,31 +1,17 @@
-"""Regenerate or check the answer ledger.
+"""Rewrite the answer ledger: ``PYTHONPATH=src python -m tests.golden --write``.
 
-    PYTHONPATH=src python -m tests.golden            # compare, exit 1 on a change
-    PYTHONPATH=src python -m tests.golden --write    # rewrite answers.json
+Only a change that means to move answers runs this; review the row diff
+of ``answers.json`` before committing it.
 """
 
 import argparse
-import sys
 
-from tests.golden import PATH, dumps, load, run
+from tests.golden import PATH, dumps, run
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m tests.golden")
-    parser.add_argument("--write", action="store_true", help="rewrite " + PATH)
-    args = parser.parse_args(argv)
-    ledger = run()
-    if args.write:
-        with open(PATH, "w") as handle:
-            handle.write(dumps(ledger))
-        print("wrote {} rows to {}".format(len(ledger["rows"]), PATH))
-        return 0
-    if dumps(ledger) == dumps(load()):
-        print("{} rows match {}".format(len(ledger["rows"]), PATH))
-        return 0
-    print("answers differ from {}; run the ledger test for the rows".format(PATH))
-    return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+parser = argparse.ArgumentParser(prog="python -m tests.golden")
+parser.add_argument("--write", action="store_true", required=True, help="rewrite " + PATH)
+parser.parse_args()
+ledger = run()
+with open(PATH, "w") as handle:
+    handle.write(dumps(ledger))
+print("wrote {} rows to {}".format(len(ledger["rows"]), PATH))

@@ -24,10 +24,11 @@ import pytest
 from repro.algebra import builder as q
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import solve_query
-from repro.engine.exhaustive import exhaustive_solve_query
 from repro.engine.greedy import greedy_run_solver
 from repro.engine.segment_tree import segment_tree_run_solver
 from repro.engine.trendline import build_trendline
+
+from tests.oracles.exhaustive import exhaustive_solve_query
 
 #: Heuristics may trail the oracle by at most this much on one input...
 SEGMENT_TREE_TOLERANCE = 0.75

@@ -6,17 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algebra import builder as q
-from repro.baselines.dtw import (
+from repro.engine.chains import compile_query
+from repro.errors import ExecutionError
+
+from benchmarks.paper.baselines.dtw import (
     chain_prototype,
     dtw_distance,
     dtw_query_distance,
     query_prototypes,
     rank_by_dtw,
 )
-from repro.baselines.euclidean import euclidean_distance, rank_by_euclidean
-from repro.baselines.vqs import VisualQuerySystem, smooth
-from repro.engine.chains import compile_query
-from repro.errors import ExecutionError
+from benchmarks.paper.baselines.euclidean import euclidean_distance, rank_by_euclidean
+from benchmarks.paper.baselines.vqs import VisualQuerySystem, smooth
 
 
 series = st.lists(

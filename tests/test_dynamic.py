@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from repro.algebra import builder as q
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import plan_layout, solve_chain, solve_query
-from repro.engine.exhaustive import (
-    enumerate_run_placements,
-    exhaustive_solve_query,
-)
 from repro.engine.units import INFEASIBLE
 
 from tests.conftest import make_trendline
+from tests.oracles.exhaustive import (
+    enumerate_run_placements,
+    exhaustive_solve_query,
+)
 
 
 def _random_trendline(seed, n=18):

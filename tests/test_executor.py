@@ -11,6 +11,7 @@ from repro.engine.executor import ALGORITHMS, ShapeSearchEngine
 from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
+from tests.oracles.exhaustive import exhaustive_solve_query
 
 
 def _collection():
@@ -48,9 +49,12 @@ class TestRank:
         scores = [match.score for match in matches]
         assert scores == sorted(scores, reverse=True)
 
-    def test_unknown_algorithm_rejected(self):
+    @pytest.mark.parametrize("algorithm", ["quantum", "exhaustive"])
+    def test_unknown_algorithm_rejected(self, algorithm):
+        # "exhaustive" is the brute-force oracle of tests/oracles/exhaustive.py,
+        # not an engine algorithm.
         with pytest.raises(ExecutionError):
-            ShapeSearchEngine(algorithm="quantum")
+            ShapeSearchEngine(algorithm=algorithm)
 
     def test_compiled_query_accepted(self):
         engine = ShapeSearchEngine()
@@ -68,13 +72,20 @@ class TestRank:
         assert stats.scored == 5
 
     def test_exhaustive_algorithm_small_input(self):
+        """The DP engine ranks like the brute-force oracle: same keys in the
+        same order (score desc, position asc), same scores."""
         rng = np.random.default_rng(5)
         small = [make_trendline(rng.normal(0, 1, 12).cumsum(), key=i) for i in range(3)]
-        exhaustive = ShapeSearchEngine(algorithm="exhaustive").rank(small, QUERY, k=3)
+        compiled = compile_query(QUERY)
+        oracle = sorted(
+            ((exhaustive_solve_query(t, compiled).score, position, t.key)
+             for position, t in enumerate(small)),
+            key=lambda row: (-row[0], row[1]),
+        )
         dp = ShapeSearchEngine(algorithm="dp").rank(small, QUERY, k=3)
-        assert [m.key for m in exhaustive] == [m.key for m in dp]
-        for a, b in zip(exhaustive, dp):
-            assert a.score == pytest.approx(b.score, abs=1e-9)
+        assert [key for _score, _position, key in oracle] == [m.key for m in dp]
+        for (score, _position, _key), b in zip(oracle, dp):
+            assert score == pytest.approx(b.score, abs=1e-9)
 
 
 class TestExecute:
@@ -132,7 +143,7 @@ class TestExecute:
 
 class TestAlgorithmsConstant:
     def test_algorithm_list(self):
-        assert set(ALGORITHMS) == {"dp", "segment-tree", "greedy", "exhaustive"}
+        assert set(ALGORITHMS) == {"dp", "segment-tree", "greedy"}
 
 
 class TestStatsIsolation:

@@ -3,14 +3,14 @@
 import numpy as np
 
 from repro.algebra import builder as q
-from repro.engine.bounds import chain_bounds, level_slopes, query_bounds, query_upper_bound
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import solve_query
 from repro.engine.greedy import greedy_run_solver
-from repro.engine.pruning import PruningReport, decimate, prune_and_rank
 from repro.engine.segment_tree import segment_tree_run_solver
 from repro.engine.shape_index import is_prunable
 
+from benchmarks.paper.bounds import chain_bounds, level_slopes, query_bounds, query_upper_bound
+from benchmarks.paper.pruning import PruningReport, decimate, prune_and_rank
 from tests.conftest import make_trendline
 
 
@@ -64,8 +64,7 @@ class TestBounds:
         rising window), so the driver bounds from the entries' recorded
         placements instead — checked here at every level.
         """
-        from repro.engine.pruning import tree_upper_bound
-        from repro.engine.segment_tree import IncrementalSegmentTree
+        from benchmarks.paper.pruning import IncrementalSegmentTree, tree_upper_bound
 
         compiled = compile_query(q.concat(q.up(), q.down(), q.up()))
         chain = compiled.chains[0]

@@ -455,7 +455,7 @@ class TestKernelThreading:
 
     def test_pruning_stage1_honors_kernel(self, monkeypatch):
         import repro.engine.dynamic as dynamic
-        from repro.engine.pruning import prune_and_rank
+        from benchmarks.paper.pruning import prune_and_rank
 
         counts = {"loop": 0, "matrix": 0}
         real_loop = dynamic._solve_fuzzy_run_loop

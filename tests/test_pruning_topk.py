@@ -1,7 +1,7 @@
 """Top-k correctness of the exactness-preserving optimizations.
 
 The two-stage collective pruning driver (§6.3, the library function
-:func:`~repro.engine.pruning.prune_and_rank` that Fig 10 and Fig 13
+:func:`~benchmarks.paper.pruning.prune_and_rank` that Fig 10 and Fig 13
 measure) and the push-down optimizations (§5.4) are
 *exactness-preserving*: pruning discards a candidate only when its score
 upper bound is provably below the current top-k floor, and push-down
@@ -17,8 +17,9 @@ from repro.data.visual_params import VisualParams
 from repro.datasets.suites import SUITES, suite_table, suite_trendlines
 from repro.engine.chains import compile_query
 from repro.engine.executor import ShapeSearchEngine
-from repro.engine.pruning import PruningReport, prune_and_rank
 from repro.parser import parse
+
+from benchmarks.paper.pruning import PruningReport, prune_and_rank
 
 #: Scaled-down suite sizes so the whole module stays CI-friendly.
 MAX_VIZ = 40

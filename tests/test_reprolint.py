@@ -46,6 +46,7 @@ CASES = [
     ("REP091", "imports", 4),
     ("REP092", "imports", 6),
     ("REP093", "imports", 4),
+    ("REP094", "imports", 3),
 ]
 
 
@@ -114,12 +115,26 @@ class TestRuleFixtures:
         assert RULES_BY_ID["REP093"].applies("benchmarks/test_bench_fig12_accuracy.py")
         assert RULES_BY_ID["REP093"].applies("tests/test_ingest.py")
         assert not RULES_BY_ID["REP093"].applies("tools/reprolint/driver.py")
+        assert RULES_BY_ID["REP094"].applies("src/repro/engine/parallel.py")
+        assert not RULES_BY_ID["REP094"].applies("tests/test_dynamic.py")
+        assert not RULES_BY_ID["REP094"].applies("benchmarks/paper/pruning.py")
+        assert RULES_BY_ID["REP013"].applies("benchmarks/paper/pruning.py")
+        assert RULES_BY_ID["REP061"].applies("benchmarks/paper/pruning.py")
         funnel = RULES_BY_ID["REP035"]
         assert funnel.applies("src/repro/engine/pipeline.py")
         assert funnel.applies("src/repro/api.py")
         assert funnel.applies("src/repro/data/table.py")
         assert not funnel.applies("src/repro/datasets/suites.py")
         assert not funnel.applies("tests/oracles/generation.py")
+
+    def test_every_scope_names_an_existing_path(self):
+        # A moved or deleted module drops out of its rule silently: the
+        # prefix still filters, it just matches nothing.
+        for rule in ALL_RULES:
+            for prefix in rule.scope:
+                assert (REPO / prefix).exists(), (
+                    "{} scope {!r} names nothing in the tree".format(rule.id, prefix)
+                )
 
 
 class TestInlineSuppression:

@@ -7,11 +7,11 @@ from repro.algebra import builder as q
 from repro.engine.chains import compile_query
 from repro.engine.dynamic import solve_query
 from repro.engine.segment_tree import (
-    IncrementalSegmentTree,
     leaf_ranges,
     segment_tree_run_solver,
 )
 
+from benchmarks.paper.pruning import IncrementalSegmentTree
 from tests.conftest import make_trendline
 
 

@@ -2,7 +2,7 @@
 
 :class:`~repro.engine.segment_tree.BatchedSegmentTree` (what the engine
 runs) must build, bit for bit, the tables of
-:class:`~repro.engine.segment_tree.IncrementalSegmentTree` (the
+:class:`~benchmarks.paper.pruning.IncrementalSegmentTree` (the
 per-trendline reference): the same keys in the same insertion order, the
 same weighted sums and the same placements at every node of every
 level — and therefore the same answers through ``solve_many``.
@@ -24,13 +24,13 @@ from repro.engine.dynamic import ScoreBlock, solve_query
 from repro.engine.parallel import score_shard, solve_many, solve_one
 from repro.engine.segment_tree import (
     BatchedSegmentTree,
-    IncrementalSegmentTree,
     leaf_ranges,
     segment_tree_run_solver,
 )
 from repro.engine.trendline import cast_trendline
 from repro.engine.units import MIN_SEGMENT_BINS, default_leaf_size, run_min_length
 
+from benchmarks.paper.pruning import IncrementalSegmentTree
 from tests.conftest import make_trendline
 
 
@@ -411,7 +411,7 @@ class TestSolveMany:
     def test_other_algorithms_loop(self):
         query = compile_query(q.concat(q.up(), q.down()))
         lines = walks(3, 30)
-        for algorithm in ("dp", "greedy", "exhaustive"):
+        for algorithm in ("dp", "greedy"):
             assert solve_many(lines, query, algorithm) == [
                 solve_one(t, query, algorithm) for t in lines
             ]

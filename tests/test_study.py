@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.study.harness import run_method, run_study
-from repro.study.metrics import kth_score_deviation, study_accuracy, topk_overlap
-from repro.study.tasks import TASK_CODES, build_tasks
+from benchmarks.paper.study.harness import run_method, run_study
+from benchmarks.paper.study.metrics import kth_score_deviation, study_accuracy
+from benchmarks.paper.study.tasks import TASK_CODES, build_tasks
 
 
 @pytest.fixture(scope="module")
@@ -18,11 +18,6 @@ class TestMetrics:
         assert study_accuracy(["a", "b"], relevance, k=2) == pytest.approx(100.0)
         assert study_accuracy(["a", "c"], relevance, k=2) == pytest.approx(100 * 5 / 8)
         assert study_accuracy([], relevance, k=2) == 0.0
-
-    def test_topk_overlap(self):
-        assert topk_overlap(["a", "b"], ["a", "b"]) == 100.0
-        assert topk_overlap(["a", "x"], ["a", "b"]) == 50.0
-        assert topk_overlap([], []) == 0.0
 
     def test_kth_score_deviation(self):
         assert kth_score_deviation([0.9, 0.8], [0.9, 0.8]) == pytest.approx(0.0)

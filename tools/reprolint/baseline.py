@@ -4,7 +4,7 @@ The baseline is a JSON list, one entry per grandfathered finding::
 
     {
       "rule": "REP013",
-      "path": "src/repro/engine/pruning.py",
+      "path": "benchmarks/paper/pruning.py",
       "context": "prune_and_rank",
       "snippet": "floor = sorted(sampled_scores, reverse=True)[k - 1]",
       "justification": "sorts bare floats only to read the k-th value; ..."

@@ -22,7 +22,11 @@ from tools.reprolint.rules.kernel import MatrixParityRule, SlopeBasedDeclaration
 from tools.reprolint.rules.index import FloorSeamRule
 from tools.reprolint.rules.artifacts import MappingLifecycleRule
 from tools.reprolint.rules.serving import AsyncBlockingCallRule
-from tools.reprolint.rules.imports import ImportWeightRule, UnusedImportRule
+from tools.reprolint.rules.imports import (
+    ImportWeightRule,
+    UnusedImportRule,
+    ApparatusImportRule,
+)
 from tools.reprolint.rules.citations import DanglingCitationRule
 
 ALL_RULES = [
@@ -46,6 +50,7 @@ ALL_RULES = [
     ImportWeightRule(),
     UnusedImportRule(),
     DanglingCitationRule(),
+    ApparatusImportRule(),
 ]
 
 RULES_BY_ID = {rule.id: rule for rule in ALL_RULES}

@@ -116,7 +116,8 @@ class KeylessMergeSortRule(Rule):
         "merge/rank paths define the engine's total order; an implicit "
         "element order hides which fields actually break ties"
     )
-    scope = _ENGINE
+    #: The §6.3 driver ranks its survivors too, outside the package.
+    scope = _ENGINE + ("benchmarks/paper/pruning.py",)
 
     _MARKERS = ("merge", "rank", "top")
 

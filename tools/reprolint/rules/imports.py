@@ -7,7 +7,10 @@ and on a numpy-only install the package could not be imported at all.
 REP091 keeps third-party packages other than numpy out of import time
 statically; ``tests/test_import_weight.py`` is the runtime proof.
 REP092 flags module-level imports nothing in the module uses — the
-check ruff's F401 makes, for trees where ruff is not installed.
+check ruff's F401 makes, for trees where ruff is not installed.  REP094
+keeps the shipped package apart from the trees that check and measure
+it: nothing under ``src/`` imports ``tests``, ``benchmarks`` or
+``bench``, at module level or inside a function.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ from tools.reprolint.visitor import FileContext, Rule
 #: Top-level packages a module under ``src/repro/`` may import at module
 #: level besides the standard library.
 _ALLOWED = {"numpy", "repro", "__future__"}
+
+
+def _absolute_modules(node):
+    """The modules an import names; a relative import names none outside."""
+    if isinstance(node, ast.ImportFrom):
+        return [] if node.level else [node.module or ""]
+    return [alias.name for alias in node.names]
 
 
 class ImportWeightRule(Rule):
@@ -47,11 +57,7 @@ class ImportWeightRule(Rule):
         for node in ctx.walk((ast.Import, ast.ImportFrom)):
             if ctx.enclosing_function(node) is not None:
                 continue
-            if isinstance(node, ast.ImportFrom):
-                modules = [] if node.level else [node.module or ""]
-            else:
-                modules = [alias.name for alias in node.names]
-            for module in modules:
+            for module in _absolute_modules(node):
                 package = module.partition(".")[0]
                 if package in _ALLOWED or package in sys.stdlib_module_names:
                     continue
@@ -146,4 +152,44 @@ class UnusedImportRule(Rule):
                     alias,
                     "module-level import {!r} is never used; delete it, or mark a "
                     "re-export with '# noqa: F401'".format(bound),
+                )
+
+
+#: Top-level packages that check or measure the system and never ship in it.
+_APPARATUS = {"tests", "benchmarks", "bench"}
+
+
+class ApparatusImportRule(Rule):
+    """REP094: the shipped package imports no test or benchmark module.
+
+    Flags every ``import x`` / ``from x import y`` under ``src/`` whose
+    top-level package is ``tests``, ``benchmarks`` or ``bench`` — inside
+    a function too, where REP091 lets an import through.  Oracles live in
+    ``tests/oracles/`` and the paper's apparatus in ``benchmarks/paper/``
+    because no user path needs them; an engine branch that reaches for
+    one ships the test tree's code path to every user, and fails outright
+    where only ``src/`` is installed.
+    """
+
+    id = "REP094"
+    name = "apparatus-import"
+    rationale = (
+        "src/ ships the system; an import of tests, benchmarks or bench "
+        "makes a test oracle or a paper experiment part of it, and breaks "
+        "wherever only the package is installed"
+    )
+    scope = ("src/",)
+
+    def check(self, ctx: FileContext):
+        for node in ctx.walk((ast.Import, ast.ImportFrom)):
+            for module in _absolute_modules(node):
+                package = module.partition(".")[0]
+                if package not in _APPARATUS:
+                    continue
+                yield make_finding(
+                    self,
+                    ctx,
+                    node,
+                    "src/ imports {!r}; move what it needs into the package, or "
+                    "the caller out of it".format(module),
                 )

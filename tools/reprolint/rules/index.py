@@ -58,7 +58,7 @@ class FloorSeamRule(Rule):
     )
     scope = (
         "src/repro/engine/shape_index.py",
-        "src/repro/engine/pruning.py",
+        "benchmarks/paper/pruning.py",
         "src/repro/engine/pipeline.py",
     )
 
