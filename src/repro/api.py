@@ -406,6 +406,9 @@ class TailSearch(PreparedSearch):
                 query_ref, indices, engine._resolve_pool(workers),
                 algorithm=engine.algorithm, kernel=engine.kernel, control=control,
             )
+        except ExecutionError:
+            session.forget_vanished(*pinned)
+            raise
         finally:
             session.unpin(*pinned)
 

@@ -4,17 +4,18 @@ Without a store the shape index dies with the process: every restart
 repays the O(n²)-per-trendline pyramid build before the first
 ``index=True`` query can prune anything.  This module gives the packed
 index form (:meth:`~repro.engine.shape_index.ShapeIndex.pack` — the
-same flat float64 block + layout manifest the shm transport publishes
+same flat float32 block + layout manifest the shm transport publishes
 and the bound kernel reads: per level, each trendline's upper-triangle
-buckets) a durable home on disk, so a cold process serves indexed
-queries at ``np.memmap`` cost instead of build cost.
+buckets, their atan endpoints rounded outward) a durable home on disk,
+so a cold process serves indexed queries at ``np.memmap`` cost instead
+of build cost.
 
 **Layout on disk** — one subdirectory per index key under the store
 root (``store=`` on the session/engine, or ``REPRO_ARTIFACT_DIR``),
 named by the SHA-1 of the key's canonical repr:
 
-* ``block.f64`` — the raw packed float64 block, memory-mapped on load;
-  ``16 · C · Σ W(W+1)/2`` bytes for a class of ``C`` trendlines.
+* ``block.f32`` — the raw packed float32 block, memory-mapped on load;
+  ``8 · C · Σ W(W+1)/2`` bytes for a class of ``C`` trendlines.
 * ``layout.pkl`` — pickled ``(layout, witnesses)``: the per-entry shape
   manifest plus each entry's content witness, so a loaded index keeps
   the :meth:`~repro.engine.shape_index.ShapeIndex.extended`
@@ -53,7 +54,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.shape_index import ShapeIndex
+from repro.engine.shape_index import BLOCK_DTYPE, ShapeIndex
 from repro.errors import ExecutionError
 
 #: On-disk format version: bump on any layout/manifest change so stale
@@ -61,10 +62,14 @@ from repro.errors import ExecutionError
 #: 1: entry-major block.  2: level-major, one dense ``(C, W, W)`` tile
 #: per group level and side.  3: level-major, each level its row-major
 #: upper triangle ``(C, W(W+1)/2)`` — 0.52× of format 2 at 32/16/8/4
-#: super-bins.
-ARTIFACT_FORMAT = 3
+#: super-bins.  4: format 3 in float32, each bucket's atan interval
+#: rounded outward (``block.f32``) — 0.5× of format 3.
+ARTIFACT_FORMAT = 4
 
-_BLOCK_FILE = "block.f64"
+_BLOCK_FILE = "block.f32"
+#: The block file of formats 1–3: a format-4 save over an older entry
+#: removes it, so an upgraded store does not keep both blocks on disk.
+_OLD_BLOCK_FILE = "block.f64"
 _LAYOUT_FILE = "layout.pkl"
 _MANIFEST_FILE = "manifest.json"
 
@@ -110,7 +115,7 @@ def save_index(root, key, index: ShapeIndex, fingerprint: str) -> Path:
     witnesses = index.witnesses()
     directory = artifact_dir(root, key)
     directory.mkdir(parents=True, exist_ok=True)
-    block = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    block = np.ascontiguousarray(values)
     payload = block.tobytes()
     layout_bytes = pickle.dumps(
         (layout, witnesses), protocol=pickle.HIGHEST_PROTOCOL
@@ -129,6 +134,7 @@ def save_index(root, key, index: ShapeIndex, fingerprint: str) -> Path:
         directory / _MANIFEST_FILE,
         json.dumps(manifest, indent=2, sort_keys=True).encode("ascii"),
     )
+    (directory / _OLD_BLOCK_FILE).unlink(missing_ok=True)
     return directory
 
 
@@ -140,8 +146,8 @@ def _open_block(path: Path, values_len: int) -> np.ndarray:
     raise, so truncation is caught structurally before any verification.
     """
     if values_len == 0:
-        return np.zeros(0, dtype=np.float64)
-    return np.memmap(path, dtype=np.float64, mode="r", shape=(values_len,))
+        return np.zeros(0, dtype=BLOCK_DTYPE)
+    return np.memmap(path, dtype=BLOCK_DTYPE, mode="r", shape=(values_len,))
 
 
 def _close_block(block: np.ndarray) -> None:

@@ -48,6 +48,7 @@ from repro.engine.shape_index import (
     index_supports,
 )
 from repro.engine.trendline import Trendline, cast_trendline
+from repro.errors import ExecutionError
 
 # ---------------------------------------------------------------------------
 # EXTRACT / GROUP (logical operators, paper §5.3)
@@ -533,6 +534,9 @@ class IndexPrune(Operator):
             return dispatch_index_bounds(
                 handle, query_ref, ranges, engine._resolve_pool(self.workers)
             )
+        except ExecutionError:
+            session.forget_vanished(handle, query_ref)
+            raise
         finally:
             session.unpin(handle, query_ref)
 
@@ -672,19 +676,23 @@ class SharedMemoryScore(_ScoreBase):
             self._pinned = session.acquire(trendlines, self.compiled)
             pins.callback(self._unpin, session)
         handle, query_ref = self._pinned
-        return dispatch_score_ranges(
-            handle,
-            query_ref,
-            self.k,
-            pool,
-            ranges,
-            algorithm=engine.algorithm,
-            enable_pushdown=engine.enable_pushdown,
-            has_eager_checks=self.has_eager_checks,
-            kernel=engine.kernel,
-            control=ctx.control,
-            positions=positions,
-        )
+        try:
+            return dispatch_score_ranges(
+                handle,
+                query_ref,
+                self.k,
+                pool,
+                ranges,
+                algorithm=engine.algorithm,
+                enable_pushdown=engine.enable_pushdown,
+                has_eager_checks=self.has_eager_checks,
+                kernel=engine.kernel,
+                control=ctx.control,
+                positions=positions,
+            )
+        except ExecutionError:
+            engine._shm_session().forget_vanished(handle, query_ref)
+            raise
 
 
 class MergeTopK(Operator):

@@ -21,6 +21,9 @@ index:
   straight into the packed block the queries read.  A bucket can only
   hold a segment when ``a ≤ b``, so each level keeps just the row-major
   upper triangle, ``W(W+1)/2`` buckets per side (:func:`_triangle`).
+  The build computes in float64 and stores each bucket's atan interval
+  as float32 rounded outward (:func:`_outward`), so the stored interval
+  contains the float64 one and the block is half its float64 size.
 
 * Per query, a **coarse max-plus DP over the buckets**: for chains whose
   units are all statically bounded (the
@@ -33,7 +36,8 @@ index:
   *without* the regression-slack margin: a bucket's interval covers the
   fitted atan of every admissible segment exactly (the segment itself is
   one of the aggregated ranges, fitted by the same bit-identical
-  ``fit_slopes`` algebra), not a blend of node slopes.  A
+  ``fit_slopes`` algebra; rounding it outward to float32 only widens
+  it), not a blend of node slopes.  A
   max-plus recurrence over (start super-bin, end super-bin) then bounds
   the best full segmentation; the query bound is the max over chains,
   min over levels, clamped to the score range at −1.
@@ -98,6 +102,12 @@ MIN_SUPER_BINS = 4
 
 _NEG_INF = -np.inf
 _POS_INF = np.inf
+
+#: Element type of the packed block: every bucket's atan endpoint, rounded
+#: outward (:func:`_outward`).  Memory, shm and the artifact store all hold
+#: this block as is; the bound kernel widens what it transforms to float64
+#: (:func:`_tile_upper`).
+BLOCK_DTYPE = np.dtype(np.float32)
 
 
 def survives_floor(upper_bounds, floor):
@@ -169,7 +179,9 @@ def index_supports(query: CompiledQuery) -> bool:
 #: pass.  A length class is swept in blocks of as many candidates as fit
 #: (one at least), so a build peaks at the packed block plus a few tiles
 #: of this size and a query's temporaries at a few such tiles, whatever
-#: the collection's; half-MB tiles also stay cache-resident.
+#: the collection's.  A bound pass's tile is 256 KiB of stored float32
+#: buckets per side, and 512 KiB where a transform widens it to float64;
+#: a build's prefix differences are five float64 tiles, 2.5 MiB.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -367,12 +379,30 @@ def _atan_buckets(bucket_min: np.ndarray, bucket_max: np.ndarray):
     return amin, amax
 
 
+def _outward(amin: np.ndarray, amax: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """float64 atan extremes → the :data:`BLOCK_DTYPE` interval around them.
+
+    Each minimum becomes the largest float32 ≤ it and each maximum the
+    smallest float32 ≥ it: the nearest float32, stepped once outward
+    where it rounded inward (the nearest float32 is less than one step
+    away, so one step reaches the other side).  The ±inf sentinels are
+    float32 values already and stay.  Every Table 5 transform is
+    monotone in the atan, so a bound over the wider interval is still
+    an upper bound on every segment the bucket holds.
+    """
+    lo, hi = amin.astype(BLOCK_DTYPE), amax.astype(BLOCK_DTYPE)
+    np.nextafter(lo, BLOCK_DTYPE.type(_NEG_INF), out=lo, where=lo > amin)
+    np.nextafter(hi, BLOCK_DTYPE.type(_POS_INF), out=hi, where=hi < amax)
+    return lo, hi
+
+
 def _summarize(stack: np.ndarray, tiles: list, rows: np.ndarray) -> None:
     """Write the candidates' pyramids into ``rows`` of their class's tiles.
 
     The finest level comes from :func:`_slope_buckets`; each coarser one
     derives exactly from the finer by pairwise min/max, since
-    ``floor(l / 2w) = floor(floor(l / w) / 2)``.
+    ``floor(l / 2w) = floor(floor(l / w) / 2)``.  All of it is float64;
+    a level is rounded (:func:`_outward`) only as it is written.
     """
     W = _super_bins(stack.shape[2] - 1, tiles[0][0])
     bucket_min, bucket_max = _slope_buckets(stack, tiles[0][0], W)
@@ -381,7 +411,7 @@ def _summarize(stack: np.ndarray, tiles: list, rows: np.ndarray) -> None:
             bucket_min = _pair_combine(bucket_min, W, _POS_INF, np.minimum)
             bucket_max = _pair_combine(bucket_max, W, _NEG_INF, np.maximum)
             W = (W + 1) // 2
-        amin[rows], amax[rows] = _atan_buckets(bucket_min, bucket_max)
+        amin[rows], amax[rows] = _outward(*_atan_buckets(bucket_min, bucket_max))
 
 
 class ShapeIndex:
@@ -389,7 +419,7 @@ class ShapeIndex:
 
     Built once per collection (:meth:`build`), extended incrementally
     across appends (:meth:`extended` — unchanged trendlines keep their
-    entries bit for bit), and held as one flat float64 block
+    entries bit for bit), and held as one flat :data:`BLOCK_DTYPE` block
     (:meth:`pack`) — the form the bound kernel reads, a worker attaches
     over shm and ``engine/artifacts.py`` memory-maps from disk
     (:meth:`from_packed`).  The pyramids are written straight into that
@@ -438,7 +468,7 @@ class ShapeIndex:
             if shapes:
                 groups.append((n_bins, positions, shapes))
         entries: List[Optional[TrendlineEntry]] = [None] * len(trendlines)
-        index = cls(entries, np.empty(total, dtype=np.float64), (len(entries), groups))
+        index = cls(entries, np.empty(total, dtype=BLOCK_DTYPE), (len(entries), groups))
         for n_bins, positions, tiles in index._tiles:
             step = max(1, BLOCK_ELEMENTS // (tiles[0][0] * (n_bins + 1)))
             for lo in range(0, len(positions), step):
@@ -487,7 +517,8 @@ class ShapeIndex:
 
         The dense ``(W, W)`` level matrices are unpacked from the block's
         triangles on first access — for tests and reference oracles;
-        nothing on the query path reads them.  They are copies: writing
+        nothing on the query path reads them.  They are float64 copies
+        (the stored float32 values, widened exactly): writing
         to them leaves the index as it is.  An entry shared along an
         append lineage keeps the matrices of whichever index made them
         first (the bytes are equal by construction).
@@ -591,7 +622,8 @@ class ShapeIndex:
     def pack(self) -> Tuple[np.ndarray, tuple]:
         """The ``(values, layout)`` form: the block the index lives in.
 
-        ``values`` is one contiguous float64 block laid out **level-major**:
+        ``values`` is one contiguous :data:`BLOCK_DTYPE` block laid out
+        **level-major**:
         indexed entries are grouped by ``n_bins`` (which fixes every
         level's shape), and per group, per level, the block holds the
         ``(C, W(W+1)/2)`` bucket-min triangles of all ``C`` members, then
@@ -639,9 +671,12 @@ def _tiled_groups(values: np.ndarray, groups: list) -> list:
     other than its class's (:func:`_level_shapes`, whose
     :func:`_super_bins` the kernel relies on), a gap or overlap between
     tiles, a block
-    of another length (say, dense tiles under a triangle layout) —
+    of another length (say, dense tiles under a triangle layout) or
+    another element type —
     raises ``ValueError``; the artifact store counts that as a miss.
     """
+    if values.dtype != BLOCK_DTYPE:
+        raise ValueError("a {} block, expected {}".format(values.dtype, BLOCK_DTYPE))
     values = values.view(np.ndarray)
     tiled = []
     cursor = 0
@@ -724,6 +759,11 @@ def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
     negated flat/θ is a trough, so it keeps both endpoint transforms.
     Returns a fresh array the caller may overwrite, or a float for
     constant units (``any``, ``empty``, line units: constants ≤ 1.0).
+
+    The endpoints a transform reads are widened to float64 first (the
+    block stores float32): under NEP 50 a float32 array with a Python
+    float stays float32, so the score — or ``np.maximum(amin, target)``
+    — would round to float32 and could fall below the true bound.
     """
     constant = _constant_upper(unit)
     if constant is not None:
@@ -731,14 +771,16 @@ def _tile_upper(unit, amin: np.ndarray, amax: np.ndarray):
     score = scoring.pattern_score_from_atan
     if unit.kind in ("up", "down"):
         rising = (unit.kind == "up") != unit.negated
-        upper = score(unit.kind, amax if rising else amin, unit.theta)
+        edge = np.asarray(amax if rising else amin, dtype=np.float64)
+        upper = score(unit.kind, edge, unit.theta)
         return np.negative(upper, out=upper) if unit.negated else upper
     if unit.negated:
         return np.maximum(
-            -score(unit.kind, amin, unit.theta), -score(unit.kind, amax, unit.theta)
+            -score(unit.kind, np.asarray(amin, dtype=np.float64), unit.theta),
+            -score(unit.kind, np.asarray(amax, dtype=np.float64), unit.theta),
         )
     target = 0.0 if unit.kind == "flat" else math.radians(unit.theta)
-    nearest = np.maximum(amin, target)
+    nearest = np.maximum(amin, target, dtype=np.float64)
     return score(unit.kind, np.minimum(nearest, amax, out=nearest), unit.theta)
 
 

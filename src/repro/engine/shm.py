@@ -92,21 +92,41 @@ def _attach_segment(name: str):
     publisher is the sole owner here; attachments must never be tracked —
     exactly 3.13's ``track=False``, emulated below by suppressing
     ``register`` for the duration of the attach.
+
+    A segment unlinked before this attach raises
+    :class:`~repro.errors.ExecutionError` naming it; the dispatching
+    session then forgets the handle (:meth:`ShmSession.forget_vanished`).
     """
     shared = _require_shared_memory()
     try:
-        return shared.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        pass
-    from multiprocessing import resource_tracker
-
-    with _ATTACH_LOCK:
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
         try:
-            return shared.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+            return shared.SharedMemory(name=name, track=False)
+        except TypeError:  # Python < 3.13
+            pass
+        from multiprocessing import resource_tracker
+
+        with _ATTACH_LOCK:
+            original = resource_tracker.register
+            resource_tracker.register = lambda *args, **kwargs: None
+            try:
+                return shared.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = original
+    except FileNotFoundError as exc:
+        raise ExecutionError(
+            "shared-memory segment {!r} is gone: it was unlinked before this "
+            "process attached it".format(name)
+        ) from exc
+
+
+def _segment_exists(name: str) -> bool:
+    """Can a process still attach the segment ``name``?"""
+    try:
+        segment = _attach_segment(name)
+    except ExecutionError:
+        return False
+    segment.close()
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +167,7 @@ class QueryHandle:
 class IndexHandle:
     """Reference to one published shape index (engine/shape_index.py).
 
-    The packed form is a single float64 payload (every pyramid level's
+    The packed form is a single float32 payload (every pyramid level's
     upper-triangle buckets, concatenated) plus a small pickled layout
     that says how to slice it back into per-trendline entries; like a collection
     handle it is O(1) in the index size, so an index-bounds task travels
@@ -156,7 +176,7 @@ class IndexHandle:
 
     token: str
     name: str
-    total: int  # float64 elements in the packed payload
+    total: int  # BLOCK_DTYPE elements in the packed payload
     layout_nbytes: int
 
 
@@ -314,8 +334,9 @@ def publish_query(query, token: Optional[str] = None) -> Tuple[QueryHandle, "obj
 def publish_index(index, token: Optional[str] = None) -> Tuple[IndexHandle, "object"]:
     """Pack a :class:`~repro.engine.shape_index.ShapeIndex` into one segment.
 
-    Same shape as :func:`publish_trendlines`: raw float64 payload first,
-    pickled layout manifest after it.  Workers reattach the bucket
+    Same shape as :func:`publish_trendlines`: the raw float32 payload
+    (:data:`~repro.engine.shape_index.BLOCK_DTYPE`) first, pickled layout
+    manifest after it.  Workers reattach the bucket
     triangles as zero-copy views, so the same bytes back every bound on
     both sides of the process boundary.  The payload is the block the
     index already lives in
@@ -326,10 +347,10 @@ def publish_index(index, token: Optional[str] = None) -> Tuple[IndexHandle, "obj
     values, layout = index.pack()
     manifest = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
     total = len(values)
-    segment = shared.SharedMemory(create=True, size=max(8, total * 8 + len(manifest)))
-    view = np.ndarray((total,), dtype=np.float64, buffer=segment.buf)
+    segment = shared.SharedMemory(create=True, size=max(8, values.nbytes + len(manifest)))
+    view = np.ndarray((total,), dtype=values.dtype, buffer=segment.buf)
     view[:] = values
-    segment.buf[total * 8 : total * 8 + len(manifest)] = manifest
+    segment.buf[values.nbytes : values.nbytes + len(manifest)] = manifest
     handle = IndexHandle(
         token=token or uuid.uuid4().hex,
         name=segment.name,
@@ -622,13 +643,13 @@ def resolve_query(query):
 
 def attach_index(handle: IndexHandle) -> Tuple["object", "object"]:
     """Rebuild a read-only shape index over the shared payload."""
-    from repro.engine.shape_index import ShapeIndex
+    from repro.engine.shape_index import BLOCK_DTYPE, ShapeIndex
 
     segment = _attach_segment(handle.name)
     try:
-        values = np.ndarray((handle.total,), dtype=np.float64, buffer=segment.buf)
+        values = np.ndarray((handle.total,), dtype=BLOCK_DTYPE, buffer=segment.buf)
         values.flags.writeable = False
-        manifest_start = handle.total * 8
+        manifest_start = values.nbytes
         layout = pickle.loads(
             bytes(segment.buf[manifest_start : manifest_start + handle.layout_nbytes])
         )
@@ -739,8 +760,10 @@ class ShmSession:
     #: fingerprints every batch — recycle segments instead of filling
     #: /dev/shm.  Evictions defer to the dispatch pins below.
     MAX_TABLES = 8
-    #: Retained index segments (a few bucket triangles per trendline —
-    #: far smaller than a collection, but rebuilt per index key).
+    #: Retained index segments (full copies of a shape index's block, one
+    #: per index key): at 64 bins an index segment is about 1.09x its
+    #: collection's — 1.55 MB (a 1 544 960-byte block plus its layout)
+    #: against 1.42 MB for 272 trendlines — so these weigh like collections.
     MAX_INDEXES = 8
     #: Longest delta chain :meth:`acquire_append` will extend before
     #: forcing a fresh full publish: bounds the pickled handle size, the
@@ -1043,6 +1066,28 @@ class ShmSession:
             _destroy(segment)
 
     # -- release -----------------------------------------------------------
+    def forget_vanished(self, *handles) -> None:
+        """Drop the memo entry of every handle whose segment is gone.
+
+        Called by a dispatch that failed: a segment unlinked underneath
+        the session (by another process, or by hand) makes every worker
+        that has not attached it yet raise
+        :class:`~repro.errors.ExecutionError`.  Forgetting the handle
+        makes the next run publish afresh instead of failing the same way.
+        Handles whose segment still exists are kept.  Like :meth:`unpin`,
+        it takes handles or the pinned-token tuple of
+        :meth:`acquire_append`.
+        """
+        tokens = {_pin_token(handle) for handle in handles}
+        stale = []
+        with self._lock:
+            for memo in (self._collections, self._indexes, self._queries, self._tables):
+                for key, handle in list(memo.items()):
+                    if handle.token in tokens and not _segment_exists(handle.name):
+                        del memo[key]
+                        stale.append(self._drop_locked(key, handle.token))
+        _destroy_all(stale)
+
     def release_collection(self, trendlines) -> None:
         """Unlink one collection's segment (trendline-cache eviction hook).
 

@@ -6,6 +6,13 @@ class-batched kernel replaced it — one trendline at a time, one
 pairwise coarsening — kept as the byte-identity oracle: the kernel's
 contract is to reproduce every bucket of every level bit for bit, and
 the same packed block.  Nothing here is fast, on purpose.
+
+:func:`build_levels` yields the exact float64 atan extremes.  The index
+stores each as float32 rounded outward — a minimum as the largest
+float32 ≤ it, a maximum as the smallest float32 ≥ it — which
+:func:`round_down`/:func:`round_up` compute here by stepping float32 bit
+patterns as ordered integers, independently of the engine's
+``np.nextafter``.  :func:`stored` and :func:`pack` apply them.
 """
 
 import hashlib
@@ -19,6 +26,56 @@ from repro.engine.trendline import Trendline
 from repro.engine.units import MIN_SEGMENT_BINS
 
 Level = Tuple[int, np.ndarray, np.ndarray]
+
+_SIGN = 0x80000000
+
+
+def _ordered(values: np.ndarray) -> np.ndarray:
+    """float32 values → int64 keys that sort as the floats do (±0 → 0).
+
+    IEEE floats are sign-magnitude: a non-negative float's bits already
+    count up with its value, and a negative one's magnitude bits count
+    up as it falls, so negating them gives one integer line.
+    """
+    bits = values.view(np.uint32).astype(np.int64)
+    return np.where(bits >= _SIGN, _SIGN - bits, bits)
+
+
+def _from_ordered(keys: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_ordered`; a zero key takes the sign of ``sign``."""
+    floats = np.where(keys < 0, _SIGN - keys, keys).astype(np.uint32).view(np.float32)
+    return np.where(keys == 0, np.copysign(floats, sign), floats)
+
+
+def _step(values: np.ndarray, outward, direction: int) -> np.ndarray:
+    """The nearest float32 of ``values``, one float32 on where it lies ``outward``.
+
+    ``outward(nearest, value)`` is the comparison that says the nearest
+    float32 rounded the wrong way; ``direction`` is the step, −1 or +1.
+    """
+    near = values.astype(np.float32)
+    stepped = _from_ordered(_ordered(near) + direction, near)
+    return np.where(outward(near.astype(np.float64), values), stepped, near)
+
+
+def round_down(values: np.ndarray) -> np.ndarray:
+    """The largest float32 ≤ each float64 value (±inf and NaN kept)."""
+    return _step(values, np.greater, -1)
+
+
+def round_up(values: np.ndarray) -> np.ndarray:
+    """The smallest float32 ≥ each float64 value (±inf and NaN kept)."""
+    return _step(values, np.less, 1)
+
+
+def stored(levels: Optional[List[Level]]) -> Optional[List[Level]]:
+    """A pyramid as the index holds it: rounded outward, widened back to float64."""
+    if levels is None:
+        return None
+    return [
+        (w, round_down(amin).astype(np.float64), round_up(amax).astype(np.float64))
+        for w, amin, amax in levels
+    ]
 
 
 def _pair_combine(matrix: np.ndarray, fill: float, op) -> np.ndarray:
@@ -90,14 +147,18 @@ def witness(trendline: Trendline) -> tuple:
     )
 
 
-def pack(pyramids: Sequence[Optional[List[Level]]], bins: Sequence[int]):
+def pack(pyramids: Sequence[Optional[List[Level]]], bins: Sequence[int],
+         dtype=np.float32):
     """The level-major ``(values, layout)`` of per-trendline pyramids.
 
     Stacks entry by entry, as ``ShapeIndex.pack`` did when the pyramids
     were built one at a time; ``bins[i]`` is trendline ``i``'s bin count.
     Each ``(W, W)`` bucket matrix is stored as its row-major upper
     triangle (``np.triu_indices`` order), the only buckets that can hold
-    a segment.
+    a segment, in float32: minima through :func:`round_down`, maxima
+    through :func:`round_up` (which leave float32 values as they are).
+    ``dtype=np.float64`` stores the values unrounded, as artifact
+    format 3 did.
     """
     members: Dict[int, List[int]] = {}
     for position, levels in enumerate(pyramids):
@@ -112,13 +173,14 @@ def pack(pyramids: Sequence[Optional[List[Level]]], bins: Sequence[int]):
             shapes.append((w, W, total))
             total += len(positions) * W * (W + 1)
         groups.append((n_bins, positions, shapes))
-    values = np.empty(total, dtype=np.float64)
+    values = np.empty(total, dtype=dtype)
+    roundings = (round_down, round_up) if dtype == np.float32 else (np.asarray,) * 2
     for _n_bins, positions, shapes in groups:
         for depth, (_w, W, offset) in enumerate(shapes):
             upper = np.triu_indices(W)
             size = len(positions) * W * (W + 1) // 2
-            for side in (1, 2):
+            for side, rounding in zip((1, 2), roundings):
                 tile = values[offset:offset + size].reshape(len(positions), -1)
-                np.stack([pyramids[p][depth][side][upper] for p in positions], out=tile)
+                tile[:] = [rounding(pyramids[p][depth][side][upper]) for p in positions]
                 offset += size
     return values, (len(pyramids), groups)

@@ -49,6 +49,7 @@ from repro.engine.shape_index import ShapeIndex, survives_floor
 
 from tests.conftest import make_trendline
 from tests.oracles import index_bounds as bounds_oracle
+from tests.oracles import index_build as build_oracle
 from tests.test_shape_index import (
     _FUZZY_UNIT,
     SERIES,
@@ -143,15 +144,38 @@ def _empty_some_buckets(index, rng):
             amax[row, blank] = -np.inf
 
 
-def _write_dense_store(directory, index, fingerprint):
+def _write_old_store(directory, block, stored, fingerprint, version):
+    """Write an artifact entry as formats 2 and 3 did: float64 ``block.f64``.
+
+    ``stored`` is the pickled ``((count, groups), witnesses)`` pair.
+    """
+    layout = pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "block.f64").write_bytes(block)
+    (directory / "layout.pkl").write_bytes(layout)
+    (directory / "manifest.json").write_text(json.dumps({
+        "format": version,
+        "fingerprint": fingerprint,
+        "count": stored[0][0],
+        "values_len": len(block) // 8,
+        "block_sha1": hashlib.sha1(block).hexdigest(),
+        "layout_sha1": hashlib.sha1(layout).hexdigest(),
+    }))
+
+
+def _write_dense_store(directory, index, fingerprint, pyramids=None):
     """Save ``index`` as format 2 did; returns the block's float count.
 
-    Format 2 held each group level as dense ``(members, W, W)`` tiles —
-    min tiles, then max tiles — with every bucket below the diagonal an
-    empty sentinel, at offsets a dense layout records.
+    Format 2 held each group level as dense float64 ``(members, W, W)``
+    tiles — min tiles, then max tiles — with every bucket below the
+    diagonal an empty sentinel, at offsets a dense layout records.  The
+    buckets are ``pyramids[position]`` (the exact per-trendline sweep,
+    ``tests/oracles/index_build.py``) when given, else the index's own.
     """
     count, groups = index.pack()[1]
-    entries = index.entries
+    entries = pyramids or [
+        entry.levels if entry is not None else None for entry in index.entries
+    ]
     parts, dense_groups, total = [], [], 0
     for n_bins, positions, shapes in groups:
         dense_shapes = []
@@ -159,25 +183,14 @@ def _write_dense_store(directory, index, fingerprint):
             dense_shapes.append((w, W, total))
             for side in (1, 2):
                 parts.append(
-                    np.stack([entries[p].levels[depth][side] for p in positions]).ravel()
+                    np.stack([entries[p][depth][side] for p in positions]).ravel()
                 )
             total += 2 * len(positions) * W * W
         dense_groups.append((n_bins, positions, dense_shapes))
     block = np.concatenate(parts).tobytes()
-    layout = pickle.dumps(
-        ((count, dense_groups), index.witnesses()), protocol=pickle.HIGHEST_PROTOCOL
+    _write_old_store(
+        directory, block, ((count, dense_groups), index.witnesses()), fingerprint, 2
     )
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "block.f64").write_bytes(block)
-    (directory / "layout.pkl").write_bytes(layout)
-    (directory / "manifest.json").write_text(json.dumps({
-        "format": 2,
-        "fingerprint": fingerprint,
-        "count": count,
-        "values_len": total,
-        "block_sha1": hashlib.sha1(block).hexdigest(),
-        "layout_sha1": hashlib.sha1(layout).hexdigest(),
-    }))
     return total
 
 
@@ -511,18 +524,21 @@ class TestArtifactFallbacks:
         assert served.stats.index_source == "disk"
 
     def test_dense_format_2_store_is_refused_and_rebuilt(self, tmp_path):
-        # What the previous format wrote for this very table: the same
-        # buckets as dense (members, W, W) tiles, vouched for by a
-        # self-consistent format-2 manifest.  The format-3 reader misses
-        # it, the engine rebuilds with the storeless run's bytes and
-        # heals the store in the triangle layout.
+        # What format 2 wrote for this very table: the per-trendline
+        # sweep's float64 buckets as dense (members, W, W) tiles, vouched
+        # for by a self-consistent format-2 manifest.  The format-4
+        # reader misses it, the engine rebuilds with the storeless run's
+        # bytes and heals the store in the float32 triangle layout: the
+        # sweep's buckets rounded outward.
         table = _smooth_table()
         key = (PARAMS, True, None, "float64")
         store = tmp_path / "store"
         fingerprint = table_fingerprint(table)
-        index = ShapeIndex.build(generate_trendlines(table, PARAMS))
+        trendlines = generate_trendlines(table, PARAMS)
+        index = ShapeIndex.build(trendlines)
+        pyramids = [build_oracle.build_levels(t) for t in trendlines]
         directory = artifact_dir(store, key)
-        dense_len = _write_dense_store(directory, index, fingerprint)
+        dense_len = _write_dense_store(directory, index, fingerprint, pyramids)
         assert load_index(store, key, fingerprint) is None
         full = ShapeSearchEngine().run(table, PARAMS, UP_DOWN, k=5)
         rebuilt = ShapeSearchEngine(index=True, store=str(store)).run(
@@ -532,9 +548,11 @@ class TestArtifactFallbacks:
         assert rebuilt.stats.index_reason == "store-miss"
         assert _signature(rebuilt) == _signature(full)
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["format"] == ARTIFACT_FORMAT == 3
+        assert manifest["format"] == ARTIFACT_FORMAT == 4
         assert manifest["values_len"] < dense_len
         healed = load_index(store, key, fingerprint)
+        expected, _layout = build_oracle.pack(pyramids, [t.n_bins for t in trendlines])
+        assert healed.pack()[0].tobytes() == expected.tobytes()
         assert healed.pack()[0].tobytes() == index.pack()[0].tobytes()
         assert healed.witnesses() == index.witnesses()
         del healed  # its tiles pin the mapping
@@ -544,25 +562,79 @@ class TestArtifactFallbacks:
         assert served.stats.index_source == "disk"
         assert _signature(served) == _signature(full)
 
+    def test_float64_format_3_store_is_refused_and_rebuilt(self, tmp_path):
+        # What format 3 wrote for this very table: the triangle layout
+        # format 4 keeps, over the sweep's exact float64 buckets in
+        # block.f64.  The format-4 reader misses it; the rebuild answers
+        # as a storeless run does and heals the store in format 4 —
+        # block.f32 is the format-3 block rounded outward, min tiles down
+        # and max tiles up, and block.f64 is gone — which the next cold
+        # engine serves from disk with the same answers.
+        table = _smooth_table()
+        key = (PARAMS, True, None, "float64")
+        store = tmp_path / "store"
+        fingerprint = table_fingerprint(table)
+        trendlines = generate_trendlines(table, PARAMS)
+        index = ShapeIndex.build(trendlines)
+        pyramids = [build_oracle.build_levels(t) for t in trendlines]
+        old_block, layout = build_oracle.pack(
+            pyramids, [t.n_bins for t in trendlines], dtype=np.float64
+        )
+        assert layout == index.pack()[1]
+        directory = artifact_dir(store, key)
+        _write_old_store(
+            directory, old_block.tobytes(), (layout, index.witnesses()), fingerprint, 3
+        )
+        assert load_index(store, key, fingerprint) is None
+        full = ShapeSearchEngine().run(table, PARAMS, UP_DOWN, k=5)
+        rebuilt = ShapeSearchEngine(index=True, store=str(store)).run(
+            table, PARAMS, UP_DOWN, k=5
+        )
+        assert rebuilt.stats.index_source == "built"
+        assert rebuilt.stats.index_reason == "store-miss"
+        assert _signature(rebuilt) == _signature(full)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["format"] == ARTIFACT_FORMAT == 4
+        assert manifest["values_len"] == old_block.size
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "block.f32", "layout.pkl", "manifest.json"
+        ]
+        block = np.fromfile(directory / "block.f32", dtype=np.float32)
+        assert 2 * block.nbytes == old_block.nbytes
+        expected = np.empty_like(block)
+        for _n_bins, positions, shapes in layout[1]:
+            for _w, W, offset in shapes:
+                size = len(positions) * W * (W + 1) // 2
+                lo, hi = slice(offset, offset + size), slice(offset + size, offset + 2 * size)
+                expected[lo] = build_oracle.round_down(old_block[lo])
+                expected[hi] = build_oracle.round_up(old_block[hi])
+        assert block.tobytes() == expected.tobytes()
+        served = ShapeSearchEngine(index=True, store=str(store)).run(
+            _smooth_table(), PARAMS, UP_DOWN, k=5
+        )
+        assert served.stats.index_source == "disk"
+        assert _signature(served) == _signature(full)
+
     def test_block_of_the_other_layout_misses(self, tmp_path):
-        # A format-3 manifest over a block of the old dense length —
+        # A format-4 manifest over a block of the old dense length —
         # the triangle block read as if it ran that long, or the dense
-        # bytes in its place, even with the digest and length rewritten
-        # to vouch for them — is never served as an index.
+        # buckets in its place, even with the digest and length
+        # rewritten to vouch for them — is never served as an index.
         index = ShapeIndex.build(_random_collection(np.random.default_rng(1), 20))
         source = tmp_path / "dense"
         dense_len = _write_dense_store(artifact_dir(source, KEY), index, "fp")
         dense = (artifact_dir(source, KEY) / "block.f64").read_bytes()
         assert len(dense) == 8 * dense_len
+        dense = np.frombuffer(dense, dtype=np.float64).astype(np.float32).tobytes()
         directory = self._saved(tmp_path)
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["values_len"] * 8 == index.nbytes < len(dense)
+        assert manifest["values_len"] * 4 == index.nbytes < len(dense)
 
         manifest_path.write_text(json.dumps(dict(manifest, values_len=dense_len)))
         assert load_index(tmp_path, KEY, "fp") is None  # file shorter than claimed
 
-        (directory / "block.f64").write_bytes(dense)
+        (directory / "block.f32").write_bytes(dense)
         manifest_path.write_text(json.dumps(manifest))
         assert load_index(tmp_path, KEY, "fp") is None  # digest of the wrong bytes
 
@@ -574,7 +646,7 @@ class TestArtifactFallbacks:
 
     def test_block_corruption(self, tmp_path):
         directory = self._saved(tmp_path)
-        path = directory / "block.f64"
+        path = directory / "block.f32"
         payload = bytearray(path.read_bytes())
         payload[len(payload) // 2] ^= 0xFF
         path.write_bytes(bytes(payload))
@@ -582,7 +654,7 @@ class TestArtifactFallbacks:
 
     def test_block_truncation(self, tmp_path):
         directory = self._saved(tmp_path)
-        path = directory / "block.f64"
+        path = directory / "block.f32"
         payload = path.read_bytes()
         path.write_bytes(payload[: len(payload) // 2])
         assert load_index(tmp_path, KEY, "fp") is None
@@ -641,7 +713,7 @@ class TestEngineDiskTier:
         )
         for root, _dirs, files in os.walk(store):
             for name in files:
-                if name == "block.f64":
+                if name == "block.f32":
                     path = os.path.join(root, name)
                     payload = bytearray(open(path, "rb").read())
                     payload[0] ^= 0xFF

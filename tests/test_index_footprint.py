@@ -1,23 +1,27 @@
-"""A shape index stores only the buckets that can hold a segment.
+"""A shape index stores only the buckets that can hold a segment, in float32.
 
 A pyramid level cut into ``W`` super-bins has buckets ``(a, b)`` for a
 segment starting in super-bin ``a`` and ending in ``b``; only ``a ≤ b``
 can hold one, so each level keeps its ``W(W+1)/2``-bucket upper
-triangle, once for the atan minima and once for the maxima.  The packed
-block is therefore ``16 · C · Σ W(W+1)/2`` bytes for a class of ``C``
-trendlines — about 0.52x of the dense ``(W, W)`` tiles at 32/16/8/4
-super-bins — and the artifact store's ``block.f64`` is that block, byte
-for byte.  Also runnable as a plain script — the CI ``minimal-install``
-job has no pytest::
+triangle, once for the atan minima and once for the maxima, each a
+float32 rounded outward.  The packed block is therefore
+``8 · C · Σ W(W+1)/2`` bytes for a class of ``C`` trendlines — about
+0.26x of dense float64 ``(W, W)`` tiles at 32/16/8/4 super-bins — the
+artifact store's ``block.f32`` is that block, byte for byte, and the
+shared-memory segment ``publish_index`` makes is that block plus its
+pickled layout.  Also runnable as a plain script — the CI
+``minimal-install`` job has no pytest::
 
     PYTHONPATH=src python tests/test_index_footprint.py
 """
 
+import pickle
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.engine import shm
 from repro.engine.artifacts import artifact_dir, save_index
 from repro.engine.shape_index import ShapeIndex
 from repro.engine.trendline import build_trendline
@@ -26,8 +30,8 @@ from repro.engine.trendline import build_trendline
 #: 2 000-bin one both reach the 32-super-bin cap at the finest level.
 CLASSES = [(64, 40, [32, 16, 8, 4]), (2000, 3, [32, 16, 8, 4])]
 
-#: Largest packed size, as a share of the dense ``(W, W)`` tiles.
-DENSE_RATIO = 0.53
+#: Largest packed size, as a share of dense float64 ``(W, W)`` tiles.
+DENSE_RATIO = 0.265
 
 
 def _trendlines(bins: int, count: int):
@@ -39,22 +43,37 @@ def _trendlines(bins: int, count: int):
     ]
 
 
+def _segment_bytes(index) -> int:
+    """Size of the shared-memory segment one ``publish_index`` call makes."""
+    _handle, segment = shm.publish_index(index)
+    try:
+        return segment.size
+    finally:
+        segment.close()
+        segment.unlink()
+
+
 def check_footprint() -> list:
     sizes = []
     for bins, count, widths in CLASSES:
         index = ShapeIndex.build(_trendlines(bins, count))
-        (_n_bins, _positions, shapes), = index.pack()[1][1]
+        values, layout = index.pack()
+        (_n_bins, _positions, shapes), = layout[1]
         assert [W for _w, W, _offset in shapes] == widths, shapes
-        expected = 16 * count * sum(W * (W + 1) // 2 for W in widths)
+        expected = 8 * count * sum(W * (W + 1) // 2 for W in widths)
         dense = 16 * count * sum(W * W for W in widths)
+        assert values.dtype == np.float32, values.dtype
         assert index.nbytes == expected, (bins, index.nbytes, expected)
         assert index.nbytes <= DENSE_RATIO * dense, (bins, index.nbytes, dense)
         with tempfile.TemporaryDirectory() as root:
             key = ("footprint", bins)
             save_index(root, key, index, "fingerprint")
-            on_disk = (Path(artifact_dir(root, key)) / "block.f64").stat().st_size
+            on_disk = (Path(artifact_dir(root, key)) / "block.f32").stat().st_size
         assert on_disk == index.nbytes, (bins, on_disk, index.nbytes)
-        sizes.append((bins, count, index.nbytes, dense))
+        segment = _segment_bytes(index)
+        layout_bytes = len(pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL))
+        assert segment == index.nbytes + layout_bytes, (bins, segment, index.nbytes)
+        sizes.append((bins, count, index.nbytes, dense, segment))
     return sizes
 
 
@@ -63,10 +82,11 @@ def test_packed_index_is_the_upper_triangles():
 
 
 if __name__ == "__main__":
-    for bins, count, packed, dense in check_footprint():
+    for bins, count, packed, dense, segment in check_footprint():
         print(
             "ok: {count} x {bins}-bin trendlines pack into {packed} bytes, "
-            "{ratio:.3f}x the dense tiles".format(
-                count=count, bins=bins, packed=packed, ratio=packed / dense
+            "{ratio:.3f}x dense float64 tiles; shm segment {segment} bytes".format(
+                count=count, bins=bins, packed=packed, ratio=packed / dense,
+                segment=segment,
             )
         )

@@ -605,11 +605,16 @@ class TestShapeIndexUnit:
                 for side, empty in ((1, np.inf), (2, -np.inf)):
                     tile = values[cursor:cursor + len(positions) * W * (W + 1) // 2]
                     tile = tile.reshape(len(positions), W * (W + 1) // 2)
+                    assert tile.dtype == np.float32
                     for row, position in enumerate(positions):
                         level = index.entries[position].levels[depth]
                         assert level[0] == w
                         assert level[side].shape == (W, W)
-                        assert tile[row].tobytes() == level[side][upper].tobytes()
+                        assert level[side].dtype == np.float64
+                        assert (
+                            tile[row].astype(np.float64).tobytes()
+                            == level[side][upper].tobytes()
+                        )
                         assert (level[side][below] == empty).all()
                     cursor += tile.size
         assert cursor == len(values)
@@ -933,11 +938,17 @@ def _dense_levels(block, groups):
 
 
 def _assert_equals_oracle(index, trendlines):
-    """Every bucket, witness and packed byte of the per-trendline sweep."""
+    """Every bucket, witness and packed byte of the per-trendline sweep.
+
+    Buckets are the sweep's float64 atan extremes rounded outward to
+    float32 (``oracle.stored``), compared exactly.
+    """
     pyramids = [oracle.build_levels(trendline) for trendline in trendlines]
     assert len(index) == len(trendlines)
     assert index.indexed == sum(levels is not None for levels in pyramids)
-    for entry, levels, trendline in zip(index.entries, pyramids, trendlines):
+    for entry, levels, trendline in zip(
+        index.entries, map(oracle.stored, pyramids), trendlines
+    ):
         assert (entry is None) == (levels is None)
         if entry is None:
             continue
@@ -961,6 +972,52 @@ def _assert_equals_oracle(index, trendlines):
             index.upper_bounds(compiled).tobytes()
             == reference.upper_bounds(compiled).tobytes()
         )
+
+
+class TestOutwardRounding:
+    """The block stores each bucket's float64 atan interval rounded outward."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(SHORT_LENGTHS),
+                st.sampled_from(["walk", "constant", "steps", "nan"]),
+                st.integers(0, 999),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example([(24, "constant", 3), (49, "nan", 1), (65, "walk", 2), (33, "steps", 4)])
+    def test_minima_round_down_and_maxima_round_up(self, specs):
+        # Random walks, constant and stepped runs (exact zero slopes) and
+        # NaN series (every bucket an empty-bucket sentinel): a stored
+        # minimum is the largest float32 <= the sweep's float64 value, a
+        # maximum the smallest float32 >= it, and +-inf stay +-inf.
+        trendlines = _ragged(specs)
+        index = ShapeIndex.build(trendlines)
+        for entry, trendline in zip(index.entries, trendlines):
+            levels = oracle.build_levels(trendline)
+            assert (entry is None) == (levels is None)
+            if entry is None:
+                continue
+            for (_w, lo, hi), (_w, amin, amax) in zip(entry.levels, levels):
+                for got, exact, inward, rounding in (
+                    (lo, amin, np.inf, oracle.round_down),
+                    (hi, amax, -np.inf, oracle.round_up),
+                ):
+                    narrow = got.astype(np.float32)
+                    assert narrow.astype(np.float64).tobytes() == got.tobytes()
+                    assert narrow.tobytes() == rounding(exact).tobytes()
+                    finite = np.isfinite(exact)
+                    assert (got[~finite] == exact[~finite]).all()
+                    step = np.nextafter(narrow[finite], np.float32(inward))
+                    if inward > 0:
+                        assert (got[finite] <= exact[finite]).all()
+                        assert (step > exact[finite]).all()
+                    else:
+                        assert (got[finite] >= exact[finite]).all()
+                        assert (step < exact[finite]).all()
 
 
 class TestTiledBuild:
@@ -1026,8 +1083,9 @@ class TestTiledBuild:
         # tests/fixtures/index_store: an artifact written by save_index
         # at the commit before the tiled build (format 2: dense (W, W)
         # tiles), beside the prefix blocks it was built from.  The
-        # format-3 reader refuses it, and a rebuild holds every one of
-        # its buckets — the empty ones below the diagonal included.
+        # format-4 reader refuses it, and a rebuild holds every one of
+        # its float64 buckets rounded outward to float32 — the empty
+        # ones below the diagonal included.
         root = Path(__file__).parent / "fixtures" / "index_store"
         inputs = np.load(root / "inputs.npz")
         if np.arctan(inputs["atan_probe"]).tobytes() != inputs["atan_result"].tobytes():
@@ -1064,7 +1122,9 @@ class TestTiledBuild:
             if entry is None:
                 continue
             assert len(entry.levels) == len(dense[position])
-            for (w_a, lo_a, hi_a), (w_b, lo_b, hi_b) in zip(entry.levels, dense[position]):
+            for (w_a, lo_a, hi_a), (w_b, lo_b, hi_b) in zip(
+                entry.levels, oracle.stored(dense[position])
+            ):
                 assert w_a == w_b
                 assert lo_a.tobytes() == lo_b.tobytes()
                 assert hi_a.tobytes() == hi_b.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from repro.algebra import builder as q
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
-from repro.engine import shm
+from repro.engine import pipeline, shm
 from repro.engine.cache import table_fingerprint
 from repro.engine.chains import compile_query
 from repro.engine.executor import ShapeSearchEngine
@@ -22,6 +22,8 @@ from repro.engine.segment_tree import segment_tree_run_solver
 from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
+from tests.test_shape_index import UP_DOWN, _smooth_collection
+from tests.test_shape_index import _signature as _index_signature
 
 QUERY = compile_query(q.concat(q.up(), q.down()))
 
@@ -323,7 +325,7 @@ class TestBoundedResidency:
             handles = [session.collection_handle(c) for c in collections]
             assert len(session._collections) == session.MAX_COLLECTIONS
             # The oldest segments were unlinked, the newest still live.
-            with pytest.raises(FileNotFoundError):
+            with pytest.raises(ExecutionError, match="is gone"):
                 shm.attach_collection(handles[0])
             rebuilt, attachment = shm.attach_collection(handles[-1])
             assert rebuilt[0].key == collections[-1][0].key
@@ -373,7 +375,7 @@ class TestBoundedResidency:
             rebuilt, attachment = shm.attach_collection(handle)
             attachment.close()
             session.unpin(handle, query_ref)
-            with pytest.raises(FileNotFoundError):
+            with pytest.raises(ExecutionError, match="is gone"):
                 shm.attach_collection(handle)
         finally:
             session.close()
@@ -389,7 +391,7 @@ class TestBoundedResidency:
             rebuilt, attachment = shm.attach_collection(handle)
             attachment.close()
             session.unpin(handle)
-            with pytest.raises(FileNotFoundError):
+            with pytest.raises(ExecutionError, match="is gone"):
                 shm.attach_collection(handle)
         finally:
             session.close()
@@ -423,7 +425,7 @@ class TestSessionLifecycle:
         session = shm.ShmSession()
         handle = session.collection_handle(trendlines)
         session.close()
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ExecutionError, match="is gone"):
             shm.attach_collection(handle)
 
     def test_close_is_idempotent(self):
@@ -446,7 +448,7 @@ class TestSessionLifecycle:
             handle_first = session.collection_handle(first)
             handle_second = session.collection_handle(second)
             session.release_collection(first)
-            with pytest.raises(FileNotFoundError):
+            with pytest.raises(ExecutionError, match="is gone"):
                 shm.attach_collection(handle_first)
             rebuilt, attachment = shm.attach_collection(handle_second)
             assert rebuilt[0].key == second[0].key
@@ -461,7 +463,7 @@ class TestSessionLifecycle:
         with shm.ShmSession() as session:
             handle = session.collection_handle(_collection(count=2))
         assert session.closed
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ExecutionError, match="is gone"):
             shm.attach_collection(handle)
 
 
@@ -525,6 +527,97 @@ class TestEngineIntegration:
             in_caller = engine.rank(trendlines, QUERY, k=4)
             assert engine._shm_box[0] is None  # transport never engaged
         assert _signature(sequential) == _signature(in_caller)
+
+
+class TestVanishedSegment:
+    """A segment unlinked before a worker attaches it (ROADMAP item 10).
+
+    The worker's attach raises :class:`ExecutionError` naming the
+    segment, the dispatching session forgets the handle, and the next
+    run republishes through the same pool and answers byte for byte
+    like a fresh engine.
+    """
+
+    @staticmethod
+    def _unlink_first(monkeypatch, publish):
+        """Unlink the segment of the first ``shm.<publish>`` call at once."""
+        real = getattr(shm, publish)
+        vanished = []
+
+        def unlinking(*args, **kwargs):
+            handle, segment = real(*args, **kwargs)
+            if not vanished:
+                segment.unlink()
+                vanished.append(handle.name)
+            return handle, segment
+
+        monkeypatch.setattr(shm, publish, unlinking)
+        return vanished
+
+    @staticmethod
+    def _names(memo):
+        return {handle.name for handle in memo.values()}
+
+    def test_vanished_collection(self, monkeypatch, shard_floor):
+        shard_floor(2)  # four shards: the collection is published
+        trendlines = _collection(count=8)
+        expected = ShapeSearchEngine().rank(trendlines, QUERY, k=3)
+        vanished = self._unlink_first(monkeypatch, "publish_trendlines")
+        with ShapeSearchEngine(workers=2) as engine:
+            with pytest.raises(ExecutionError) as failure:
+                engine.rank(trendlines, QUERY, k=3)
+            assert vanished[0] in str(failure.value)
+            session = engine._shm_session()
+            assert vanished[0] not in self._names(session._collections)
+            again = engine.rank(trendlines, QUERY, k=3)
+            assert again.stats.shards == 4
+            assert vanished[0] not in self._names(session._collections)
+        assert _index_signature(again) == _index_signature(expected)
+
+    def test_vanished_index(self, monkeypatch):
+        # Two workers of 40 candidates each: the bound pass is dispatched
+        # over the published index (see test_shm_dispatched_bounds_identity).
+        monkeypatch.setattr(pipeline, "INDEX_DISPATCH_MIN", 40)
+        trendlines = _smooth_collection(count=90, hit_every=29)
+        expected = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
+        vanished = self._unlink_first(monkeypatch, "publish_index")
+        with ShapeSearchEngine(workers=2, index=True) as engine:
+            with pytest.raises(ExecutionError) as failure:
+                engine.rank(trendlines, UP_DOWN, k=5)
+            assert vanished[0] in str(failure.value)
+            session = engine._shm_session()
+            assert vanished[0] not in self._names(session._indexes)
+            again = engine.rank(trendlines, UP_DOWN, k=5)
+            assert again.stats.index_bounds == "dispatched"
+            assert again.stats.index_pruned > 0
+        assert _index_signature(again) == _index_signature(expected)
+
+    def test_vanished_tail_table(self, monkeypatch, shard_floor):
+        from repro.api import ShapeSearch
+
+        table = _groups_table(18, groups=6)
+        shard_floor(1)  # the workers attach the published table
+        vanished = self._unlink_first(monkeypatch, "publish_table")
+        with ShapeSearch(table) as sequential, ShapeSearch(table, workers=2) as pooled:
+            expected = sequential.tail("[p=up][p=down]", z="z", x="x", y="y", k=4)
+            with pytest.raises(ExecutionError) as failure:
+                pooled.tail("[p=up][p=down]", z="z", x="x", y="y", k=4)
+            assert vanished[0] in str(failure.value)
+            session = pooled.engine._shm_session()
+            assert vanished[0] not in self._names(session._tables)
+            got = pooled.tail("[p=up][p=down]", z="z", x="x", y="y", k=4)
+            assert got.results.stats.shards > 1
+        assert _index_signature(got.results) == _index_signature(expected.results)
+
+    def test_live_handles_are_kept(self):
+        trendlines = _collection(count=3)
+        session = shm.ShmSession()
+        try:
+            handle = session.collection_handle(trendlines)
+            session.forget_vanished(handle)
+            assert session.collection_handle(trendlines) is handle
+        finally:
+            session.close()
 
 
 class TestAttachFailureLifecycle:
