@@ -149,8 +149,10 @@ class ExecutionStats:
     appended_rows: int = 0
     #: Candidates the IndexPrune stage saw / the indexed Score rounds
     #: never solved — their bound failed the rising top-k floor (both 0
-    #: when the stage did not run — index disabled, query unbounded, or
-    #: the collection no larger than the first round).
+    #: when the plan has no IndexPrune — index disabled or query
+    #: unbounded).  A collection no larger than the first round keeps
+    #: the stage in the plan and counts every candidate here, but opens
+    #: no frontier: Score solves them all and ``index_pruned`` is 0.
     index_candidates: int = 0
     index_pruned: int = 0
     #: Where IndexPrune's index came from: ``"memory"`` (table-attached
@@ -158,10 +160,6 @@ class ExecutionStats:
     #: ``"built"`` (fresh build / lineage extension); None when the
     #: stage did not bound anything this call.
     index_source: Optional[str] = None
-    #: How the bound pass ran: ``"dispatched"`` (sharded to pool workers
-    #: over the published index) or ``"inline"``; None when the stage
-    #: did not bound anything this call.
-    index_bounds: Optional[str] = None
     #: Why the index had to be built when ``index_source == "built"``:
     #: ``"no-store"`` (no artifact store configured), ``"store-miss"``
     #: (store configured but held no usable artifact for this key —

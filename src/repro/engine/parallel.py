@@ -269,7 +269,7 @@ def make_range_chunks(
 ) -> List[Tuple[int, int]]:
     """Split ``count`` candidates into ``(start, end)`` index ranges.
 
-    This is the sizing rule for *every* sharding path — score, bound,
+    This is the sizing rule for *every* sharding path — score and
     tail; object- and range-based alike — so all of them cover
     identical positions for any configuration.
     :data:`_CHUNKS_PER_WORKER` shards per pool worker, as even as
@@ -606,49 +606,3 @@ def dispatch_tail_scores(
     ]
     shards = _run_tasks(pool, score_tail_groups, rows, control)
     return [item for shard in shards for item in shard]
-
-
-def index_bounds_range(handle, query_ref, start: int, end: int):
-    """Candidate upper bounds ``[start, end)`` from a shared shape index.
-
-    The worker half of :func:`dispatch_index_bounds`: the index and the
-    compiled query both resolve against the worker-resident store, and
-    the shard runs the block-batched kernel
-    (:meth:`~repro.engine.shape_index.ShapeIndex.upper_bounds_range`)
-    over zero-copy views of the attached block with the default
-    (unbounded) floor — the same kernel as the in-process path, no
-    short-circuit, so the floats cannot depend on evaluation order or on
-    how candidates were sharded.
-    """
-    from repro.engine.shm import resolve_index, resolve_query
-
-    index = resolve_index(handle)
-    compiled = resolve_query(query_ref)
-    return index.upper_bounds_range(compiled, start, end)
-
-
-def dispatch_index_bounds(
-    handle,
-    query_ref,
-    ranges: Sequence[Tuple[int, int]],
-    pool: WorkerPool,
-    control=None,
-):
-    """Shard the IndexPrune bound pass over a published shape index.
-
-    ``ranges`` tile the candidate positions in order; returns their
-    float64 bound vectors concatenated.  Workers run the same
-    block-batched kernel over the same attached bucket bytes as the
-    in-process path, so the returned floats are bitwise identical to
-    ``index.upper_bounds(query)`` — the pruning decision cannot depend
-    on the transport.
-    """
-    import numpy as np
-
-    rows = [(handle, query_ref, start, end) for start, end in ranges]
-    shards = _run_tasks(pool, index_bounds_range, rows, control)
-    if not shards:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(
-        [np.asarray(shard, dtype=np.float64) for shard in shards]
-    )

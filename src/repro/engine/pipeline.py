@@ -449,13 +449,6 @@ class PrecisionCast(Operator):
         )
 
 
-#: The bound pass's shard floor (``make_range_chunks``): with the
-#: block-batched kernel a shard of fewer candidates is a handful of
-#: array ops, cheaper than its pool round trip — so the pass ships to
-#: workers only when it cuts into at least two shards this large.
-INDEX_DISPATCH_MIN = 256
-
-
 class IndexPrune(Operator):
     """Open the bound frontier that lets Score stop before the last candidate.
 
@@ -470,23 +463,16 @@ class IndexPrune(Operator):
     Exactness: an unsolved candidate's true score is strictly below at
     least k others', and solved candidates keep their positions, so the
     *(score desc, position asc)* merge selects exactly the full scan's
-    top k.
-
-    With ``workers > 1``, once the candidates cut into two shards of
-    :data:`INDEX_DISPATCH_MIN`, the bound pass itself is sharded:
-    workers attach the published index zero-copy and evaluate the same
-    function on the same buckets at full depth — valid bounds whichever
-    transport computed them.
+    top k.  The bound pass runs in the caller, whatever ``workers`` is.
     """
 
     name = "IndexPrune"
     mode = "pyramid"
 
-    def __init__(self, compiled, k: int, workers: int,
+    def __init__(self, compiled, k: int,
                  table: Optional[Table] = None, index_key: Optional[tuple] = None):
         self.compiled = compiled
         self.k = k
-        self.workers = workers
         self.table = table
         self.index_key = index_key
         #: Which tier supplied the index on the last run ("memory" |
@@ -508,37 +494,12 @@ class IndexPrune(Operator):
         self.index_source = index_source
         ctx.stats.index_source = index_source
         ctx.stats.index_reason = index_reason
-        bounds = self._dispatched_bounds(ctx, index, total)
-        ctx.stats.index_bounds = "dispatched" if bounds is not None else "inline"
-        self.frontier = BoundFrontier(index, self.compiled, bounds)
+        self.frontier = BoundFrontier(index, self.compiled)
         return Candidates(
             trendlines=trendlines,
             frontier=self.frontier,
             resident=candidates.resident,
         )
-
-    def _dispatched_bounds(self, ctx, index, total: int):
-        """Worker-evaluated bounds over the published index, or None."""
-        from repro.engine.parallel import dispatch_index_bounds, make_range_chunks
-
-        engine = ctx.engine
-        ranges = make_range_chunks(total, self.workers, floor=INDEX_DISPATCH_MIN)
-        if len(ranges) < 2:
-            return None
-        session = engine._shm_session()
-        acquired = session.acquire_index(index, self.compiled)
-        if acquired is None:
-            return None
-        handle, query_ref = acquired
-        try:
-            return dispatch_index_bounds(
-                handle, query_ref, ranges, engine._resolve_pool(self.workers)
-            )
-        except ExecutionError:
-            session.forget_vanished(handle, query_ref)
-            raise
-        finally:
-            session.unpin(handle, query_ref)
 
     def detail(self) -> str:
         if self.frontier is None:
@@ -819,7 +780,7 @@ def plan_pipeline(
         operators.append(PrecisionCast())
     if use_index:
         operators.append(
-            IndexPrune(compiled, k, effective, table=index_table, index_key=index_key)
+            IndexPrune(compiled, k, table=index_table, index_key=index_key)
         )
     score = SharedMemoryScore if effective > 1 else SequentialScore
     operators.append(score(compiled, k, effective, has_eager, reason))

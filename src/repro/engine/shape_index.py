@@ -104,7 +104,7 @@ _NEG_INF = -np.inf
 _POS_INF = np.inf
 
 #: Element type of the packed block: every bucket's atan endpoint, rounded
-#: outward (:func:`_outward`).  Memory, shm and the artifact store all hold
+#: outward (:func:`_outward`).  Memory and the artifact store both hold
 #: this block as is; the bound kernel widens what it transforms to float64
 #: (:func:`_tile_upper`).
 BLOCK_DTYPE = np.dtype(np.float32)
@@ -420,8 +420,8 @@ class ShapeIndex:
     Built once per collection (:meth:`build`), extended incrementally
     across appends (:meth:`extended` — unchanged trendlines keep their
     entries bit for bit), and held as one flat :data:`BLOCK_DTYPE` block
-    (:meth:`pack`) — the form the bound kernel reads, a worker attaches
-    over shm and ``engine/artifacts.py`` memory-maps from disk
+    (:meth:`pack`) — the form the bound kernel reads and
+    ``engine/artifacts.py`` memory-maps from disk
     (:meth:`from_packed`).  The pyramids are written straight into that
     block; :attr:`entries` are views of it, cut when first asked for.
     """
@@ -593,32 +593,14 @@ class ShapeIndex:
         Unindexed entries bound at ``+inf`` (never pruned); an empty
         index returns a well-formed empty float64 vector.
         """
-        return self.upper_bounds_range(query, 0, len(self), floor)
-
-    def upper_bounds_range(
-        self, query: CompiledQuery, start: int, end: int,
-        floor: float = _NEG_INF,
-    ) -> np.ndarray:
-        """Bounds for candidate positions ``[start, end)`` — the shard form.
-
-        ``dispatch_index_bounds`` workers call this over their range of
-        the attached index; the DP is per-candidate independent, so
-        sharding never changes a float and the concatenated shards equal
-        the in-process :meth:`upper_bounds` bit for bit.  A range cuts a
-        contiguous run of rows out of every group's tiles (group
-        positions ascend), so shards are zero-copy slices too.
-        """
-        out = np.full(max(0, end - start), _POS_INF, dtype=np.float64)
+        out = np.full(len(self), _POS_INF, dtype=np.float64)
         for n_bins, positions, levels in self._tiles:
-            lo, hi = np.searchsorted(positions, (start, end))
-            if lo < hi:
-                tiles = [(w, amin[lo:hi], amax[lo:hi]) for w, amin, amax in levels]
-                bound = np.full(hi - lo, _POS_INF)
-                _refine(n_bins, tiles[::-1], query, bound, floor)
-                out[positions[lo:hi] - start] = bound
+            bound = np.full(len(positions), _POS_INF)
+            _refine(n_bins, levels[::-1], query, bound, floor)
+            out[positions] = bound
         return out
 
-    # -- flat packing (the shared-memory and on-disk export form) ------------
+    # -- flat packing (the on-disk export form) --------------------------------
     def pack(self) -> Tuple[np.ndarray, tuple]:
         """The ``(values, layout)`` form: the block the index lives in.
 
@@ -632,8 +614,8 @@ class ShapeIndex:
         ``b < a`` holds no segment and is not stored) — so the batched
         kernel reads each level as one array.  ``layout`` is ``(entry
         count, [(n_bins, member positions ascending, [(w, W, offset),
-        ...]), ...])``; unindexed entries belong to no group.  Shared, not copied, by the bound
-        kernel, shm publication and the artifact store.
+        ...]), ...])``; unindexed entries belong to no group.  Shared,
+        not copied, by the bound kernel and the artifact store.
         """
         return self._values, self._layout
 
@@ -642,13 +624,12 @@ class ShapeIndex:
         cls, values: np.ndarray, layout: tuple,
         witnesses: Optional[Sequence[Optional[tuple]]] = None,
     ) -> "ShapeIndex":
-        """Adopt :meth:`pack` output (an attached segment, a mapped file).
+        """Adopt :meth:`pack` output (a memory-mapped artifact block).
 
-        By default entries carry no witness (an attached shm index is a
-        read-only consumer view — extension happens publisher-side and
-        republishes).  The artifact store passes the persisted
-        ``witnesses`` back in so a memory-mapped index keeps the
-        :meth:`extended` reuse contract across process restarts.
+        By default entries carry no witness.  The artifact store passes
+        the persisted ``witnesses`` back in so a memory-mapped index
+        keeps the :meth:`extended` reuse contract across process
+        restarts.
         """
         count, groups = layout
         entries: List[Optional[TrendlineEntry]] = [None] * count
@@ -991,8 +972,7 @@ class BoundFrontier:
     :func:`survives_floor` (the floor only rises, so every other row is
     already decided; the first block is drawn by the coarse bounds,
     which a finer level could reorder but not shrink).  Unindexed
-    entries and one-level classes wait at ``+inf`` and go out first;
-    ``bounds`` adopts worker-computed full-depth bounds instead.
+    entries and one-level classes wait at ``+inf`` and go out first.
 
     Exactness needs only that each float is a valid upper bound — a min
     over some of the candidate's levels — and each discard a strict
@@ -1000,17 +980,13 @@ class BoundFrontier:
     reach; which block went first never matters.
     """
 
-    def __init__(self, index: ShapeIndex, query: CompiledQuery,
-                 bounds: Optional[np.ndarray] = None):
+    def __init__(self, index: ShapeIndex, query: CompiledQuery):
         self.query = query
         self.unsolved = np.ones(len(index), dtype=bool)
         self.rounds = 0
         #: Rows evaluated per pyramid level, coarsest first.
         self.refined: List[int] = []
         self._finest: list = []
-        if bounds is not None:
-            self.bounds = np.asarray(bounds, dtype=np.float64)
-            return
         self.bounds = np.full(len(index), _POS_INF)
         for n_bins, positions, levels in index._tiles:
             self._tighten(n_bins, positions, levels[:0:-1], 0, _NEG_INF)
@@ -1056,7 +1032,6 @@ def prune_candidates(
     query: CompiledQuery,
     k: int,
     solve=None,
-    bounds: Optional[np.ndarray] = None,
     solve_many=None,
 ) -> Tuple[List[int], int]:
     """The frontier loop outside a pipeline (benchmarks, ``bench/layers.py``).
@@ -1066,8 +1041,7 @@ def prune_candidates(
     trendlines)``, their scores into the floor.  Returns ``(solved
     positions ascending, never-solved count)``.  ``solve`` is the older
     per-trendline callback (``bench/layers.py`` still passes it
-    positionally), wrapped into a ``solve_many`` that loops; ``bounds``
-    supplies full-depth bounds computed elsewhere.
+    positionally), wrapped into a ``solve_many`` that loops.
     """
     from repro.engine.parallel import round_size
 
@@ -1081,7 +1055,7 @@ def prune_candidates(
     total = len(trendlines)
     if total <= max(int(k), MIN_SEED_CANDIDATES) or k < 1:
         return list(range(total)), 0
-    frontier = BoundFrontier(index, query, bounds)
+    frontier = BoundFrontier(index, query)
     floor = TopKFloor(int(k))
     solved: List[int] = []
     while True:

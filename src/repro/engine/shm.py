@@ -164,23 +164,6 @@ class QueryHandle:
 
 
 @dataclass(frozen=True)
-class IndexHandle:
-    """Reference to one published shape index (engine/shape_index.py).
-
-    The packed form is a single float32 payload (every pyramid level's
-    upper-triangle buckets, concatenated) plus a small pickled layout
-    that says how to slice it back into per-trendline entries; like a collection
-    handle it is O(1) in the index size, so an index-bounds task travels
-    as ``(handle, start, end)``.
-    """
-
-    token: str
-    name: str
-    total: int  # BLOCK_DTYPE elements in the packed payload
-    layout_nbytes: int
-
-
-@dataclass(frozen=True)
 class TableHandle:
     """Manifest of one published table: per-column name, dtype and extent.
 
@@ -331,33 +314,33 @@ def publish_query(query, token: Optional[str] = None) -> Tuple[QueryHandle, "obj
     return handle, segment
 
 
-def publish_index(index, token: Optional[str] = None) -> Tuple[IndexHandle, "object"]:
-    """Pack a :class:`~repro.engine.shape_index.ShapeIndex` into one segment.
+def _write_columns(columns) -> Tuple[Tuple[Tuple[str, str, int, int], ...], "object"]:
+    """Encode ``(name, values)`` columns into one new segment.
 
-    Same shape as :func:`publish_trendlines`: the raw float32 payload
-    (:data:`~repro.engine.shape_index.BLOCK_DTYPE`) first, pickled layout
-    manifest after it.  Workers reattach the bucket
-    triangles as zero-copy views, so the same bytes back every bound on
-    both sides of the process boundary.  The payload is the block the
-    index already lives in
-    (:meth:`~repro.engine.shape_index.ShapeIndex.pack`) — one loaded
-    from a memory-mapped artifact republishes the mapped block as is.
+    The one encoding :func:`publish_table` and
+    :func:`publish_table_delta` share: numeric columns as raw bytes,
+    object columns pickled, each payload 16-byte aligned.  Returns the
+    ``(name, dtype, offset, nbytes)`` manifest and the segment.
     """
     shared = _require_shared_memory()
-    values, layout = index.pack()
-    manifest = pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL)
-    total = len(values)
-    segment = shared.SharedMemory(create=True, size=max(8, values.nbytes + len(manifest)))
-    view = np.ndarray((total,), dtype=values.dtype, buffer=segment.buf)
-    view[:] = values
-    segment.buf[values.nbytes : values.nbytes + len(manifest)] = manifest
-    handle = IndexHandle(
-        token=token or uuid.uuid4().hex,
-        name=segment.name,
-        total=total,
-        layout_nbytes=len(manifest),
-    )
-    return handle, segment
+    encoded: List[Tuple[str, str, bytes]] = []
+    for name, values in columns:
+        if values.dtype == object:
+            payload = pickle.dumps(values.tolist(), protocol=pickle.HIGHEST_PROTOCOL)
+            encoded.append((name, _OBJECT_COLUMN_DTYPE, payload))
+        else:
+            values = np.ascontiguousarray(values)
+            encoded.append((name, values.dtype.str, values.tobytes()))
+    manifest = []
+    offset = 0
+    for name, dtype_str, payload in encoded:
+        offset = (offset + 15) & ~15  # 16-byte alignment for any dtype
+        manifest.append((name, dtype_str, offset, len(payload)))
+        offset += len(payload)
+    segment = shared.SharedMemory(create=True, size=max(1, offset))
+    for (name, dtype_str, payload), (_, _, start, nbytes) in zip(encoded, manifest):
+        segment.buf[start : start + nbytes] = payload
+    return tuple(manifest), segment
 
 
 def publish_table(
@@ -379,33 +362,15 @@ def publish_table(
     *before* export and pre-seeded on reattached tables, so both sides
     key the same cache entries.
     """
-    shared = _require_shared_memory()
     from repro.engine.cache import table_fingerprint
 
     fingerprint = table_fingerprint(table)
     if token is None:
         token = table_token(fingerprint, columns)
     names = table.column_names if columns is None else list(columns)
-    encoded: List[Tuple[str, str, bytes]] = []
-    for name in names:
-        values = table.column(name)
-        if values.dtype == object:
-            payload = pickle.dumps(values.tolist(), protocol=pickle.HIGHEST_PROTOCOL)
-            encoded.append((name, _OBJECT_COLUMN_DTYPE, payload))
-        else:
-            values = np.ascontiguousarray(values)
-            encoded.append((name, values.dtype.str, values.tobytes()))
-    manifest = []
-    offset = 0
-    for name, dtype_str, payload in encoded:
-        offset = (offset + 15) & ~15  # 16-byte alignment for any dtype
-        manifest.append((name, dtype_str, offset, len(payload)))
-        offset += len(payload)
-    segment = shared.SharedMemory(create=True, size=max(1, offset))
-    for (name, dtype_str, payload), (_, _, start, nbytes) in zip(encoded, manifest):
-        segment.buf[start : start + nbytes] = payload
+    manifest, segment = _write_columns((name, table.column(name)) for name in names)
     handle = TableHandle(
-        fingerprint=fingerprint, token=token, name=segment.name, columns=tuple(manifest)
+        fingerprint=fingerprint, token=token, name=segment.name, columns=manifest
     )
     return handle, segment
 
@@ -425,34 +390,18 @@ def publish_table_delta(
     columns pickled — so the worker-side concatenation reproduces the
     columns a full export would have shipped.
     """
-    shared = _require_shared_memory()
     from repro.engine.cache import table_fingerprint
 
     fingerprint = table_fingerprint(table)
-    names = [name for name, _dtype, _offset, _nbytes in base_handle.columns]
-    encoded: List[Tuple[str, str, bytes]] = []
-    for name in names:
-        values = table.column(name)[base_rows:]
-        if values.dtype == object:
-            payload = pickle.dumps(values.tolist(), protocol=pickle.HIGHEST_PROTOCOL)
-            encoded.append((name, _OBJECT_COLUMN_DTYPE, payload))
-        else:
-            values = np.ascontiguousarray(values)
-            encoded.append((name, values.dtype.str, values.tobytes()))
-    manifest = []
-    offset = 0
-    for name, dtype_str, payload in encoded:
-        offset = (offset + 15) & ~15  # 16-byte alignment for any dtype
-        manifest.append((name, dtype_str, offset, len(payload)))
-        offset += len(payload)
-    segment = shared.SharedMemory(create=True, size=max(1, offset))
-    for (name, dtype_str, payload), (_, _, start, nbytes) in zip(encoded, manifest):
-        segment.buf[start : start + nbytes] = payload
+    manifest, segment = _write_columns(
+        (name, table.column(name)[base_rows:])
+        for name, _dtype, _offset, _nbytes in base_handle.columns
+    )
     handle = TableDeltaHandle(
         fingerprint=fingerprint,
         token=token,
         name=segment.name,
-        columns=tuple(manifest),
+        columns=manifest,
         base=base_handle,
         base_rows=base_rows,
     )
@@ -641,33 +590,6 @@ def resolve_query(query):
     return _resolve(query.token, attach)
 
 
-def attach_index(handle: IndexHandle) -> Tuple["object", "object"]:
-    """Rebuild a read-only shape index over the shared payload."""
-    from repro.engine.shape_index import BLOCK_DTYPE, ShapeIndex
-
-    segment = _attach_segment(handle.name)
-    try:
-        values = np.ndarray((handle.total,), dtype=BLOCK_DTYPE, buffer=segment.buf)
-        values.flags.writeable = False
-        manifest_start = values.nbytes
-        layout = pickle.loads(
-            bytes(segment.buf[manifest_start : manifest_start + handle.layout_nbytes])
-        )
-        index = ShapeIndex.from_packed(values, layout)
-    except BaseException:
-        # Same discipline as attach_collection: on failure nobody else
-        # owns the mapping, and every view must be dropped before close().
-        values = index = None  # noqa: F841
-        segment.close()
-        raise
-    return index, segment
-
-
-def resolve_index(handle: IndexHandle):
-    """The worker-resident shape index for ``handle`` (attach on first use)."""
-    return _resolve(handle.token, lambda: _Attachment(*attach_index(handle)))
-
-
 def attach_table_delta(handle: TableDeltaHandle) -> Tuple[Table, None]:
     """Extend the (resident) base table with a published delta segment.
 
@@ -760,11 +682,6 @@ class ShmSession:
     #: fingerprints every batch — recycle segments instead of filling
     #: /dev/shm.  Evictions defer to the dispatch pins below.
     MAX_TABLES = 8
-    #: Retained index segments (full copies of a shape index's block, one
-    #: per index key): at 64 bins an index segment is about 1.09x its
-    #: collection's — 1.55 MB (a 1 544 960-byte block plus its layout)
-    #: against 1.42 MB for 272 trendlines — so these weigh like collections.
-    MAX_INDEXES = 8
     #: Longest delta chain :meth:`acquire_append` will extend before
     #: forcing a fresh full publish: bounds the pickled handle size, the
     #: per-dispatch pin count, and the worker-side resolve depth, and
@@ -777,7 +694,6 @@ class ShmSession:
         self._collections: "OrderedDict[int, CollectionHandle]" = OrderedDict()
         self._queries: "OrderedDict[int, QueryHandle]" = OrderedDict()
         self._tables: "OrderedDict[str, TableHandle]" = OrderedDict()
-        self._indexes: "OrderedDict[int, IndexHandle]" = OrderedDict()
         self._refs: Dict[int, object] = {}  # keeps memo ids stable
         self._witness: Dict[int, tuple] = {}  # element identities at publish
         self._pins: Dict[str, int] = {}  # token -> in-flight dispatch count
@@ -826,48 +742,6 @@ class ShmSession:
                 self._pins[token] = self._pins.get(token, 0) + 1
         _destroy_all(stale)
         return handle, query_ref
-
-    def acquire_index(self, index, compiled) -> Optional[Tuple[IndexHandle, QueryHandle]]:
-        """Publish-or-reuse the index + query handles *and* pin both.
-
-        The IndexPrune dispatch entry point, mirroring :meth:`acquire`'s
-        lock discipline.  Returns ``None`` when the index packs to
-        nothing (every trendline below the pyramid threshold) — the
-        caller then computes bounds in-process.  Pair with :meth:`unpin`.
-        """
-        stale: list = []
-        with self._lock:
-            self._check_open()
-            handle = self._index_locked(index, stale)
-            if handle is None:
-                _destroy_all(stale)
-                return None
-            query_ref = self._query_locked(compiled, stale)
-            for token in (handle.token, query_ref.token):
-                self._pins[token] = self._pins.get(token, 0) + 1
-        _destroy_all(stale)
-        return handle, query_ref
-
-    def _index_locked(self, index, stale: list) -> Optional[IndexHandle]:
-        # A ShapeIndex is immutable once built (extension returns a new
-        # object), so unlike the collection memo a bare id key suffices —
-        # _refs pins the object so its id cannot be recycled.
-        if index.indexed == 0:
-            return None
-        key = id(index)
-        handle = self._indexes.get(key)
-        if handle is None:
-            handle, segment = publish_index(index)
-            self._indexes[key] = handle
-            self._refs[key] = index
-            self._segments[handle.token] = segment
-            _LOCAL[handle.token] = (os.getpid(), index)
-            while len(self._indexes) > self.MAX_INDEXES:
-                old_key, old = self._indexes.popitem(last=False)
-                stale.append(self._drop_locked(old_key, old.token))
-        else:
-            self._indexes.move_to_end(key)
-        return handle
 
     def acquire_append(
         self,
@@ -1081,7 +955,7 @@ class ShmSession:
         tokens = {_pin_token(handle) for handle in handles}
         stale = []
         with self._lock:
-            for memo in (self._collections, self._indexes, self._queries, self._tables):
+            for memo in (self._collections, self._queries, self._tables):
                 for key, handle in list(memo.items()):
                     if handle.token in tokens and not _segment_exists(handle.name):
                         del memo[key]
@@ -1138,7 +1012,6 @@ class ShmSession:
             self._collections.clear()
             self._queries.clear()
             self._tables.clear()
-            self._indexes.clear()
             self._refs.clear()
             self._witness.clear()
         for token in tokens:

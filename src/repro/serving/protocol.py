@@ -97,7 +97,6 @@ def stats_payload(stats: Any) -> Optional[dict]:
         "index_candidates": stats.index_candidates,
         "index_pruned": stats.index_pruned,
         "index_source": stats.index_source,
-        "index_bounds": stats.index_bounds,
         "index_reason": stats.index_reason,
         "trendline_cache_hit": stats.trendline_cache_hit,
         "plan_cache_hit": stats.plan_cache_hit,

@@ -5,9 +5,9 @@ block-batched kernel — one candidate, one pyramid level, one chain at a
 time, every unit bounded over its whole ``(W, W)`` bucket matrix with
 both atan endpoints transformed and the empty-bucket sentinels
 substituted by zeros, and the max-plus step written as one broadcast
-``np.max`` — kept as the byte-identity oracle: ``upper_bounds`` and
-every ``upper_bounds_range`` shard must return these floats bit for bit,
-including the coarse-level early exit under a bounded floor.  Nothing
+``np.max`` — kept as the byte-identity oracle: ``upper_bounds`` must
+return these floats bit for bit, including the coarse-level early exit
+under a bounded floor.  Nothing
 here is fast, on purpose.
 """
 

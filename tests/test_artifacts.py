@@ -247,17 +247,6 @@ class TestBatchedBoundsParity:
                 scalar = bounds_oracle.upper_bounds(index, compiled)
             assert batched.tobytes() == scalar.tobytes()
 
-    def test_shards_concatenate_to_full_pass(self):
-        rng = np.random.default_rng(7)
-        index = ShapeIndex.build(_random_collection(rng, count=41))
-        compiled = _compiled(UP_DOWN)
-        full = index.upper_bounds(compiled)
-        parts = [
-            index.upper_bounds_range(compiled, start, end)
-            for start, end in [(0, 13), (13, 14), (14, 41)]
-        ]
-        assert np.concatenate(parts).tobytes() == full.tobytes()
-
     @given(
         chains=st.lists(
             st.lists(_FUZZY_UNIT, min_size=1, max_size=6), min_size=1, max_size=3
@@ -269,33 +258,25 @@ class TestBatchedBoundsParity:
         ),
         short=st.integers(8, 24),
         floor=st.sampled_from([-np.inf]) | st.floats(-1.0, 1.0),
-        cuts=st.lists(st.integers(0, 7), max_size=3),
     )
     # At 16 bins a leaf is the unit floor, so an edge unit shares its
     # memo key with an equal middle unit: the first chain's last unit
     # and the second chain's first unit are views of that middle tile.
     @example(chains=[[q.down(), q.up(), q.up()], [q.up(), q.down(), q.flat()]],
-             specs=[(16, "constant", 1)], short=8, floor=-np.inf, cuts=[])
+             specs=[(16, "constant", 1)], short=8, floor=-np.inf)
     @example(chains=[[q.flat(), q.flat(), q.flat(), q.flat()], [q.down()]],
              specs=[(24, "walk", 2), (900, "two-valued", 3), (33, "nan", 4)],
-             short=17, floor=0.25, cuts=[1, 3])
-    def test_bounds_equal_the_oracle_bit_for_bit(self, chains, specs, short, floor, cuts):
+             short=17, floor=0.25)
+    def test_bounds_equal_the_oracle_bit_for_bit(self, chains, specs, short, floor):
         # Whatever the fuzzy chains, the ragged lengths (every level
         # width, empty buckets from NaN and constant series, one length
         # short enough that a leaf is the unit floor) and the floor, the
-        # batched kernel and its concatenated shards are the
-        # one-candidate oracle's floats.
+        # batched kernel's floats are the one-candidate oracle's.
         trendlines = _ragged(specs + [(short, "walk", 0)])
         index = ShapeIndex.build(trendlines)
         compiled = _compiled(q.or_(*[q.concat(*units) for units in chains]))
         expected = bounds_oracle.upper_bounds(index, compiled, floor).tobytes()
         assert index.upper_bounds(compiled, floor).tobytes() == expected
-        edges = sorted({0, len(index), *(min(cut, len(index)) for cut in cuts)})
-        shards = [
-            index.upper_bounds_range(compiled, start, end, floor)
-            for start, end in zip(edges, edges[1:])
-        ]
-        assert np.concatenate(shards).tobytes() == expected
 
     @given(
         chains=st.lists(
@@ -311,30 +292,23 @@ class TestBatchedBoundsParity:
             max_size=5,
         ),
         floor=st.sampled_from([-np.inf, 0.0]) | st.floats(-1.0, 1.0),
-        cut=st.integers(0, 5),
     )
     @example(chains=[[q.opposite(q.up())]], specs=[(13, "constant", 3)],
-             floor=-np.inf, cut=0)
+             floor=-np.inf)
     @example(chains=[[q.down(), q.opposite(q.flat()), q.up()]],
              specs=[(97, "steps", 1), (30, "steps", 2), (49, "walk", 3)],
-             floor=0.0, cut=1)
-    def test_packed_kernel_equals_oracle_on_edge_layouts(self, chains, specs, floor, cut):
+             floor=0.0)
+    def test_packed_kernel_equals_oracle_on_edge_layouts(self, chains, specs, floor):
         # The triangle layout's corners: odd super-bin counts that still
         # coarsen (the pair-combine pads a row and a column), a last
         # super-bin of one bin (the build's sweep stops before its row),
-        # and flat runs whose bounds come out as −0.0.  Full pass and
-        # shards are the dense one-candidate oracle's floats.
+        # and flat runs whose bounds come out as −0.0.  The full pass is
+        # the dense one-candidate oracle's floats.
         trendlines = _ragged(specs)
         index = ShapeIndex.build(trendlines)
         compiled = _compiled(q.or_(*[q.concat(*units) for units in chains]))
         expected = bounds_oracle.upper_bounds(index, compiled, floor).tobytes()
         assert index.upper_bounds(compiled, floor).tobytes() == expected
-        cut = min(cut, len(index))
-        shards = [
-            index.upper_bounds_range(compiled, 0, cut, floor),
-            index.upper_bounds_range(compiled, cut, len(index), floor),
-        ]
-        assert np.concatenate(shards).tobytes() == expected
 
     def test_flat_run_bounds_keep_their_negative_zero(self):
         # A constant series under a negated ``up``: the bound is −0.0 in
@@ -701,7 +675,6 @@ class TestEngineDiskTier:
         cold = ShapeSearchEngine(index=True, store=store)
         served = cold.run(cold_table, PARAMS, UP_DOWN, k=5)
         assert served.stats.index_source == "disk"
-        assert served.stats.index_bounds == "inline"
         assert "source=disk" in served.plan
         assert _signature(baseline) == _signature(served)
 

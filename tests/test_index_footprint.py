@@ -6,22 +6,19 @@ can hold one, so each level keeps its ``W(W+1)/2``-bucket upper
 triangle, once for the atan minima and once for the maxima, each a
 float32 rounded outward.  The packed block is therefore
 ``8 · C · Σ W(W+1)/2`` bytes for a class of ``C`` trendlines — about
-0.26x of dense float64 ``(W, W)`` tiles at 32/16/8/4 super-bins — the
-artifact store's ``block.f32`` is that block, byte for byte, and the
-shared-memory segment ``publish_index`` makes is that block plus its
-pickled layout.  Also runnable as a plain script — the CI
-``minimal-install`` job has no pytest::
+0.26x of dense float64 ``(W, W)`` tiles at 32/16/8/4 super-bins — and
+the artifact store's ``block.f32`` is that block, byte for byte.  Also
+runnable as a plain script — the CI ``minimal-install`` job has no
+pytest::
 
     PYTHONPATH=src python tests/test_index_footprint.py
 """
 
-import pickle
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.engine import shm
 from repro.engine.artifacts import artifact_dir, save_index
 from repro.engine.shape_index import ShapeIndex
 from repro.engine.trendline import build_trendline
@@ -43,16 +40,6 @@ def _trendlines(bins: int, count: int):
     ]
 
 
-def _segment_bytes(index) -> int:
-    """Size of the shared-memory segment one ``publish_index`` call makes."""
-    _handle, segment = shm.publish_index(index)
-    try:
-        return segment.size
-    finally:
-        segment.close()
-        segment.unlink()
-
-
 def check_footprint() -> list:
     sizes = []
     for bins, count, widths in CLASSES:
@@ -70,10 +57,7 @@ def check_footprint() -> list:
             save_index(root, key, index, "fingerprint")
             on_disk = (Path(artifact_dir(root, key)) / "block.f32").stat().st_size
         assert on_disk == index.nbytes, (bins, on_disk, index.nbytes)
-        segment = _segment_bytes(index)
-        layout_bytes = len(pickle.dumps(layout, protocol=pickle.HIGHEST_PROTOCOL))
-        assert segment == index.nbytes + layout_bytes, (bins, segment, index.nbytes)
-        sizes.append((bins, count, index.nbytes, dense, segment))
+        sizes.append((bins, count, index.nbytes, dense))
     return sizes
 
 
@@ -82,11 +66,10 @@ def test_packed_index_is_the_upper_triangles():
 
 
 if __name__ == "__main__":
-    for bins, count, packed, dense, segment in check_footprint():
+    for bins, count, packed, dense in check_footprint():
         print(
             "ok: {count} x {bins}-bin trendlines pack into {packed} bytes, "
-            "{ratio:.3f}x dense float64 tiles; shm segment {segment} bytes".format(
+            "{ratio:.3f}x dense float64 tiles, same in block.f32".format(
                 count=count, bins=bins, packed=packed, ratio=packed / dense,
-                segment=segment,
             )
         )

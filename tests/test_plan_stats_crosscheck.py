@@ -152,4 +152,3 @@ def test_index_plan_reports_the_rounds_stats_count(workers):
         assert 1 <= int(rounds) <= 2
         assert stats.candidates == stats.scored + stats.eager_discarded
         assert stats.index_pruned == stats.index_candidates - stats.candidates > 0
-        assert stats.index_bounds == "inline"

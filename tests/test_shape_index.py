@@ -31,7 +31,6 @@ from repro.engine.artifacts import artifact_dir, load_index
 from repro.engine.collection import Collection
 from repro.engine.executor import ShapeSearchEngine
 from repro.engine.parallel import (
-    dispatch_index_bounds,
     score_shard_range,
     solve_many,
     solve_one,
@@ -192,57 +191,36 @@ class TestIndexIdentity:
         assert index_supports(engine.compile(query))
         assert indexed.stats.index_candidates == count
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_identity(self, workers):
-        trendlines = _smooth_collection()
+    @pytest.mark.parametrize(
+        "workers,count",
+        [
+            pytest.param(2, 40, id="2"),
+            pytest.param(3, 40, id="3"),
+            # Two shards of 256 or more: the size at which the bound pass
+            # used to be published and sharded over the pool.
+            pytest.param(2, 544, id="2-544"),
+        ],
+    )
+    def test_parallel_identity(self, workers, count):
+        trendlines = _smooth_collection(count=count)
         full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
         with ShapeSearchEngine(workers=workers, index=True) as engine:
-            indexed = engine.rank(trendlines, UP_DOWN, k=5)
+            compiled = engine.compile(UP_DOWN)
+            indexed = engine.rank(trendlines, compiled, k=5)
             assert _signature(full) == _signature(indexed)
             assert indexed.stats.index_pruned > 0
-
-    def test_shm_dispatched_bounds_identity(self, monkeypatch):
-        # Once two workers each get INDEX_DISPATCH_MIN candidates the
-        # bound pass itself is sharded over the pool against the
-        # published index; the floats (and therefore the pruning decision
-        # and the ranked output) must match the in-process path bit for
-        # bit.  The constant is the only rule, so the test lowers it.
-        trendlines = _smooth_collection(count=90, hit_every=29)
-        index = ShapeIndex.build(trendlines)
-        compiled = ShapeSearchEngine().compile(UP_DOWN)
-        full = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
-        with ShapeSearchEngine(workers=2, index=True) as engine:
-            inline = engine.rank(trendlines, UP_DOWN, k=5)
-            assert inline.stats.index_bounds == "inline"
-            monkeypatch.setattr(pipeline, "INDEX_DISPATCH_MIN", 40)
-            indexed = engine.rank(trendlines, UP_DOWN, k=5)
-            assert _signature(full) == _signature(indexed)
-            assert indexed.stats.index_pruned > 0
-            assert indexed.stats.index_bounds == "dispatched"
-            # The dispatched floats themselves, not just the decisions.
+            # The bound pass runs in the caller: the session holds at
+            # most the collection and the compiled query, never the index.
             session = engine._shm_session()
-            handle, query_ref = session.acquire_index(index, compiled)
-            try:
-                dispatched = dispatch_index_bounds(
-                    handle, query_ref, [(0, 45), (45, 90)], engine._resolve_pool(2)
-                )
-            finally:
-                session.unpin(handle, query_ref)
-            assert dispatched.tobytes() == index.upper_bounds(compiled).tobytes()
-
-    def test_dispatch_gate_is_not_an_option(self, monkeypatch):
-        # The per-shard floor is a module constant: no constructor
-        # option, no environment variable.
-        with pytest.raises(TypeError):
-            ShapeSearchEngine(index_dispatch_min=17)
-        monkeypatch.setenv("REPRO_INDEX_DISPATCH_MIN", "not-a-number")
-        assert not hasattr(ShapeSearchEngine(), "index_dispatch_min")
+            published = {handle.token for handle in session._collections.values()}
+            published |= {handle.token for handle in session._queries.values()}
+            assert set(session._segments) <= published
+            assert len(session._segments) <= 2
 
     def test_inline_bounds_path_recorded(self):
         trendlines = _smooth_collection()
         with ShapeSearchEngine(index=True) as engine:
             stats = engine.rank(trendlines, UP_DOWN, k=5).stats
-            assert stats.index_bounds == "inline"
             assert stats.index_source in ("memory", "built")
 
     def test_execute_identity_and_stats(self):
@@ -584,8 +562,8 @@ class TestShapeIndexUnit:
         # Mixed bin counts (one unindexable): every n_bins group's level
         # is one (members, W(W+1)/2) upper-triangle pair inside the
         # block, the buckets below the diagonal are empty sentinels in
-        # the dense entry matrices, and from_packed / an shm attach hand
-        # back the same buckets.
+        # the dense entry matrices, and from_packed hands back the same
+        # buckets.
         rng = np.random.default_rng(4)
         trendlines = [
             make_trendline(rng.normal(0, 1, bins).cumsum(), key="m{}".format(i))
@@ -619,17 +597,6 @@ class TestShapeIndexUnit:
                     cursor += tile.size
         assert cursor == len(values)
         _assert_same_buckets(index, ShapeIndex.from_packed(values, (count, groups)))
-        handle, segment = shm.publish_index(index)
-        try:
-            attached, attachment = shm.attach_index(handle)
-            try:
-                _assert_same_buckets(index, attached)
-            finally:
-                del attached  # its views pin the mapping
-                attachment.close()
-        finally:
-            segment.close()
-            segment.unlink()
 
     @pytest.mark.parametrize(
         "query",
@@ -853,16 +820,6 @@ class TestBoundFrontier:
         assert indexed.stats.index_pruned == 0
         assert indexed.stats.scored == 40
         assert "refined=[40,40,40]" in indexed.plan  # the finest level never ran
-
-    def test_adopted_bounds_are_born_refined(self):
-        trendlines = _smooth_collection(count=40, bins=64)
-        index = ShapeIndex.build(trendlines)
-        compiled = ShapeSearchEngine().compile(UP_DOWN)
-        full = index.upper_bounds(compiled)
-        frontier = BoundFrontier(index, compiled, full)
-        assert frontier.refined == []
-        frontier.next_block(16, 0.9)
-        assert frontier.refined == [] and frontier.bounds.tobytes() == full.tobytes()
 
 
 #: Bin counts that matter to the build: too short for any level (< 8),

@@ -6,7 +6,7 @@ import pytest
 from repro.algebra import builder as q
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
-from repro.engine import pipeline, shm
+from repro.engine import shm
 from repro.engine.cache import table_fingerprint
 from repro.engine.chains import compile_query
 from repro.engine.executor import ShapeSearchEngine
@@ -22,7 +22,6 @@ from repro.engine.segment_tree import segment_tree_run_solver
 from repro.errors import ExecutionError
 
 from tests.conftest import make_trendline
-from tests.test_shape_index import UP_DOWN, _smooth_collection
 from tests.test_shape_index import _signature as _index_signature
 
 QUERY = compile_query(q.concat(q.up(), q.down()))
@@ -572,24 +571,6 @@ class TestVanishedSegment:
             again = engine.rank(trendlines, QUERY, k=3)
             assert again.stats.shards == 4
             assert vanished[0] not in self._names(session._collections)
-        assert _index_signature(again) == _index_signature(expected)
-
-    def test_vanished_index(self, monkeypatch):
-        # Two workers of 40 candidates each: the bound pass is dispatched
-        # over the published index (see test_shm_dispatched_bounds_identity).
-        monkeypatch.setattr(pipeline, "INDEX_DISPATCH_MIN", 40)
-        trendlines = _smooth_collection(count=90, hit_every=29)
-        expected = ShapeSearchEngine().rank(trendlines, UP_DOWN, k=5)
-        vanished = self._unlink_first(monkeypatch, "publish_index")
-        with ShapeSearchEngine(workers=2, index=True) as engine:
-            with pytest.raises(ExecutionError) as failure:
-                engine.rank(trendlines, UP_DOWN, k=5)
-            assert vanished[0] in str(failure.value)
-            session = engine._shm_session()
-            assert vanished[0] not in self._names(session._indexes)
-            again = engine.rank(trendlines, UP_DOWN, k=5)
-            assert again.stats.index_bounds == "dispatched"
-            assert again.stats.index_pruned > 0
         assert _index_signature(again) == _index_signature(expected)
 
     def test_vanished_tail_table(self, monkeypatch, shard_floor):
