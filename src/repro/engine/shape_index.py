@@ -391,8 +391,19 @@ def _outward(amin: np.ndarray, amax: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     an upper bound on every segment the bucket holds.
     """
     lo, hi = amin.astype(BLOCK_DTYPE), amax.astype(BLOCK_DTYPE)
-    np.nextafter(lo, BLOCK_DTYPE.type(_NEG_INF), out=lo, where=lo > amin)
-    np.nextafter(hi, BLOCK_DTYPE.type(_POS_INF), out=hi, where=hi < amax)
+    for rounded, exact, inward, toward in ((lo, amin, np.greater, -1), (hi, amax, np.less, 1)):
+        # One float32 step is one step of the bit pattern as a signed
+        # integer: up the line for a non-negative float, down it for a
+        # negative one (sign-magnitude), so the integer step is ±1 by
+        # the sign bit — which also steps −0.0 down and +0.0 up to the
+        # smallest subnormals, and ±inf in to ±max, as np.nextafter does.
+        bits = rounded.view(np.int32)
+        step = bits >> 31  # 0 or −1
+        if toward < 0:
+            np.invert(step, out=step)
+        step |= 1
+        step *= inward(rounded, exact)  # 0 where the nearest is outward already
+        bits += step
     return lo, hi
 
 

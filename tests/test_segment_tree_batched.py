@@ -50,20 +50,20 @@ def dict_tree_run_solver(trendline, units, lo, hi, context):
 def batched_tables(tree, candidate):
     """One candidate's node tables in the dict tree's form:
     per node ``{(i, j): (weighted sum, placements)}`` in insertion order."""
-    keys = [(i, j) for i in range(tree.k) for j in range(i, tree.k)]
+    entries = tree.entries()
     first = int(tree.counts[:candidate].sum())
     tables = []
     for lane in range(first, first + int(tree.counts[candidate])):
-        lo, hi = int(tree.lows[lane]), int(tree.highs[lane])
-        present = [row for row in range(len(keys)) if tree.values[0, row, lane] > -np.inf]
-        present.sort(key=lambda row: tree.marks[-1, row, lane])
+        lo, hi = int(entries.lows[lane]), int(entries.highs[lane])
+        present = [row for row in range(len(entries.keys)) if entries.wsum[row, lane] > -np.inf]
+        present.sort(key=lambda row: entries.rank[row, lane])
         table = {}
         for row in present:
-            i, j = keys[row]
-            inner = [int(b) for b in tree.marks[2 + i : 2 + j, row, lane]]
+            i, j = entries.keys[row]
+            inner = [int(b) for b in entries.breaks[i:j, row, lane]]
             bounds = [lo] + inner + [hi]
             table[(i, j)] = (
-                float(tree.values[0, row, lane]),
+                float(entries.wsum[row, lane]),
                 tuple(zip(bounds[:-1], bounds[1:])),
             )
         tables.append(table)
