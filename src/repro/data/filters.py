@@ -52,7 +52,10 @@ class Filter:
             return values <= self.value
         if self.op == "in":
             allowed = set(self.value)
-            return np.array([value in allowed for value in values.tolist()])
+            # fromiter, not np.array: an empty column must still give bools.
+            return np.fromiter(
+                (value in allowed for value in values.tolist()), dtype=bool, count=len(values)
+            )
         low, high = self.value
         return (values >= low) & (values <= high)
 

@@ -108,11 +108,12 @@ BATCH_BLOCK = 32
 #: ``m``-unit chain, past which a tree of :data:`BATCH_BLOCK` candidates
 #: or more takes no further candidate: the 5-unit, 32-candidate tree.
 #: ``solve_many`` over 120 random walks of 100 bins (20 leaves each,
-#: best of 10) then builds one tree at 2 units, two at 3, three at 4 and
-#: four at 5, in 2.1 / 4.2 / 6.6 / 8.2 ms at a 1.5 / 2.3 / 2.2 / 2.3 MB
-#: tracemalloc peak, against four 32-candidate trees each at 4.4 / 5.2 /
-#: 6.5 / 8.3 ms and 0.8 / 1.1 / 1.5 / 2.3 MB.  Uncapped, 4 and 5 units
-#: run in 4.2 and 5.7 ms but peak at 4.3 and 6.8 MB.
+#: best of 10 on a shared 2-vCPU Xeon host) then builds one tree at 2
+#: units, two at 3, three at 4 and four at 5, in 2.0 / 3.2 / 4.9 / 6.9 ms
+#: at a 1.12 / 1.52 / 1.42 / 1.42 MB tracemalloc peak, against four
+#: 32-candidate trees each at 2.9 / 3.6 / 4.7 / 6.7 ms and 0.73 / 0.94 /
+#: 1.15 / 1.42 MB.  Uncapped, 4 and 5 units run in 4.3 and 5.9 ms but
+#: peak at 2.48 and 3.66 MB.
 BATCH_CELLS = 63_000
 
 #: Leaf nodes (lanes) per :class:`BatchedSegmentTree`.  The width floor

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import ShapeSearch
 from repro.data.filters import Filter, apply_filters, parse_filter
 from repro.data.table import Table
 from repro.data.visual_params import VisualParams
@@ -147,6 +148,21 @@ class TestFilters:
         table = self._table()
         mask = Filter("name", "in", ("a", "c")).mask(table)
         assert list(table.column("name")[mask]) == ["a", "c"]
+
+    def test_in_op_on_an_empty_table_matches_no_group(self):
+        # ``in`` once built a float64 mask from an empty row list, which
+        # the conjunction of filters could not ``&`` with a bool mask.
+        empty = Table.from_arrays(
+            z=np.array([], dtype=object),
+            x=np.array([]),
+            y=np.array([]),
+            region=np.array([], dtype=object),
+        )
+        assert Filter("region", "in", ("a",)).mask(empty).dtype == bool
+        session = ShapeSearch(empty)
+        for item in (Filter("region", "==", "a"), Filter("region", "in", ("a",))):
+            prepared = session.prepare("[p=up]", z="z", x="x", y="y", filters=[item])
+            assert len(prepared.run(k=3)) == 0
 
     def test_unknown_op(self):
         with pytest.raises(DataError):
