@@ -463,7 +463,11 @@ class IndexPrune(Operator):
     Exactness: an unsolved candidate's true score is strictly below at
     least k others', and solved candidates keep their positions, so the
     *(score desc, position asc)* merge selects exactly the full scan's
-    top k.  The bound pass runs in the caller, whatever ``workers`` is.
+    top k.  The bound pass runs in the caller, whatever ``workers`` is,
+    and reads what earlier runs of the same query bounded on the same
+    index from that index's memo: ``refined=[…]`` in the detail counts
+    the rows evaluated per pyramid level, coarsest first, and
+    ``computed=[…]`` those of them this run computed.
     """
 
     name = "IndexPrune"
@@ -504,9 +508,10 @@ class IndexPrune(Operator):
     def detail(self) -> str:
         if self.frontier is None:
             return "k={}".format(self.k)
-        return "k={} source={} rounds={} refined=[{}]".format(
+        return "k={} source={} rounds={} refined=[{}] computed=[{}]".format(
             self.k, self.index_source, self.frontier.rounds,
             ",".join(map(str, self.frontier.refined)),
+            ",".join(map(str, self.frontier.computed)),
         )
 
 

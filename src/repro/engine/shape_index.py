@@ -40,7 +40,11 @@ index:
   it), not a blend of node slopes.  A
   max-plus recurrence over (start super-bin, end super-bin) then bounds
   the best full segmentation; the query bound is the max over chains,
-  min over levels, clamped to the score range at −1.
+  min over levels, clamped to the score range at −1.  A level's bound
+  on a candidate depends only on its buckets and the query's units and
+  weights (:func:`_bound_signature`), so each index memoizes the level
+  bounds it has computed per signature, under a byte budget of its own
+  size: a repeated query, at any ``k``, reads them.
 
 **Soundness** (what makes index-pruned runs byte-identical): every
 engine algorithm places each chain as a full cover of ``[0, n)`` whose
@@ -71,13 +75,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.table import canonical_group_key
 from repro.engine import scoring
+from repro.engine.cache import LRUCache
 from repro.engine.chains import Chain, CompiledQuery
 from repro.engine.collection import Collection
 from repro.engine.statistics import fit_slopes
@@ -435,9 +440,15 @@ class ShapeIndex:
     ``engine/artifacts.py`` memory-maps from disk
     (:meth:`from_packed`).  The pyramids are written straight into that
     block; :attr:`entries` are views of it, cut when first asked for.
+
+    Each index also memoizes the level bounds its queries evaluate
+    (:meth:`_level_bounds`), under a byte budget of its own
+    :attr:`nbytes`; the memo is never pickled or saved and dies with the
+    index.
     """
 
-    __slots__ = ("_entries", "_values", "_layout", "_tiles", "_cut", "_by_key")
+    __slots__ = ("_entries", "_values", "_layout", "_tiles", "_cut", "_by_key",
+                 "_bounds_memo")
 
     def __init__(self, entries: List[Optional[TrendlineEntry]],
                  values: np.ndarray, layout: tuple):
@@ -447,6 +458,18 @@ class ShapeIndex:
         self._tiles = _tiled_groups(values, layout[1])
         self._cut = False
         self._by_key: Optional[Dict[object, Tuple[TrendlineEntry, int]]] = None
+        self._bounds_memo = _bounds_memo(values)
+
+    def __getstate__(self):
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__ if name != "_bounds_memo"
+        }
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._bounds_memo = _bounds_memo(self._values)
 
     @classmethod
     def build(cls, trendlines: Sequence[Trendline]) -> "ShapeIndex":
@@ -600,16 +623,41 @@ class ShapeIndex:
         the recurrence runs on ``(candidates, W)`` state tiles with no
         per-candidate Python dispatch.  The one-candidate-at-a-time
         reference the tests hold it to, bit for bit, is
-        ``tests/oracles/index_bounds.py``.
+        ``tests/oracles/index_bounds.py``.  Level bounds an earlier call
+        or frontier evaluated for the same query are read from the
+        index's memo (:meth:`_level_bounds`), not computed again.
         Unindexed entries bound at ``+inf`` (never pruned); an empty
         index returns a well-formed empty float64 vector.
         """
         out = np.full(len(self), _POS_INF, dtype=np.float64)
+        signature = _bound_signature(query)
         for n_bins, positions, levels in self._tiles:
             bound = np.full(len(positions), _POS_INF)
-            _refine(n_bins, levels[::-1], query, bound, floor)
+            memo = partial(self._level_bounds, signature, n_bins, len(positions))
+            _refine(n_bins, levels[::-1], query, bound, floor, memo)
             out[positions] = bound
         return out
+
+    def _level_bounds(self, signature: tuple, n_bins: int, size: int,
+                      w: int) -> np.ndarray:
+        """One level's bounds on one query for every member of a class.
+
+        A float64 vector over the ``size`` members of the ``n_bins``
+        class, keyed by the query's :func:`_bound_signature` and the
+        level's width ``w``: row ``i`` is the level bound :func:`_refine`
+        computed for member ``i``, or NaN while no call has evaluated it
+        (a bound is never NaN).  Every filler writes the same bits, so
+        threads sharing the vector need no lock, and a vector evicted
+        while in use (least recently used first, once the memo outgrows
+        :attr:`nbytes`) stays valid for whoever holds it.  The memo
+        relies on the block never changing after the build.
+        """
+        key = (signature, n_bins, w)
+        known = self._bounds_memo.get(key)
+        if known is None:
+            known = np.full(size, np.nan)
+            self._bounds_memo.put(key, known, cost=known.nbytes)
+        return known
 
     # -- flat packing (the on-disk export form) --------------------------------
     def pack(self) -> Tuple[np.ndarray, tuple]:
@@ -649,6 +697,16 @@ class ShapeIndex:
                 witness = witnesses[position] if witnesses is not None else None
                 entries[position] = TrendlineEntry(n_bins, None, witness)
         return cls(entries, values, layout)
+
+
+def _bounds_memo(values: np.ndarray) -> LRUCache:
+    """An empty level-bound memo whose byte budget is the block's size.
+
+    Every entry costs at least 8 bytes, so the budget binds before the
+    entry count does.
+    """
+    budget = max(1, values.nbytes)
+    return LRUCache(capacity=budget, max_bytes=budget)
 
 
 def _tiled_groups(values: np.ndarray, groups: list) -> list:
@@ -703,6 +761,22 @@ def _unit_key(unit) -> tuple:
     if isinstance(unit, SlopeUnit):
         return ("slope", unit.kind, unit.theta, unit.negated)
     return ("line",)
+
+
+def _bound_signature(query: CompiledQuery) -> tuple:
+    """What a level bound of ``query`` depends on, chain by chain, in order.
+
+    Each unit's :func:`_unit_key` and weight — the operands
+    :func:`_weighted_part` memoizes on; a chain's length fixes its
+    widths (:func:`_unit_widths`), and chain order fixes which of two
+    equal chain bounds (``−0.0`` and ``0.0``) the level keeps.  Queries
+    with equal signatures bound every bucket identically, whatever
+    front-end spelled them.
+    """
+    return tuple(
+        tuple((_unit_key(cu.unit), cu.weight) for cu in chain.units)
+        for chain in query.chains
+    )
 
 
 def _constant_upper(unit) -> Optional[float]:
@@ -890,8 +964,9 @@ def _refine(
     query: CompiledQuery,
     bound: np.ndarray,
     floor: float,
+    memo: Callable[[int], np.ndarray],
     keep: Optional[np.ndarray] = None,
-) -> List[int]:
+) -> Tuple[List[int], List[int]]:
     """Tighten ``bound`` in place through ``levels`` (coarse → fine).
 
     The one-candidate level loop (``tests/oracles/index_bounds.py``)
@@ -900,12 +975,18 @@ def _refine(
     a`` elementwise — bitwise the same picks; the −1 start of the chain
     max is the scalar clamp), and the scalar early exit becomes a gather
     — a level is evaluated only on the rows whose bound still passes
-    :func:`survives_floor` (and, when given, the ``keep`` mask),
-    :data:`BLOCK_ELEMENTS` at a time, so its temporaries are sized by
-    the rows still alive and every other row keeps the coarser float the
-    scalar early return yields.  Returns the rows evaluated per level.
+    :func:`survives_floor` (and, when given, the ``keep`` mask), so every
+    other row keeps the coarser float the scalar early return yields.
+    ``memo(w)`` is the level's memo of bounds on this query
+    (:meth:`ShapeIndex._level_bounds`): an alive row it holds is read;
+    the others are computed :data:`BLOCK_ELEMENTS` at a time (so the
+    temporaries are sized by the rows computed) and written into it.  A
+    row's level bound depends on nothing but its own buckets, so a read
+    float is the one a computation would give.  Returns the rows
+    evaluated and the rows computed, per level.
     """
-    evaluated = []
+    evaluated: List[int] = []
+    computed: List[int] = []
     for w, amin, amax in levels:
         alive = survives_floor(bound, floor)
         if keep is not None:
@@ -913,24 +994,33 @@ def _refine(
         rows = np.flatnonzero(alive)
         evaluated.append(rows.size)
         if not rows.size:
+            computed.append(0)
             break
-        everyone = rows.size == bound.size  # contiguous views, nothing gathered
-        step = max(1, BLOCK_ELEMENTS // amin[0].size)
-        for lo in range(0, rows.size, step):
-            part = slice(lo, lo + step) if everyone else rows[lo:lo + step]
-            tile_min, tile_max = amin[part], amax[part]
-            shared: dict = {}
-            level_bound = np.full(len(tile_min), INFEASIBLE)
-            for chain in query.chains:
-                chain_bound = _batched_chain_bound(
-                    n_bins, chain, w, tile_min, tile_max, shared
-                )
-                level_bound = np.where(
-                    chain_bound > level_bound, chain_bound, level_bound
-                )
-            current = bound[part]
-            bound[part] = np.where(level_bound < current, level_bound, current)
-    return evaluated
+        known = memo(w)
+        level_bound = known[rows]
+        missing = np.flatnonzero(np.isnan(level_bound))
+        computed.append(missing.size)
+        if missing.size:
+            fresh = rows[missing]
+            everyone = fresh.size == bound.size  # contiguous views, nothing gathered
+            step = max(1, BLOCK_ELEMENTS // amin[0].size)
+            for lo in range(0, fresh.size, step):
+                part = slice(lo, lo + step) if everyone else fresh[lo:lo + step]
+                tile_min, tile_max = amin[part], amax[part]
+                shared: dict = {}
+                tile_bound = np.full(len(tile_min), INFEASIBLE)
+                for chain in query.chains:
+                    chain_bound = _batched_chain_bound(
+                        n_bins, chain, w, tile_min, tile_max, shared
+                    )
+                    tile_bound = np.where(
+                        chain_bound > tile_bound, chain_bound, tile_bound
+                    )
+                level_bound[missing[lo:lo + step]] = tile_bound
+            known[fresh] = level_bound[missing]
+        current = bound[rows]
+        bound[rows] = np.where(level_bound < current, level_bound, current)
+    return evaluated, computed
 
 
 # ---------------------------------------------------------------------------
@@ -984,6 +1074,10 @@ class BoundFrontier:
     already decided; the first block is drawn by the coarse bounds,
     which a finer level could reorder but not shrink).  Unindexed
     entries and one-level classes wait at ``+inf`` and go out first.
+    Which rows a level evaluates is decided here alone; the index's
+    level-bound memo only decides which of them are computed rather
+    than read (:func:`_refine`), so every float, block and count is the
+    one a fresh index gives.
 
     Exactness needs only that each float is a valid upper bound — a min
     over some of the candidate's levels — and each discard a strict
@@ -997,22 +1091,29 @@ class BoundFrontier:
         self.rounds = 0
         #: Rows evaluated per pyramid level, coarsest first.
         self.refined: List[int] = []
+        #: Of those, the rows this frontier computed rather than read
+        #: from the index's memo.
+        self.computed: List[int] = []
         self._finest: list = []
         self.bounds = np.full(len(index), _POS_INF)
+        signature = _bound_signature(query)
         for n_bins, positions, levels in index._tiles:
-            self._tighten(n_bins, positions, levels[:0:-1], 0, _NEG_INF)
-            self._finest.append((n_bins, positions, levels[:1], len(levels) - 1))
+            memo = partial(index._level_bounds, signature, n_bins, len(positions))
+            self._tighten(n_bins, positions, levels[:0:-1], 0, _NEG_INF, memo)
+            self._finest.append((n_bins, positions, levels[:1], len(levels) - 1, memo))
 
-    def _tighten(self, n_bins, positions, levels, depth, floor) -> None:
+    def _tighten(self, n_bins, positions, levels, depth, floor, memo) -> None:
         bound = self.bounds[positions]
-        evaluated = _refine(
-            n_bins, levels, self.query, bound, floor, self.unsolved[positions]
+        evaluated, computed = _refine(
+            n_bins, levels, self.query, bound, floor, memo, self.unsolved[positions]
         )
         self.bounds[positions] = bound
-        for level, rows in enumerate(evaluated, depth):
+        for level, (rows, fresh) in enumerate(zip(evaluated, computed), depth):
             if level == len(self.refined):
                 self.refined.append(0)
+                self.computed.append(0)
             self.refined[level] += rows
+            self.computed[level] += fresh
 
     def next_block(self, size: int, floor: float) -> List[int]:
         """Up to ``size`` unsolved positions that can still reach ``floor``.
@@ -1025,8 +1126,8 @@ class BoundFrontier:
             # Bounds never fall below INFEASIBLE, so only now can a
             # tighter bound change a verdict.
             finest, self._finest = self._finest, []
-            for n_bins, positions, levels, depth in finest:
-                self._tighten(n_bins, positions, levels, depth, floor)
+            for n_bins, positions, levels, depth, memo in finest:
+                self._tighten(n_bins, positions, levels, depth, floor, memo)
         alive = np.flatnonzero(self.unsolved & survives_floor(self.bounds, floor))
         if not alive.size:
             return []

@@ -195,7 +195,11 @@ def _write_dense_store(directory, index, fingerprint, pyramids=None):
 
 
 class TestBatchedBoundsParity:
-    """upper_bounds == the scalar oracle, float for float."""
+    """upper_bounds == the scalar oracle, float for float.
+
+    Each check also makes a second call, which the index's level-bound
+    memo serves (wholly, or in part after a floored first call).
+    """
 
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_parity(self, seed):
@@ -207,6 +211,7 @@ class TestBatchedBoundsParity:
             batched = index.upper_bounds(compiled)
             assert batched.dtype == np.float64
             assert batched.tobytes() == scalar.tobytes()
+            assert index.upper_bounds(compiled).tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_floored_parity_freezes_like_early_exit(self, seed):
@@ -222,6 +227,8 @@ class TestBatchedBoundsParity:
             scalar = bounds_oracle.upper_bounds(index, compiled, floor)
             batched = index.upper_bounds(compiled, floor)
             assert batched.tobytes() == scalar.tobytes()
+            again = index.upper_bounds(compiled, floor)
+            assert again.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("unit", _BOUNDED_UNITS, ids=repr)
     def test_every_unit_kind_matches_scalar_oracle(self, unit):
@@ -245,7 +252,9 @@ class TestBatchedBoundsParity:
             with np.errstate(all="raise"):
                 batched = index.upper_bounds(compiled)
                 scalar = bounds_oracle.upper_bounds(index, compiled)
+                again = index.upper_bounds(compiled)
             assert batched.tobytes() == scalar.tobytes()
+            assert again.tobytes() == scalar.tobytes()
 
     @given(
         chains=st.lists(
@@ -277,6 +286,9 @@ class TestBatchedBoundsParity:
         compiled = _compiled(q.or_(*[q.concat(*units) for units in chains]))
         expected = bounds_oracle.upper_bounds(index, compiled, floor).tobytes()
         assert index.upper_bounds(compiled, floor).tobytes() == expected
+        # The unfloored second call reads the rows the first evaluated.
+        unfloored = bounds_oracle.upper_bounds(index, compiled).tobytes()
+        assert index.upper_bounds(compiled).tobytes() == unfloored
 
     @given(
         chains=st.lists(
@@ -309,6 +321,7 @@ class TestBatchedBoundsParity:
         compiled = _compiled(q.or_(*[q.concat(*units) for units in chains]))
         expected = bounds_oracle.upper_bounds(index, compiled, floor).tobytes()
         assert index.upper_bounds(compiled, floor).tobytes() == expected
+        assert index.upper_bounds(compiled, floor).tobytes() == expected
 
     def test_flat_run_bounds_keep_their_negative_zero(self):
         # A constant series under a negated ``up``: the bound is −0.0 in
@@ -323,7 +336,8 @@ class TestBatchedBoundsParity:
     def test_bounds_do_not_depend_on_the_pass_size(self, elements, monkeypatch):
         # A level is evaluated BLOCK_ELEMENTS at a time (one row per
         # pass, three 12x12 rows, everything at once): per-candidate
-        # independent, so the floats cannot move.
+        # independent, so the floats cannot move.  Each patched call
+        # runs on a fresh copy of the index, whose memo is empty.
         from repro.engine import shape_index
 
         rng = np.random.default_rng(9)
@@ -331,8 +345,10 @@ class TestBatchedBoundsParity:
         compiled = _compiled(UP_DOWN)
         expected = index.upper_bounds(compiled)
         monkeypatch.setattr(shape_index, "BLOCK_ELEMENTS", elements)
-        assert index.upper_bounds(compiled).tobytes() == expected.tobytes()
-        assert index.upper_bounds(compiled, 0.5).tobytes() == (
+        fresh = ShapeIndex.from_packed(*index.pack())
+        assert fresh.upper_bounds(compiled).tobytes() == expected.tobytes()
+        fresh = ShapeIndex.from_packed(*index.pack())
+        assert fresh.upper_bounds(compiled, 0.5).tobytes() == (
             bounds_oracle.upper_bounds(index, compiled, 0.5).tobytes()
         )
 
